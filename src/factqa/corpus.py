@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
-from .hasharray import StaticHashArray, find_mentions
+from .hasharray import SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, NAME_PREDICATE
 
 Tokens = tuple[str, ...]
@@ -183,6 +183,46 @@ class Observation:
     weight: float
 
 
+class MentionTable(SpanTable):
+    """A question's span table, probed once, with the KB entities per span.
+
+    Spans are probed with ``lookup_tokens`` normalization, token by token,
+    so a substring's span probes the same key as inside the whole question.
+    ``payloads`` keeps every raw hit and ``entities`` the hit spans whose
+    payloads name KB entities (payload order): the greedy walk stops on any
+    hit and filters to entities afterwards, so a payload that names no
+    entity (a fingerprint false positive) still takes its span.
+    """
+
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens,
+                 max_span: int = 5):
+        super().__init__(index, lookup_tokens(tokens), max_span)
+        self.entities: dict[tuple[int, int], list[str]] = {}
+        for span, payloads in self.payloads.items():
+            nodes = [kb.node_name(p) for p in payloads if kb.has_node_id(p)]
+            entities = [node for node in nodes if kb.is_entity(node)]
+            if entities:
+                self.entities[span] = entities
+
+    def mentions(self, start: int = 0, end: int | None = None) -> list[tuple[tuple[int, int], str]]:
+        """``kb_mentions`` of the window ``[start, end)``, spans relative to it."""
+        out: list[tuple[tuple[int, int], str]] = []
+        seen: set[str] = set()
+        for i, j in self.greedy(start, end):
+            for node in self.entities.get((i, j), ()):
+                if node not in seen:
+                    seen.add(node)
+                    out.append(((i - start, j - start), node))
+        return out
+
+    def entity_spans(self, start: int = 0, end: int | None = None) -> set[tuple[int, int]]:
+        """Every span of the window (not just greedy matches) naming a KB
+        entity, relative to the window."""
+        if end is None:
+            end = len(self._ends)
+        return {(i - start, j - start) for i, j in self.entities if start <= i and j <= end}
+
+
 def kb_mentions(
     kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens, max_span: int = 5
 ) -> list[tuple[tuple[int, int], str]]:
@@ -192,17 +232,7 @@ def kb_mentions(
     name a KB entity (possible fingerprint false positives) are dropped.
     Returns one (span, entity) per distinct entity, first span wins.
     """
-    out: list[tuple[tuple[int, int], str]] = []
-    seen: set[str] = set()
-    for span, payloads in find_mentions(index, lookup_tokens(tokens), max_span):
-        for payload in payloads:
-            if not kb.has_node_id(payload):
-                continue
-            node = kb.node_name(payload)
-            if kb.is_entity(node) and node not in seen:
-                seen.add(node)
-                out.append((span, node))
-    return out
+    return MentionTable(kb, index, tokens, max_span).mentions()
 
 
 class EntityValueExtractor:

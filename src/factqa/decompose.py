@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import QaPair, Tokens, kb_mentions, lookup_tokens
+from .corpus import MentionTable, QaPair, Tokens, kb_mentions
 from .hasharray import StaticHashArray
 from .kb import KnowledgeBase
 from .learn import PredicateModel
@@ -54,16 +54,7 @@ def mention_spans(
     kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens, max_span: int = 5
 ) -> set[tuple[int, int]]:
     """Every span (not just greedy matches) whose text names a KB entity."""
-    probe = lookup_tokens(tokens)
-    spans: set[tuple[int, int]] = set()
-    n = len(tokens)
-    for i in range(n):
-        for j in range(i + 1, min(n, i + max_span) + 1):
-            for payload in index.lookup(" ".join(probe[i:j])):
-                if kb.has_node_id(payload) and kb.is_entity(kb.node_name(payload)):
-                    spans.add((i, j))
-                    break
-    return spans
+    return MentionTable(kb, index, tokens, max_span).entity_spans()
 
 
 class PatternIndex:
@@ -140,10 +131,19 @@ class Decomposer:
         self.max_mention_span = max_mention_span
         self.max_question_len = max_question_len
 
-    def is_primitive(self, tokens: Tokens) -> bool:
+    def is_primitive(self, tokens: Tokens, spans: MentionTable | None = None) -> bool:
         """A directly answerable question: exactly one entity mention and
-        at least one derivable template the model has a row for."""
-        mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
+        at least one derivable template the model has a row for.
+
+        ``spans`` is the question's mention table, if already probed.
+        """
+        if spans is None:
+            mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
+        else:
+            mentions = spans.mentions()
+        return self._primitive(tokens, mentions)
+
+    def _primitive(self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]) -> bool:
         if len({span for span, _ in mentions}) != 1:
             return False
         for span, entity in mentions:
@@ -162,28 +162,40 @@ class Decomposer:
                 spans.append((start, start + length))
         return spans
 
-    def decompose(self, tokens: Tokens) -> Decomposition:
-        """Best-scoring chain via DP over substrings in ascending length."""
+    def decompose(self, tokens: Tokens, spans: MentionTable | None = None) -> Decomposition:
+        """Best-scoring chain via DP over substrings in ascending length.
+
+        Every substring's primitivity is read from one mention table of the
+        question (``spans``, probed here if not given), so each span is
+        probed once.
+        """
         question = tuple(tokens)
         if len(question) > self.max_question_len:
             raise QuestionTooLongError(len(question), self.max_question_len)
         if not question:
             return Decomposition([()], 0.0)
+        if spans is None:
+            spans = MentionTable(self.kb, self.index, question, self.max_mention_span)
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
         n = len(question)
         for length in range(1, n + 1):
             for start in range(0, n - length + 1):
-                sub = question[start : start + length]
+                end = start + length
+                sub = question[start:end]
                 if sub in best:
                     continue
-                best[sub] = self._best_for(sub, best)
+                primitive = self._primitive(sub, spans.mentions(start, end))
+                best[sub] = self._best_for(sub, primitive, best)
         score, sequence = best[question]
         return Decomposition(list(sequence), score)
 
     def _best_for(
-        self, sub: Tokens, best: dict[Tokens, tuple[float, tuple[Tokens, ...]]]
+        self,
+        sub: Tokens,
+        primitive: bool,
+        best: dict[Tokens, tuple[float, tuple[Tokens, ...]]],
     ) -> tuple[float, tuple[Tokens, ...]]:
-        score = 1.0 if self.is_primitive(sub) else 0.0
+        score = 1.0 if primitive else 0.0
         sequence: tuple[Tokens, ...] = (sub,)
         for a, b in self._inner_spans(len(sub)):
             pattern = sub[:a] + (SLOT,) + sub[b:]

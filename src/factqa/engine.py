@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import fsum
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import Tokens, kb_mentions, tokenize
+from .corpus import MentionTable, Tokens, kb_mentions, tokenize
 from .hasharray import StaticHashArray
 from .kb import KnowledgeBase, PredicatePath
 from .learn import PredicateModel
@@ -83,8 +83,15 @@ class AnswerEngine:
         node id itself."""
         return self.surfaces.get(node, node)
 
-    def answer_distribution(self, tokens: Tokens) -> AnswerDistribution:
-        mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
+    def answer_distribution(
+        self, tokens: Tokens, spans: MentionTable | None = None
+    ) -> AnswerDistribution:
+        """P(value | question); ``spans`` is the question's mention table,
+        if already probed."""
+        if spans is None:
+            mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
+        else:
+            mentions = spans.mentions()
         if not mentions:
             return AnswerDistribution({}, reason=REASON_NO_ENTITY)
         p_entity = 1.0 / len(mentions)
@@ -124,8 +131,10 @@ class AnswerEngine:
         entries = {value: m / total for value, m in sorted(raw.items())}
         return AnswerDistribution(entries, traces, enumerations=enumerations)
 
-    def answer(self, tokens: Tokens) -> tuple[tuple[str, float] | None, AnswerDistribution]:
-        dist = self.answer_distribution(tokens)
+    def answer(
+        self, tokens: Tokens, spans: MentionTable | None = None
+    ) -> tuple[tuple[str, float] | None, AnswerDistribution]:
+        dist = self.answer_distribution(tokens, spans)
         return dist.top(), dist
 
     def answer_sequence(self, sequence: list[Tokens]) -> SequenceResult:

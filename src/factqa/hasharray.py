@@ -1,19 +1,20 @@
-"""Compact immutable string index: a flattened two-hash bucket array.
+"""Compact immutable string index: a flattened bucket array keyed by one hash.
 
-Keys are hashed twice with the same 64-bit hash family under two distinct
-seeds. hash1 selects a bucket, hash2 is stored as a full-width fingerprint
-next to the payload. Construction goes through an ordinary chained table
-which is then flattened into one contiguous item array plus a prefix-sum
-offset array, so lookups touch two cache-friendly slabs and the structure
-serializes as a flat file.
+Each key is hashed once with blake2b to 128 bits: the low 64 bits select a
+bucket, the high 64 bits are stored as a full-width fingerprint next to the
+payload. Construction goes through an ordinary chained table which is then
+flattened into one contiguous item array plus a prefix-sum offset array, so
+lookups touch two cache-friendly slabs and the structure serializes as a
+flat file.
 
 Lookups never miss an inserted key; distinct keys can collide on both
-hashes, so a lookup may return extra payloads, which callers filter by
+halves, so a lookup may return extra payloads, which callers filter by
 membership checks downstream.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import sys
 from array import array
@@ -21,31 +22,15 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 1
-_HEADER = struct.Struct("<7sIQQQQ")
-
-# Fixed seeds; recorded in the file header so readers stay compatible.
-DEFAULT_SEEDS = (0x5851F42D4C957F2D, 0x14057B7EF767814F)
-
-_M64 = (1 << 64) - 1
-_STEP = 0x9E3779B97F4A7C15
+VERSION = 2
+_HEADER = struct.Struct("<7sIQQ")
+_DIGEST = struct.Struct("<QQ")
 
 
-def hash64(data: bytes, seed: int) -> int:
-    """64-bit non-cryptographic hash: multiply-xor over 8-byte limbs
-    with a splitmix-style finalizer."""
-    h = (seed ^ (len(data) * _STEP)) & _M64
-    n = len(data)
-    cut = n - (n & 7)
-    for i in range(0, cut, 8):
-        h = ((h ^ int.from_bytes(data[i : i + 8], "little")) * _STEP) & _M64
-    if cut != n:
-        h = ((h ^ int.from_bytes(data[cut:], "little")) * _STEP) & _M64
-    h ^= h >> 30
-    h = (h * 0xBF58476D1CE4E5B9) & _M64
-    h ^= h >> 27
-    h = (h * 0x94D049BB133111EB) & _M64
-    return h ^ (h >> 31)
+def key_hash(key: str) -> tuple[int, int]:
+    """(bucket hash, fingerprint): the low and high 64 bits of the key's
+    128-bit blake2b digest."""
+    return _DIGEST.unpack(hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest())
 
 
 class IndexFormatError(ValueError):
@@ -68,9 +53,9 @@ class StaticHashArray:
     bucket are adjacent, in insertion order.
     """
 
-    __slots__ = ("seeds", "bucket_count", "_mask", "offsets", "items")
+    __slots__ = ("bucket_count", "_mask", "offsets", "items")
 
-    def __init__(self, seeds: tuple[int, int], bucket_count: int, offsets: array, items: array):
+    def __init__(self, bucket_count: int, offsets: array, items: array):
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise IndexFormatError("bucket count must be a positive power of two")
         if len(offsets) != bucket_count + 1:
@@ -79,7 +64,6 @@ class StaticHashArray:
             raise IndexFormatError("corrupt offsets section: not a prefix sum")
         if offsets[bucket_count] * 2 != len(items):
             raise IndexFormatError("corrupt offsets section: item count mismatch")
-        self.seeds = seeds
         self.bucket_count = bucket_count
         self._mask = bucket_count - 1
         self.offsets = offsets
@@ -89,9 +73,7 @@ class StaticHashArray:
         return len(self.items) // 2
 
     @classmethod
-    def build(
-        cls, entries: Iterable[tuple[str, int]], seeds: tuple[int, int] = DEFAULT_SEEDS
-    ) -> "StaticHashArray":
+    def build(cls, entries: Iterable[tuple[str, int]]) -> "StaticHashArray":
         """Build from (key, payload) pairs.
 
         Duplicate (key, payload) pairs collapse to one; the same key may
@@ -112,12 +94,11 @@ class StaticHashArray:
         while bucket_count < len(uniq):
             bucket_count <<= 1
         mask = bucket_count - 1
-        seed1, seed2 = seeds
         # Intermediate dynamic chained table, then flatten.
         buckets: list[list[tuple[int, int]]] = [[] for _ in range(bucket_count)]
         for key, payload in uniq:
-            data = key.encode("utf-8")
-            buckets[hash64(data, seed1) & mask].append((hash64(data, seed2), payload))
+            bucket_hash, fingerprint = key_hash(key)
+            buckets[bucket_hash & mask].append((fingerprint, payload))
         offsets = array("Q", [0] * (bucket_count + 1))
         items = array("Q")
         pos = 0
@@ -128,17 +109,16 @@ class StaticHashArray:
                 items.append(payload)
             pos += len(bucket)
         offsets[bucket_count] = pos
-        return cls(seeds, bucket_count, offsets, items)
+        return cls(bucket_count, offsets, items)
 
     def lookup(self, key: str) -> list[int]:
         """Payloads stored under fingerprints matching this key.
 
         Never misses an inserted key; may include false positives when a
-        different key shares both hashes.
+        different key shares both halves of the hash.
         """
-        data = key.encode("utf-8")
-        bucket = hash64(data, self.seeds[0]) & self._mask
-        fingerprint = hash64(data, self.seeds[1])
+        bucket_hash, fingerprint = key_hash(key)
+        bucket = bucket_hash & self._mask
         items = self.items
         out = []
         for i in range(self.offsets[bucket] * 2, self.offsets[bucket + 1] * 2, 2):
@@ -153,9 +133,7 @@ class StaticHashArray:
             yield items[i], items[i + 1]
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(
-            MAGIC, VERSION, self.seeds[0], self.seeds[1], self.bucket_count, len(self)
-        )
+        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self))
         return header + _as_le(self.offsets).tobytes() + _as_le(self.items).tobytes()
 
     def save(self, target: str | Path | IO[bytes]) -> None:
@@ -173,11 +151,13 @@ class StaticHashArray:
         raw = source.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise IndexFormatError("truncated header")
-        magic, version, seed1, seed2, bucket_count, item_count = _HEADER.unpack(raw)
+        magic, version, bucket_count, item_count = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise IndexFormatError("bad magic")
         if version != VERSION:
-            raise IndexFormatError(f"unsupported version {version}")
+            raise IndexFormatError(
+                f"unsupported version: index format version {version}, expected {VERSION}"
+            )
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise IndexFormatError("corrupt header: bad bucket count")
         offsets_raw = source.read((bucket_count + 1) * 8)
@@ -193,7 +173,52 @@ class StaticHashArray:
         if sys.byteorder != "little":
             offsets.byteswap()
             items.byteswap()
-        return cls((seed1, seed2), bucket_count, offsets, items)
+        return cls(bucket_count, offsets, items)
+
+
+class SpanTable:
+    """Every span of a token sequence probed once against an index.
+
+    ``payloads`` maps each span (i, j) with ``j - i <= max_span`` that hits
+    the index to its sorted unique payloads. Tokens must already carry
+    whatever normalization was applied to the indexed keys. The greedy walk
+    works on any ``[start, end)`` window, so one table serves every
+    substring of the sequence.
+    """
+
+    def __init__(self, index: StaticHashArray, tokens: Iterable[str], max_span: int = 5):
+        toks = list(tokens)
+        n = len(toks)
+        self.payloads: dict[tuple[int, int], list[int]] = {}
+        # hit ends per start, longest first: the greedy walk's probe order
+        self._ends: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(min(n, i + max_span), i, -1):
+                candidates = index.lookup(" ".join(toks[i:j]))
+                if candidates:
+                    self.payloads[(i, j)] = sorted(set(candidates))
+                    self._ends[i].append(j)
+
+    def greedy(self, start: int = 0, end: int | None = None) -> list[tuple[int, int]]:
+        """Greedy left-to-right longest-match spans inside ``[start, end)``.
+
+        Spans are absolute and never overlap; a span stops the walk on any
+        payload hit, whatever the payload names.
+        """
+        if end is None:
+            end = len(self._ends)
+        ends = self._ends
+        out: list[tuple[int, int]] = []
+        i = start
+        while i < end:
+            for j in ends[i]:
+                if j <= end:
+                    out.append((i, j))
+                    i = j
+                    break
+            else:
+                i += 1
+        return out
 
 
 def find_mentions(
@@ -205,20 +230,5 @@ def find_mentions(
     token ranges and never overlap. Tokens must already carry whatever
     normalization was applied to the indexed keys.
     """
-    toks = list(tokens)
-    n = len(toks)
-    out: list[tuple[tuple[int, int], list[int]]] = []
-    i = 0
-    while i < n:
-        matched = None
-        for j in range(min(n, i + max_span), i, -1):
-            candidates = index.lookup(" ".join(toks[i:j]))
-            if candidates:
-                matched = ((i, j), sorted(set(candidates)))
-                break
-        if matched is None:
-            i += 1
-        else:
-            out.append(matched)
-            i = matched[0][1]
-    return out
+    table = SpanTable(index, tokens, max_span)
+    return [(span, table.payloads[span]) for span in table.greedy()]

@@ -20,6 +20,7 @@ from . import corpus as corpus_mod
 from .concepts import ConceptGraph
 from .corpus import (
     EntityValueExtractor,
+    MentionTable,
     QaPair,
     corpus_stats,
     kb_mentions,
@@ -325,6 +326,16 @@ def run_offline(config: PipelineConfig) -> dict:
     return report
 
 
+def _load_artifact(load, path: Path):
+    """Load an artifact of the offline flow; one that cannot be read or
+    decoded (an IndexFormatError or a parser ValueError) is a ConfigError
+    naming the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}: rerun the offline flow") from exc
+
+
 class OnlineSession:
     """Loaded artifacts plus the answering and decomposition machinery."""
 
@@ -337,11 +348,11 @@ class OnlineSession:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
         self.config = config
         self.kb = load_kb(config.kb)
-        self.index = StaticHashArray.load(config.index)
+        self.index = _load_artifact(StaticHashArray.load, config.index)
         self.concepts = ConceptGraph.load(
             config.isa, config.context_weights, config.fixture_overrides
         )
-        self.model = PredicateModel.load(config.model)
+        self.model = _load_artifact(PredicateModel.load, config.model)
         dictionary = load_entity_dictionary(config.entities)
         surfaces: dict[str, str] = {}
         for node, surface in dictionary:
@@ -370,9 +381,10 @@ class OnlineSession:
         """Answer one question, decomposing when it is not primitive."""
         tokens = tokenize(question)
         record: dict = {"question": question}
-        if tokens and not self.decomposer.is_primitive(tokens):
+        spans = MentionTable(self.kb, self.index, tokens, self.config.max_mention_span)
+        if tokens and not self.decomposer.is_primitive(tokens, spans):
             try:
-                decomposition = self.decomposer.decompose(tokens)
+                decomposition = self.decomposer.decompose(tokens, spans)
             except QuestionTooLongError as exc:
                 record.update(answer=None, probability=0.0, reason=str(exc))
                 return record
@@ -396,7 +408,7 @@ class OnlineSession:
                         steps=result.steps,
                     )
                 return record
-        top, dist = self.engine.answer(tokens)
+        top, dist = self.engine.answer(tokens, spans)
         if top is None:
             record.update(answer=None, probability=0.0, reason=dist.reason)
             return record

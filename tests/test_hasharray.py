@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import random
+import struct
 import tracemalloc
 
 import pytest
 
 from conftest import random_keys
 from factqa.hasharray import (
-    DEFAULT_SEEDS,
     MAGIC,
     IndexFormatError,
     StaticHashArray,
     find_mentions,
-    hash64,
+    key_hash,
 )
 
 
@@ -65,14 +66,14 @@ def test_no_false_negatives_100k():
 
 def test_shared_bucket_distinct_fingerprints_stay_apart():
     # brute-force a pair of short keys landing in the same bucket of a
-    # two-entry index (bucket_count == 2) with different second hashes
-    seed1, seed2 = DEFAULT_SEEDS
+    # two-entry index (bucket_count == 2) with different fingerprints
     base = "aa"
+    base_bucket, base_fingerprint = key_hash(base)
     partner = None
     for i in range(1000):
         cand = f"bb{i}"
-        same_bucket = hash64(cand.encode(), seed1) & 1 == hash64(base.encode(), seed1) & 1
-        if same_bucket and hash64(cand.encode(), seed2) != hash64(base.encode(), seed2):
+        bucket, fingerprint = key_hash(cand)
+        if bucket & 1 == base_bucket & 1 and fingerprint != base_fingerprint:
             partner = cand
             break
     assert partner is not None
@@ -86,9 +87,7 @@ def test_flattening_preserves_item_multiset():
     keys = random_keys(rng, 500)
     entries = [(k, i % 37) for i, k in enumerate(keys)]
     idx = StaticHashArray.build(entries)
-    expected = sorted(
-        (hash64(k.encode(), DEFAULT_SEEDS[1]), payload) for k, payload in set(entries)
-    )
+    expected = sorted((key_hash(k)[1], payload) for k, payload in set(entries))
     assert sorted(idx.iter_items()) == expected
 
 
@@ -111,7 +110,7 @@ def test_items_within_bucket_keep_insertion_order():
     mask = idx.bucket_count - 1
     by_bucket: dict[int, list[int]] = {}
     for i, k in enumerate(keys):
-        by_bucket.setdefault(hash64(k.encode(), idx.seeds[0]) & mask, []).append(i)
+        by_bucket.setdefault(key_hash(k)[0] & mask, []).append(i)
     flat = [payload for _, payload in idx.iter_items()]
     expected = [i for b in range(idx.bucket_count) for i in by_bucket.get(b, [])]
     assert flat == expected
@@ -147,7 +146,7 @@ def test_truncated_items_section():
 
 def test_truncated_offsets_section():
     idx = StaticHashArray.build([("alpha", 7)])
-    header_size = 7 + 4 + 8 * 4
+    header_size = 7 + 4 + 8 * 2
     blob = idx.to_bytes()[: header_size + 4]
     with pytest.raises(IndexFormatError, match="truncated offsets section"):
         StaticHashArray.load(io.BytesIO(blob))
@@ -166,6 +165,21 @@ def test_bad_version():
     blob[7] = 99
     with pytest.raises(IndexFormatError, match="unsupported version"):
         StaticHashArray.load(io.BytesIO(bytes(blob)))
+
+
+def test_version_1_header_names_the_version():
+    # the layout written before the single key hash: two seed fields
+    # between the version and the counts
+    header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
+    blob = header + bytes(16 + 16)
+    with pytest.raises(IndexFormatError, match="index format version 1, expected 2"):
+        StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_key_hash_is_blake2b_split_in_halves():
+    digest = hashlib.blake2b("barack obama".encode(), digest_size=16).digest()
+    value = int.from_bytes(digest, "little")
+    assert key_hash("barack obama") == (value & (1 << 64) - 1, value >> 64)
 
 
 def test_truncated_header():

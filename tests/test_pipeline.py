@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -315,3 +316,53 @@ def test_cli_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["observations"] == 3
+
+
+@pytest.fixture()
+def built_data(tmp_path) -> Path:
+    """A copy of the toy data with the offline flow run on it."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    proc = _module_cli("pipeline", "--config", str(data / "pipeline.cfg"))
+    assert proc.returncode == 0, proc.stderr
+    return data
+
+
+def _module_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "factqa", *args], capture_output=True, text=True
+    )
+
+
+def test_cli_truncated_index_exits_2_naming_the_file(built_data):
+    index = built_data / "out" / "toy.index"
+    index.write_bytes(index.read_bytes()[:50])
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(index) in proc.stderr
+    assert "truncated" in proc.stderr
+
+
+def test_cli_version_1_index_exits_2_naming_the_version(built_data):
+    index = built_data / "out" / "toy.index"
+    body = index.read_bytes()[7 + 4 + 8 * 2:]
+    # header of the layout written before the single key hash: two seed
+    # fields between the version and the counts
+    header = struct.pack("<7sIQQ", b"SHA1DX\x00", 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F)
+    index.write_bytes(header + body)
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(index) in proc.stderr
+    assert "index format version 1, expected 2: rerun the offline flow" in proc.stderr
+
+
+def test_online_unparseable_model_is_a_config_error(tmp_path):
+    config = make_config(tmp_path)
+    run_offline(config)
+    config.model.write_text("just one field\n")
+    with pytest.raises(ConfigError, match="toy.model.tsv"):
+        OnlineSession(config)

@@ -1,0 +1,93 @@
+"""The per-question span table against the plain loops it replaced."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import oracles
+from factqa.corpus import MentionTable, tokenize
+from factqa.decompose import Decomposer, PatternIndex
+from factqa.hasharray import SpanTable, StaticHashArray, find_mentions
+from factqa.pipeline import load_entity_dictionary
+
+VOCAB = [
+    "when", "was", "born", "who", "is", "the", "wife", "of", "how", "many",
+    "people", "in", "barack", "obama", "obama's", "michelle", "honolulu",
+    "born'",
+]
+
+
+@pytest.fixture(scope="module")
+def ambiguous_index(toy_kb, data_dir):
+    """The toy dictionary, plus "obama" shared by two entities and a
+    surface overlapping it that names a value node, not an entity (as a
+    fingerprint false positive would): it still takes its span in the
+    greedy walk."""
+    entries = [
+        (" ".join(tokenize(surface)), toy_kb.node_id(node))
+        for node, surface in load_entity_dictionary(data_dir / "entities.tsv")
+    ]
+    entries += [
+        ("obama", toy_kb.node_id("BarackObama")),
+        ("obama", toy_kb.node_id("MichelleObama")),
+        ("obama born", toy_kb.node_id("1961")),
+    ]
+    return StaticHashArray.build(entries)
+
+
+def _sequences(seed: int, count: int, max_len: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rng.choice(VOCAB) for _ in range(rng.randrange(0, max_len + 1)))
+
+
+@pytest.mark.parametrize("max_span", [1, 2, 5])
+def test_greedy_and_all_span_mentions_match_the_plain_loops(toy_kb, ambiguous_index, max_span):
+    for tokens in _sequences(31 + max_span, 150, 10):
+        table = MentionTable(toy_kb, ambiguous_index, tokens, max_span)
+        for start in range(len(tokens) + 1):
+            for end in range(start, len(tokens) + 1):
+                sub = tokens[start:end]
+                assert table.mentions(start, end) == oracles.kb_mentions(
+                    toy_kb, ambiguous_index, sub, max_span
+                ), (tokens, start, end)
+                assert table.entity_spans(start, end) == oracles.mention_spans(
+                    toy_kb, ambiguous_index, sub, max_span
+                ), (tokens, start, end)
+
+
+def test_raw_greedy_walk_matches_the_plain_loop(ambiguous_index):
+    for tokens in _sequences(7, 200, 10):
+        assert find_mentions(ambiguous_index, tokens) == oracles.find_mentions(
+            ambiguous_index, tokens
+        ), tokens
+        table = SpanTable(ambiguous_index, tokens, 3)
+        assert [(span, table.payloads[span]) for span in table.greedy()] == (
+            oracles.find_mentions(ambiguous_index, tokens, 3)
+        )
+
+
+def test_table_primitivity_matches_is_primitive_on_every_substring(
+    toy_kb, ambiguous_index, toy_concepts, fixture_model
+):
+    decomposer = Decomposer(
+        toy_kb, ambiguous_index, toy_concepts, fixture_model, PatternIndex({}, {})
+    )
+    rng = random.Random(12)
+    questions = [
+        tokenize("so when was barack obama's wife born and who is obama's wife"),
+        *(tuple(rng.choice(VOCAB) for _ in range(12)) for _ in range(20)),
+    ]
+    assert {len(q) for q in questions} == {12}
+    primitive_seen = 0
+    for question in questions:
+        table = MentionTable(toy_kb, ambiguous_index, question)
+        for start in range(len(question)):
+            for end in range(start + 1, len(question) + 1):
+                sub = question[start:end]
+                from_table = decomposer._primitive(sub, table.mentions(start, end))
+                assert from_table == decomposer.is_primitive(sub), sub
+                primitive_seen += from_table
+    assert primitive_seen > 0
