@@ -12,29 +12,18 @@ from .corpus import (
     EntityValueExtractor,
     Observation,
     QaPair,
-    build_observations,
     corpus_stats,
-    entity_distribution,
-    entity_value_distribution,
     load_corpus,
     tokenize,
 )
 from .decompose import Decomposer, Decomposition, PatternIndex
 from .engine import AnswerDistribution, AnswerEngine
 from .hasharray import StaticHashArray, find_mentions
-from .kb import (
-    KnowledgeBase,
-    SpoPath,
-    Triple,
-    expand_predicates,
-    load_kb,
-    valid_k,
-)
+from .kb import KnowledgeBase, SpoPath, Triple, expand_predicates, load_kb
 from .learn import (
     LearnResult,
     PredicateModel,
     TrainingSet,
-    counting_baseline,
     e_step,
     init_theta,
     learn,
@@ -66,13 +55,9 @@ __all__ = [
     "Template",
     "TrainingSet",
     "Triple",
-    "build_observations",
     "corpus_stats",
-    "counting_baseline",
     "derive_templates",
     "e_step",
-    "entity_distribution",
-    "entity_value_distribution",
     "expand_predicates",
     "find_mentions",
     "init_theta",
@@ -84,5 +69,4 @@ __all__ = [
     "m_step",
     "run_offline",
     "tokenize",
-    "valid_k",
 ]

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Machine-readable records go to stdout as JSON lines; logging goes to
-stderr. Exit codes: 0 success, 2 configuration error, 3 stage failure,
-4 unanswerable question in batch mode.
+stderr. Exit codes: 0 success, 2 configuration error (online, also an
+input or artifact that cannot be read), 3 stage failure (offline, also an
+input that cannot be read), 4 unanswerable question in batch mode.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import corpus as corpus_mod
-from .kb import expand_predicates, load_kb, write_expansion
 from .pipeline import (
     ConfigError,
     OnlineSession,
     PipelineConfig,
     StageError,
-    build_entity_index,
     config_from_values,
-    corpus_seed_entities,
     load_config,
+    run_build_index,
+    run_expand,
     run_offline,
 )
 
@@ -86,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand predicate paths from corpus entities")
     _add_config_flags(p)
 
-    p = sub.add_parser("learn", help="extract observations and fit the model")
-    _add_config_flags(p)
-
     p = sub.add_parser("pipeline", help="run the whole offline flow")
     _add_config_flags(p)
 
@@ -104,43 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
 
     return parser
-
-
-def _cmd_build_index(config: PipelineConfig) -> int:
-    config.require("kb", "entities", "index")
-    kb = load_kb(config.kb)
-    from .pipeline import load_entity_dictionary
-
-    index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
-    config.index.parent.mkdir(parents=True, exist_ok=True)
-    index.save(config.index)
-    _emit({"index": str(config.index), "items": len(index)})
-    return EXIT_OK
-
-
-def _cmd_expand(config: PipelineConfig) -> int:
-    config.require("kb", "entities", "corpus", "expansion")
-    kb = load_kb(config.kb)
-    from .pipeline import load_entity_dictionary
-
-    index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
-    pairs = corpus_mod.load_corpus(config.corpus)
-    seeds = corpus_seed_entities(kb, index, pairs, config.max_mention_span)
-    paths = expand_predicates(
-        kb, seeds, config.k,
-        name_restriction=config.name_restriction, name_symbol=config.name_symbol,
-    )
-    config.expansion.parent.mkdir(parents=True, exist_ok=True)
-    with open(config.expansion, "w", encoding="utf-8") as fp:
-        count = write_expansion(paths, fp)
-    _emit({"expansion": str(config.expansion), "seeds": len(seeds), "paths": count})
-    return EXIT_OK
-
-
-def _cmd_offline(config: PipelineConfig) -> int:
-    report = run_offline(config)
-    _emit(report)
-    return EXIT_OK
 
 
 def _cmd_answer(config: PipelineConfig, questions: list[str]) -> int:
@@ -181,11 +140,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         if args.command == "build-index":
-            return _cmd_build_index(config)
+            _emit(run_build_index(config))
+            return EXIT_OK
         if args.command == "expand":
-            return _cmd_expand(config)
-        if args.command in ("learn", "pipeline"):
-            return _cmd_offline(config)
+            _emit(run_expand(config))
+            return EXIT_OK
+        if args.command == "pipeline":
+            _emit(run_offline(config))
+            return EXIT_OK
         if args.command == "answer":
             return _cmd_answer(config, args.question)
         if args.command == "decompose":

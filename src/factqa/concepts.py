@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
+
+from .kb import read_tsv
 
 PLACEHOLDER_MARK = "$"
 FALLBACK_CONCEPT = "entity"
@@ -26,22 +28,6 @@ class Template:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-
-def _read_tsv(source: str | Path | IO[str], n_fields: int) -> list[tuple[str, ...]]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return _read_tsv(fp, n_fields)
-    rows = []
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise ValueError(f"line {lineno}: expected {n_fields} tab-separated fields")
-        rows.append(tuple(fields))
-    return rows
 
 
 class ConceptGraph:
@@ -78,14 +64,14 @@ class ConceptGraph:
     ) -> "ConceptGraph":
         from .corpus import normalize_text
 
-        edges = [(e, c, float(w)) for e, c, w in _read_tsv(isa_path, 3)]
+        edges = [(e, c, float(w)) for e, c, w in read_tsv(isa_path, 3)]
         weights = None
         if context_weights_path is not None:
-            weights = {(c, tok): float(w) for c, tok, w in _read_tsv(context_weights_path, 3)}
+            weights = {(c, tok): float(w) for c, tok, w in read_tsv(context_weights_path, 3)}
         overrides: dict[str, dict[str, float]] | None = None
         if overrides_path is not None:
             overrides = {}
-            for question, concept, prob in _read_tsv(overrides_path, 3):
+            for question, concept, prob in read_tsv(overrides_path, 3):
                 # keys are stored in tokenized form so any surface spelling
                 # of the question matches at lookup time
                 overrides.setdefault(normalize_text(question), {})[concept] = float(prob)

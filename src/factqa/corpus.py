@@ -1,8 +1,7 @@
 """QA corpus ingestion and the distributions grounded in it.
 
-Covers tokenization, corpus statistics, joint entity and value extraction
-with category refinement, and construction of the weighted observation set
-that drives offline learning.
+Covers tokenization, corpus statistics, and joint entity and value
+extraction with category refinement.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .hasharray import SpanTable, StaticHashArray
-from .kb import KnowledgeBase, PredicatePath, NAME_PREDICATE
+from .kb import KnowledgeBase, PredicatePath, read_tsv
 
 Tokens = tuple[str, ...]
 
@@ -85,20 +84,10 @@ def question_category(tokens: Tokens) -> str:
 
 def load_predicate_categories(source: str | Path | IO[str]) -> dict[str, str]:
     """TSV ``predicate<TAB>category``; unknown category names are rejected."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return load_predicate_categories(fp)
     table: dict[str, str] = {}
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 tab-separated fields")
-        predicate, category = fields
+    for predicate, category in read_tsv(source, 2):
         if category not in CATEGORIES:
-            raise ValueError(f"line {lineno}: unknown category {category!r}")
+            raise ValueError(f"unknown category {category!r} for predicate {predicate!r}")
         table[predicate] = category
     return table
 
@@ -239,30 +228,24 @@ class EntityValueExtractor:
     """Joint entity and value extraction against a KB and entity index.
 
     A pair (e, v) is extracted when e is mentioned in the question, v is a
-    token span of the answer naming a KB node, and some predicate path of
-    length <= k connects them. Refinement keeps only pairs whose value
-    category (from the connecting path's final predicate) matches the
-    question category.
+    token span of the answer naming a KB node, and the expansion map
+    (``expansion_map`` of the offline expansion) holds a predicate path
+    connecting them. Refinement keeps only pairs whose value category (from
+    the connecting path's final predicate) matches the question category.
     """
 
     def __init__(
         self,
         kb: KnowledgeBase,
         index: StaticHashArray,
+        expansion: dict[tuple[str, str], list[PredicatePath]],
         *,
-        k: int = 3,
-        name_restriction: bool = True,
-        name_symbol: str = NAME_PREDICATE,
         predicate_categories: dict[str, str] | None = None,
         max_mention_span: int = 5,
         max_value_span: int = 5,
-        expansion: dict[tuple[str, str], list[PredicatePath]] | None = None,
     ):
         self.kb = kb
         self.index = index
-        self.k = k
-        self.name_restriction = name_restriction
-        self.name_symbol = name_symbol
         self.predicate_categories = predicate_categories or {}
         self.max_mention_span = max_mention_span
         self.max_value_span = max_value_span
@@ -295,23 +278,24 @@ class EntityValueExtractor:
         return {v for v in found if v in self.kb.nodes}
 
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:
-        if self._expansion is not None:
-            return self._expansion.get((entity, value), [])
-        return self.kb.predicates_between(
-            entity,
-            value,
-            self.k,
-            name_restriction=self.name_restriction,
-            name_symbol=self.name_symbol,
-        )
+        return self._expansion.get((entity, value), [])
 
     def path_category(self, path: PredicatePath) -> str:
         return self.predicate_categories.get(path[-1], CATEGORY_OTHER)
 
-    def extract(self, pair: QaPair, refine: bool = True) -> set[tuple[str, str]]:
-        """Candidate (entity, value) pairs for one QA pair."""
+    def extract(
+        self,
+        pair: QaPair,
+        refine: bool = True,
+        mentions: list[tuple[tuple[int, int], str]] | None = None,
+    ) -> set[tuple[str, str]]:
+        """Candidate (entity, value) pairs for one QA pair.
+
+        ``mentions`` are the question's ``mention_entities``, if already found.
+        """
         pairs: set[tuple[str, str]] = set()
-        mentions = self.mention_entities(pair.question)
+        if mentions is None:
+            mentions = self.mention_entities(pair.question)
         if not mentions:
             return pairs
         values = self.candidate_values(pair.answer)
@@ -325,56 +309,6 @@ class EntityValueExtractor:
                     continue
                 pairs.add((entity, value))
         return pairs
-
-
-def entity_value_distribution(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], float]:
-    """Uniform P(e, v | q, a) over the extracted pair set."""
-    members = sorted(set(pairs))
-    if not members:
-        return {}
-    share = 1.0 / len(members)
-    return {pair: share for pair in members}
-
-
-def entity_distribution(
-    ev_pairs: Iterable[tuple[str, str]],
-    mentions: Iterable[tuple[tuple[int, int], str]] = (),
-) -> dict[str, float]:
-    """Uniform P(e | q) over entities in the pair set.
-
-    With an empty pair set, falls back to uniform probability over the
-    supplied index mentions (the online rule).
-    """
-    entities = sorted({e for e, _ in ev_pairs})
-    if not entities:
-        entities = sorted({e for _, e in mentions})
-    if not entities:
-        return {}
-    share = 1.0 / len(entities)
-    return {e: share for e in entities}
-
-
-def build_observations(
-    corpus: Iterable[QaPair],
-    extractor: EntityValueExtractor,
-    stats: CorpusStats,
-    refine: bool = True,
-) -> list[Observation]:
-    """One observation per (pair, extracted (e, v)).
-
-    The weight is P(e, v | q, a) * P(a | q) * P(q); doubling every corpus
-    frequency leaves weights unchanged since all three factors are
-    normalized.
-    """
-    observations: list[Observation] = []
-    for pair in corpus:
-        extracted = sorted(extractor.extract(pair, refine=refine))
-        if not extracted:
-            continue
-        mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * stats.p_q(pair.question)
-        for entity, value in extracted:
-            observations.append(Observation(pair.question, entity, value, mass))
-    return observations
 
 
 def write_observations(observations: Iterable[Observation], fp: IO[str]) -> None:

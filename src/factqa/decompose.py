@@ -5,8 +5,7 @@ questions: the head carries the entity, every later element carries a
 ``$e`` slot for the previous answer. Pattern validity is estimated from
 the QA corpus (how often a pattern arises from replacing a true entity
 mention versus any span at all), and the optimal chain is found by
-dynamic programming over substrings in ascending length, validated here
-against an exhaustive search on short questions.
+dynamic programming over substrings in ascending length.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .learn import PredicateModel
 SLOT = "$e"
 
 DEFAULT_MAX_QUESTION_LEN = 23
-BRUTE_FORCE_LIMIT = 8
 
 
 class QuestionTooLongError(ValueError):
@@ -208,29 +206,3 @@ class Decomposer:
                 score = candidate
                 sequence = inner_seq + (pattern,)
         return score, sequence
-
-    def decompose_bruteforce(self, tokens: Tokens) -> Decomposition:
-        """Exhaustive recursive enumeration; testing oracle for the DP."""
-        question = tuple(tokens)
-        if len(question) > BRUTE_FORCE_LIMIT:
-            raise QuestionTooLongError(len(question), BRUTE_FORCE_LIMIT)
-
-        def recurse(sub: Tokens) -> tuple[float, tuple[Tokens, ...]]:
-            score = 1.0 if self.is_primitive(sub) else 0.0
-            sequence: tuple[Tokens, ...] = (sub,)
-            for a, b in self._inner_spans(len(sub)):
-                pattern = sub[:a] + (SLOT,) + sub[b:]
-                p_pattern = self.patterns.validity(pattern)[2]
-                if p_pattern <= 0:
-                    continue
-                inner_score, inner_seq = recurse(sub[a:b])
-                candidate = p_pattern * inner_score
-                if candidate > score:
-                    score = candidate
-                    sequence = inner_seq + (pattern,)
-            return score, sequence
-
-        if not question:
-            return Decomposition([()], 0.0)
-        score, sequence = recurse(question)
-        return Decomposition(list(sequence), score)

@@ -1,4 +1,4 @@
-"""In-memory triple store with path queries and bounded predicate expansion.
+"""In-memory triple store with value queries and bounded predicate expansion.
 
 Nodes live in a single id space; a node counts as an entity iff it occurs
 as a subject. The store is immutable after construction and safe for
@@ -7,14 +7,12 @@ concurrent readers.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
 PredicatePath = tuple[str, ...]
 
 NAME_PREDICATE = "name"
-DEFAULT_PATH_LIMIT = 3
 
 
 class Triple(NamedTuple):
@@ -31,57 +29,64 @@ class SpoPath(NamedTuple):
     object: str
 
 
-class KbParseError(ValueError):
-    """A malformed line in a triple stream."""
+class TsvParseError(ValueError):
+    """A malformed line in a tab-separated file; names the file when read
+    from a path (``path`` is None otherwise)."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path: str | Path | None = None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
+        self.path = path
 
 
-def parse_triples(lines: Iterable[str]) -> list[Triple]:
-    """Parse tab-separated subject/predicate/object records.
+def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int) -> list[tuple[str, ...]]:
+    """Rows of a tab-separated file from a path, file object or line iterable.
 
-    Lines starting with ``#`` and blank lines are skipped. Every other line
-    must contain exactly three non-empty tab-separated fields.
+    Line ends (``\\n``, ``\\r``) are stripped, and blank lines and lines
+    starting with ``#`` are skipped. Every other line must hold exactly
+    ``n_fields`` non-empty fields.
     """
-    triples = []
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fp:
+            return _tsv_rows(fp, n_fields, source)
+    return _tsv_rows(source, n_fields, None)
+
+
+def _tsv_rows(lines: Iterable[str], n_fields: int, path: str | Path | None) -> list[tuple[str, ...]]:
+    rows = []
     for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n").rstrip("\r")
+        line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise KbParseError(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        if any(not f for f in fields):
-            raise KbParseError(lineno, "empty field")
-        triples.append(Triple(*fields))
-    return triples
+        fields = tuple(line.split("\t"))
+        if len(fields) != n_fields:
+            raise TsvParseError(
+                lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}", path
+            )
+        if not all(fields):
+            raise TsvParseError(lineno, "empty field", path)
+        rows.append(fields)
+    return rows
 
 
 class KnowledgeBase:
-    """Immutable set of triples with forward adjacency and a pair index.
+    """Immutable set of triples with forward adjacency.
 
-    Adjacency maps subject -> predicate -> objects. The pair index maps
-    (subject, object) -> predicates. Node ids are interned to dense ints
-    in sorted order so downstream indexes are reproducible.
+    Adjacency maps subject -> predicate -> objects. Node ids are interned
+    to dense ints in sorted order so downstream indexes are reproducible.
     """
 
     def __init__(self, triples: Iterable[Triple]):
         self.triples: tuple[Triple, ...] = tuple(sorted(set(triples)))
         adj: dict[str, dict[str, list[str]]] = {}
-        pairs: dict[tuple[str, str], list[str]] = {}
         nodes: set[str] = set()
         for s, p, o in self.triples:
             adj.setdefault(s, {}).setdefault(p, []).append(o)
-            pairs.setdefault((s, o), []).append(p)
             nodes.add(s)
             nodes.add(o)
         self._adj: dict[str, dict[str, tuple[str, ...]]] = {
             s: {p: tuple(objs) for p, objs in by_pred.items()} for s, by_pred in adj.items()
-        }
-        self._pairs: dict[tuple[str, str], tuple[str, ...]] = {
-            k: tuple(v) for k, v in pairs.items()
         }
         self.entities: frozenset[str] = frozenset(self._adj)
         self.nodes: frozenset[str] = frozenset(nodes)
@@ -103,15 +108,6 @@ class KnowledgeBase:
     def has_node_id(self, node_id: int) -> bool:
         return 0 <= node_id < len(self._node_list)
 
-    def objects(self, subject: str, predicate: str) -> tuple[str, ...]:
-        return self._adj.get(subject, {}).get(predicate, ())
-
-    def predicates(self, subject: str) -> tuple[str, ...]:
-        return tuple(self._adj.get(subject, {}))
-
-    def direct_predicates(self, subject: str, obj: str) -> tuple[str, ...]:
-        return self._pairs.get((subject, obj), ())
-
     def value_distribution(self, entity: str, path: PredicatePath) -> dict[str, float]:
         """Uniform distribution over distinct nodes reachable via ``path``.
 
@@ -132,47 +128,11 @@ class KnowledgeBase:
         share = 1.0 / len(frontier)
         return {v: share for v in sorted(frontier)}
 
-    def predicates_between(
-        self,
-        entity: str,
-        value: str,
-        k_max: int,
-        *,
-        name_restriction: bool = False,
-        name_symbol: str = NAME_PREDICATE,
-    ) -> list[PredicatePath]:
-        """All predicate paths of length <= k_max leading from entity to value.
-
-        Paths are returned shortest first, then lexicographically. With the
-        name restriction on, paths of length >= 2 must end with the
-        configured name predicate.
-        """
-        if k_max < 1:
-            return []
-        found: set[PredicatePath] = set()
-
-        def walk(node: str, prefix: PredicatePath) -> None:
-            if len(prefix) == k_max:
-                return
-            for pred, objs in self._adj.get(node, {}).items():
-                path = prefix + (pred,)
-                if value in objs:
-                    found.add(path)
-                for obj in objs:
-                    walk(obj, path)
-
-        walk(entity, ())
-        if name_restriction:
-            found = {p for p in found if len(p) < 2 or p[-1] == name_symbol}
-        return sorted(found, key=lambda p: (len(p), p))
-
 
 def load_kb(source: str | Path | IO[str] | Iterable[str]) -> KnowledgeBase:
-    """Load a knowledge base from a path, file object, or line iterable."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return KnowledgeBase(parse_triples(fp))
-    return KnowledgeBase(parse_triples(source))
+    """Load a knowledge base from a path, file object, or line iterable of
+    ``subject<TAB>predicate<TAB>object`` rows."""
+    return KnowledgeBase(Triple(*row) for row in read_tsv(source, 3))
 
 
 def expand_predicates(
@@ -218,11 +178,6 @@ def expand_predicates(
     return found
 
 
-def valid_k(paths: Iterable[SpoPath], reference: set[tuple[str, str]], k: int) -> int:
-    """Count length-k paths whose (subject, object) pair is in the reference set."""
-    return sum(1 for sp in paths if len(sp.path) == k and (sp.subject, sp.object) in reference)
-
-
 def expansion_map(paths: Iterable[SpoPath]) -> dict[tuple[str, str], list[PredicatePath]]:
     """Group expansion output by (subject, object) for constant-time path lookup."""
     grouped: dict[tuple[str, str], list[PredicatePath]] = {}
@@ -239,25 +194,3 @@ def write_expansion(paths: Iterable[SpoPath], fp: IO[str]) -> int:
     for sp in rows:
         fp.write(f"{sp.subject}\t{'|'.join(sp.path)}\t{sp.object}\n")
     return len(rows)
-
-
-def read_expansion(source: str | Path | IO[str]) -> set[SpoPath]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return read_expansion(fp)
-    out: set[SpoPath] = set()
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise KbParseError(lineno, "expected 3 tab-separated fields")
-        out.add(SpoPath(fields[0], tuple(fields[1].split("|")), fields[2]))
-    return out
-
-
-def dumps_expansion(paths: Iterable[SpoPath]) -> str:
-    buf = io.StringIO()
-    write_expansion(paths, buf)
-    return buf.getvalue()

@@ -4,20 +4,20 @@ The training unit is a (question, entity, value) observation with a corpus
 mass. For each observation the latent assignment z = (template, path) has a
 fixed factor f(x, z) = P(q) P(e|q) P(t|e,q) P(v|e,p) computed once up
 front; expectation-maximization then alternates responsibilities and row
-renormalization until the table stops moving. A counting construction over
-the same factors serves as an independent cross-check.
+renormalization until the table stops moving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum, log
 from pathlib import Path
 from typing import IO, Iterable
 
 from .concepts import ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, Observation, QaPair, Tokens
-from .kb import PredicatePath
+from .kb import PredicatePath, read_tsv
 
 # Latent assignment: (template text, predicate path).
 Assignment = tuple[str, PredicatePath]
@@ -36,16 +36,10 @@ class TrainingItem:
     template_probs: dict[str, float]
     value_probs: dict[PredicatePath, float]
 
-    def factor(self, template: str, path: PredicatePath) -> float:
-        return (
-            self.p_q
-            * self.p_e
-            * self.template_probs.get(template, 0.0)
-            * self.value_probs.get(path, 0.0)
-        )
-
-    def candidates(self) -> list[tuple[Assignment, float]]:
-        """All assignments with positive factor, deterministic order."""
+    @cached_property
+    def candidates(self) -> tuple[tuple[Assignment, float], ...]:
+        """All assignments z with positive factor f(x, z), in a deterministic
+        order; built on first use and kept, since EM reads it every step."""
         out = []
         for template in sorted(self.template_probs):
             pt = self.template_probs[template]
@@ -56,17 +50,11 @@ class TrainingItem:
                 if pv <= 0:
                     continue
                 out.append(((template, path), self.p_q * self.p_e * pt * pv))
-        return out
+        return tuple(out)
 
     @property
     def observation(self) -> Observation:
         return Observation(self.question, self.entity, self.value, self.weight)
-
-
-def factor_f(item: TrainingItem, assignment: Assignment) -> float:
-    """f(x, z): zero whenever any factor is zero."""
-    template, path = assignment
-    return item.factor(template, path)
 
 
 class TrainingSet:
@@ -94,11 +82,12 @@ class TrainingSet:
         items: list[TrainingItem] = []
         kb = extractor.kb
         for pair in corpus:
-            extracted = sorted(extractor.extract(pair, refine=refine))
+            found = extractor.mention_entities(pair.question)
+            extracted = sorted(extractor.extract(pair, refine, found))
             if not extracted:
                 continue
             mentions = dict()
-            for span, entity in extractor.mention_entities(pair.question):
+            for span, entity in found:
                 mentions.setdefault(entity, span)
             distinct_entities = {e for e, _ in extracted}
             p_e = 1.0 / len(distinct_entities)
@@ -176,18 +165,8 @@ class PredicateModel:
 
     @classmethod
     def load(cls, source: str | Path | IO[str]) -> "PredicateModel":
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as fp:
-                return cls.load(fp)
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for lineno, raw in enumerate(source, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-            template, path_text, prob = fields
+        for template, path_text, prob in read_tsv(source, 3):
             rows.setdefault(template, {})[tuple(path_text.split("|"))] = float(prob)
         return cls(rows)
 
@@ -205,7 +184,7 @@ def init_theta(training: TrainingSet) -> PredicateModel:
     """Uniform rows over every (template, path) supported by some observation."""
     support: dict[str, set[PredicatePath]] = {}
     for item in training.items:
-        for (template, path), _ in item.candidates():
+        for (template, path), _ in item.candidates:
             support.setdefault(template, set()).add(path)
     rows = {
         template: {path: 1.0 / len(paths) for path in paths}
@@ -221,7 +200,7 @@ def e_step(training: TrainingSet, model: PredicateModel) -> Posterior:
     dropped: list[int] = []
     for i, item in enumerate(training.items):
         scores: dict[Assignment, float] = {}
-        for assignment, f_value in item.candidates():
+        for assignment, f_value in item.candidates:
             score = f_value * model.prob(*assignment)
             if score > 0:
                 scores[assignment] = score
@@ -263,7 +242,7 @@ def log_likelihood(training: TrainingSet, model: PredicateModel) -> float:
     """
     terms = []
     for item in training.items:
-        total = fsum(f * model.prob(*z) for z, f in item.candidates())
+        total = fsum(f * model.prob(*z) for z, f in item.candidates)
         if total > 0:
             terms.append(item.weight * log(total))
     return fsum(terms)
@@ -313,33 +292,3 @@ def _max_abs_change(old: PredicateModel, new: PredicateModel) -> float:
         for path in set(old_row) | set(new_row):
             delta = max(delta, abs(old_row.get(path, 0.0) - new_row.get(path, 0.0)))
     return delta
-
-
-def counting_baseline(training: TrainingSet) -> PredicateModel:
-    """Counting construction: rows proportional to
-    sum_i weight_i * P(t|q_i,e_i) * P(p|e_i,v_i).
-
-    P(p|e,v) normalizes P(v|e,p) over the paths connecting the pair.
-    Independent of the EM loop; used as a sanity oracle for it.
-    """
-    acc: dict[str, dict[PredicatePath, list[float]]] = {}
-    for item in training.items:
-        connecting = {p: v for p, v in item.value_probs.items() if v > 0}
-        if not connecting:
-            continue
-        norm = fsum(connecting.values())
-        for template, pt in item.template_probs.items():
-            if pt <= 0:
-                continue
-            for path, pv in connecting.items():
-                acc.setdefault(template, {}).setdefault(path, []).append(
-                    item.weight * pt * (pv / norm)
-                )
-    rows: dict[str, dict[PredicatePath, float]] = {}
-    for template, by_path in acc.items():
-        sums = {path: fsum(terms) for path, terms in by_path.items()}
-        total = fsum(sums.values())
-        if total <= 0:
-            continue
-        rows[template] = {path: s / total for path, s in sums.items()}
-    return PredicateModel(rows)

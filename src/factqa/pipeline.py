@@ -15,6 +15,7 @@ import logging
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph
@@ -31,8 +32,16 @@ from .corpus import (
 from .decompose import Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
 from .hasharray import StaticHashArray
-from .kb import KnowledgeBase, expand_predicates, expansion_map, load_kb, write_expansion
-from .learn import PredicateModel, TrainingSet, learn
+from .kb import (
+    KnowledgeBase,
+    SpoPath,
+    expand_predicates,
+    expansion_map,
+    load_kb,
+    read_tsv,
+    write_expansion,
+)
+from .learn import LearnResult, PredicateModel, TrainingSet, learn
 
 log = logging.getLogger("factqa")
 
@@ -140,7 +149,10 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         value = value.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        values[key] = _coerce(key, value, base)
+        try:
+            values[key] = _coerce(key, value, base)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return PipelineConfig(**values)
@@ -166,17 +178,7 @@ def _coerce(key: str, value: str, base: Path) -> object:
 def load_entity_dictionary(path: str | Path) -> list[tuple[str, str]]:
     """TSV ``id<TAB>surface`` rows, order preserved (first surface of an
     id is its canonical one)."""
-    rows: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fp:
-        for lineno, raw in enumerate(fp, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise ValueError(f"{path}:{lineno}: expected 'id<TAB>surface'")
-            rows.append((parts[0], parts[1]))
-    return rows
+    return read_tsv(path, 2)
 
 
 def build_entity_index(
@@ -216,11 +218,50 @@ def corpus_seed_entities(
     return seeds
 
 
+def _read(load, *paths: Path | None, advice: str = ""):
+    """``load(*paths)``; a file that cannot be read or parsed (an OSError,
+    or a ValueError such as a TsvParseError or an IndexFormatError) is a
+    ConfigError naming it."""
+    try:
+        return load(*paths)
+    except (OSError, ValueError) as exc:
+        # a TsvParseError already names its file
+        where = "" if getattr(exc, "path", None) else ", ".join(str(p) for p in paths if p) + ": "
+        raise ConfigError(f"cannot load {where}{exc}{advice}") from exc
+
+
+class Inputs(NamedTuple):
+    """The parsed input files the offline stages and online startup share."""
+
+    kb: KnowledgeBase
+    dictionary: list[tuple[str, str]]
+    pairs: list[QaPair]
+    concepts: ConceptGraph | None
+
+
+def load_inputs(config: PipelineConfig, corpus: bool = True, concepts: bool = True) -> Inputs:
+    """The load stage: the KB and entity dictionary, plus the QA corpus and
+    the isA taxonomy (with its context weights and overrides) unless told
+    otherwise. A file that cannot be read or parsed is a ConfigError."""
+    return Inputs(
+        _read(load_kb, config.kb),
+        _read(load_entity_dictionary, config.entities),
+        _read(corpus_mod.load_corpus, config.corpus) if corpus else [],
+        _read(ConceptGraph.load, config.isa, config.context_weights, config.fixture_overrides)
+        if concepts
+        else None,
+    )
+
+
 class _Staged:
-    """Write artifacts to temp files; commit renames them into place."""
+    """One offline run's artifacts, each written to a temp file and renamed
+    into place only when every stage has succeeded. A failure in the
+    ``with`` block that is not already a StageError becomes one naming the
+    current ``stage``."""
 
     def __init__(self) -> None:
         self.pending: list[tuple[Path, Path]] = []
+        self.stage = "load"
 
     def path_for(self, final: Path) -> Path:
         final = Path(final)
@@ -229,111 +270,131 @@ class _Staged:
         self.pending.append((tmp, final))
         return tmp
 
-    def commit(self) -> None:
-        for tmp, final in self.pending:
-            os.replace(tmp, final)
-        self.pending.clear()
+    def __enter__(self) -> "_Staged":
+        return self
 
-    def abort(self) -> None:
+    def __exit__(self, kind, exc, tb) -> None:
+        if exc is None:
+            for tmp, final in self.pending:
+                os.replace(tmp, final)
+            return
         for tmp, _ in self.pending:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
-        self.pending.clear()
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
+            raise StageError(self.stage, str(exc)) from exc
+
+
+def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> StaticHashArray:
+    """Build the entity index; write it when an index path is configured."""
+    run.stage = "build-index"
+    index, _ = build_entity_index(inputs.kb, inputs.dictionary)
+    if config.index is not None:
+        index.save(run.path_for(config.index))
+    log.info("built entity index: %d items", len(index))
+    return index
+
+
+def _expand_stage(
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
+) -> tuple[set[str], set[SpoPath]]:
+    """Expand predicate paths from the corpus's entities; write them."""
+    run.stage = "expand"
+    seeds = corpus_seed_entities(inputs.kb, index, inputs.pairs, config.max_mention_span)
+    paths = expand_predicates(
+        inputs.kb,
+        seeds,
+        config.k,
+        name_restriction=config.name_restriction,
+        name_symbol=config.name_symbol,
+    )
+    with open(run.path_for(config.expansion), "w", encoding="utf-8") as fp:
+        write_expansion(paths, fp)
+    log.info("expanded %d seed entities into %d paths", len(seeds), len(paths))
+    return seeds, paths
+
+
+def _extract_stage(
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
+    paths: set[SpoPath],
+) -> TrainingSet:
+    """Extract the weighted observations; write them when configured."""
+    run.stage = "extract"
+    categories = (
+        _read(corpus_mod.load_predicate_categories, config.predicate_categories)
+        if config.predicate_categories
+        else {}
+    )
+    extractor = EntityValueExtractor(
+        inputs.kb,
+        index,
+        expansion_map(paths),
+        predicate_categories=categories,
+        max_mention_span=config.max_mention_span,
+        max_value_span=config.max_value_span,
+    )
+    training = TrainingSet.build(
+        inputs.pairs, extractor, corpus_stats(inputs.pairs), inputs.concepts,
+        config.resolved_refine(),
+    )
+    if not len(training):
+        raise StageError("extract", "no observations extracted")
+    if config.observations:
+        with open(run.path_for(config.observations), "w", encoding="utf-8") as fp:
+            write_observations(training.observations, fp)
+    log.info("extracted %d observations from %d pairs", len(training), len(inputs.pairs))
+    return training
+
+
+def _learn_stage(run: _Staged, config: PipelineConfig, training: TrainingSet) -> LearnResult:
+    """Fit the model by EM; write it."""
+    run.stage = "learn"
+    result = learn(training, config.em_max_iters, config.em_epsilon)
+    result.model.save(run.path_for(config.model))
+    return result
+
+
+def run_build_index(config: PipelineConfig) -> dict:
+    """The load and build-index stages; artifacts written atomically."""
+    config.require("kb", "entities", "index")
+    with _Staged() as run:
+        index = _index_stage(run, config, load_inputs(config, corpus=False, concepts=False))
+    return {"index": str(config.index), "items": len(index)}
+
+
+def run_expand(config: PipelineConfig) -> dict:
+    """The load, build-index and expand stages; artifacts written atomically."""
+    config.require("kb", "entities", "corpus", "expansion")
+    with _Staged() as run:
+        inputs = load_inputs(config, concepts=False)
+        seeds, paths = _expand_stage(run, config, inputs, _index_stage(run, config, inputs))
+    return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
 def run_offline(config: PipelineConfig) -> dict:
     """Index build, expansion, extraction, learning; atomic artifact writes."""
     config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report")
-    staged = _Staged()
-    stage = "load"
-    try:
-        kb = load_kb(config.kb)
-        dictionary = load_entity_dictionary(config.entities)
-        concepts = ConceptGraph.load(config.isa, config.context_weights, config.fixture_overrides)
-        pairs = corpus_mod.load_corpus(config.corpus)
-        pred_cats = (
-            corpus_mod.load_predicate_categories(config.predicate_categories)
-            if config.predicate_categories
-            else {}
-        )
-
-        stage = "build-index"
-        index, _ = build_entity_index(kb, dictionary)
-        index.save(staged.path_for(config.index))
-        log.info("built entity index: %d items", len(index))
-
-        stage = "expand"
-        seeds = corpus_seed_entities(kb, index, pairs, config.max_mention_span)
-        paths = expand_predicates(
-            kb,
-            seeds,
-            config.k,
-            name_restriction=config.name_restriction,
-            name_symbol=config.name_symbol,
-        )
-        with open(staged.path_for(config.expansion), "w", encoding="utf-8") as fp:
-            write_expansion(paths, fp)
-        log.info("expanded %d seed entities into %d paths", len(seeds), len(paths))
-
-        stage = "extract"
-        stats = corpus_stats(pairs)
-        extractor = EntityValueExtractor(
-            kb,
-            index,
-            k=config.k,
-            name_restriction=config.name_restriction,
-            name_symbol=config.name_symbol,
-            predicate_categories=pred_cats,
-            max_mention_span=config.max_mention_span,
-            max_value_span=config.max_value_span,
-            expansion=expansion_map(paths),
-        )
-        training = TrainingSet.build(pairs, extractor, stats, concepts, config.resolved_refine())
-        if not len(training):
-            raise StageError("extract", "no observations extracted")
-        if config.observations:
-            with open(staged.path_for(config.observations), "w", encoding="utf-8") as fp:
-                write_observations(training.observations, fp)
-        log.info("extracted %d observations from %d pairs", len(training), len(pairs))
-
-        stage = "learn"
-        result = learn(training, config.em_max_iters, config.em_epsilon)
-        result.model.save(staged.path_for(config.model))
+    with _Staged() as run:
+        inputs = load_inputs(config)
+        index = _index_stage(run, config, inputs)
+        _, paths = _expand_stage(run, config, inputs, index)
+        training = _extract_stage(run, config, inputs, index, paths)
+        result = _learn_stage(run, config, training)
         report = {
-            "triples": len(kb),
-            "entities": len(kb.entities),
+            "triples": len(inputs.kb),
+            "entities": len(inputs.kb.entities),
             "index_items": len(index),
             "expansion_paths": len(paths),
-            "qa_pairs": len(pairs),
+            "qa_pairs": len(inputs.pairs),
             "observations": len(training),
             "templates": len(result.model),
             "iterations": result.iterations,
             "final_log_likelihood": result.final_log_likelihood,
             "dropped_observations": result.dropped_observations,
         }
-        with open(staged.path_for(config.report), "w", encoding="utf-8") as fp:
+        with open(run.path_for(config.report), "w", encoding="utf-8") as fp:
             json.dump(report, fp, indent=2, sort_keys=True)
             fp.write("\n")
-    except StageError:
-        staged.abort()
-        raise
-    except Exception as exc:
-        staged.abort()
-        raise StageError(stage, str(exc)) from exc
-    staged.commit()
     return report
-
-
-def _load_artifact(load, path: Path):
-    """Load an artifact of the offline flow; one that cannot be read or
-    decoded (an IndexFormatError or a parser ValueError) is a ConfigError
-    naming the file."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load {path}: {exc}: rerun the offline flow") from exc
 
 
 class OnlineSession:
@@ -347,15 +408,14 @@ class OnlineSession:
         if missing:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
         self.config = config
-        self.kb = load_kb(config.kb)
-        self.index = _load_artifact(StaticHashArray.load, config.index)
-        self.concepts = ConceptGraph.load(
-            config.isa, config.context_weights, config.fixture_overrides
-        )
-        self.model = _load_artifact(PredicateModel.load, config.model)
-        dictionary = load_entity_dictionary(config.entities)
+        inputs = load_inputs(config)
+        self.kb = inputs.kb
+        self.concepts = inputs.concepts
+        rerun = ": rerun the offline flow"
+        self.index = _read(StaticHashArray.load, config.index, advice=rerun)
+        self.model = _read(PredicateModel.load, config.model, advice=rerun)
         surfaces: dict[str, str] = {}
-        for node, surface in dictionary:
+        for node, surface in inputs.dictionary:
             surfaces.setdefault(node, surface)
         self.engine = AnswerEngine(
             self.kb,
@@ -365,8 +425,7 @@ class OnlineSession:
             surfaces,
             max_mention_span=config.max_mention_span,
         )
-        pairs = corpus_mod.load_corpus(config.corpus)
-        patterns = PatternIndex.build(pairs, self.kb, self.index, config.max_mention_span)
+        patterns = PatternIndex.build(inputs.pairs, self.kb, self.index, config.max_mention_span)
         self.decomposer = Decomposer(
             self.kb,
             self.index,

@@ -12,7 +12,7 @@ from factqa.corpus import EntityValueExtractor, corpus_stats, load_corpus, load_
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
-from factqa.kb import load_kb
+from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
 from factqa.pipeline import build_entity_index, load_entity_dictionary
 
@@ -57,8 +57,7 @@ def toy_extractor(toy_kb, toy_index):
     return EntityValueExtractor(
         toy_kb,
         toy_index[0],
-        k=3,
-        name_restriction=True,
+        expansion_map(expand_predicates(toy_kb, toy_kb.entities, 3)),
         predicate_categories=load_predicate_categories(DATA / "predicate_categories.tsv"),
     )
 

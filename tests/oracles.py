@@ -1,15 +1,25 @@
-"""Plain reference implementations the span table is checked against.
+"""Plain reference implementations the program is checked against.
 
-These are the mention loops as they stood before every question's spans
-were probed once into a table: a lazy greedy walk that probes the index
-span by span, and an all-span loop that probes every span again.
+- The mention loops as they stood before every question's spans were
+  probed once into a table: a lazy greedy walk that probes the index span
+  by span, and an all-span loop that probes every span again.
+- A depth-first path finder between two nodes, next to the streaming
+  expansion.
+- A counting estimate of P(path | template), next to EM.
+- An exhaustive recursive decomposition, next to the DP.
 """
 
 from __future__ import annotations
 
+from math import fsum
+
 from factqa.corpus import Tokens, lookup_tokens
+from factqa.decompose import SLOT, Decomposer, Decomposition, QuestionTooLongError
 from factqa.hasharray import StaticHashArray
-from factqa.kb import KnowledgeBase
+from factqa.kb import NAME_PREDICATE, KnowledgeBase, PredicatePath
+from factqa.learn import PredicateModel, TrainingSet
+
+BRUTE_FORCE_LIMIT = 8
 
 
 def find_mentions(
@@ -66,3 +76,100 @@ def mention_spans(
                     spans.add((i, j))
                     break
     return spans
+
+
+def predicates_between(
+    kb: KnowledgeBase,
+    entity: str,
+    value: str,
+    k_max: int,
+    *,
+    name_restriction: bool = False,
+    name_symbol: str = NAME_PREDICATE,
+) -> list[PredicatePath]:
+    """All predicate paths of length <= k_max leading from entity to value.
+
+    Paths are returned shortest first, then lexicographically. With the
+    name restriction on, paths of length >= 2 must end with the name
+    predicate.
+    """
+    adjacency: dict[str, dict[str, list[str]]] = {}
+    for s, p, o in kb.triples:
+        adjacency.setdefault(s, {}).setdefault(p, []).append(o)
+    found: set[PredicatePath] = set()
+
+    def walk(node: str, prefix: PredicatePath) -> None:
+        if len(prefix) == k_max:
+            return
+        for pred, objs in adjacency.get(node, {}).items():
+            path = prefix + (pred,)
+            if value in objs:
+                found.add(path)
+            for obj in objs:
+                walk(obj, path)
+
+    if k_max >= 1:
+        walk(entity, ())
+    if name_restriction:
+        found = {p for p in found if len(p) < 2 or p[-1] == name_symbol}
+    return sorted(found, key=lambda p: (len(p), p))
+
+
+def counting_baseline(training: TrainingSet) -> PredicateModel:
+    """Counting construction: rows proportional to
+    sum_i weight_i * P(t|q_i,e_i) * P(p|e_i,v_i).
+
+    P(p|e,v) normalizes P(v|e,p) over the paths connecting the pair.
+    Independent of the EM loop.
+    """
+    acc: dict[str, dict[PredicatePath, list[float]]] = {}
+    for item in training.items:
+        connecting = {p: v for p, v in item.value_probs.items() if v > 0}
+        if not connecting:
+            continue
+        norm = fsum(connecting.values())
+        for template, pt in item.template_probs.items():
+            if pt <= 0:
+                continue
+            for path, pv in connecting.items():
+                acc.setdefault(template, {}).setdefault(path, []).append(
+                    item.weight * pt * (pv / norm)
+                )
+    rows: dict[str, dict[PredicatePath, float]] = {}
+    for template, by_path in acc.items():
+        sums = {path: fsum(terms) for path, terms in by_path.items()}
+        total = fsum(sums.values())
+        if total <= 0:
+            continue
+        rows[template] = {path: s / total for path, s in sums.items()}
+    return PredicateModel(rows)
+
+
+def decompose_bruteforce(decomposer: Decomposer, tokens: Tokens) -> Decomposition:
+    """Exhaustive recursive enumeration of chains, scored like the DP:
+    inner spans longest first, then leftmost, and a strict improvement wins."""
+    question = tuple(tokens)
+    if len(question) > BRUTE_FORCE_LIMIT:
+        raise QuestionTooLongError(len(question), BRUTE_FORCE_LIMIT)
+
+    def recurse(sub: Tokens) -> tuple[float, tuple[Tokens, ...]]:
+        score = 1.0 if decomposer.is_primitive(sub) else 0.0
+        sequence: tuple[Tokens, ...] = (sub,)
+        for length in range(len(sub) - 1, 0, -1):
+            for a in range(len(sub) - length + 1):
+                b = a + length
+                pattern = sub[:a] + (SLOT,) + sub[b:]
+                p_pattern = decomposer.patterns.validity(pattern)[2]
+                if p_pattern <= 0:
+                    continue
+                inner_score, inner_seq = recurse(sub[a:b])
+                candidate = p_pattern * inner_score
+                if candidate > score:
+                    score = candidate
+                    sequence = inner_seq + (pattern,)
+        return score, sequence
+
+    if not question:
+        return Decomposition([()], 0.0)
+    score, sequence = recurse(question)
+    return Decomposition(list(sequence), score)

@@ -10,16 +10,15 @@ import pytest
 
 from factqa.corpus import (
     QaPair,
-    build_observations,
     corpus_stats,
-    entity_distribution,
-    entity_value_distribution,
     load_corpus,
     lookup_tokens,
     question_category,
     tokenize,
     write_observations,
 )
+from factqa.learn import TrainingSet
+from oracles import predicates_between
 
 Q1 = tokenize("When was Barack Obama born?")
 Q3 = tokenize("How many people are there in Honolulu?")
@@ -195,46 +194,16 @@ def test_extract_multiword_entity_value(toy_kb, toy_index, toy_extractor):
 def test_observations_are_kb_connected(toy_extractor, toy_corpus):
     for pair in toy_corpus:
         for entity, value in toy_extractor.extract(pair, refine=False):
-            paths = toy_extractor.kb.predicates_between(
-                entity, value, 3, name_restriction=True
-            )
+            paths = predicates_between(toy_extractor.kb, entity, value, 3, name_restriction=True)
             assert paths, (entity, value)
 
 
 # ---------------------------------------------------------------------------
-# distributions over extracted pairs
+# observations: the weighted items of TrainingSet.build
 
 
-def test_entity_value_distribution_singleton():
-    assert entity_value_distribution({("Obama", "1961")}) == {("Obama", "1961"): 1.0}
-
-
-def test_entity_value_distribution_uniform():
-    dist = entity_value_distribution({("a", "1"), ("b", "2")})
-    assert dist == {("a", "1"): 0.5, ("b", "2"): 0.5}
-
-
-def test_entity_value_distribution_empty():
-    assert entity_value_distribution(set()) == {}
-
-
-def test_entity_distribution_from_pairs():
-    assert entity_distribution({("Obama", "1961")}) == {"Obama": 1.0}
-    assert entity_distribution({("a", "1"), ("b", "2")}) == {"a": 0.5, "b": 0.5}
-
-
-def test_entity_distribution_fallback_to_mentions():
-    mentions = [((0, 1), "a"), ((2, 3), "b")]
-    assert entity_distribution(set(), mentions) == {"a": 0.5, "b": 0.5}
-    assert entity_distribution(set(), []) == {}
-
-
-# ---------------------------------------------------------------------------
-# observations
-
-
-def test_build_observations_fixture_weights(toy_corpus, toy_extractor, toy_stats):
-    observations = build_observations(toy_corpus, toy_extractor, toy_stats)
+def test_build_observations_fixture_weights(toy_training):
+    observations = toy_training.observations
     assert len(observations) == 3
     obama = [o for o in observations if o.entity == "BarackObama"]
     assert len(obama) == 2
@@ -248,26 +217,23 @@ def test_build_observations_fixture_weights(toy_corpus, toy_extractor, toy_stats
     assert honolulu[0].weight == pytest.approx(1 / 3, abs=1e-15)
 
 
-def test_build_observations_empty_extraction(toy_extractor, toy_stats):
+def test_build_observations_empty_extraction(toy_extractor, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
-    assert build_observations([pair], toy_extractor, stats) == []
+    assert TrainingSet.build([pair], toy_extractor, stats, toy_concepts).observations == []
 
 
-def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_stats):
+def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_concepts, toy_training):
     doubled = [QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus]
-    doubled_stats = corpus_stats(doubled)
-    base = build_observations(toy_corpus, toy_extractor, toy_stats)
-    scaled = build_observations(doubled, toy_extractor, doubled_stats)
-    assert [(o.entity, o.value, o.weight) for o in base] == [
-        (o.entity, o.value, o.weight) for o in scaled
+    scaled = TrainingSet.build(doubled, toy_extractor, corpus_stats(doubled), toy_concepts)
+    assert [(o.entity, o.value, o.weight) for o in toy_training.observations] == [
+        (o.entity, o.value, o.weight) for o in scaled.observations
     ]
 
 
-def test_write_observations_format(toy_corpus, toy_extractor, toy_stats):
-    observations = build_observations(toy_corpus, toy_extractor, toy_stats)
+def test_write_observations_format(toy_training):
     buf = io.StringIO()
-    write_observations(observations, buf)
+    write_observations(toy_training.observations, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[0].split("\t")[:3] == ["when was barack obama born", "BarackObama", "1961"]

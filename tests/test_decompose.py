@@ -12,6 +12,7 @@ from factqa.decompose import Decomposer, PatternIndex, QuestionTooLongError, men
 from factqa.kb import load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
+from oracles import decompose_bruteforce
 
 
 def test_pattern_validity_birth_pattern(toy_decomposer):
@@ -101,7 +102,7 @@ def test_decompose_rejects_over_length(toy_decomposer):
 
 def test_decompose_bruteforce_rejects_over_length(toy_decomposer):
     with pytest.raises(QuestionTooLongError, match="8"):
-        toy_decomposer.decompose_bruteforce(tuple(f"w{i}" for i in range(9)))
+        decompose_bruteforce(toy_decomposer, tuple(f"w{i}" for i in range(9)))
 
 
 def test_decompose_monotone_containment(toy_decomposer):
@@ -173,7 +174,7 @@ def test_dp_equals_bruteforce_on_random_questions(rich_decomposer):
         length = rng.randrange(1, 9)
         tokens = tuple(rng.choice(vocab) for _ in range(length))
         dp = rich_decomposer.decompose(tokens)
-        brute = rich_decomposer.decompose_bruteforce(tokens)
+        brute = decompose_bruteforce(rich_decomposer, tokens)
         assert dp.score == brute.score, tokens
         assert dp.sequence == brute.sequence, tokens
         checked += 1
@@ -183,7 +184,7 @@ def test_dp_equals_bruteforce_on_random_questions(rich_decomposer):
 def test_dp_equals_bruteforce_on_spouse_question(rich_decomposer):
     tokens = tokenize("when was barack obama's wife born")
     dp = rich_decomposer.decompose(tokens)
-    brute = rich_decomposer.decompose_bruteforce(tokens)
+    brute = decompose_bruteforce(rich_decomposer, tokens)
     assert dp.score == brute.score
     assert dp.sequence == brute.sequence
     assert dp.texts == ["barack obama's wife", "when was $e born"]

@@ -14,6 +14,7 @@ import pytest
 
 from factqa.learn import PredicateModel
 from factqa.pipeline import OnlineSession, PipelineConfig, run_offline
+from oracles import counting_baseline
 
 N_PEOPLE = 60
 N_CITIES = 25
@@ -154,7 +155,7 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
         load_predicate_categories,
     )
     from factqa.kb import expand_predicates, expansion_map, load_kb
-    from factqa.learn import TrainingSet, counting_baseline, learn
+    from factqa.learn import TrainingSet, learn
     from factqa.pipeline import build_entity_index, corpus_seed_entities, load_entity_dictionary
 
     config, _, _ = world
@@ -164,10 +165,10 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
     extractor = EntityValueExtractor(
         kb,
         index,
-        predicate_categories=load_predicate_categories(config.predicate_categories),
         expansion=expansion_map(
             expand_predicates(kb, corpus_seed_entities(kb, index, pairs, 5), 3)
         ),
+        predicate_categories=load_predicate_categories(config.predicate_categories),
     )
     training = TrainingSet.build(
         pairs, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa)

@@ -1,4 +1,4 @@
-"""Triple store: loading, path queries, streaming expansion, valid(k)."""
+"""Triple store: loading, value queries, the path oracle, streaming expansion."""
 
 from __future__ import annotations
 
@@ -7,17 +7,17 @@ import random
 import pytest
 
 from factqa.kb import (
-    KbParseError,
     KnowledgeBase,
     SpoPath,
     Triple,
+    TsvParseError,
     expand_predicates,
     expansion_map,
     load_kb,
-    read_expansion,
-    valid_k,
+    read_tsv,
     write_expansion,
 )
+from oracles import predicates_between
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -83,14 +83,14 @@ def test_duplicate_lines_collapse():
 
 
 def test_malformed_line_reports_line_number():
-    with pytest.raises(KbParseError) as exc:
+    with pytest.raises(TsvParseError) as exc:
         load_kb(iter(["a\tp\tb\n", "broken line\n"]))
     assert "line 2" in str(exc.value)
     assert exc.value.line_number == 2
 
 
 def test_empty_field_rejected():
-    with pytest.raises(KbParseError):
+    with pytest.raises(TsvParseError):
         load_kb(iter(["a\t\tb\n"]))
 
 
@@ -143,15 +143,15 @@ def test_value_distribution_sums_to_one_everywhere(toy_kb):
 
 
 # ---------------------------------------------------------------------------
-# predicates_between
+# predicates_between (the depth-first path oracle in tests/oracles.py)
 
 
 def test_predicates_between_direct(toy_kb):
-    assert toy_kb.predicates_between("BarackObama", "1961", 1) == [("dob",)]
+    assert predicates_between(toy_kb, "BarackObama", "1961", 1) == [("dob",)]
 
 
 def test_predicates_between_spouse(toy_kb):
-    assert toy_kb.predicates_between("BarackObama", "MichelleObama", 3) == [
+    assert predicates_between(toy_kb, "BarackObama", "MichelleObama", 3) == [
         ("marriage", "person", "name")
     ]
 
@@ -159,18 +159,18 @@ def test_predicates_between_spouse(toy_kb):
 def test_predicates_between_self_loop_is_empty(toy_kb):
     # frozen from the exhaustive oracle on the toy graph
     assert paths_between_oracle(toy_kb.triples, "BarackObama", "BarackObama", 3) == []
-    assert toy_kb.predicates_between("BarackObama", "BarackObama", 3) == []
+    assert predicates_between(toy_kb, "BarackObama", "BarackObama", 3) == []
 
 
 def test_predicates_between_k_zero(toy_kb):
-    assert toy_kb.predicates_between("BarackObama", "1961", 0) == []
+    assert predicates_between(toy_kb, "BarackObama", "1961", 0) == []
 
 
 def test_predicates_between_matches_value_distribution(toy_kb):
     # cross-operation consistency on a small store
     for e in toy_kb.entities:
         for v in toy_kb.nodes:
-            via_paths = toy_kb.predicates_between(e, v, 3)
+            via_paths = predicates_between(toy_kb, e, v, 3)
             expected = [
                 p
                 for p in {sp.path for sp in expand_predicates(toy_kb, {e}, 3, name_restriction=False)}
@@ -186,13 +186,13 @@ def test_predicates_between_oracle_random_graphs():
         kb = KnowledgeBase(triples)
         e = rng.choice(sorted(kb.entities))
         v = rng.choice(sorted(kb.nodes))
-        assert kb.predicates_between(e, v, 3) == paths_between_oracle(triples, e, v, 3)
+        assert predicates_between(kb, e, v, 3) == paths_between_oracle(triples, e, v, 3)
 
 
 def test_predicates_between_name_restriction(toy_kb):
-    unrestricted = toy_kb.predicates_between("BarackObama", "1964", 3)
+    unrestricted = predicates_between(toy_kb, "BarackObama", "1964", 3)
     assert unrestricted == [("marriage", "person", "dob")]
-    assert toy_kb.predicates_between("BarackObama", "1964", 3, name_restriction=True) == []
+    assert predicates_between(toy_kb, "BarackObama", "1964", 3, name_restriction=True) == []
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +254,6 @@ def test_expand_all_entities_equals_exhaustive_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# valid_k
-
-
-def test_valid_k_counts_reference_hits(toy_kb):
-    paths = expand_predicates(toy_kb, {"BarackObama"}, 3)
-    assert valid_k(paths, {("BarackObama", "MichelleObama")}, 3) == 1
-
-
-def test_valid_k_empty_reference(toy_kb):
-    paths = expand_predicates(toy_kb, {"BarackObama"}, 3)
-    assert valid_k(paths, set(), 3) == 0
-
-
-def test_valid_k_above_max_length(toy_kb):
-    paths = expand_predicates(toy_kb, {"BarackObama"}, 3)
-    assert valid_k(paths, {("BarackObama", "MichelleObama")}, 7) == 0
-
-
-# ---------------------------------------------------------------------------
 # expansion file round-trip
 
 
@@ -281,6 +262,7 @@ def test_expansion_file_roundtrip(toy_kb, tmp_path):
     target = tmp_path / "expansion.tsv"
     with open(target, "w", encoding="utf-8") as fp:
         write_expansion(paths, fp)
-    assert read_expansion(target) == paths
+    rows = read_tsv(target, 3)
+    assert {SpoPath(s, tuple(p.split("|")), o) for s, p, o in rows} == paths
     grouped = expansion_map(paths)
     assert grouped[("BarackObama", "MichelleObama")] == [("marriage", "person", "name")]

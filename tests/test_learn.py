@@ -13,14 +13,13 @@ from factqa.learn import (
     PredicateModel,
     TrainingItem,
     TrainingSet,
-    counting_baseline,
     e_step,
-    factor_f,
     init_theta,
     learn,
     log_likelihood,
     m_step,
 )
+from oracles import counting_baseline
 
 DOB = ("dob",)
 CATEGORY = ("category",)
@@ -77,7 +76,11 @@ def posterior_oracle(training, model):
 
 
 # ---------------------------------------------------------------------------
-# factor_f
+# f(x, z), read from the frozen candidate list (absent means zero)
+
+
+def factor_f(item, assignment):
+    return dict(item.candidates).get(assignment, 0.0)
 
 
 def test_factor_f_obama_fixture(toy_training):
@@ -274,7 +277,7 @@ def test_log_likelihood_invariant_under_reordering():
 
 
 # ---------------------------------------------------------------------------
-# counting baseline
+# counting baseline (the oracle in tests/oracles.py)
 
 
 def test_counting_baseline_unique_connector():

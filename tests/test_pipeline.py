@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from factqa.cli import main
-from factqa.learn import PredicateModel, counting_baseline
+from factqa.learn import PredicateModel
 from factqa.pipeline import (
     ConfigError,
     OnlineSession,
@@ -22,6 +22,7 @@ from factqa.pipeline import (
     load_config,
     run_offline,
 )
+from oracles import counting_baseline
 
 DATA = Path(__file__).parent / "data"
 
@@ -204,6 +205,14 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(bad)
 
 
+def test_load_config_rejects_malformed_values(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    for line in ("k = abc", "em-epsilon = small", "refine = maybe"):
+        bad.write_text(f"# settings\n{line}\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value for"):
+            load_config(bad)
+
+
 def test_load_config_overrides_win(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("k = 3\n")
@@ -366,3 +375,37 @@ def test_online_unparseable_model_is_a_config_error(tmp_path):
     config.model.write_text("just one field\n")
     with pytest.raises(ConfigError, match="toy.model.tsv"):
         OnlineSession(config)
+
+
+def _cli_with_input(*args: str) -> subprocess.CompletedProcess:
+    question = ["When was Barack Obama born?"] if args[0] in ("answer", "decompose") else []
+    return subprocess.run(
+        [sys.executable, "-m", "factqa", *args, *question],
+        input="When was Barack Obama born?\n", capture_output=True, text=True,
+    )
+
+
+def test_cli_malformed_kb_line_exits_2_online_and_3_offline(built_data):
+    kb = built_data / "toy_kb.tsv"
+    with open(kb, "a", encoding="utf-8") as fp:
+        fp.write("BarackObama\tdob\n")
+    config = str(built_data / "pipeline.cfg")
+    for command, code in [("answer", 2), ("decompose", 2), ("repl", 2),
+                          ("build-index", 3), ("expand", 3), ("pipeline", 3)]:
+        proc = _cli_with_input(command, "--config", config)
+        assert proc.returncode == code, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
+        assert f"{kb}: line 11: expected 3 tab-separated fields, got 2" in proc.stderr, command
+
+
+def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
+    isa = built_data / "isa.tsv"
+    with open(isa, "a", encoding="utf-8") as fp:
+        fp.write("BarackObama\tpolitician\n")
+    config = str(built_data / "pipeline.cfg")
+    for command, code in [("answer", 2), ("pipeline", 3)]:
+        proc = _cli_with_input(command, "--config", config)
+        assert proc.returncode == code, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
+        assert str(isa) in proc.stderr, command
+        assert "expected 3 tab-separated fields, got 2" in proc.stderr, command
