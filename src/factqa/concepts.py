@@ -64,17 +64,17 @@ class ConceptGraph:
     ) -> "ConceptGraph":
         from .corpus import normalize_text
 
-        edges = [(e, c, float(w)) for e, c, w in read_tsv(isa_path, 3)]
+        edges = read_tsv(isa_path, 3, float)
         weights = None
         if context_weights_path is not None:
-            weights = {(c, tok): float(w) for c, tok, w in read_tsv(context_weights_path, 3)}
+            weights = {(c, tok): w for c, tok, w in read_tsv(context_weights_path, 3, float)}
         overrides: dict[str, dict[str, float]] | None = None
         if overrides_path is not None:
             overrides = {}
-            for question, concept, prob in read_tsv(overrides_path, 3):
+            for question, concept, prob in read_tsv(overrides_path, 3, float):
                 # keys are stored in tokenized form so any surface spelling
                 # of the question matches at lookup time
-                overrides.setdefault(normalize_text(question), {})[concept] = float(prob)
+                overrides.setdefault(normalize_text(question), {})[concept] = prob
         return cls(edges, weights, overrides)
 
     def concept_prior(self, entity: str) -> dict[str, float]:

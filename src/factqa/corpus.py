@@ -84,12 +84,13 @@ def question_category(tokens: Tokens) -> str:
 
 def load_predicate_categories(source: str | Path | IO[str]) -> dict[str, str]:
     """TSV ``predicate<TAB>category``; unknown category names are rejected."""
-    table: dict[str, str] = {}
-    for predicate, category in read_tsv(source, 2):
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r} for predicate {predicate!r}")
-        table[predicate] = category
-    return table
+    return dict(read_tsv(source, 2, _category))
+
+
+def _category(name: str) -> str:
+    if name not in CATEGORIES:
+        raise ValueError(f"unknown category {name!r}")
+    return name
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,15 @@ A complex question is split into a chain of answerable one-entity
 questions: the head carries the entity, every later element carries a
 ``$e`` slot for the previous answer. Pattern validity is estimated from
 the QA corpus (how often a pattern arises from replacing a true entity
-mention versus any span at all), and the optimal chain is found by
-dynamic programming over substrings in ascending length.
+mention versus any span at all).
+
+The optimal chain is found by memoized recursion from the whole question.
+A primitive substring scores 1; any other scores the best, over its inner
+spans, of the pattern's validity times the inner span's score, or 0. Inner
+spans are tried longest first, then leftmost, and only a strict improvement
+replaces the best so far, so that order breaks ties. Only substrings behind
+a pattern of positive validity are ever scored, and each distinct substring
+is scored once.
 """
 
 from __future__ import annotations
@@ -48,13 +55,6 @@ class Decomposition:
         return [" ".join(part) for part in self.sequence]
 
 
-def mention_spans(
-    kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens, max_span: int = 5
-) -> set[tuple[int, int]]:
-    """Every span (not just greedy matches) whose text names a KB entity."""
-    return MentionTable(kb, index, tokens, max_span).entity_spans()
-
-
 class PatternIndex:
     """Precomputed per-pattern match counts over the corpus.
 
@@ -82,7 +82,7 @@ class PatternIndex:
         f_o: dict[Tokens, int] = {}
         f_v: dict[Tokens, int] = {}
         for question, n in freq.items():
-            valid_spans = mention_spans(kb, index, question, max_mention_span)
+            valid_spans = MentionTable(kb, index, question, max_mention_span).entity_spans()
             patterns: set[Tokens] = set()
             valid_patterns: set[Tokens] = set()
             size = len(question)
@@ -108,7 +108,7 @@ class PatternIndex:
 
 
 class Decomposer:
-    """Dynamic-programming decomposition against a pattern index and model."""
+    """Chain decomposition against a pattern index and model."""
 
     def __init__(
         self,
@@ -151,19 +151,11 @@ class Decomposer:
                     return True
         return False
 
-    def _inner_spans(self, size: int) -> list[tuple[int, int]]:
-        # Proper substrings, longest first, then leftmost: the update uses a
-        # strict improvement so this order is the tie-break.
-        spans = []
-        for length in range(size - 1, 0, -1):
-            for start in range(0, size - length + 1):
-                spans.append((start, start + length))
-        return spans
-
     def decompose(self, tokens: Tokens, spans: MentionTable | None = None) -> Decomposition:
-        """Best-scoring chain via DP over substrings in ascending length.
+        """Best-scoring chain by memoized recursion over the substrings a
+        pattern of positive validity reaches from the whole question.
 
-        Every substring's primitivity is read from one mention table of the
+        A substring's primitivity is read from one mention table of the
         question (``spans``, probed here if not given), so each span is
         probed once.
         """
@@ -175,34 +167,32 @@ class Decomposer:
         if spans is None:
             spans = MentionTable(self.kb, self.index, question, self.max_mention_span)
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
-        n = len(question)
-        for length in range(1, n + 1):
-            for start in range(0, n - length + 1):
-                end = start + length
-                sub = question[start:end]
-                if sub in best:
-                    continue
-                primitive = self._primitive(sub, spans.mentions(start, end))
-                best[sub] = self._best_for(sub, primitive, best)
-        score, sequence = best[question]
-        return Decomposition(list(sequence), score)
 
-    def _best_for(
-        self,
-        sub: Tokens,
-        primitive: bool,
-        best: dict[Tokens, tuple[float, tuple[Tokens, ...]]],
-    ) -> tuple[float, tuple[Tokens, ...]]:
-        score = 1.0 if primitive else 0.0
-        sequence: tuple[Tokens, ...] = (sub,)
-        for a, b in self._inner_spans(len(sub)):
-            pattern = sub[:a] + (SLOT,) + sub[b:]
-            p_pattern = self.patterns.validity(pattern)[2]
-            if p_pattern <= 0:
-                continue
-            inner_score, inner_seq = best[sub[a:b]]
-            candidate = p_pattern * inner_score
-            if candidate > score:
-                score = candidate
-                sequence = inner_seq + (pattern,)
-        return score, sequence
+        def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:
+            sub = question[start:end]
+            if sub in best:
+                return best[sub]
+            # Every validity is at most 1 (f_v <= f_o), so no chain can
+            # strictly beat a primitive substring's score of 1.
+            if self._primitive(sub, spans.mentions(start, end)):
+                best[sub] = (1.0, (sub,))
+                return best[sub]
+            score, sequence = 0.0, (sub,)
+            size = end - start
+            for length in range(size - 1, 0, -1):  # longest first, then leftmost
+                for a in range(size - length + 1):
+                    b = a + length
+                    pattern = sub[:a] + (SLOT,) + sub[b:]
+                    p_pattern = self.patterns.validity(pattern)[2]
+                    if p_pattern <= 0:
+                        continue
+                    inner_score, inner_seq = solve(start + a, start + b)
+                    candidate = p_pattern * inner_score
+                    if candidate > score:  # strict, so the span order breaks ties
+                        score = candidate
+                        sequence = inner_seq + (pattern,)
+            best[sub] = (score, sequence)
+            return best[sub]
+
+        score, sequence = solve(0, len(question))
+        return Decomposition(list(sequence), score)

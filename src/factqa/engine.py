@@ -13,6 +13,7 @@ from math import fsum
 
 from .concepts import ConceptGraph, derive_templates
 from .corpus import MentionTable, Tokens, kb_mentions, tokenize
+from .decompose import SLOT
 from .hasharray import StaticHashArray
 from .kb import KnowledgeBase, PredicatePath
 from .learn import PredicateModel
@@ -20,8 +21,6 @@ from .learn import PredicateModel
 REASON_NO_ENTITY = "no entity"
 REASON_NO_TEMPLATE = "no template"
 REASON_NO_VALUE = "no value"
-
-SEQUENCE_SLOT = "$e"
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ class AnswerEngine:
 
 
 def _substitute(pattern: Tokens, replacement: Tokens) -> Tokens:
-    if pattern.count(SEQUENCE_SLOT) != 1:
-        raise ValueError(f"pattern must contain {SEQUENCE_SLOT!r} exactly once: {pattern}")
-    i = pattern.index(SEQUENCE_SLOT)
+    if pattern.count(SLOT) != 1:
+        raise ValueError(f"pattern must contain {SLOT!r} exactly once: {pattern}")
+    i = pattern.index(SLOT)
     return pattern[:i] + replacement + pattern[i + 1 :]

@@ -8,7 +8,7 @@ concurrent readers.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Any, Callable, Iterable, NamedTuple
 
 PredicatePath = tuple[str, ...]
 
@@ -40,20 +40,23 @@ class TsvParseError(ValueError):
         self.path = path
 
 
-def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int) -> list[tuple[str, ...]]:
+def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int,
+             convert_last: Callable[[str], Any] | None = None) -> list[tuple[Any, ...]]:
     """Rows of a tab-separated file from a path, file object or line iterable.
 
     Line ends (``\\n``, ``\\r``) are stripped, and blank lines and lines
     starting with ``#`` are skipped. Every other line must hold exactly
-    ``n_fields`` non-empty fields.
+    ``n_fields`` non-empty fields. ``convert_last``, if given, converts each
+    row's last field; a ValueError it raises names the line.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fp:
-            return _tsv_rows(fp, n_fields, source)
-    return _tsv_rows(source, n_fields, None)
+            return _tsv_rows(fp, n_fields, convert_last, source)
+    return _tsv_rows(source, n_fields, convert_last, None)
 
 
-def _tsv_rows(lines: Iterable[str], n_fields: int, path: str | Path | None) -> list[tuple[str, ...]]:
+def _tsv_rows(lines: Iterable[str], n_fields: int, convert_last: Callable[[str], Any] | None,
+              path: str | Path | None) -> list[tuple[Any, ...]]:
     rows = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\r\n")
@@ -66,6 +69,11 @@ def _tsv_rows(lines: Iterable[str], n_fields: int, path: str | Path | None) -> l
             )
         if not all(fields):
             raise TsvParseError(lineno, "empty field", path)
+        if convert_last is not None:
+            try:
+                fields = fields[:-1] + (convert_last(fields[-1]),)
+            except ValueError as exc:
+                raise TsvParseError(lineno, str(exc), path) from None
         rows.append(fields)
     return rows
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum, log
 from pathlib import Path
-from typing import IO, Iterable
+from types import MappingProxyType
+from typing import IO, Iterable, Mapping
 
 from .concepts import ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, Observation, QaPair, Tokens
@@ -130,8 +131,9 @@ class PredicateModel:
     def templates(self) -> list[str]:
         return sorted(self._rows)
 
-    def row(self, template: str) -> dict[PredicatePath, float]:
-        return dict(self._rows.get(template, {}))
+    def row(self, template: str) -> Mapping[PredicatePath, float]:
+        """A read-only view of the template's row; empty if it has none."""
+        return MappingProxyType(self._rows.get(template, {}))
 
     def prob(self, template: str, path: PredicatePath) -> float:
         return self._rows.get(template, {}).get(path, 0.0)
@@ -166,8 +168,8 @@ class PredicateModel:
     @classmethod
     def load(cls, source: str | Path | IO[str]) -> "PredicateModel":
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for template, path_text, prob in read_tsv(source, 3):
-            rows.setdefault(template, {})[tuple(path_text.split("|"))] = float(prob)
+        for template, path_text, prob in read_tsv(source, 3, float):
+            rows.setdefault(template, {})[tuple(path_text.split("|"))] = prob
         return cls(rows)
 
 

@@ -29,7 +29,7 @@ from .corpus import (
     tokenize,
     write_observations,
 )
-from .decompose import Decomposer, PatternIndex, QuestionTooLongError
+from .decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
 from .hasharray import StaticHashArray
 from .kb import (
@@ -490,7 +490,7 @@ class OnlineSession:
             return {"question": question, "sequence": [], "score": 0.0,
                     "primitive_flags": [], "reason": str(exc)}
         flags = [
-            "$e" not in part and self.decomposer.is_primitive(part)
+            SLOT not in part and self.decomposer.is_primitive(part)
             for part in decomposition.sequence
         ]
         return {

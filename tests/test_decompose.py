@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from factqa.corpus import QaPair, tokenize
-from factqa.decompose import Decomposer, PatternIndex, QuestionTooLongError, mention_spans
+from factqa.corpus import MentionTable, QaPair, tokenize
+from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from factqa.kb import load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
@@ -33,9 +33,9 @@ def test_pattern_validity_unmatched_pattern(toy_decomposer):
 
 def test_mention_spans_enumerates_all_hits(toy_kb, toy_index):
     index, _ = toy_index
-    spans = mention_spans(toy_kb, index, tokenize("when was barack obama born"))
+    spans = MentionTable(toy_kb, index, tokenize("when was barack obama born")).entity_spans()
     assert spans == {(2, 4)}
-    spans = mention_spans(toy_kb, index, tokenize("barack obama's wife"))
+    spans = MentionTable(toy_kb, index, tokenize("barack obama's wife")).entity_spans()
     assert spans == {(0, 2)}
 
 
@@ -136,6 +136,19 @@ def test_decompose_runtime_23_tokens(toy_decomposer):
 # DP vs exhaustive oracle
 
 
+RICH_CORPUS = [
+    ("When was Barack Obama born?", "The politician was born in 1961.", 2),
+    ("How many people are there in Honolulu?", "It's 390K.", 1),
+    ("who is barack obama's wife", "Michelle Obama.", 1),
+    # makes "$e wife" valid at 1/2, so nested questions can tie
+    ("barack obama's wife", "Michelle Obama.", 1),
+    ("who is the wife of barack obama", "Michelle Obama.", 1),
+    ("when was michelle obama born", "1964.", 1),
+    ("when was honolulu born", "never.", 1),  # invalid-ish: still counts f_o
+    ("how many people live in honolulu", "390K.", 1),
+]
+
+
 @pytest.fixture(scope="module")
 def rich_decomposer(data_dir):
     """A decomposer over a livelier corpus so random questions exercise
@@ -145,18 +158,7 @@ def rich_decomposer(data_dir):
     from factqa.concepts import ConceptGraph
 
     concepts = ConceptGraph.load(data_dir / "isa.tsv")
-    corpus = [
-        QaPair(tokenize(q), tokenize(a), n)
-        for q, a, n in [
-            ("When was Barack Obama born?", "The politician was born in 1961.", 2),
-            ("How many people are there in Honolulu?", "It's 390K.", 1),
-            ("who is barack obama's wife", "Michelle Obama.", 1),
-            ("who is the wife of barack obama", "Michelle Obama.", 1),
-            ("when was michelle obama born", "1964.", 1),
-            ("when was honolulu born", "never.", 1),  # invalid-ish: still counts f_o
-            ("how many people live in honolulu", "390K.", 1),
-        ]
-    ]
+    corpus = [QaPair(tokenize(q), tokenize(a), n) for q, a, n in RICH_CORPUS]
     model = PredicateModel.load(data_dir / "model_fixture.tsv")
     patterns = PatternIndex.build(corpus, kb, index)
     return Decomposer(kb, index, concepts, model, patterns)
@@ -188,3 +190,45 @@ def test_dp_equals_bruteforce_on_spouse_question(rich_decomposer):
     assert dp.score == brute.score
     assert dp.sequence == brute.sequence
     assert dp.texts == ["barack obama's wife", "when was $e born"]
+
+
+def _chain_scores(decomposer, sub):
+    """The score of every chain of ``sub``: the question alone, and each
+    chain through an inner span whose pattern has positive validity."""
+    scores = [1.0 if decomposer.is_primitive(sub) else 0.0]
+    for a in range(len(sub)):
+        for b in range(a + 1, len(sub) + 1):
+            if b - a == len(sub):
+                continue
+            p = decomposer.patterns.validity(sub[:a] + (SLOT,) + sub[b:])[2]
+            if p > 0:
+                scores += [p * s for s in _chain_scores(decomposer, sub[a:b])]
+    return scores
+
+
+def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir):
+    # Every question of at most 8 tokens made by nesting an entity surface or
+    # a primitive corpus question into corpus-valid patterns, one or more deep.
+    valid = list(rich_decomposer.patterns.f_v)  # every pattern with f_v > 0
+    dictionary = load_entity_dictionary(data_dir / "entities.tsv")
+    frontier = {tokenize(surface) for _, surface in dictionary}
+    frontier |= {
+        tokenize(q) for q, _, _ in RICH_CORPUS if rich_decomposer.is_primitive(tokenize(q))
+    }
+    questions: set = set()
+    while frontier:
+        nested = {p[: p.index(SLOT)] + q + p[p.index(SLOT) + 1 :] for q in frontier for p in valid}
+        frontier = {q for q in nested if len(q) <= 8} - questions
+        questions |= frontier
+    answered = chained = tied = 0
+    for tokens in sorted(questions):
+        dp = rich_decomposer.decompose(tokens)
+        brute = decompose_bruteforce(rich_decomposer, tokens)
+        assert dp.score == brute.score, tokens
+        assert dp.sequence == brute.sequence, tokens
+        answered += dp.score > 0
+        chained += len(dp.sequence) >= 2
+        tied += dp.score > 0 and _chain_scores(rich_decomposer, tokens).count(dp.score) >= 2
+    assert answered >= len(questions) / 2
+    assert chained >= len(questions) / 4
+    assert tied >= 1

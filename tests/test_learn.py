@@ -343,3 +343,16 @@ def test_model_items_deterministic(fixture_model):
     fixture_model.save(buf1)
     fixture_model.save(buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_model_row_is_read_only():
+    model = PredicateModel({"t": {DOB: 0.5, CATEGORY: 0.5}})
+    row = model.row("t")
+    with pytest.raises(TypeError):
+        row[DOB] = 1.0
+    with pytest.raises(TypeError):
+        del row[CATEGORY]
+    with pytest.raises(TypeError):
+        model.row("missing")[DOB] = 1.0
+    assert model.row("t") == {DOB: 0.5, CATEGORY: 0.5}
+    assert "missing" not in model

@@ -409,3 +409,34 @@ def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
         assert "Traceback" not in proc.stderr, command
         assert str(isa) in proc.stderr, command
         assert "expected 3 tab-separated fields, got 2" in proc.stderr, command
+
+
+@pytest.mark.parametrize(
+    "name, row, message, commands",
+    [
+        ("isa.tsv", "BarackObama\tperson\tabc",
+         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+        ("context_weights.tsv", "person\tborn\tabc",
+         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+        ("fixture_overrides.tsv", "when was barack obama born\tperson\tabc",
+         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+        ("predicate_categories.tsv", "dob\tcolour",
+         "unknown category 'colour'", [("pipeline", 3)]),
+        ("out/toy.model.tsv", "when was $person born\tdob\tabc",
+         "could not convert string to float: 'abc'", [("answer", 2)]),
+    ],
+    ids=["isa", "context-weights", "overrides", "categories", "model"],
+)
+def test_cli_malformed_field_names_file_and_line(built_data, name, row, message, commands):
+    path = built_data / name
+    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fp:
+        fp.write(row + "\n")
+    config = built_data / "pipeline.cfg"
+    with open(config, "a", encoding="utf-8") as fp:
+        fp.write("context-weights = context_weights.tsv\n")
+    for command, code in commands:
+        proc = _cli_with_input(command, "--config", str(config))
+        assert proc.returncode == code, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
+        assert f"{path}: line {line}: {message}" in proc.stderr, (command, proc.stderr)
