@@ -7,7 +7,7 @@ from math import fsum
 from pathlib import Path
 from typing import Iterable
 
-from .kb import read_tsv
+from .kb import convert_last, read_tsv
 
 PLACEHOLDER_MARK = "$"
 FALLBACK_CONCEPT = "entity"
@@ -28,6 +28,13 @@ class Template:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
+
+
+def _positive_weight(text: str) -> float:
+    weight = float(text)
+    if not weight > 0:
+        raise ValueError(f"isA edge weight must be positive, got {text}")
+    return weight
 
 
 class ConceptGraph:
@@ -64,14 +71,15 @@ class ConceptGraph:
     ) -> "ConceptGraph":
         from .corpus import normalize_text
 
-        edges = read_tsv(isa_path, 3, float)
+        edges = read_tsv(isa_path, 3, convert_last(_positive_weight))
         weights = None
         if context_weights_path is not None:
-            weights = {(c, tok): w for c, tok, w in read_tsv(context_weights_path, 3, float)}
+            rows = read_tsv(context_weights_path, 3, convert_last(float))
+            weights = {(c, tok): w for c, tok, w in rows}
         overrides: dict[str, dict[str, float]] | None = None
         if overrides_path is not None:
             overrides = {}
-            for question, concept, prob in read_tsv(overrides_path, 3, float):
+            for question, concept, prob in read_tsv(overrides_path, 3, convert_last(float)):
                 # keys are stored in tokenized form so any surface spelling
                 # of the question matches at lookup time
                 overrides.setdefault(normalize_text(question), {})[concept] = prob

@@ -10,10 +10,10 @@ import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .hasharray import SpanTable, StaticHashArray
-from .kb import KnowledgeBase, PredicatePath, read_tsv
+from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
 
@@ -84,7 +84,7 @@ def question_category(tokens: Tokens) -> str:
 
 def load_predicate_categories(source: str | Path | IO[str]) -> dict[str, str]:
     """TSV ``predicate<TAB>category``; unknown category names are rejected."""
-    return dict(read_tsv(source, 2, _category))
+    return dict(read_tsv(source, 2, convert_last(_category)))
 
 
 def _category(name: str) -> str:
@@ -223,6 +223,31 @@ def kb_mentions(
     Returns one (span, entity) per distinct entity, first span wins.
     """
     return MentionTable(kb, index, tokens, max_span).mentions()
+
+
+class CorpusMentions(NamedTuple):
+    """The corpus's distinct questions, each probed once: its summed
+    frequency, its ``kb_mentions`` and every span naming a KB entity."""
+
+    frequency: dict[Tokens, int]
+    mentions: dict[Tokens, list[tuple[tuple[int, int], str]]]
+    entity_spans: dict[Tokens, set[tuple[int, int]]]
+
+
+def probe_corpus(
+    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair], max_span: int = 5
+) -> CorpusMentions:
+    """One MentionTable per distinct question, kept only while it is read."""
+    frequency: dict[Tokens, int] = {}
+    for pair in corpus:
+        frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
+    mentions = {}
+    entity_spans = {}
+    for question in frequency:
+        table = MentionTable(kb, index, question, max_span)
+        mentions[question] = table.mentions()
+        entity_spans[question] = table.entity_spans()
+    return CorpusMentions(frequency, mentions, entity_spans)
 
 
 class EntityValueExtractor:

@@ -2,9 +2,9 @@
 
 A complex question is split into a chain of answerable one-entity
 questions: the head carries the entity, every later element carries a
-``$e`` slot for the previous answer. Pattern validity is estimated from
-the QA corpus (how often a pattern arises from replacing a true entity
-mention versus any span at all).
+``$e`` slot for the previous answer. Pattern validity is estimated
+offline from the QA corpus (how often a pattern arises from replacing a
+true entity mention versus any span at all) and loaded online.
 
 The optimal chain is found by memoized recursion from the whole question.
 A primitive substring scores 1; any other scores the best, over its inner
@@ -18,12 +18,13 @@ is scored once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import IO, Iterable, Mapping
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import MentionTable, QaPair, Tokens, kb_mentions
+from .corpus import MentionTable, Tokens, kb_mentions
 from .hasharray import StaticHashArray
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, read_tsv
 from .learn import PredicateModel
 
 SLOT = "$e"
@@ -56,55 +57,70 @@ class Decomposition:
 
 
 class PatternIndex:
-    """Precomputed per-pattern match counts over the corpus.
+    """Validity counts of the corpus patterns with f_v > 0.
 
-    For each corpus question and each contiguous span, the span is
-    replaced by the slot token to form a pattern. f_o counts questions
-    (frequency-weighted) matching the pattern under any substitution;
-    f_v counts those where some generating span is an entity mention.
+    A pattern is a corpus question with one contiguous span replaced by the
+    slot token. f_v counts questions (frequency-weighted) where some span
+    generating the pattern is an entity mention; f_o counts those where any
+    span does. Only patterns with f_v > 0 are kept, each with both counts:
+    the decomposer skips every pattern whose validity f_v / f_o is zero.
     """
 
-    def __init__(self, f_o: dict[Tokens, int], f_v: dict[Tokens, int]):
-        self.f_o = f_o
-        self.f_v = f_v
+    def __init__(self, counts: dict[Tokens, tuple[int, int]]):
+        self.counts = counts
 
     @classmethod
     def build(
         cls,
-        corpus: Iterable[QaPair],
-        kb: KnowledgeBase,
-        index: StaticHashArray,
-        max_mention_span: int = 5,
+        frequency: Mapping[Tokens, int],
+        entity_spans: Mapping[Tokens, Iterable[tuple[int, int]]],
     ) -> "PatternIndex":
-        freq: dict[Tokens, int] = {}
-        for pair in corpus:
-            freq[pair.question] = freq.get(pair.question, 0) + pair.frequency
-        f_o: dict[Tokens, int] = {}
+        """From each distinct question's frequency and entity spans (see
+        ``corpus.probe_corpus``)."""
         f_v: dict[Tokens, int] = {}
-        for question, n in freq.items():
-            valid_spans = MentionTable(kb, index, question, max_mention_span).entity_spans()
-            patterns: set[Tokens] = set()
-            valid_patterns: set[Tokens] = set()
+        for question, spans in entity_spans.items():
             size = len(question)
-            for i in range(size):
-                for j in range(i + 1, size + 1):
-                    pattern = question[:i] + (SLOT,) + question[j:]
-                    if len(pattern) < 2:
-                        continue  # a bare slot is not a pattern
-                    patterns.add(pattern)
-                    if (i, j) in valid_spans:
-                        valid_patterns.add(pattern)
-            for pattern in patterns:
-                f_o[pattern] = f_o.get(pattern, 0) + n
-            for pattern in valid_patterns:
-                f_v[pattern] = f_v.get(pattern, 0) + n
-        return cls(f_o, f_v)
+            # a bare slot is not a pattern
+            valid = {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}
+            for pattern in valid:
+                f_v[pattern] = f_v.get(pattern, 0) + frequency[question]
+        f_o = dict.fromkeys(f_v, 0)
+        for question, n in frequency.items():
+            size = len(question)
+            patterns = {
+                question[:i] + (SLOT,) + question[j:]
+                for i in range(size)
+                for j in range(i + 1, size + 1)
+            }
+            for pattern in patterns & f_o.keys():
+                f_o[pattern] += n
+        return cls({pattern: (f_v[pattern], f_o[pattern]) for pattern in f_v})
+
+    def save(self, target: str | Path) -> None:
+        """TSV ``pattern<TAB>f_v<TAB>f_o``, the pattern's tokens joined by
+        spaces, sorted by pattern."""
+        rows = sorted((" ".join(p), f_v, f_o) for p, (f_v, f_o) in self.counts.items())
+        with open(target, "w", encoding="utf-8") as fp:
+            fp.writelines(f"{text}\t{f_v}\t{f_o}\n" for text, f_v, f_o in rows)
+
+    @classmethod
+    def load(cls, source: str | Path | IO[str]) -> "PatternIndex":
+        return cls({tuple(text.split(" ")): (f_v, f_o)
+                    for text, f_v, f_o in read_tsv(source, 3, _pattern_row)})
 
     def validity(self, pattern: Tokens) -> tuple[int, int, float]:
-        """(f_v, f_o, f_v / f_o); probability is zero when f_o is zero."""
-        f_o = self.f_o.get(pattern, 0)
-        f_v = self.f_v.get(pattern, 0)
+        """(f_v, f_o, f_v / f_o); all zero for a pattern of no positive validity."""
+        f_v, f_o = self.counts.get(pattern, (0, 0))
         return f_v, f_o, (f_v / f_o if f_o else 0.0)
+
+
+def _pattern_row(fields: tuple[str, ...]) -> tuple[str, int, int]:
+    # The decomposer stops at a primitive substring, which is exact only
+    # while no validity exceeds 1.
+    text, f_v, f_o = fields[0], int(fields[1]), int(fields[2])
+    if not 1 <= f_v <= f_o:
+        raise ValueError(f"pattern counts must satisfy 1 <= f_v <= f_o, got f_v={f_v}, f_o={f_o}")
+    return text, f_v, f_o
 
 
 class Decomposer:

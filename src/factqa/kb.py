@@ -40,22 +40,31 @@ class TsvParseError(ValueError):
         self.path = path
 
 
+RowConverter = Callable[[tuple[str, ...]], tuple[Any, ...]]
+
+
 def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int,
-             convert_last: Callable[[str], Any] | None = None) -> list[tuple[Any, ...]]:
+             convert: RowConverter | None = None) -> list[tuple[Any, ...]]:
     """Rows of a tab-separated file from a path, file object or line iterable.
 
     Line ends (``\\n``, ``\\r``) are stripped, and blank lines and lines
     starting with ``#`` are skipped. Every other line must hold exactly
-    ``n_fields`` non-empty fields. ``convert_last``, if given, converts each
-    row's last field; a ValueError it raises names the line.
+    ``n_fields`` non-empty fields. ``convert``, if given, maps each row's
+    fields to the row returned (``convert_last`` makes the common one); a
+    ValueError it raises names the line.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fp:
-            return _tsv_rows(fp, n_fields, convert_last, source)
-    return _tsv_rows(source, n_fields, convert_last, None)
+            return _tsv_rows(fp, n_fields, convert, source)
+    return _tsv_rows(source, n_fields, convert, None)
 
 
-def _tsv_rows(lines: Iterable[str], n_fields: int, convert_last: Callable[[str], Any] | None,
+def convert_last(convert: Callable[[str], Any]) -> RowConverter:
+    """A ``read_tsv`` row converter that converts only the last field."""
+    return lambda fields: fields[:-1] + (convert(fields[-1]),)
+
+
+def _tsv_rows(lines: Iterable[str], n_fields: int, convert: RowConverter | None,
               path: str | Path | None) -> list[tuple[Any, ...]]:
     rows = []
     for lineno, raw in enumerate(lines, 1):
@@ -69,9 +78,9 @@ def _tsv_rows(lines: Iterable[str], n_fields: int, convert_last: Callable[[str],
             )
         if not all(fields):
             raise TsvParseError(lineno, "empty field", path)
-        if convert_last is not None:
+        if convert is not None:
             try:
-                fields = fields[:-1] + (convert_last(fields[-1]),)
+                fields = convert(fields)
             except ValueError as exc:
                 raise TsvParseError(lineno, str(exc), path) from None
         rows.append(fields)

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping
 
 from .concepts import ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, Observation, QaPair, Tokens
-from .kb import PredicatePath, read_tsv
+from .kb import PredicatePath, convert_last, read_tsv
 
 # Latent assignment: (template text, predicate path).
 Assignment = tuple[str, PredicatePath]
@@ -75,27 +75,30 @@ class TrainingSet:
     def build(
         cls,
         corpus: Iterable[QaPair],
+        mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
         extractor: EntityValueExtractor,
         stats: CorpusStats,
         concepts: ConceptGraph,
         refine: bool = True,
     ) -> "TrainingSet":
+        """One item per (entity, value) extracted from each pair; ``mentions``
+        holds each question's ``kb_mentions`` (``CorpusMentions.mentions``)."""
         items: list[TrainingItem] = []
         kb = extractor.kb
         for pair in corpus:
-            found = extractor.mention_entities(pair.question)
+            found = mentions[pair.question]
             extracted = sorted(extractor.extract(pair, refine, found))
             if not extracted:
                 continue
-            mentions = dict()
+            first_span: dict[str, tuple[int, int]] = {}
             for span, entity in found:
-                mentions.setdefault(entity, span)
+                first_span.setdefault(entity, span)
             distinct_entities = {e for e, _ in extracted}
             p_e = 1.0 / len(distinct_entities)
             p_q = stats.p_q(pair.question)
             mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
             for entity, value in extracted:
-                span = mentions[entity]
+                span = first_span[entity]
                 concept_dist = concepts.question_concepts(pair.question, entity, span)
                 template_probs = {
                     t.text: prob
@@ -168,7 +171,7 @@ class PredicateModel:
     @classmethod
     def load(cls, source: str | Path | IO[str]) -> "PredicateModel":
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for template, path_text, prob in read_tsv(source, 3, float):
+        for template, path_text, prob in read_tsv(source, 3, convert_last(float)):
             rows.setdefault(template, {})[tuple(path_text.split("|"))] = prob
         return cls(rows)
 

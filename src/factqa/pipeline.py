@@ -1,11 +1,13 @@
 """Offline and online orchestration over flat-file artifacts.
 
-The offline flow builds the entity index, expands predicate paths from the
-entities mentioned in the corpus, extracts observations, and runs the
-learner; all artifacts are staged to temporary files and renamed into
-place only when every stage has succeeded, so a failed run leaves nothing
-behind. The online flow loads those artifacts and answers questions,
-decomposing the ones that are not directly answerable.
+The offline flow builds the entity index, probes each distinct corpus
+question once, expands predicate paths from the entities mentioned,
+extracts observations, runs the learner and counts pattern validity; all
+artifacts are staged to temporary files and renamed into place only when
+every stage has succeeded, so a failed stage leaves nothing behind. The
+online flow loads those artifacts, with the KB, dictionary and isA files
+but not the corpus, and answers questions, decomposing the ones that are
+not directly answerable.
 """
 
 from __future__ import annotations
@@ -15,17 +17,19 @@ import logging
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph
 from .corpus import (
+    CorpusMentions,
     EntityValueExtractor,
     MentionTable,
     QaPair,
+    Tokens,
     corpus_stats,
-    kb_mentions,
     normalize_text,
+    probe_corpus,
     tokenize,
     write_observations,
 )
@@ -204,18 +208,16 @@ def build_entity_index(
     return StaticHashArray.build(entries), canonical
 
 
-def corpus_seed_entities(
-    kb: KnowledgeBase,
-    index: StaticHashArray,
-    pairs: list[QaPair],
-    max_mention_span: int,
-) -> set[str]:
+def corpus_seed_entities(mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]]) -> set[str]:
     """Entities mentioned in at least one corpus question."""
-    seeds: set[str] = set()
-    for question in {p.question for p in pairs}:
-        for _, entity in kb_mentions(kb, index, question, max_mention_span):
-            seeds.add(entity)
-    return seeds
+    return {entity for found in mentions.values() for _, entity in found}
+
+
+def patterns_path(model: Path) -> Path:
+    """The pattern validity file, learned with the model and kept beside it:
+    ``world.model.tsv`` gives ``world.model.patterns.tsv``."""
+    model = Path(model)
+    return model.with_name(f"{model.stem}.patterns{model.suffix}")
 
 
 def _read(load, *paths: Path | None, advice: str = ""):
@@ -296,10 +298,12 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 def _expand_stage(
     run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
-) -> tuple[set[str], set[SpoPath]]:
-    """Expand predicate paths from the corpus's entities; write them."""
+) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
+    """Probe each distinct corpus question once; expand predicate paths from
+    the entities it mentions and write them."""
     run.stage = "expand"
-    seeds = corpus_seed_entities(inputs.kb, index, inputs.pairs, config.max_mention_span)
+    probed = probe_corpus(inputs.kb, index, inputs.pairs, config.max_mention_span)
+    seeds = corpus_seed_entities(probed.mentions)
     paths = expand_predicates(
         inputs.kb,
         seeds,
@@ -310,12 +314,12 @@ def _expand_stage(
     with open(run.path_for(config.expansion), "w", encoding="utf-8") as fp:
         write_expansion(paths, fp)
     log.info("expanded %d seed entities into %d paths", len(seeds), len(paths))
-    return seeds, paths
+    return probed, seeds, paths
 
 
 def _extract_stage(
     run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
-    paths: set[SpoPath],
+    paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
     """Extract the weighted observations; write them when configured."""
     run.stage = "extract"
@@ -333,7 +337,7 @@ def _extract_stage(
         max_value_span=config.max_value_span,
     )
     training = TrainingSet.build(
-        inputs.pairs, extractor, corpus_stats(inputs.pairs), inputs.concepts,
+        inputs.pairs, mentions, extractor, corpus_stats(inputs.pairs), inputs.concepts,
         config.resolved_refine(),
     )
     if not len(training):
@@ -345,11 +349,14 @@ def _extract_stage(
     return training
 
 
-def _learn_stage(run: _Staged, config: PipelineConfig, training: TrainingSet) -> LearnResult:
-    """Fit the model by EM; write it."""
+def _learn_stage(
+    run: _Staged, config: PipelineConfig, training: TrainingSet, patterns: PatternIndex
+) -> LearnResult:
+    """Fit the model by EM; write it and, beside it, the pattern validity."""
     run.stage = "learn"
     result = learn(training, config.em_max_iters, config.em_epsilon)
     result.model.save(run.path_for(config.model))
+    patterns.save(run.path_for(patterns_path(config.model)))
     return result
 
 
@@ -366,7 +373,7 @@ def run_expand(config: PipelineConfig) -> dict:
     config.require("kb", "entities", "corpus", "expansion")
     with _Staged() as run:
         inputs = load_inputs(config, concepts=False)
-        seeds, paths = _expand_stage(run, config, inputs, _index_stage(run, config, inputs))
+        _, seeds, paths = _expand_stage(run, config, inputs, _index_stage(run, config, inputs))
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
@@ -376,9 +383,11 @@ def run_offline(config: PipelineConfig) -> dict:
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
-        _, paths = _expand_stage(run, config, inputs, index)
-        training = _extract_stage(run, config, inputs, index, paths)
-        result = _learn_stage(run, config, training)
+        probed, _, paths = _expand_stage(run, config, inputs, index)
+        patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
+        training = _extract_stage(run, config, inputs, index, paths, probed.mentions)
+        del probed  # EM needs none of it
+        result = _learn_stage(run, config, training, patterns)
         report = {
             "triples": len(inputs.kb),
             "entities": len(inputs.kb.entities),
@@ -401,14 +410,13 @@ class OnlineSession:
     """Loaded artifacts plus the answering and decomposition machinery."""
 
     def __init__(self, config: PipelineConfig):
-        config.require("kb", "entities", "isa", "corpus", "index", "model")
-        missing = [
-            str(p) for p in (config.index, config.model) if p is not None and not p.is_file()
-        ]
+        config.require("kb", "entities", "isa", "index", "model")
+        patterns_file = patterns_path(config.model)
+        missing = [str(p) for p in (config.index, config.model, patterns_file) if not p.is_file()]
         if missing:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
         self.config = config
-        inputs = load_inputs(config)
+        inputs = load_inputs(config, corpus=False)
         self.kb = inputs.kb
         self.concepts = inputs.concepts
         rerun = ": rerun the offline flow"
@@ -425,7 +433,7 @@ class OnlineSession:
             surfaces,
             max_mention_span=config.max_mention_span,
         )
-        patterns = PatternIndex.build(inputs.pairs, self.kb, self.index, config.max_mention_span)
+        patterns = _read(PatternIndex.load, patterns_file, advice=rerun)
         self.decomposer = Decomposer(
             self.kb,
             self.index,

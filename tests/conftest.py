@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from factqa.concepts import ConceptGraph
-from factqa.corpus import EntityValueExtractor, corpus_stats, load_corpus, load_predicate_categories
+from factqa.corpus import (
+    EntityValueExtractor,
+    corpus_stats,
+    load_corpus,
+    load_predicate_categories,
+    probe_corpus,
+)
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
@@ -63,8 +69,15 @@ def toy_extractor(toy_kb, toy_index):
 
 
 @pytest.fixture(scope="session")
-def toy_training(toy_corpus, toy_extractor, toy_stats, toy_concepts):
-    return TrainingSet.build(toy_corpus, toy_extractor, toy_stats, toy_concepts, refine=True)
+def toy_probe(toy_kb, toy_index, toy_corpus):
+    return probe_corpus(toy_kb, toy_index[0], toy_corpus)
+
+
+@pytest.fixture(scope="session")
+def toy_training(toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts):
+    return TrainingSet.build(
+        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
+    )
 
 
 @pytest.fixture(scope="session")
@@ -79,9 +92,9 @@ def toy_engine(toy_kb, toy_index, toy_concepts, fixture_model):
 
 
 @pytest.fixture(scope="session")
-def toy_decomposer(toy_kb, toy_index, toy_concepts, fixture_model, toy_corpus):
+def toy_decomposer(toy_kb, toy_index, toy_concepts, fixture_model, toy_probe):
     index, _ = toy_index
-    patterns = PatternIndex.build(toy_corpus, toy_kb, index)
+    patterns = PatternIndex.build(toy_probe.frequency, toy_probe.entity_spans)
     return Decomposer(toy_kb, index, toy_concepts, fixture_model, patterns)
 
 

@@ -13,6 +13,7 @@ from factqa.corpus import (
     corpus_stats,
     load_corpus,
     lookup_tokens,
+    probe_corpus,
     question_category,
     tokenize,
     write_observations,
@@ -220,12 +221,16 @@ def test_build_observations_fixture_weights(toy_training):
 def test_build_observations_empty_extraction(toy_extractor, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
-    assert TrainingSet.build([pair], toy_extractor, stats, toy_concepts).observations == []
+    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, [pair]).mentions
+    assert TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).observations == []
 
 
 def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_concepts, toy_training):
     doubled = [QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus]
-    scaled = TrainingSet.build(doubled, toy_extractor, corpus_stats(doubled), toy_concepts)
+    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, doubled).mentions
+    scaled = TrainingSet.build(
+        doubled, mentions, toy_extractor, corpus_stats(doubled), toy_concepts
+    )
     assert [(o.entity, o.value, o.weight) for o in toy_training.observations] == [
         (o.entity, o.value, o.weight) for o in scaled.observations
     ]

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import random
+import re
 import time
 
 import pytest
 
-from factqa.corpus import MentionTable, QaPair, tokenize
+from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
-from factqa.kb import load_kb
+from factqa.kb import TsvParseError, load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
 from oracles import decompose_bruteforce
@@ -21,10 +23,11 @@ def test_pattern_validity_birth_pattern(toy_decomposer):
 
 
 def test_pattern_validity_overgeneral_pattern(toy_decomposer):
-    f_v, f_o, p = toy_decomposer.patterns.validity(("when", "$e"))
-    assert f_v == 0
-    assert f_o == 2
-    assert p == 0.0
+    # both corpus questions match "when $e", but never through an entity
+    # span: its validity is 0, so the index does not keep it
+    pattern = ("when", "$e")
+    assert toy_decomposer.patterns.validity(pattern) == (0, 0, 0.0)
+    assert pattern not in toy_decomposer.patterns.counts
 
 
 def test_pattern_validity_unmatched_pattern(toy_decomposer):
@@ -160,7 +163,8 @@ def rich_decomposer(data_dir):
     concepts = ConceptGraph.load(data_dir / "isa.tsv")
     corpus = [QaPair(tokenize(q), tokenize(a), n) for q, a, n in RICH_CORPUS]
     model = PredicateModel.load(data_dir / "model_fixture.tsv")
-    patterns = PatternIndex.build(corpus, kb, index)
+    probed = probe_corpus(kb, index, corpus)
+    patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
     return Decomposer(kb, index, concepts, model, patterns)
 
 
@@ -206,14 +210,24 @@ def _chain_scores(decomposer, sub):
     return scores
 
 
-def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir):
+@pytest.mark.parametrize("patterns", ["built", "loaded"])
+def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir, tmp_path,
+                                                       patterns):
+    decomposer = rich_decomposer
+    if patterns == "loaded":
+        path = tmp_path / "patterns.tsv"
+        rich_decomposer.patterns.save(path)
+        loaded = PatternIndex.load(path)
+        assert loaded.counts == rich_decomposer.patterns.counts
+        decomposer = Decomposer(rich_decomposer.kb, rich_decomposer.index,
+                                rich_decomposer.concepts, rich_decomposer.model, loaded)
     # Every question of at most 8 tokens made by nesting an entity surface or
     # a primitive corpus question into corpus-valid patterns, one or more deep.
-    valid = list(rich_decomposer.patterns.f_v)  # every pattern with f_v > 0
+    valid = list(decomposer.patterns.counts)  # every pattern with f_v > 0
     dictionary = load_entity_dictionary(data_dir / "entities.tsv")
     frontier = {tokenize(surface) for _, surface in dictionary}
     frontier |= {
-        tokenize(q) for q, _, _ in RICH_CORPUS if rich_decomposer.is_primitive(tokenize(q))
+        tokenize(q) for q, _, _ in RICH_CORPUS if decomposer.is_primitive(tokenize(q))
     }
     questions: set = set()
     while frontier:
@@ -222,13 +236,27 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
         questions |= frontier
     answered = chained = tied = 0
     for tokens in sorted(questions):
-        dp = rich_decomposer.decompose(tokens)
-        brute = decompose_bruteforce(rich_decomposer, tokens)
+        dp = decomposer.decompose(tokens)
+        brute = decompose_bruteforce(decomposer, tokens)
         assert dp.score == brute.score, tokens
         assert dp.sequence == brute.sequence, tokens
         answered += dp.score > 0
         chained += len(dp.sequence) >= 2
-        tied += dp.score > 0 and _chain_scores(rich_decomposer, tokens).count(dp.score) >= 2
+        tied += dp.score > 0 and _chain_scores(decomposer, tokens).count(dp.score) >= 2
     assert answered >= len(questions) / 2
     assert chained >= len(questions) / 4
     assert tied >= 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("who is $e\t1.5\t2", "invalid literal for int()"),
+        ("who is $e\t0\t2", "1 <= f_v <= f_o, got f_v=0, f_o=2"),
+    ],
+    ids=["non-integer", "no-valid-match"],
+)
+def test_pattern_file_rejects_bad_counts(row, message):
+    lines = io.StringIO(f"when was $e born\t2\t2\n{row}\n")
+    with pytest.raises(TsvParseError, match=r"line 2: .*" + re.escape(message)):
+        PatternIndex.load(lines)

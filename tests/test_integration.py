@@ -153,6 +153,7 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
         corpus_stats,
         load_corpus,
         load_predicate_categories,
+        probe_corpus,
     )
     from factqa.kb import expand_predicates, expansion_map, load_kb
     from factqa.learn import TrainingSet, learn
@@ -162,16 +163,15 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
     kb = load_kb(config.kb)
     index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
     pairs = load_corpus(config.corpus)
+    mentions = probe_corpus(kb, index, pairs, 5).mentions
     extractor = EntityValueExtractor(
         kb,
         index,
-        expansion=expansion_map(
-            expand_predicates(kb, corpus_seed_entities(kb, index, pairs, 5), 3)
-        ),
+        expansion=expansion_map(expand_predicates(kb, corpus_seed_entities(mentions), 3)),
         predicate_categories=load_predicate_categories(config.predicate_categories),
     )
     training = TrainingSet.build(
-        pairs, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa)
+        pairs, mentions, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa)
     )
     em = learn(training).model
     counting = counting_baseline(training)

@@ -20,6 +20,7 @@ from factqa.pipeline import (
     PipelineConfig,
     StageError,
     load_config,
+    patterns_path,
     run_offline,
 )
 from oracles import counting_baseline
@@ -95,6 +96,7 @@ def test_run_offline_is_deterministic(tmp_path):
         a = getattr(config_a, name).read_bytes()
         b = getattr(config_b, name).read_bytes()
         assert a == b, name
+    assert patterns_path(config_a.model).read_bytes() == patterns_path(config_b.model).read_bytes()
 
 
 def test_run_offline_missing_inputs_is_config_error(tmp_path):
@@ -159,7 +161,12 @@ def _timed(fn, *args):
 
 def test_online_missing_artifacts_listed(tmp_path):
     config = make_config(tmp_path)
-    with pytest.raises(ConfigError, match="toy.index"):
+    with pytest.raises(ConfigError, match="toy.index") as excinfo:
+        OnlineSession(config)
+    assert "toy.model.patterns.tsv" in str(excinfo.value)
+    run_offline(config)
+    patterns_path(config.model).unlink()
+    with pytest.raises(ConfigError, match=r"first\): \S*toy\.model\.patterns\.tsv$"):
         OnlineSession(config)
 
 
@@ -424,8 +431,12 @@ def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
          "unknown category 'colour'", [("pipeline", 3)]),
         ("out/toy.model.tsv", "when was $person born\tdob\tabc",
          "could not convert string to float: 'abc'", [("answer", 2)]),
+        ("isa.tsv", "Honolulu\tplace\t-1",
+         "isA edge weight must be positive, got -1", [("answer", 2), ("pipeline", 3)]),
+        ("out/toy.model.patterns.tsv", "who is $e\t3\t2",
+         "pattern counts must satisfy 1 <= f_v <= f_o, got f_v=3, f_o=2", [("answer", 2)]),
     ],
-    ids=["isa", "context-weights", "overrides", "categories", "model"],
+    ids=["isa", "context-weights", "overrides", "categories", "model", "isa-weight", "patterns"],
 )
 def test_cli_malformed_field_names_file_and_line(built_data, name, row, message, commands):
     path = built_data / name
@@ -440,3 +451,19 @@ def test_cli_malformed_field_names_file_and_line(built_data, name, row, message,
         assert proc.returncode == code, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, command
         assert f"{path}: line {line}: {message}" in proc.stderr, (command, proc.stderr)
+
+
+def test_online_commands_do_not_read_the_corpus(built_data):
+    shutil.copyfile(DATA / "model_fixture.tsv", built_data / "out" / "toy.model.tsv")
+    config = str(built_data / "pipeline.cfg")
+    questions = ["When was Barack Obama born?", "When was Barack Obama's wife born?",
+                 "when was the moon made"]
+    before = [_module_cli(command, "--config", config, *questions)
+              for command in ("answer", "decompose")]
+    (built_data / "corpus.jsonl").unlink()
+    after = [_module_cli(command, "--config", config, *questions)
+             for command in ("answer", "decompose")]
+    for old, new in zip(before, after):
+        assert new.returncode == old.returncode, new.stderr
+        assert new.stdout == old.stdout
+        assert len(new.stdout.splitlines()) == len(questions)

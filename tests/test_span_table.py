@@ -73,7 +73,7 @@ def test_table_primitivity_matches_is_primitive_on_every_substring(
     toy_kb, ambiguous_index, toy_concepts, fixture_model
 ):
     decomposer = Decomposer(
-        toy_kb, ambiguous_index, toy_concepts, fixture_model, PatternIndex({}, {})
+        toy_kb, ambiguous_index, toy_concepts, fixture_model, PatternIndex({})
     )
     rng = random.Random(12)
     questions = [
