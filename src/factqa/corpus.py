@@ -314,17 +314,20 @@ class EntityValueExtractor:
         pair: QaPair,
         refine: bool = True,
         mentions: list[tuple[tuple[int, int], str]] | None = None,
+        values: set[str] | None = None,
     ) -> set[tuple[str, str]]:
         """Candidate (entity, value) pairs for one QA pair.
 
-        ``mentions`` are the question's ``mention_entities``, if already found.
+        ``mentions`` are the question's ``mention_entities`` and ``values``
+        the answer's ``candidate_values``, if already found.
         """
         pairs: set[tuple[str, str]] = set()
         if mentions is None:
             mentions = self.mention_entities(pair.question)
         if not mentions:
             return pairs
-        values = self.candidate_values(pair.answer)
+        if values is None:
+            values = self.candidate_values(pair.answer)
         qcat = question_category(pair.question)
         for _, entity in mentions:
             for value in values:

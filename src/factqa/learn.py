@@ -22,6 +22,8 @@ from .kb import PredicatePath, convert_last, read_tsv
 
 # Latent assignment: (template text, predicate path).
 Assignment = tuple[str, PredicatePath]
+# Items with equal candidates: (assignment ids, factors, item indices, weights).
+CandidateGroup = tuple[tuple[int, ...], tuple[float, ...], list[int], list[float]]
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,10 @@ class TrainingItem:
     template_probs: dict[str, float]
     value_probs: dict[PredicatePath, float]
 
-    @cached_property
+    @property
     def candidates(self) -> tuple[tuple[Assignment, float], ...]:
         """All assignments z with positive factor f(x, z), in a deterministic
-        order; built on first use and kept, since EM reads it every step."""
+        order; EM reads them once, through ``TrainingSet.interned``."""
         out = []
         for template in sorted(self.template_probs):
             pt = self.template_probs[template]
@@ -62,10 +64,31 @@ class TrainingSet:
     """Observations with precomputed factors; the input to learning."""
 
     def __init__(self, items: Iterable[TrainingItem]):
-        self.items: list[TrainingItem] = list(items)
+        self.items: tuple[TrainingItem, ...] = tuple(items)
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def interned(self) -> tuple[list[Assignment], list[CandidateGroup]]:
+        """Every assignment numbered once, in order of first appearance, and
+        the items grouped by equal candidates, groups in order of their first
+        member. Built on first use (EM's first step) and kept: EM scores
+        each group once per step, not each item."""
+        assignments: list[Assignment] = []
+        number: dict[Assignment, int] = {}
+        groups: dict[tuple, tuple[list[int], list[float]]] = {}
+        for i, item in enumerate(self.items):
+            candidates = item.candidates
+            for z, _ in candidates:
+                if z not in number:
+                    number[z] = len(assignments)
+                    assignments.append(z)
+            key = (tuple(number[z] for z, _ in candidates), tuple(f for _, f in candidates))
+            members, weights = groups.setdefault(key, ([], []))
+            members.append(i)
+            weights.append(item.weight)
+        return assignments, [(*key, *mw) for key, mw in groups.items()]
 
     @property
     def observations(self) -> list[Observation]:
@@ -82,12 +105,17 @@ class TrainingSet:
         refine: bool = True,
     ) -> "TrainingSet":
         """One item per (entity, value) extracted from each pair; ``mentions``
-        holds each question's ``kb_mentions`` (``CorpusMentions.mentions``)."""
+        holds each question's ``kb_mentions`` (``CorpusMentions.mentions``).
+        Each distinct answer of a question with mentions is matched to KB
+        values once."""
         items: list[TrainingItem] = []
         kb = extractor.kb
+        values: dict[Tokens, set[str]] = {}
         for pair in corpus:
             found = mentions[pair.question]
-            extracted = sorted(extractor.extract(pair, refine, found))
+            if found and pair.answer not in values:
+                values[pair.answer] = extractor.candidate_values(pair.answer)
+            extracted = sorted(extractor.extract(pair, refine, found, values.get(pair.answer)))
             if not extracted:
                 continue
             first_span: dict[str, tuple[int, int]] = {}
@@ -179,18 +207,21 @@ class PredicateModel:
 @dataclass
 class Posterior:
     """Per-observation responsibilities; observations with no admissible
-    assignment are dropped and counted."""
+    assignment are dropped and counted. Items with equal candidates share
+    one responsibility dict. ``log_likelihood`` is the weighted log
+    marginal of the model scored (``log_likelihood(training, model)``)."""
 
     responsibilities: list[dict[Assignment, float] | None]
     dropped: list[int] = field(default_factory=list)
+    log_likelihood: float = 0.0
 
 
 def init_theta(training: TrainingSet) -> PredicateModel:
     """Uniform rows over every (template, path) supported by some observation."""
-    support: dict[str, set[PredicatePath]] = {}
-    for item in training.items:
-        for (template, path), _ in item.candidates:
-            support.setdefault(template, set()).add(path)
+    assignments, _ = training.interned
+    support: dict[str, list[PredicatePath]] = {}
+    for template, path in assignments:
+        support.setdefault(template, []).append(path)
     rows = {
         template: {path: 1.0 / len(paths) for path in paths}
         for template, paths in support.items()
@@ -200,42 +231,54 @@ def init_theta(training: TrainingSet) -> PredicateModel:
 
 def e_step(training: TrainingSet, model: PredicateModel) -> Posterior:
     """Responsibilities proportional to f(x, z) * theta, normalized per
-    observation."""
-    responsibilities: list[dict[Assignment, float] | None] = []
+    observation; each group of equal candidate vectors is scored once."""
+    assignments, groups = training.interned
+    theta = [model.prob(*z) for z in assignments]
+    responsibilities: list[dict[Assignment, float] | None] = [None] * len(training.items)
     dropped: list[int] = []
-    for i, item in enumerate(training.items):
-        scores: dict[Assignment, float] = {}
-        for assignment, f_value in item.candidates:
-            score = f_value * model.prob(*assignment)
-            if score > 0:
-                scores[assignment] = score
-        total = fsum(scores.values())
+    terms: list[float] = []
+    for ids, factors, members, weights in groups:
+        scores = [(a, s) for a, f in zip(ids, factors) if (s := f * theta[a]) > 0]
+        total = fsum(s for _, s in scores)
         if total <= 0:
-            responsibilities.append(None)
-            dropped.append(i)
+            dropped.extend(members)
             continue
-        responsibilities.append({z: s / total for z, s in scores.items()})
-    return Posterior(responsibilities, dropped)
+        resp = {assignments[a]: s / total for a, s in scores}
+        for i in members:
+            responsibilities[i] = resp
+        marginal = log(total)
+        terms.extend(w * marginal for w in weights)
+    dropped.sort()
+    return Posterior(responsibilities, dropped, fsum(terms))
 
 
 def m_step(training: TrainingSet, posterior: Posterior) -> PredicateModel:
     """Row-renormalized responsibility mass, weighted by observation mass.
 
-    Templates left with zero total mass are removed.
+    Templates left with zero total mass are removed. A responsibility dict
+    shared by several items is read once.
     """
-    acc: dict[str, dict[PredicatePath, list[float]]] = {}
+    weights: dict[int, tuple[dict[Assignment, float], list[float]]] = {}
     for item, resp in zip(training.items, posterior.responsibilities):
         if resp is None:
             continue
-        for (template, path), r in resp.items():
-            acc.setdefault(template, {}).setdefault(path, []).append(item.weight * r)
+        entry = weights.get(id(resp))
+        if entry is None:
+            entry = weights[id(resp)] = (resp, [])
+        entry[1].append(item.weight)
+    terms: dict[Assignment, list[float]] = {}
+    for resp, ws in weights.values():
+        for z, r in resp.items():
+            terms.setdefault(z, []).extend([w * r for w in ws])
+    sums: dict[str, dict[PredicatePath, float]] = {}
+    for (template, path), zterms in terms.items():
+        sums.setdefault(template, {})[path] = fsum(zterms)
     rows: dict[str, dict[PredicatePath, float]] = {}
-    for template, by_path in acc.items():
-        sums = {path: fsum(terms) for path, terms in by_path.items()}
-        total = fsum(sums.values())
+    for template, by_path in sums.items():
+        total = fsum(by_path.values())
         if total <= 0:
             continue
-        rows[template] = {path: s / total for path, s in sums.items()}
+        rows[template] = {path: s / total for path, s in by_path.items()}
     return PredicateModel(rows)
 
 
@@ -245,11 +288,14 @@ def log_likelihood(training: TrainingSet, model: PredicateModel) -> float:
     Observations whose every assignment scores zero under the model are
     skipped, matching the set the E-step drops.
     """
+    assignments, groups = training.interned
+    theta = [model.prob(*z) for z in assignments]
     terms = []
-    for item in training.items:
-        total = fsum(f * model.prob(*z) for z, f in item.candidates)
+    for ids, factors, _, weights in groups:
+        total = fsum(f * theta[a] for a, f in zip(ids, factors))
         if total > 0:
-            terms.append(item.weight * log(total))
+            marginal = log(total)
+            terms.extend(w * marginal for w in weights)
     return fsum(terms)
 
 
@@ -266,25 +312,29 @@ def learn(
     training: TrainingSet, max_iters: int = 100, epsilon: float = 1e-6
 ) -> LearnResult:
     """Alternate E and M steps from the uniform initialization until the
-    max-abs parameter change falls below epsilon or max_iters is hit."""
+    max-abs parameter change falls below epsilon or max_iters is hit.
+
+    ``ll_history`` holds the log-likelihood of every model visited: each
+    E-step gives its model's, and the final model takes one more pass."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     model = init_theta(training)
     if not len(model):
         return LearnResult(model, 0, 0.0, len(training.items))
-    history = [log_likelihood(training, model)]
+    history = []
     dropped = 0
     iterations = 0
     for _ in range(max_iters):
         posterior = e_step(training, model)
+        history.append(posterior.log_likelihood)
         dropped = len(posterior.dropped)
         new_model = m_step(training, posterior)
         iterations += 1
         delta = _max_abs_change(model, new_model)
         model = new_model
-        history.append(log_likelihood(training, model))
         if delta < epsilon:
             break
+    history.append(log_likelihood(training, model))
     return LearnResult(model, iterations, history[-1], dropped, history)
 
 

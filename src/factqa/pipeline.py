@@ -93,8 +93,13 @@ class PipelineConfig:
         return self.refine
 
     def require(self, *names: str) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        """Check the knob ranges, then that ``names`` are set and, for
+        inputs, readable files."""
+        for knob in _INT_FIELDS:
+            if getattr(self, knob) < 1:
+                raise ConfigError(f"{knob} must be >= 1, got {getattr(self, knob)}")
+        if not self.em_epsilon >= 0:  # NaN fails too
+            raise ConfigError(f"em_epsilon must be >= 0, got {self.em_epsilon}")
         missing = [n for n in names if getattr(self, n) is None]
         if missing:
             raise ConfigError("missing required settings: " + ", ".join(sorted(missing)))
@@ -116,7 +121,8 @@ _INPUT_FIELDS = {
     "fixture_overrides",
 }
 _BOOL_FIELDS = {"name_restriction", "refine"}
-_INT_FIELDS = {"k", "em_max_iters", "max_question_len", "max_mention_span", "max_value_span"}
+# every integer knob must be >= 1
+_INT_FIELDS = ("k", "em_max_iters", "max_question_len", "max_mention_span", "max_value_span")
 _FLOAT_FIELDS = {"em_epsilon"}
 
 
@@ -266,11 +272,19 @@ class _Staged:
         self.stage = "load"
 
     def path_for(self, final: Path) -> Path:
+        """A new, empty temp file beside ``final`` (``<name>.<random>.tmp``),
+        created exclusively, so concurrent runs never share one; its mode
+        is that of a file made by ``open``."""
         final = Path(final)
         final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.with_name(final.name + ".tmp")
-        self.pending.append((tmp, final))
-        return tmp
+        while True:
+            tmp = final.with_name(f"{final.name}.{os.urandom(4).hex()}.tmp")
+            try:
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                continue
+            self.pending.append((tmp, final))
+            return tmp
 
     def __enter__(self) -> "_Staged":
         return self

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from factqa.corpus import (
+    EntityValueExtractor,
     QaPair,
     corpus_stats,
     load_corpus,
@@ -234,6 +235,37 @@ def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_conc
     assert [(o.entity, o.value, o.weight) for o in toy_training.observations] == [
         (o.entity, o.value, o.weight) for o in scaled.observations
     ]
+
+
+def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, monkeypatch):
+    # A2 under two questions and twice under Q1; A3 also under a question
+    # that mentions no entity, whose answers are never matched
+    unmentioned = tokenize("gibberish question")
+    pairs = [
+        QaPair(Q1, A1), QaPair(Q1, A2), QaPair(tokenize("What year was Barack Obama born?"), A2),
+        QaPair(Q3, A3), QaPair(Q1, A2, 2), QaPair(unmentioned, A3),
+        QaPair(unmentioned, tokenize("nothing here")),
+    ]
+    stats = corpus_stats(pairs)
+    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, pairs).mentions
+    # one build per pair matches each pair's answer anew
+    one_by_one = [
+        item
+        for pair in pairs
+        for item in TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).items
+    ]
+    calls = []
+    original = EntityValueExtractor.candidate_values
+
+    def counting(self, answer):
+        calls.append(answer)
+        return original(self, answer)
+
+    monkeypatch.setattr(EntityValueExtractor, "candidate_values", counting)
+    training = TrainingSet.build(pairs, mentions, toy_extractor, stats, toy_concepts)
+    assert sorted(calls) == sorted([A1, A2, A3])
+    assert list(training.items) == one_by_one
+    assert len(training) == 5
 
 
 def test_write_observations_format(toy_training):

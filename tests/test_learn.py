@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import io
 import random
 from math import fsum, isclose, log
@@ -20,6 +22,9 @@ from factqa.learn import (
     m_step,
 )
 from oracles import counting_baseline
+
+# the module, not the ``learn`` function the package exports under its name
+learn_module = importlib.import_module("factqa.learn")
 
 DOB = ("dob",)
 CATEGORY = ("category",)
@@ -49,6 +54,40 @@ def random_training_set(rng, n_obs=10, n_templates=3, n_paths=3):
                       p_q=rng.uniform(0.1, 1.0))
         )
     return TrainingSet(items)
+
+
+def random_training_set_with_duplicates(rng, n_obs=20, n_distinct=4):
+    """Random instances in which items repeat one another's candidates
+    (equal factors and assignments) under weights of their own."""
+    base = random_training_set(rng, n_obs=n_distinct, n_templates=3, n_paths=3).items
+    return TrainingSet(
+        dataclasses.replace(rng.choice(base), weight=rng.uniform(0.5, 2.0))
+        for _ in range(n_obs)
+    )
+
+
+def random_partial_model(rng, n_templates=3, n_paths=3):
+    """Random rows over random subsets of the templates and paths of
+    ``random_training_set``, so some observations score zero."""
+    rows = {}
+    for t in range(n_templates):
+        if rng.random() < 0.7:
+            chosen = rng.sample(range(n_paths), rng.randrange(1, n_paths + 1))
+            raw = {(f"p{p}",): rng.uniform(0.1, 1.0) for p in chosen}
+            total = fsum(raw.values())
+            rows[f"t{t}"] = {path: w / total for path, w in raw.items()}
+    return PredicateModel(rows)
+
+
+def log_likelihood_oracle(training, model):
+    """The weighted log marginal summed item by item, each from its own
+    candidate list."""
+    terms = []
+    for item in training.items:
+        total = fsum(f * model.prob(*z) for z, f in item.candidates)
+        if total > 0:
+            terms.append(item.weight * log(total))
+    return fsum(terms)
 
 
 def posterior_oracle(training, model):
@@ -178,6 +217,28 @@ def test_e_step_drops_unsupported_observations():
     assert post.dropped == [0]
 
 
+def test_e_step_on_duplicate_items_matches_oracle_and_likelihood():
+    rng = random.Random(37)
+    for _ in range(40):
+        training = random_training_set_with_duplicates(
+            rng, n_obs=rng.randrange(2, 25), n_distinct=rng.randrange(1, 5)
+        )
+        for model in (init_theta(training), random_partial_model(rng)):
+            post = e_step(training, model)
+            want = posterior_oracle(training, model)
+            assert len(post.responsibilities) == len(want)
+            assert post.dropped == [i for i, w in enumerate(want) if w is None]
+            for g, w in zip(post.responsibilities, want):
+                assert (g is None) == (w is None)
+                if g is None:
+                    continue
+                assert set(g) == set(w)
+                for z in g:
+                    assert abs(g[z] - w[z]) <= 1e-12
+            assert post.log_likelihood == log_likelihood(training, model)
+            assert post.log_likelihood == log_likelihood_oracle(training, model)
+
+
 # ---------------------------------------------------------------------------
 # m_step
 
@@ -264,6 +325,29 @@ def test_log_likelihood_monotone_over_random_instances():
         assert len(history) >= 2
         for before, after in zip(history, history[1:]):
             assert after >= before - 1e-9
+
+
+def test_ll_history_is_the_likelihood_of_every_model_visited(monkeypatch):
+    models = []
+
+    def recording_m_step(training, posterior):
+        models.append(m_step(training, posterior))
+        return models[-1]
+
+    monkeypatch.setattr(learn_module, "m_step", recording_m_step)
+    rng = random.Random(53)
+    for _ in range(15):
+        training = random_training_set_with_duplicates(
+            rng, n_obs=rng.randrange(2, 30), n_distinct=rng.randrange(1, 6)
+        )
+        models.clear()
+        result = learn(training, max_iters=rng.randrange(1, 40))
+        visited = [init_theta(training), *models]
+        assert len(result.ll_history) == len(visited) == result.iterations + 1
+        for ll, model in zip(result.ll_history, visited):
+            assert ll == log_likelihood(training, model)
+            assert ll == log_likelihood_oracle(training, model)
+        assert result.final_log_likelihood == result.ll_history[-1]
 
 
 def test_log_likelihood_invariant_under_reordering():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from factqa.pipeline import (
     OnlineSession,
     PipelineConfig,
     StageError,
+    _Staged,
     load_config,
     patterns_path,
     run_offline,
@@ -85,6 +87,29 @@ def test_run_offline_empty_corpus_fails_cleanly(tmp_path):
     assert not config.expansion.exists()
     assert not config.model.exists()
     assert not list(config.index.parent.glob("*.tmp"))
+
+
+def test_concurrent_staged_runs_keep_their_own_temp_files(tmp_path):
+    final = tmp_path / "out" / "toy.model.tsv"
+    with _Staged() as kept:
+        kept_tmp = kept.path_for(final)
+        kept_tmp.write_text("kept\n")
+        with pytest.raises(StageError, match="stage 'learn' failed: boom"):
+            with _Staged() as failed:
+                failed.stage = "learn"
+                failed_tmp = failed.path_for(final)
+                assert failed_tmp != kept_tmp
+                assert failed_tmp.parent == final.parent
+                failed_tmp.write_text("failed\n")
+                raise RuntimeError("boom")
+        assert not failed_tmp.exists()
+        assert kept_tmp.read_text() == "kept\n"
+    assert final.read_text() == "kept\n"
+    assert not list(final.parent.glob("*.tmp"))
+    # the artifact gets the mode of a file made by open(), not a private one
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert stat.S_IMODE(final.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_run_offline_is_deterministic(tmp_path):
@@ -280,6 +305,29 @@ def test_cli_answer_unanswerable_exit_code(tmp_path, capsys):
 def test_cli_config_error_exit_code(capsys):
     code, _ = run_cli(["pipeline", "--kb", "/nonexistent/kb.tsv"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--k=0", "k must be >= 1, got 0"),
+        ("--em-max-iters=0", "em_max_iters must be >= 1, got 0"),
+        ("--em-epsilon=-1", "em_epsilon must be >= 0, got -1.0"),
+        ("--em-epsilon=nan", "em_epsilon must be >= 0, got nan"),
+        ("--max-question-len=0", "max_question_len must be >= 1, got 0"),
+        ("--max-mention-span=0", "max_mention_span must be >= 1, got 0"),
+        ("--max-value-span=0", "max_value_span must be >= 1, got 0"),
+    ],
+)
+def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message):
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    for command in ("pipeline", "answer"):
+        proc = _cli_with_input(command, "--config", str(data / "pipeline.cfg"), flag)
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
+        assert message in proc.stderr, (command, proc.stderr)
+    assert not (data / "out").exists()
 
 
 def test_cli_stage_failure_exit_code(tmp_path, capsys):
