@@ -94,11 +94,7 @@ class ConceptGraph:
         return {c: w / total for c, w in sorted(row.items())}
 
     def conceptualize(
-        self,
-        tokens: Iterable[str],
-        entity: str,
-        context_weights: dict[tuple[str, str], float] | None = None,
-        mention: tuple[int, int] | None = None,
+        self, tokens: Iterable[str], entity: str, mention: tuple[int, int] | None = None
     ) -> dict[str, float]:
         """Prior reweighted by question context.
 
@@ -109,7 +105,7 @@ class ConceptGraph:
         prior = self.concept_prior(entity)
         if not prior:
             return {}
-        weights = self.context_weights if context_weights is None else context_weights
+        weights = self.context_weights
         toks = list(tokens)
         if mention is not None:
             start, end = mention

@@ -119,16 +119,17 @@ def load_corpus(source: str | Path | IO[str]) -> list[QaPair]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
         try:
-            question = tokenize(record["question"])
-            answer = tokenize(record["answer"])
+            question, answer = record["question"], record["answer"]
             count = int(record.get("count", 1))
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: bad record ({exc})") from exc
+        if not (isinstance(question, str) and isinstance(answer, str)):
+            raise ValueError(f"line {lineno}: bad record (question and answer must be strings)")
         if count < 1:
             raise ValueError(f"line {lineno}: count must be >= 1")
-        key = (question, answer)
+        key = (tokenize(question), tokenize(answer))
         counts[key] = counts.get(key, 0) + count
     return [QaPair(q, a, n) for (q, a), n in counts.items()]
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
-from .concepts import ConceptGraph, derive_templates
-from .corpus import MentionTable, Tokens, kb_mentions
-from .hasharray import StaticHashArray
-from .kb import KnowledgeBase, read_tsv
-from .learn import PredicateModel
+from .corpus import MentionTable, Tokens
+from .kb import read_tsv
+
+if TYPE_CHECKING:  # the engine imports SLOT from here
+    from .engine import AnswerEngine
 
 SLOT = "$e"
 
@@ -124,48 +124,33 @@ def _pattern_row(fields: tuple[str, ...]) -> tuple[str, int, int]:
 
 
 class Decomposer:
-    """Chain decomposition against a pattern index and model."""
+    """Chain decomposition over an answering engine and a pattern index."""
 
     def __init__(
         self,
-        kb: KnowledgeBase,
-        index: StaticHashArray,
-        concepts: ConceptGraph,
-        model: PredicateModel,
+        engine: AnswerEngine,
         patterns: PatternIndex,
         *,
-        max_mention_span: int = 5,
         max_question_len: int = DEFAULT_MAX_QUESTION_LEN,
     ):
-        self.kb = kb
-        self.index = index
-        self.concepts = concepts
-        self.model = model
+        self.engine = engine
         self.patterns = patterns
-        self.max_mention_span = max_mention_span
         self.max_question_len = max_question_len
 
     def is_primitive(self, tokens: Tokens, spans: MentionTable | None = None) -> bool:
         """A directly answerable question: exactly one entity mention and
         at least one derivable template the model has a row for.
 
-        ``spans`` is the question's mention table, if already probed.
+        ``spans`` is the question's mention table, probed here if not given.
         """
         if spans is None:
-            mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
-        else:
-            mentions = spans.mentions()
-        return self._primitive(tokens, mentions)
+            spans = self.engine.probe(tokens)
+        return self._primitive(tokens, spans.mentions())
 
     def _primitive(self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]) -> bool:
-        if len({span for span, _ in mentions}) != 1:
-            return False
-        for span, entity in mentions:
-            concept_dist = self.concepts.question_concepts(tokens, entity, span)
-            for template in derive_templates(tokens, span, concept_dist):
-                if template.text in self.model:
-                    return True
-        return False
+        return len({span for span, _ in mentions}) == 1 and any(
+            self.engine.supported_templates(tokens, mentions)
+        )
 
     def decompose(self, tokens: Tokens, spans: MentionTable | None = None) -> Decomposition:
         """Best-scoring chain by memoized recursion over the substrings a
@@ -181,7 +166,7 @@ class Decomposer:
         if not question:
             return Decomposition([()], 0.0)
         if spans is None:
-            spans = MentionTable(self.kb, self.index, question, self.max_mention_span)
+            spans = self.engine.probe(question)
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
 
         def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
+from typing import Iterator, Mapping
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import MentionTable, Tokens, kb_mentions, tokenize
+from .corpus import MentionTable, Tokens, tokenize
 from .decompose import SLOT
 from .hasharray import StaticHashArray
 from .kb import KnowledgeBase, PredicatePath
@@ -58,7 +59,9 @@ class SequenceResult:
 
 
 class AnswerEngine:
-    """Answers tokenized questions against loaded artifacts."""
+    """Answers tokenized questions against loaded artifacts. It holds all of
+    the online state, and its template walk alone decides what a question
+    can be answered from."""
 
     def __init__(
         self,
@@ -82,15 +85,30 @@ class AnswerEngine:
         node id itself."""
         return self.surfaces.get(node, node)
 
+    def probe(self, tokens: Tokens) -> MentionTable:
+        """The question's mention table, each span probed once."""
+        return MentionTable(self.kb, self.index, tokens, self.max_mention_span)
+
+    def supported_templates(
+        self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]
+    ) -> Iterator[tuple[str, str, float, Mapping[PredicatePath, float]]]:
+        """(entity, template text, P(template), model row) for each template
+        derived from a mention that the model has a row for; per mention,
+        in template text order."""
+        for span, entity in mentions:
+            concept_dist = self.concepts.question_concepts(tokens, entity, span)
+            templates = derive_templates(tokens, span, concept_dist)
+            for text, p_template in sorted((t.text, p) for t, p in templates.items()):
+                row = self.model.row(text)
+                if row:  # derive_templates keeps only positive P(template)
+                    yield entity, text, p_template, row
+
     def answer_distribution(
         self, tokens: Tokens, spans: MentionTable | None = None
     ) -> AnswerDistribution:
         """P(value | question); ``spans`` is the question's mention table,
-        if already probed."""
-        if spans is None:
-            mentions = kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
-        else:
-            mentions = spans.mentions()
+        probed here if not given."""
+        mentions = (self.probe(tokens) if spans is None else spans).mentions()
         if not mentions:
             return AnswerDistribution({}, reason=REASON_NO_ENTITY)
         p_entity = 1.0 / len(mentions)
@@ -98,29 +116,21 @@ class AnswerEngine:
         traces: dict[str, Trace] = {}
         supported = False
         enumerations = 0
-        for span, entity in mentions:
-            concept_dist = self.concepts.question_concepts(tokens, entity, span)
-            templates = derive_templates(tokens, span, concept_dist)
-            for template, p_template in sorted(
-                templates.items(), key=lambda kv: kv[0].text
-            ):
-                row = self.model.row(template.text)
-                if not row or p_template <= 0:
+        for entity, template, p_template, row in self.supported_templates(tokens, mentions):
+            supported = True
+            for path in sorted(row):
+                theta = row[path]
+                if theta <= 0:
                     continue
-                supported = True
-                for path in sorted(row):
-                    theta = row[path]
-                    if theta <= 0:
+                for value, p_value in self.kb.value_distribution(entity, path).items():
+                    enumerations += 1
+                    mass = p_entity * p_template * theta * p_value
+                    if mass <= 0:
                         continue
-                    for value, p_value in self.kb.value_distribution(entity, path).items():
-                        enumerations += 1
-                        mass = p_entity * p_template * theta * p_value
-                        if mass <= 0:
-                            continue
-                        masses.setdefault(value, []).append(mass)
-                        best = traces.get(value)
-                        if best is None or mass > best.mass:
-                            traces[value] = Trace(entity, template.text, path, mass)
+                    masses.setdefault(value, []).append(mass)
+                    best = traces.get(value)
+                    if best is None or mass > best.mass:
+                        traces[value] = Trace(entity, template, path, mass)
         if not supported:
             return AnswerDistribution({}, reason=REASON_NO_TEMPLATE, enumerations=enumerations)
         if not masses:
@@ -129,12 +139,6 @@ class AnswerEngine:
         total = fsum(raw.values())
         entries = {value: m / total for value, m in sorted(raw.items())}
         return AnswerDistribution(entries, traces, enumerations=enumerations)
-
-    def answer(
-        self, tokens: Tokens, spans: MentionTable | None = None
-    ) -> tuple[tuple[str, float] | None, AnswerDistribution]:
-        dist = self.answer_distribution(tokens, spans)
-        return dist.top(), dist
 
     def answer_sequence(self, sequence: list[Tokens]) -> SequenceResult:
         """Answer a decomposed question chain by substitution.
@@ -154,7 +158,8 @@ class AnswerEngine:
             else:
                 substitution = tokenize(self.surface(current_value))
                 question = _substitute(tuple(element), substitution)
-            top, dist = self.answer(question)
+            dist = self.answer_distribution(question)
+            top = dist.top()
             if top is None:
                 steps.append({"question": " ".join(question), "reason": dist.reason})
                 return SequenceResult(None, 0.0, i, steps)

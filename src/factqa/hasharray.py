@@ -19,7 +19,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 MAGIC = b"SHA1DX\x00"
 VERSION = 2
@@ -125,12 +125,6 @@ class StaticHashArray:
             if items[i] == fingerprint:
                 out.append(items[i + 1])
         return out
-
-    def iter_items(self) -> Iterator[tuple[int, int]]:
-        """(fingerprint, payload) pairs in storage order."""
-        items = self.items
-        for i in range(0, len(items), 2):
-            yield items[i], items[i + 1]
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self))

@@ -283,20 +283,12 @@ def m_step(training: TrainingSet, posterior: Posterior) -> PredicateModel:
 
 
 def log_likelihood(training: TrainingSet, model: PredicateModel) -> float:
-    """Weighted sum of log marginal probabilities.
+    """Weighted sum of log marginal probabilities, as the E-step scores it.
 
     Observations whose every assignment scores zero under the model are
     skipped, matching the set the E-step drops.
     """
-    assignments, groups = training.interned
-    theta = [model.prob(*z) for z in assignments]
-    terms = []
-    for ids, factors, _, weights in groups:
-        total = fsum(f * theta[a] for a, f in zip(ids, factors))
-        if total > 0:
-            marginal = log(total)
-            terms.extend(w * marginal for w in weights)
-    return fsum(terms)
+    return e_step(training, model).log_likelihood
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .concepts import ConceptGraph
 from .corpus import (
     CorpusMentions,
     EntityValueExtractor,
-    MentionTable,
     QaPair,
     Tokens,
     corpus_stats,
@@ -33,7 +32,7 @@ from .corpus import (
     tokenize,
     write_observations,
 )
-from .decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
+from .decompose import DEFAULT_MAX_QUESTION_LEN, SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
 from .hasharray import StaticHashArray
 from .kb import (
@@ -83,7 +82,7 @@ class PipelineConfig:
     em_max_iters: int = 100
     em_epsilon: float = 1e-6
     refine: bool | None = None  # None: refine iff predicate categories supplied
-    max_question_len: int = 23
+    max_question_len: int = DEFAULT_MAX_QUESTION_LEN
     max_mention_span: int = 5
     max_value_span: int = 5
 
@@ -176,6 +175,8 @@ def _coerce(key: str, value: str, base: Path) -> object:
     if key in _PATH_FIELDS:
         p = Path(value)
         return p if p.is_absolute() else base / p
+    if key == "refine" and value.lower() == "auto":
+        return None
     if key in _BOOL_FIELDS:
         return _parse_bool(value)
     if key in _INT_FIELDS:
@@ -429,32 +430,20 @@ class OnlineSession:
         missing = [str(p) for p in (config.index, config.model, patterns_file) if not p.is_file()]
         if missing:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
-        self.config = config
         inputs = load_inputs(config, corpus=False)
-        self.kb = inputs.kb
-        self.concepts = inputs.concepts
         rerun = ": rerun the offline flow"
-        self.index = _read(StaticHashArray.load, config.index, advice=rerun)
+        index = _read(StaticHashArray.load, config.index, advice=rerun)
         self.model = _read(PredicateModel.load, config.model, advice=rerun)
         surfaces: dict[str, str] = {}
         for node, surface in inputs.dictionary:
             surfaces.setdefault(node, surface)
         self.engine = AnswerEngine(
-            self.kb,
-            self.index,
-            self.concepts,
-            self.model,
-            surfaces,
+            inputs.kb, index, inputs.concepts, self.model, surfaces,
             max_mention_span=config.max_mention_span,
         )
-        patterns = _read(PatternIndex.load, patterns_file, advice=rerun)
         self.decomposer = Decomposer(
-            self.kb,
-            self.index,
-            self.concepts,
-            self.model,
-            patterns,
-            max_mention_span=config.max_mention_span,
+            self.engine,
+            _read(PatternIndex.load, patterns_file, advice=rerun),
             max_question_len=config.max_question_len,
         )
 
@@ -462,7 +451,7 @@ class OnlineSession:
         """Answer one question, decomposing when it is not primitive."""
         tokens = tokenize(question)
         record: dict = {"question": question}
-        spans = MentionTable(self.kb, self.index, tokens, self.config.max_mention_span)
+        spans = self.engine.probe(tokens)
         if tokens and not self.decomposer.is_primitive(tokens, spans):
             try:
                 decomposition = self.decomposer.decompose(tokens, spans)
@@ -489,7 +478,8 @@ class OnlineSession:
                         steps=result.steps,
                     )
                 return record
-        top, dist = self.engine.answer(tokens, spans)
+        dist = self.engine.answer_distribution(tokens, spans)
+        top = dist.top()
         if top is None:
             record.update(answer=None, probability=0.0, reason=dist.reason)
             return record

@@ -92,10 +92,9 @@ def toy_engine(toy_kb, toy_index, toy_concepts, fixture_model):
 
 
 @pytest.fixture(scope="session")
-def toy_decomposer(toy_kb, toy_index, toy_concepts, fixture_model, toy_probe):
-    index, _ = toy_index
+def toy_decomposer(toy_engine, toy_probe):
     patterns = PatternIndex.build(toy_probe.frequency, toy_probe.entity_spans)
-    return Decomposer(toy_kb, index, toy_concepts, fixture_model, patterns)
+    return Decomposer(toy_engine, patterns)
 
 
 def random_keys(rng: random.Random, count: int, prefix: str = "") -> list[str]:

@@ -30,9 +30,9 @@ def test_nonpositive_weight_rejected():
         ConceptGraph([("x", "thing", 0)])
 
 
-def test_conceptualize_reduces_to_prior_without_weights(toy_concepts):
+def test_conceptualize_reduces_to_prior_without_weights(data_dir):
     tokens = ("who", "is", "barack", "obama")
-    dist = toy_concepts.conceptualize(tokens, "BarackObama", context_weights={})
+    dist = ConceptGraph.load(data_dir / "isa.tsv").conceptualize(tokens, "BarackObama")
     assert dist == {"person": 0.5, "politician": 0.5}
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
+from factqa.engine import AnswerEngine
 from factqa.kb import TsvParseError, load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
@@ -63,7 +64,7 @@ def test_is_primitive_two_mentions(toy_decomposer):
     # rule check against mention enumeration: two non-overlapping mentions
     from factqa.corpus import kb_mentions
 
-    mentions = kb_mentions(toy_decomposer.kb, toy_decomposer.index, tokens)
+    mentions = kb_mentions(toy_decomposer.engine.kb, toy_decomposer.engine.index, tokens)
     assert len({span for span, _ in mentions}) == 2
     assert not toy_decomposer.is_primitive(tokens)
 
@@ -165,7 +166,7 @@ def rich_decomposer(data_dir):
     model = PredicateModel.load(data_dir / "model_fixture.tsv")
     probed = probe_corpus(kb, index, corpus)
     patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
-    return Decomposer(kb, index, concepts, model, patterns)
+    return Decomposer(AnswerEngine(kb, index, concepts, model), patterns)
 
 
 def test_dp_equals_bruteforce_on_random_questions(rich_decomposer):
@@ -219,8 +220,7 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
         rich_decomposer.patterns.save(path)
         loaded = PatternIndex.load(path)
         assert loaded.counts == rich_decomposer.patterns.counts
-        decomposer = Decomposer(rich_decomposer.kb, rich_decomposer.index,
-                                rich_decomposer.concepts, rich_decomposer.model, loaded)
+        decomposer = Decomposer(rich_decomposer.engine, loaded)
     # Every question of at most 8 tokens made by nesting an entity surface or
     # a primitive corpus question into corpus-valid patterns, one or more deep.
     valid = list(decomposer.patterns.counts)  # every pattern with f_v > 0

@@ -62,7 +62,8 @@ def test_answer_distribution_normalized(toy_engine):
 
 
 def test_answer_argmax_birth_year(toy_engine):
-    top, dist = toy_engine.answer(Q0)
+    dist = toy_engine.answer_distribution(Q0)
+    top = dist.top()
     assert top is not None
     value, prob = top
     assert value == "1961"
@@ -87,7 +88,7 @@ def test_answer_tie_breaks_lexicographically(toy_engine):
     engine = AnswerEngine(
         toy_engine.kb, toy_engine.index, toy_engine.concepts, model, toy_engine.surfaces
     )
-    top, _ = engine.answer(tokenize("who is Barack Obama"))
+    top = engine.answer_distribution(tokenize("who is Barack Obama")).top()
     # person and politician both at 0.5; the smaller symbol wins
     assert top == ("person", 0.5)
 
@@ -105,7 +106,8 @@ def test_no_template_reason(toy_engine):
 
 
 def test_empty_distribution_answer_absent(toy_engine):
-    top, dist = toy_engine.answer(tokenize("when was the moon made"))
+    dist = toy_engine.answer_distribution(tokenize("when was the moon made"))
+    top = dist.top()
     assert top is None
     assert dist.reason == "no entity"
 
@@ -134,8 +136,8 @@ def test_argmax_invariant_under_positive_scaling(toy_kb, toy_index, fixture_mode
     isa = [("BarackObama", "person", 1.0)]
     engine_a = AnswerEngine(toy_kb, index, ConceptGraph(isa, overrides=base), fixture_model, surfaces)
     engine_b = AnswerEngine(toy_kb, index, ConceptGraph(isa, overrides=scaled), fixture_model, surfaces)
-    top_a, _ = engine_a.answer(Q0)
-    top_b, _ = engine_b.answer(Q0)
+    top_a = engine_a.answer_distribution(Q0).top()
+    top_b = engine_b.answer_distribution(Q0).top()
     assert top_a is not None and top_b is not None
     assert top_a[0] == top_b[0]
     assert top_a[1] == pytest.approx(top_b[1], abs=1e-12)
@@ -172,7 +174,7 @@ def test_answer_sequence_spouse_chain(toy_engine):
 
 def test_answer_sequence_length_one_equals_answer(toy_engine):
     result = toy_engine.answer_sequence([Q0])
-    top, _ = toy_engine.answer(Q0)
+    top = toy_engine.answer_distribution(Q0).top()
     assert (result.value, result.probability) == top
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from factqa.cli import main
+from factqa.corpus import MentionTable, tokenize
 from factqa.learn import PredicateModel
 from factqa.pipeline import (
     ConfigError,
@@ -164,6 +165,25 @@ def test_online_answers_complex_question(online):
     assert record["answer"] == "1964"
 
 
+def test_answer_record_probes_each_question_once(online, monkeypatch):
+    built = []
+    init = MentionTable.__init__
+
+    def counting(self, kb, index, tokens, *args):
+        built.append(tokens)
+        init(self, kb, index, tokens, *args)
+
+    monkeypatch.setattr(MentionTable, "__init__", counting)
+    assert online.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    assert built == [tokenize("When was Barack Obama born?")]
+    built.clear()
+    record = online.answer_record("When was Barack Obama's wife born?")
+    assert record["answer"] == "1964"
+    steps = [tuple(step["question"].split()) for step in record["steps"]]
+    assert len(steps) == 2
+    assert built == [tokenize("When was Barack Obama's wife born?"), *steps]
+
+
 def test_online_unparseable_question(online):
     record = online.answer_record("when was the moon made")
     assert record["answer"] is None
@@ -243,6 +263,15 @@ def test_load_config_rejects_malformed_values(tmp_path):
         bad.write_text(f"# settings\n{line}\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value for"):
             load_config(bad)
+
+
+def test_load_config_refine_auto_equals_unset(tmp_path):
+    auto = tmp_path / "auto.cfg"
+    auto.write_text("k = 3\nrefine = auto\n")
+    unset = tmp_path / "unset.cfg"
+    unset.write_text("k = 3\n")
+    assert load_config(auto).refine is None
+    assert load_config(auto) == load_config(unset)
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -483,8 +512,11 @@ def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
          "isA edge weight must be positive, got -1", [("answer", 2), ("pipeline", 3)]),
         ("out/toy.model.patterns.tsv", "who is $e\t3\t2",
          "pattern counts must satisfy 1 <= f_v <= f_o, got f_v=3, f_o=2", [("answer", 2)]),
+        ("corpus.jsonl", '{"question": 5, "answer": "x"}',
+         "bad record (question and answer must be strings)", [("pipeline", 3)]),
     ],
-    ids=["isa", "context-weights", "overrides", "categories", "model", "isa-weight", "patterns"],
+    ids=["isa", "context-weights", "overrides", "categories", "model", "isa-weight", "patterns",
+         "corpus"],
 )
 def test_cli_malformed_field_names_file_and_line(built_data, name, row, message, commands):
     path = built_data / name

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from factqa.corpus import MentionTable, tokenize
 from factqa.decompose import Decomposer, PatternIndex
+from factqa.engine import AnswerEngine
 from factqa.hasharray import SpanTable, StaticHashArray, find_mentions
 from factqa.pipeline import load_entity_dictionary
 
@@ -73,7 +74,7 @@ def test_table_primitivity_matches_is_primitive_on_every_substring(
     toy_kb, ambiguous_index, toy_concepts, fixture_model
 ):
     decomposer = Decomposer(
-        toy_kb, ambiguous_index, toy_concepts, fixture_model, PatternIndex({})
+        AnswerEngine(toy_kb, ambiguous_index, toy_concepts, fixture_model), PatternIndex({})
     )
     rng = random.Random(12)
     questions = [
