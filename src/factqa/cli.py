@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .pipeline import (
+    SETTINGS,
     ConfigError,
     OnlineSession,
     PipelineConfig,
     StageError,
-    config_from_values,
     load_config,
     run_build_index,
     run_expand,
@@ -32,37 +32,18 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_UNANSWERED = 4
 
-_CONFIG_FLAGS: list[tuple[str, type]] = [
-    ("kb", Path), ("entities", Path), ("isa", Path), ("corpus", Path),
-    ("predicate-categories", Path), ("context-weights", Path), ("fixture-overrides", Path),
-    ("index", Path), ("expansion", Path), ("model", Path), ("report", Path),
-    ("observations", Path),
-    ("k", int), ("name-symbol", str), ("em-max-iters", int), ("em-epsilon", float),
-    ("max-question-len", int), ("max-mention-span", int), ("max-value-span", int),
-]
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per setting, ``--x``/``--no-x`` for a bool."""
     parser.add_argument("--config", type=Path, help="key = value settings file")
-    for name, typ in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name}", type=typ, default=None)
-    for name in ("name-restriction", "refine"):
-        group = parser.add_mutually_exclusive_group()
-        dest = name.replace("-", "_")
-        group.add_argument(f"--{name}", dest=dest, action="store_true", default=None)
-        group.add_argument(f"--no-{name}", dest=dest, action="store_false", default=None)
-
-
-def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        name.replace("-", "_"): getattr(args, name.replace("-", "_"))
-        for name, _ in _CONFIG_FLAGS
-    }
-    overrides["name_restriction"] = args.name_restriction
-    overrides["refine"] = args.refine
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    return config_from_values(overrides)
+    for name, kind in SETTINGS.items():
+        flag = name.replace("_", "-")
+        if kind is bool:
+            group = parser.add_mutually_exclusive_group()
+            group.add_argument(f"--{flag}", dest=name, action="store_true", default=None)
+            group.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None)
+        else:
+            parser.add_argument(f"--{flag}", dest=name, type=kind, default=None)
 
 
 def _emit(record: dict) -> None:
@@ -138,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _resolve_config(args)
+        config = load_config(args.config, {name: getattr(args, name) for name in SETTINGS})
         if args.command == "build-index":
             _emit(run_build_index(config))
             return EXIT_OK

@@ -120,13 +120,15 @@ def load_corpus(source: str | Path | IO[str]) -> list[QaPair]:
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
         try:
             question, answer = record["question"], record["answer"]
-            count = int(record.get("count", 1))
+            count = record.get("count", 1)
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ValueError(f"line {lineno}: bad record ({exc})") from exc
         if not (isinstance(question, str) and isinstance(answer, str)):
             raise ValueError(f"line {lineno}: bad record (question and answer must be strings)")
+        if type(count) is not int:  # a bool is an int too
+            raise ValueError(f"line {lineno}: bad record (count must be an integer)")
         if count < 1:
             raise ValueError(f"line {lineno}: count must be >= 1")
         key = (tokenize(question), tokenize(answer))

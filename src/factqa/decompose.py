@@ -55,6 +55,13 @@ class Decomposition:
     def texts(self) -> list[str]:
         return [" ".join(part) for part in self.sequence]
 
+    @property
+    def head(self) -> tuple[int, int]:
+        """The head's ``[start, end)`` window in the question: each later
+        element's slot stands where the substring before it starts."""
+        start = sum(part.index(SLOT) for part in self.sequence[1:])
+        return start, start + len(self.sequence[0])
+
 
 class PatternIndex:
     """Validity counts of the corpus patterns with f_v > 0.
@@ -137,15 +144,10 @@ class Decomposer:
         self.patterns = patterns
         self.max_question_len = max_question_len
 
-    def is_primitive(self, tokens: Tokens, spans: MentionTable | None = None) -> bool:
+    def is_primitive(self, tokens: Tokens) -> bool:
         """A directly answerable question: exactly one entity mention and
-        at least one derivable template the model has a row for.
-
-        ``spans`` is the question's mention table, probed here if not given.
-        """
-        if spans is None:
-            spans = self.engine.probe(tokens)
-        return self._primitive(tokens, spans.mentions())
+        at least one derivable template the model has a row for."""
+        return self._primitive(tokens, self.engine.probe(tokens).mentions())
 
     def _primitive(self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]) -> bool:
         return len({span for span, _ in mentions}) == 1 and any(
@@ -158,13 +160,10 @@ class Decomposer:
 
         A substring's primitivity is read from one mention table of the
         question (``spans``, probed here if not given), so each span is
-        probed once.
+        probed once. The length limit bounds the search, so a primitive
+        question, which needs none, is never refused.
         """
         question = tuple(tokens)
-        if len(question) > self.max_question_len:
-            raise QuestionTooLongError(len(question), self.max_question_len)
-        if not question:
-            return Decomposition([()], 0.0)
         if spans is None:
             spans = self.engine.probe(question)
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
@@ -178,8 +177,10 @@ class Decomposer:
             if self._primitive(sub, spans.mentions(start, end)):
                 best[sub] = (1.0, (sub,))
                 return best[sub]
-            score, sequence = 0.0, (sub,)
             size = end - start
+            if size > self.max_question_len:  # only the whole question can be longer
+                raise QuestionTooLongError(size, self.max_question_len)
+            score, sequence = 0.0, (sub,)
             for length in range(size - 1, 0, -1):  # longest first, then leftmost
                 for a in range(size - length + 1):
                     b = a + length
@@ -195,5 +196,10 @@ class Decomposer:
             best[sub] = (score, sequence)
             return best[sub]
 
-        score, sequence = solve(0, len(question))
+        try:
+            score, sequence = solve(0, len(question))
+        finally:
+            # solve refers to itself; without this, every call leaves a
+            # cycle (and the question's table) for the cyclic collector
+            del solve
         return Decomposition(list(sequence), score)

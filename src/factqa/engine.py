@@ -104,11 +104,12 @@ class AnswerEngine:
                     yield entity, text, p_template, row
 
     def answer_distribution(
-        self, tokens: Tokens, spans: MentionTable | None = None
+        self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]] | None = None
     ) -> AnswerDistribution:
-        """P(value | question); ``spans`` is the question's mention table,
-        probed here if not given."""
-        mentions = (self.probe(tokens) if spans is None else spans).mentions()
+        """P(value | question); ``mentions`` are the question's, from its
+        mention table, probed here if not given."""
+        if mentions is None:
+            mentions = self.probe(tokens).mentions()
         if not mentions:
             return AnswerDistribution({}, reason=REASON_NO_ENTITY)
         p_entity = 1.0 / len(mentions)
@@ -140,11 +141,16 @@ class AnswerEngine:
         entries = {value: m / total for value, m in sorted(raw.items())}
         return AnswerDistribution(entries, traces, enumerations=enumerations)
 
-    def answer_sequence(self, sequence: list[Tokens]) -> SequenceResult:
+    def answer_sequence(
+        self,
+        sequence: list[Tokens],
+        head_mentions: list[tuple[tuple[int, int], str]] | None = None,
+    ) -> SequenceResult:
         """Answer a decomposed question chain by substitution.
 
-        The first element is answered directly; each later element carries
-        a ``$e`` slot that receives the previous answer's surface form.
+        The first element is answered directly, from ``head_mentions`` when
+        given (see ``Decomposition.head``); each later element carries a
+        ``$e`` slot that receives the previous answer's surface form.
         Aborts, reporting the failing index, when any step yields nothing.
         """
         if not sequence:
@@ -154,11 +160,11 @@ class AnswerEngine:
         probability = 0.0
         for i, element in enumerate(sequence):
             if i == 0:
-                question = tuple(element)
+                question, mentions = tuple(element), head_mentions
             else:
                 substitution = tokenize(self.surface(current_value))
-                question = _substitute(tuple(element), substitution)
-            dist = self.answer_distribution(question)
+                question, mentions = _substitute(tuple(element), substitution), None
+            dist = self.answer_distribution(question, mentions)
             top = dist.top()
             if top is None:
                 steps.append({"question": " ".join(question), "reason": dist.reason})

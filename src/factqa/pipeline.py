@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, get_args, get_type_hints
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph
@@ -32,7 +32,7 @@ from .corpus import (
     tokenize,
     write_observations,
 )
-from .decompose import DEFAULT_MAX_QUESTION_LEN, SLOT, Decomposer, PatternIndex, QuestionTooLongError
+from .decompose import DEFAULT_MAX_QUESTION_LEN, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
 from .hasharray import StaticHashArray
 from .kb import (
@@ -111,18 +111,19 @@ class PipelineConfig:
             raise ConfigError("unreadable input files: " + ", ".join(unreadable))
 
 
-_PATH_FIELDS = {
-    "kb", "entities", "isa", "corpus", "predicate_categories", "context_weights",
-    "fixture_overrides", "index", "expansion", "model", "report", "observations",
+# Every setting with the type its text parses to: ``Path``, ``bool``,
+# ``int``, ``float`` or ``str``, read from the annotation without ``| None``.
+# The config-file reader, the range check and the CLI flags all read this.
+SETTINGS: dict[str, type] = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(PipelineConfig).items()
 }
 _INPUT_FIELDS = {
     "kb", "entities", "isa", "corpus", "predicate_categories", "context_weights",
     "fixture_overrides",
 }
-_BOOL_FIELDS = {"name_restriction", "refine"}
 # every integer knob must be >= 1
-_INT_FIELDS = ("k", "em_max_iters", "max_question_len", "max_mention_span", "max_value_span")
-_FLOAT_FIELDS = {"em_epsilon"}
+_INT_FIELDS = tuple(name for name, kind in SETTINGS.items() if kind is int)
 
 
 def _parse_bool(value: str) -> bool:
@@ -134,56 +135,51 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> PipelineConfig:
-    """Read a ``key = value`` config file; later ``overrides`` win.
+def _parse(key: str, value: str, base: Path) -> object:
+    """A config-file value. A relative path resolves against ``base``; a
+    bool setting whose default is None (decided from other settings)
+    also takes ``auto`` for that default."""
+    kind = SETTINGS[key]
+    if kind is Path:
+        return base / value  # an absolute value replaces base
+    if kind is bool:
+        if value.lower() == "auto" and getattr(PipelineConfig, key) is None:
+            return None
+        return _parse_bool(value)
+    return kind(value)
+
+
+def load_config(
+    path: str | Path | None, overrides: Mapping[str, object] | None = None
+) -> PipelineConfig:
+    """Read a ``key = value`` config file, if given; ``overrides`` that are
+    not None win.
 
     Relative paths are resolved against the config file's directory.
     """
-    path = Path(path)
-    base = path.parent
     values: dict[str, object] = {}
-    known = {f.name for f in fields(PipelineConfig)}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+    if path is not None:
+        path = Path(path)
         try:
-            values[key] = _coerce(key, value, base)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in SETTINGS:
+                raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            try:
+                values[key] = _parse(key, value.strip(), path.parent)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return PipelineConfig(**values)
-
-
-def config_from_values(values: dict[str, object]) -> PipelineConfig:
-    return PipelineConfig(**{k: v for k, v in values.items() if v is not None})
-
-
-def _coerce(key: str, value: str, base: Path) -> object:
-    if key in _PATH_FIELDS:
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-    if key == "refine" and value.lower() == "auto":
-        return None
-    if key in _BOOL_FIELDS:
-        return _parse_bool(value)
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    return value
 
 
 def load_entity_dictionary(path: str | Path) -> list[tuple[str, str]]:
@@ -448,37 +444,41 @@ class OnlineSession:
         )
 
     def answer_record(self, question: str) -> dict:
-        """Answer one question, decomposing when it is not primitive."""
+        """Answer one question: directly when its best chain is the question
+        itself, else along the chain."""
         tokens = tokenize(question)
         record: dict = {"question": question}
         spans = self.engine.probe(tokens)
-        if tokens and not self.decomposer.is_primitive(tokens, spans):
-            try:
-                decomposition = self.decomposer.decompose(tokens, spans)
-            except QuestionTooLongError as exc:
-                record.update(answer=None, probability=0.0, reason=str(exc))
-                return record
-            if decomposition.score > 0 and len(decomposition.sequence) > 1:
-                record["decomposition"] = {
-                    "sequence": decomposition.texts,
-                    "score": decomposition.score,
-                }
-                result = self.engine.answer_sequence(decomposition.sequence)
-                if result.value is None:
-                    record.update(
-                        answer=None,
-                        probability=0.0,
-                        reason=f"unanswerable at step {result.failed_index}",
-                        steps=result.steps,
-                    )
-                else:
-                    record.update(
-                        answer=result.value,
-                        probability=result.probability,
-                        steps=result.steps,
-                    )
-                return record
-        dist = self.engine.answer_distribution(tokens, spans)
+        try:
+            decomposition = self.decomposer.decompose(tokens, spans)
+        except QuestionTooLongError as exc:
+            record.update(answer=None, probability=0.0, reason=str(exc))
+            return record
+        # a chain of more than one element scores above 0: the DP replaces
+        # the question itself only on a strict improvement over 0
+        if len(decomposition.sequence) > 1:
+            record["decomposition"] = {
+                "sequence": decomposition.texts,
+                "score": decomposition.score,
+            }
+            result = self.engine.answer_sequence(
+                decomposition.sequence, spans.mentions(*decomposition.head)
+            )
+            if result.value is None:
+                record.update(
+                    answer=None,
+                    probability=0.0,
+                    reason=f"unanswerable at step {result.failed_index}",
+                    steps=result.steps,
+                )
+            else:
+                record.update(
+                    answer=result.value,
+                    probability=result.probability,
+                    steps=result.steps,
+                )
+            return record
+        dist = self.engine.answer_distribution(tokens, spans.mentions())
         top = dist.top()
         if top is None:
             record.update(answer=None, probability=0.0, reason=dist.reason)
@@ -501,10 +501,9 @@ class OnlineSession:
         except QuestionTooLongError as exc:
             return {"question": question, "sequence": [], "score": 0.0,
                     "primitive_flags": [], "reason": str(exc)}
-        flags = [
-            SLOT not in part and self.decomposer.is_primitive(part)
-            for part in decomposition.sequence
-        ]
+        # A positive score comes only from a primitive head; no element
+        # with a slot is primitive.
+        flags = [decomposition.score > 0] + [False] * (len(decomposition.sequence) - 1)
         return {
             "question": question,
             "sequence": decomposition.texts,

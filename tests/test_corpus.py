@@ -94,6 +94,10 @@ def test_load_corpus_rejects_bad_records():
         load_corpus(io.StringIO('{"question": "q", "answer": "a"}\n{"question": "q"}\n'))
     with pytest.raises(ValueError, match="count"):
         load_corpus(io.StringIO('{"question": "q", "answer": "a", "count": 0}\n'))
+    for count in ("2.7", "true", '"3"'):
+        line = f'{{"question": "q", "answer": "a", "count": {count}}}\n'
+        with pytest.raises(ValueError, match=r"line 1: bad record \(count must be an integer\)"):
+            load_corpus(io.StringIO(line))
 
 
 def test_load_predicate_categories_rejects_unknown_category(tmp_path):

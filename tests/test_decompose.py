@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
 import re
@@ -126,6 +127,20 @@ def test_decompose_deterministic(toy_decomposer):
         assert again.score == first.score
 
 
+def test_decompose_leaves_no_reference_cycle(toy_decomposer):
+    # a cycle per call would keep each question's memo and mention table
+    # alive until the cyclic collector runs, which shows as latency spikes
+    for question in ("when was barack obama born", "when was barack obama's wife born"):
+        toy_decomposer.decompose(tokenize(question))
+        gc.collect()
+        gc.disable()
+        try:
+            toy_decomposer.decompose(tokenize(question))
+            assert gc.collect() == 0, question
+        finally:
+            gc.enable()
+
+
 def test_decompose_runtime_23_tokens(toy_decomposer):
     filler = ("so", "tell", "me", "please", "right", "now", "if", "you", "can",
               "indeed", "exactly", "really", "truly", "honestly", "just", "say", "it", "all")
@@ -240,6 +255,8 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
         brute = decompose_bruteforce(decomposer, tokens)
         assert dp.score == brute.score, tokens
         assert dp.sequence == brute.sequence, tokens
+        start, end = dp.head
+        assert tokens[start:end] == dp.sequence[0], tokens
         answered += dp.score > 0
         chained += len(dp.sequence) >= 2
         tied += dp.score > 0 and _chain_scores(decomposer, tokens).count(dp.score) >= 2

@@ -9,11 +9,12 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from factqa.cli import main
+from factqa.cli import build_parser, main
 from factqa.corpus import MentionTable, tokenize
 from factqa.learn import PredicateModel
 from factqa.pipeline import (
@@ -181,7 +182,8 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
     assert record["answer"] == "1964"
     steps = [tuple(step["question"].split()) for step in record["steps"]]
     assert len(steps) == 2
-    assert built == [tokenize("When was Barack Obama's wife born?"), *steps]
+    # the head is answered from the question's own table
+    assert built == [tokenize("When was Barack Obama's wife born?"), *steps[1:]]
 
 
 def test_online_unparseable_question(online):
@@ -234,6 +236,22 @@ def test_answer_record_over_length(online):
     assert "23" in record["reason"]
 
 
+def test_length_limit_applies_only_to_non_primitive_questions(tmp_path):
+    config = make_config(tmp_path, max_question_len=3)
+    run_offline(config)
+    session = OnlineSession(config)
+    assert session.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    assert session.decompose_record("When was Barack Obama born?") == {
+        "question": "When was Barack Obama born?",
+        "sequence": ["when was barack obama born"],
+        "score": 1.0,
+        "primitive_flags": [True],
+    }
+    too_long = "question has 6 tokens, limit is 3"
+    assert session.answer_record("When was Barack Obama's wife born?")["reason"] == too_long
+    assert session.decompose_record("When was Barack Obama's wife born?")["reason"] == too_long
+
+
 # ---------------------------------------------------------------------------
 # config file
 
@@ -259,7 +277,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_load_config_rejects_malformed_values(tmp_path):
     bad = tmp_path / "bad.cfg"
-    for line in ("k = abc", "em-epsilon = small", "refine = maybe"):
+    for line in ("k = abc", "em-epsilon = small", "refine = maybe", "name-restriction = auto"):
         bad.write_text(f"# settings\n{line}\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value for"):
             load_config(bad)
@@ -278,6 +296,31 @@ def test_load_config_overrides_win(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("k = 3\n")
     assert load_config(cfg, {"k": 2}).k == 2
+
+
+# per annotation, a config-file value and what it parses to; on the command
+# line a bool is given as --no-x and any other type as --x <value>
+SETTING_SAMPLES = {
+    "Path | None": (str(DATA.resolve() / "x.tsv"), DATA.resolve() / "x.tsv"),
+    "int": ("7", 7),
+    "float": ("0.5", 0.5),
+    "str": ("label", "label"),
+    "bool": ("off", False),
+    "bool | None": ("off", False),
+}
+
+
+@pytest.mark.parametrize("setting", fields(PipelineConfig), ids=lambda f: f.name)
+def test_config_key_and_cli_flag_parse_alike(tmp_path, setting):
+    key = setting.name.replace("_", "-")
+    text, expected = SETTING_SAMPLES[setting.type]
+    assert getattr(PipelineConfig(), setting.name) != expected
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert getattr(load_config(cfg), setting.name) == expected
+    flags = [f"--no-{key}"] if expected is False else [f"--{key}", text]
+    args = build_parser().parse_args(["answer", *flags, "q"])
+    assert getattr(args, setting.name) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +557,11 @@ def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
          "pattern counts must satisfy 1 <= f_v <= f_o, got f_v=3, f_o=2", [("answer", 2)]),
         ("corpus.jsonl", '{"question": 5, "answer": "x"}',
          "bad record (question and answer must be strings)", [("pipeline", 3)]),
+        ("corpus.jsonl", '{"question": "q", "answer": "x", "count": 2.7}',
+         "bad record (count must be an integer)", [("pipeline", 3)]),
     ],
     ids=["isa", "context-weights", "overrides", "categories", "model", "isa-weight", "patterns",
-         "corpus"],
+         "corpus", "corpus-count"],
 )
 def test_cli_malformed_field_names_file_and_line(built_data, name, row, message, commands):
     path = built_data / name
