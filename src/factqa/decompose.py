@@ -13,6 +13,11 @@ spans are tried longest first, then leftmost, and only a strict improvement
 replaces the best so far, so that order breaks ties. Only substrings behind
 a pattern of positive validity are ever scored, and each distinct substring
 is scored once.
+
+An inner span is tried only if it holds an entity span of the question.
+This is exact: a window with no entity span has no mention, so neither it
+nor any window inside it is primitive, it scores 0, and the candidate
+validity times 0 never strictly improves on the best so far.
 """
 
 from __future__ import annotations
@@ -166,6 +171,14 @@ class Decomposer:
         question = tuple(tokens)
         if spans is None:
             spans = self.engine.probe(question)
+        # first_end[i]: the least end of an entity span starting at i or
+        # later; [i, j) holds an entity span iff first_end[i] <= j
+        n = len(question)
+        first_end = [n + 1] * (n + 1)
+        for i, j in spans.entities:
+            first_end[i] = min(first_end[i], j)
+        for i in range(n - 1, -1, -1):
+            first_end[i] = min(first_end[i], first_end[i + 1])
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
 
         def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:
@@ -184,6 +197,8 @@ class Decomposer:
             for length in range(size - 1, 0, -1):  # longest first, then leftmost
                 for a in range(size - length + 1):
                     b = a + length
+                    if first_end[start + a] > start + b:  # no entity span: scores 0
+                        continue
                     pattern = sub[:a] + (SLOT,) + sub[b:]
                     p_pattern = self.patterns.validity(pattern)[2]
                     if p_pattern <= 0:
@@ -197,7 +212,7 @@ class Decomposer:
             return best[sub]
 
         try:
-            score, sequence = solve(0, len(question))
+            score, sequence = solve(0, n)
         finally:
             # solve refers to itself; without this, every call leaves a
             # cycle (and the question's table) for the cyclic collector

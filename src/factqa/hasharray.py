@@ -9,7 +9,8 @@ flat file.
 
 Lookups never miss an inserted key; distinct keys can collide on both
 halves, so a lookup may return extra payloads, which callers filter by
-membership checks downstream.
+membership checks downstream. The index also records its longest key in
+words, so span probing can skip spans too long to be a key.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from pathlib import Path
 from typing import IO, Iterable
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 2
-_HEADER = struct.Struct("<7sIQQ")
+VERSION = 3
+_HEADER = struct.Struct("<7sIQQQ")
 _DIGEST = struct.Struct("<QQ")
 
 
@@ -50,12 +51,13 @@ class StaticHashArray:
 
     ``offsets`` has bucket_count + 1 entries in prefix-sum form;
     ``items`` interleaves (fingerprint, payload) pairs. Items of one
-    bucket are adjacent, in insertion order.
+    bucket are adjacent, in insertion order. ``max_words`` is the largest
+    ``key.count(" ") + 1`` over the keys, 0 when there are none.
     """
 
-    __slots__ = ("bucket_count", "_mask", "offsets", "items")
+    __slots__ = ("bucket_count", "_mask", "offsets", "items", "max_words")
 
-    def __init__(self, bucket_count: int, offsets: array, items: array):
+    def __init__(self, bucket_count: int, offsets: array, items: array, max_words: int):
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise IndexFormatError("bucket count must be a positive power of two")
         if len(offsets) != bucket_count + 1:
@@ -64,10 +66,15 @@ class StaticHashArray:
             raise IndexFormatError("corrupt offsets section: not a prefix sum")
         if offsets[bucket_count] * 2 != len(items):
             raise IndexFormatError("corrupt offsets section: item count mismatch")
+        if (max_words == 0) != (not items):
+            raise IndexFormatError(
+                f"corrupt header: longest key of {max_words} words for {len(items) // 2} items"
+            )
         self.bucket_count = bucket_count
         self._mask = bucket_count - 1
         self.offsets = offsets
         self.items = items
+        self.max_words = max_words
 
     def __len__(self) -> int:
         return len(self.items) // 2
@@ -109,7 +116,8 @@ class StaticHashArray:
                 items.append(payload)
             pos += len(bucket)
         offsets[bucket_count] = pos
-        return cls(bucket_count, offsets, items)
+        max_words = max((key.count(" ") + 1 for key, _ in uniq), default=0)
+        return cls(bucket_count, offsets, items, max_words)
 
     def lookup(self, key: str) -> list[int]:
         """Payloads stored under fingerprints matching this key.
@@ -127,7 +135,7 @@ class StaticHashArray:
         return out
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self))
+        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self), self.max_words)
         return header + _as_le(self.offsets).tobytes() + _as_le(self.items).tobytes()
 
     def save(self, target: str | Path | IO[bytes]) -> None:
@@ -145,7 +153,7 @@ class StaticHashArray:
         raw = source.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise IndexFormatError("truncated header")
-        magic, version, bucket_count, item_count = _HEADER.unpack(raw)
+        magic, version, bucket_count, item_count, max_words = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise IndexFormatError("bad magic")
         if version != VERSION:
@@ -160,6 +168,8 @@ class StaticHashArray:
         items_raw = source.read(item_count * 16)
         if len(items_raw) < item_count * 16:
             raise IndexFormatError("truncated items section")
+        if source.read(1):
+            raise IndexFormatError("trailing bytes after the items section")
         offsets = array("Q")
         offsets.frombytes(offsets_raw)
         items = array("Q")
@@ -167,16 +177,18 @@ class StaticHashArray:
         if sys.byteorder != "little":
             offsets.byteswap()
             items.byteswap()
-        return cls(bucket_count, offsets, items)
+        return cls(bucket_count, offsets, items, max_words)
 
 
 class SpanTable:
     """Every span of a token sequence probed once against an index.
 
     ``payloads`` maps each span (i, j) with ``j - i <= max_span`` that hits
-    the index to its sorted unique payloads. Tokens must already carry
-    whatever normalization was applied to the indexed keys. The greedy walk
-    works on any ``[start, end)`` window, so one table serves every
+    the index to its sorted unique payloads. Spans longer than the index's
+    longest key are not probed: m tokens joined by spaces hold at least
+    m - 1 spaces, so they equal no key of fewer words. Tokens must already
+    carry whatever normalization was applied to the indexed keys. The greedy
+    walk works on any ``[start, end)`` window, so one table serves every
     substring of the sequence.
     """
 
@@ -186,6 +198,7 @@ class SpanTable:
         self.payloads: dict[tuple[int, int], list[int]] = {}
         # hit ends per start, longest first: the greedy walk's probe order
         self._ends: list[list[int]] = [[] for _ in range(n)]
+        max_span = min(max_span, index.max_words)
         for i in range(n):
             for j in range(min(n, i + max_span), i, -1):
                 candidates = index.lookup(" ".join(toks[i:j]))

@@ -199,9 +199,16 @@ class PredicateModel:
     @classmethod
     def load(cls, source: str | Path | IO[str]) -> "PredicateModel":
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for template, path_text, prob in read_tsv(source, 3, convert_last(float)):
+        for template, path_text, prob in read_tsv(source, 3, convert_last(_probability)):
             rows.setdefault(template, {})[tuple(path_text.split("|"))] = prob
         return cls(rows)
+
+
+def _probability(text: str) -> float:
+    prob = float(text)
+    if not 0.0 <= prob <= 1.0:  # also refuses nan
+        raise ValueError(f"probability must be a finite number in [0, 1], got {text!r}")
+    return prob
 
 
 @dataclass

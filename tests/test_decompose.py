@@ -13,6 +13,7 @@ import pytest
 from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
+from factqa.hasharray import StaticHashArray
 from factqa.kb import TsvParseError, load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
@@ -263,6 +264,112 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
     assert answered >= len(questions) / 2
     assert chained >= len(questions) / 4
     assert tied >= 1
+
+
+# ---------------------------------------------------------------------------
+# Only windows that hold an entity span are tried
+
+ONE_TOKEN_CORPUS = [
+    "when was obama born",
+    "obama's wife",
+    "the wife of obama",
+    "obama's wife in honolulu",
+    "how many people live in honolulu",
+]
+FILLER = ["when", "was", "born", "wife", "the", "of", "in", "how", "many", "people", "live"]
+
+
+@pytest.fixture(scope="module")
+def one_token_decomposer(data_dir):
+    """Both entities have one-token surfaces, so a question's entity spans
+    sit exactly where its "obama" and "honolulu" tokens are."""
+    kb = load_kb(data_dir / "toy_kb.tsv")
+    index = StaticHashArray.build(
+        [("obama", kb.node_id("BarackObama")), ("honolulu", kb.node_id("Honolulu"))]
+    )
+    from factqa.concepts import ConceptGraph
+
+    spouse = ("marriage", "person", "name")
+    model = PredicateModel({
+        "$person wife": {spouse: 1.0},
+        "the wife of $person": {spouse: 1.0},
+        "when was $person born": {("dob",): 1.0},
+        "how many people live in $city": {("population",): 1.0},
+    })
+    probed = probe_corpus(kb, index, [QaPair(tokenize(q), ("a",)) for q in ONE_TOKEN_CORPUS])
+    patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
+    return Decomposer(AnswerEngine(kb, index, ConceptGraph.load(data_dir / "isa.tsv"), model),
+                      patterns)
+
+
+def _placed_questions(placement: str) -> list[tuple[str, ...]]:
+    """Questions of at most 8 tokens whose entity spans are a first token,
+    a last token, or two tokens anywhere; a few known chains first."""
+    known = {
+        "first": ["obama's wife wife", "obama's wife wife wife"],
+        "last": ["the wife of the wife of obama", "how many people live in honolulu"],
+        "one-of-two": ["obama's wife wife in honolulu", "when was obama's wife born honolulu"],
+    }[placement]
+    questions = [tokenize(q) for q in known]
+    rng = random.Random(f"placed-{placement}")
+    while len(questions) < 60:
+        filler = [rng.choice(FILLER) for _ in range(rng.randrange(1, 7))]
+        if placement == "first":
+            tokens = [rng.choice(["obama", "obama's"])] + filler
+        elif placement == "last":
+            tokens = filler + [rng.choice(["obama", "honolulu"])]
+        else:
+            for entity in ("honolulu", rng.choice(["obama", "obama's"])):
+                filler.insert(rng.randrange(len(filler) + 1), entity)
+            tokens = filler
+        questions.append(tuple(tokens))
+    return questions
+
+
+@pytest.mark.parametrize("placement", ["first", "last", "one-of-two"])
+def test_dp_equals_bruteforce_with_few_entity_windows(one_token_decomposer, placement):
+    decomposer = one_token_decomposer
+    spans_per_question = {"first": 1, "last": 1, "one-of-two": 2}[placement]
+    chained = 0
+    for tokens in _placed_questions(placement):
+        spans = decomposer.engine.probe(tokens).entity_spans()
+        assert len(spans) == spans_per_question, tokens
+        if placement == "first":
+            assert spans == {(0, 1)}, tokens
+        elif placement == "last":
+            assert spans == {(len(tokens) - 1, len(tokens))}, tokens
+        dp = decomposer.decompose(tokens)
+        brute = decompose_bruteforce(decomposer, tokens)
+        assert dp.score == brute.score, tokens
+        assert dp.sequence == brute.sequence, tokens
+        chained += len(dp.sequence) >= 2 and dp.score > 0
+    assert chained >= 1
+
+
+def test_validity_is_asked_only_about_windows_holding_an_entity(one_token_decomposer,
+                                                                monkeypatch):
+    # With one entity token and no other token equal to it, an inner window
+    # holds the entity span exactly when its pattern has no entity token left.
+    decomposer = one_token_decomposer
+    asked: list[tuple[str, ...]] = []
+    validity = decomposer.patterns.validity
+
+    def counting_validity(pattern):
+        asked.append(pattern)
+        return validity(pattern)
+
+    monkeypatch.setattr(decomposer.patterns, "validity", counting_validity)
+    questions = _placed_questions("first") + _placed_questions("last")
+    for tokens in questions:
+        decomposer.decompose(tokens)
+    entity_tokens = {"obama", "obama's", "honolulu"}
+    assert asked
+    assert not [p for p in asked if entity_tokens & set(p)]
+    # the exhaustive oracle tries every window, so it does ask about those
+    asked.clear()
+    for tokens in questions:
+        decompose_bruteforce(decomposer, tokens)
+    assert [p for p in asked if entity_tokens & set(p)]
 
 
 @pytest.mark.parametrize(

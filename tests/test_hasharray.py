@@ -146,7 +146,7 @@ def test_truncated_items_section():
 
 def test_truncated_offsets_section():
     idx = StaticHashArray.build([("alpha", 7)])
-    header_size = 7 + 4 + 8 * 2
+    header_size = 7 + 4 + 8 * 3
     blob = idx.to_bytes()[: header_size + 4]
     with pytest.raises(IndexFormatError, match="truncated offsets section"):
         StaticHashArray.load(io.BytesIO(blob))
@@ -172,8 +172,42 @@ def test_version_1_header_names_the_version():
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(IndexFormatError, match="index format version 1, expected 2"):
+    with pytest.raises(IndexFormatError, match="index format version 1, expected 3"):
         StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_version_2_header_names_the_version():
+    # the layout written before the longest-key field
+    idx = StaticHashArray.build([("alpha", 7)])
+    header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
+    blob = header + idx.to_bytes()[7 + 4 + 8 * 3:]
+    with pytest.raises(IndexFormatError, match="index format version 2, expected 3"):
+        StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_max_words_round_trips():
+    idx = StaticHashArray.build([("alpha", 1), ("barack obama", 2), ("new york city", 3)])
+    assert idx.max_words == 3
+    assert StaticHashArray.load(io.BytesIO(idx.to_bytes())).max_words == 3
+    assert StaticHashArray.build([]).max_words == 0
+
+
+def _with_max_words(blob: bytes, max_words: int) -> bytes:
+    return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", max_words) + blob[7 + 4 + 8 * 3:]
+
+
+@pytest.mark.parametrize("entries, max_words", [([("alpha", 7)], 0), ([], 1)],
+                         ids=["zero-for-keys", "nonzero-for-none"])
+def test_corrupt_max_words_refused(entries, max_words):
+    blob = _with_max_words(StaticHashArray.build(entries).to_bytes(), max_words)
+    with pytest.raises(IndexFormatError, match="corrupt header"):
+        StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_trailing_bytes_refused():
+    blob = StaticHashArray.build([("alpha", 7), ("beta", 8)]).to_bytes()
+    with pytest.raises(IndexFormatError, match="trailing bytes after the items section"):
+        StaticHashArray.load(io.BytesIO(blob + b"garbage!"))
 
 
 def test_key_hash_is_blake2b_split_in_halves():

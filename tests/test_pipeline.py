@@ -483,7 +483,7 @@ def test_cli_truncated_index_exits_2_naming_the_file(built_data):
 
 def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     index = built_data / "out" / "toy.index"
-    body = index.read_bytes()[7 + 4 + 8 * 2:]
+    body = index.read_bytes()[7 + 4 + 8 * 3:]
     # header of the layout written before the single key hash: two seed
     # fields between the version and the counts
     header = struct.pack("<7sIQQ", b"SHA1DX\x00", 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F)
@@ -493,7 +493,53 @@ def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(index) in proc.stderr
-    assert "index format version 1, expected 2: rerun the offline flow" in proc.stderr
+    assert "index format version 1, expected 3: rerun the offline flow" in proc.stderr
+
+
+def _corrupt_v3_header(blob: bytes) -> bytes:
+    return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", 0) + blob[7 + 4 + 8 * 3:]
+
+
+def _v2_layout(blob: bytes) -> bytes:
+    # the header written before the longest-key field
+    return struct.pack("<7sIQQ", b"SHA1DX\x00", 2, *struct.unpack_from("<QQ", blob, 11)) + (
+        blob[7 + 4 + 8 * 3:]
+    )
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (_corrupt_v3_header, "corrupt header: longest key of 0 words for 3 items"),
+        (lambda blob: blob + b"garbage!", "trailing bytes after the items section"),
+        (_v2_layout, "index format version 2, expected 3"),
+    ],
+    ids=["zero-max-words", "trailing-bytes", "version-2"],
+)
+def test_cli_refused_index_exits_2(built_data, rewrite, message):
+    index = built_data / "out" / "toy.index"
+    index.write_bytes(rewrite(index.read_bytes()))
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(index) in proc.stderr
+    assert f"{message}: rerun the offline flow" in proc.stderr
+
+
+@pytest.mark.parametrize("prob", ["nan", "-3", "inf", "1.5"])
+def test_cli_model_probability_outside_0_1_exits_2(built_data, prob):
+    model = built_data / "out" / "toy.model.tsv"
+    rows = model.read_text().splitlines(keepends=True)
+    assert rows[0].startswith("how many people are there in $city\tpopulation\t")
+    rows[0] = f"how many people are there in $city\tpopulation\t{prob}\n"
+    model.write_text("".join(rows))
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "How many people are there in Honolulu?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{model}: line 1: probability must be a finite number in [0, 1]" in proc.stderr
+    assert "NaN" not in proc.stdout
 
 
 def test_online_unparseable_model_is_a_config_error(tmp_path):

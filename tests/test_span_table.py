@@ -92,3 +92,25 @@ def test_table_primitivity_matches_is_primitive_on_every_substring(
                 assert from_table == decomposer.is_primitive(sub), sub
                 primitive_seen += from_table
     assert primitive_seen > 0
+
+
+def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypatch):
+    index, _ = toy_index
+    assert index.max_words == 2
+    tokens = tokenize("when was barack obama's wife michelle obama born")
+    assert len(tokens) == 8
+    probed: list[str] = []
+    lookup = StaticHashArray.lookup
+
+    def counting_lookup(self, key):
+        probed.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
+    table = MentionTable(toy_kb, index, tokens, max_span=5)
+    assert len(probed) == 8 + 7  # every span of one or two tokens, once
+    assert all(len(key.split(" ")) <= 2 for key in probed)
+    monkeypatch.undo()
+    assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, 5)
+    assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, 5)
+    assert table.entity_spans() == {(2, 4), (5, 7)}
