@@ -292,18 +292,16 @@ class EntityValueExtractor:
         """KB nodes named by some contiguous answer span.
 
         A span matches a node either by normalized node text or through
-        the entity index (so multi-word entity values resolve too).
+        the answer's ``SpanTable`` (so multi-word entity values resolve too).
         """
         by_text = self._nodes_by_text
         found: set[str] = set()
         n = len(answer)
         for i in range(n):
             for j in range(i + 1, min(n, i + self.max_value_span) + 1):
-                text = " ".join(answer[i:j])
-                found.update(by_text.get(text, ()))
-                for payload in self.index.lookup(text):
-                    if self.kb.has_node_id(payload):
-                        found.add(self.kb.node_name(payload))
+                found.update(by_text.get(" ".join(answer[i:j]), ()))
+        for payloads in SpanTable(self.index, answer, self.max_value_span).payloads.values():
+            found.update(self.kb.node_name(p) for p in payloads if self.kb.has_node_id(p))
         return {v for v in found if v in self.kb.nodes}
 
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:

@@ -18,11 +18,14 @@ An inner span is tried only if it holds an entity span of the question.
 This is exact: a window with no entity span has no mention, so neither it
 nor any window inside it is primitive, it scores 0, and the candidate
 validity times 0 never strictly improves on the best so far.
+
+A substring with one mention span lists its supported templates once: it is
+primitive iff the list is non-empty, and answering reuses the head's list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
@@ -30,7 +33,7 @@ from .corpus import MentionTable, Tokens
 from .kb import read_tsv
 
 if TYPE_CHECKING:  # the engine imports SLOT from here
-    from .engine import AnswerEngine
+    from .engine import AnswerEngine, SupportedTemplate
 
 SLOT = "$e"
 
@@ -50,11 +53,14 @@ class Decomposition:
 
     ``sequence[0]`` is the head question; later elements contain the
     ``$e`` slot. A score of zero means no valid decomposition was found
-    and the sequence is the question itself.
+    and the sequence is the question itself. ``walk`` lists the head's
+    ``supported_templates`` for ``answer_distribution``, or is None when the
+    head has not exactly one mention span.
     """
 
     sequence: list[Tokens]
     score: float
+    walk: list[SupportedTemplate] | None = field(default=None, repr=False)
 
     @property
     def texts(self) -> list[str]:
@@ -152,12 +158,14 @@ class Decomposer:
     def is_primitive(self, tokens: Tokens) -> bool:
         """A directly answerable question: exactly one entity mention and
         at least one derivable template the model has a row for."""
-        return self._primitive(tokens, self.engine.probe(tokens).mentions())
+        return bool(self._walk(tokens, self.engine.probe(tokens).mentions()))
 
-    def _primitive(self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]) -> bool:
-        return len({span for span, _ in mentions}) == 1 and any(
-            self.engine.supported_templates(tokens, mentions)
-        )
+    def _walk(
+        self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]
+    ) -> list[SupportedTemplate] | None:
+        """The supported templates of a question with one mention span, else None."""
+        one_span = len({span for span, _ in mentions}) == 1
+        return list(self.engine.supported_templates(tokens, mentions)) if one_span else None
 
     def decompose(self, tokens: Tokens, spans: MentionTable | None = None) -> Decomposition:
         """Best-scoring chain by memoized recursion over the substrings a
@@ -180,14 +188,16 @@ class Decomposer:
         for i in range(n - 1, -1, -1):
             first_end[i] = min(first_end[i], first_end[i + 1])
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
+        walks: dict[Tokens, list[SupportedTemplate] | None] = {}
 
         def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:
             sub = question[start:end]
             if sub in best:
                 return best[sub]
+            walks[sub] = self._walk(sub, spans.mentions(start, end))
             # Every validity is at most 1 (f_v <= f_o), so no chain can
             # strictly beat a primitive substring's score of 1.
-            if self._primitive(sub, spans.mentions(start, end)):
+            if walks[sub]:
                 best[sub] = (1.0, (sub,))
                 return best[sub]
             size = end - start
@@ -217,4 +227,4 @@ class Decomposer:
             # solve refers to itself; without this, every call leaves a
             # cycle (and the question's table) for the cyclic collector
             del solve
-        return Decomposition(list(sequence), score)
+        return Decomposition(list(sequence), score, walks[sequence[0]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .concepts import ConceptGraph, derive_templates
 from .corpus import MentionTable, Tokens, tokenize
@@ -22,6 +22,8 @@ from .learn import PredicateModel
 REASON_NO_ENTITY = "no entity"
 REASON_NO_TEMPLATE = "no template"
 REASON_NO_VALUE = "no value"
+
+SupportedTemplate = tuple[str, str, float, Mapping[PredicatePath, float]]
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class AnswerEngine:
 
     def supported_templates(
         self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]
-    ) -> Iterator[tuple[str, str, float, Mapping[PredicatePath, float]]]:
+    ) -> Iterator[SupportedTemplate]:
         """(entity, template text, P(template), model row) for each template
         derived from a mention that the model has a row for; per mention,
         in template text order."""
@@ -104,20 +106,26 @@ class AnswerEngine:
                     yield entity, text, p_template, row
 
     def answer_distribution(
-        self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]] | None = None
+        self,
+        tokens: Tokens,
+        mentions: list[tuple[tuple[int, int], str]] | None = None,
+        walk: Iterable[SupportedTemplate] | None = None,
     ) -> AnswerDistribution:
         """P(value | question); ``mentions`` are the question's, from its
-        mention table, probed here if not given."""
+        mention table, probed here if not given; ``walk`` their
+        ``supported_templates`` (``Decomposition.walk``), walked here if not."""
         if mentions is None:
             mentions = self.probe(tokens).mentions()
         if not mentions:
             return AnswerDistribution({}, reason=REASON_NO_ENTITY)
+        if walk is None:
+            walk = self.supported_templates(tokens, mentions)
         p_entity = 1.0 / len(mentions)
         masses: dict[str, list[float]] = {}
         traces: dict[str, Trace] = {}
         supported = False
         enumerations = 0
-        for entity, template, p_template, row in self.supported_templates(tokens, mentions):
+        for entity, template, p_template, row in walk:
             supported = True
             for path in sorted(row):
                 theta = row[path]
@@ -145,12 +153,13 @@ class AnswerEngine:
         self,
         sequence: list[Tokens],
         head_mentions: list[tuple[tuple[int, int], str]] | None = None,
+        head_walk: Iterable[SupportedTemplate] | None = None,
     ) -> SequenceResult:
         """Answer a decomposed question chain by substitution.
 
-        The first element is answered directly, from ``head_mentions`` when
-        given (see ``Decomposition.head``); each later element carries a
-        ``$e`` slot that receives the previous answer's surface form.
+        The first element is answered directly, from ``head_mentions`` and
+        ``head_walk`` if given (see ``Decomposition``); each later element
+        carries a ``$e`` slot that receives the previous answer's surface form.
         Aborts, reporting the failing index, when any step yields nothing.
         """
         if not sequence:
@@ -160,11 +169,11 @@ class AnswerEngine:
         probability = 0.0
         for i, element in enumerate(sequence):
             if i == 0:
-                question, mentions = tuple(element), head_mentions
+                question, mentions, walk = tuple(element), head_mentions, head_walk
             else:
                 substitution = tokenize(self.surface(current_value))
-                question, mentions = _substitute(tuple(element), substitution), None
-            dist = self.answer_distribution(question, mentions)
+                question, mentions, walk = _substitute(tuple(element), substitution), None, None
+            dist = self.answer_distribution(question, mentions, walk)
             top = dist.top()
             if top is None:
                 steps.append({"question": " ".join(question), "reason": dist.reason})

@@ -10,7 +10,8 @@ flat file.
 Lookups never miss an inserted key; distinct keys can collide on both
 halves, so a lookup may return extra payloads, which callers filter by
 membership checks downstream. The index also records its longest key in
-words, so span probing can skip spans too long to be a key.
+words and a crc32 bitset over its key tokens (crc32, unlike ``hash()``, is
+the same in every process), so span probing can skip spans that equal no key.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import hashlib
 import struct
 import sys
+import zlib
 from array import array
 from pathlib import Path
 from typing import IO, Iterable
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 3
-_HEADER = struct.Struct("<7sIQQQ")
+VERSION = 4
+_HEADER = struct.Struct("<7sIQQQQ")
 _DIGEST = struct.Struct("<QQ")
 
 
@@ -46,6 +48,13 @@ def _as_le(arr: array) -> array:
     return swapped
 
 
+def _read_exact(source: IO[bytes], size: int, section: str) -> bytes:
+    data = source.read(size)
+    if len(data) < size:
+        raise IndexFormatError(f"truncated {section}")
+    return data
+
+
 class StaticHashArray:
     """Read-only mapping from string keys to u64 payloads.
 
@@ -53,11 +62,15 @@ class StaticHashArray:
     ``items`` interleaves (fingerprint, payload) pairs. Items of one
     bucket are adjacent, in insertion order. ``max_words`` is the largest
     ``key.count(" ") + 1`` over the keys, 0 when there are none.
+    ``token_filter`` is a bitset of a power-of-two byte count, at least the
+    number of distinct key tokens: 8 to 16 bits per token.
     """
 
-    __slots__ = ("bucket_count", "_mask", "offsets", "items", "max_words")
+    __slots__ = ("bucket_count", "_mask", "offsets", "items", "max_words", "token_filter",
+                 "_token_mask")
 
-    def __init__(self, bucket_count: int, offsets: array, items: array, max_words: int):
+    def __init__(self, bucket_count: int, offsets: array, items: array, max_words: int,
+                 token_filter: bytes):
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise IndexFormatError("bucket count must be a positive power of two")
         if len(offsets) != bucket_count + 1:
@@ -75,6 +88,8 @@ class StaticHashArray:
         self.offsets = offsets
         self.items = items
         self.max_words = max_words
+        self.token_filter = bytes(token_filter)
+        self._token_mask = len(token_filter) * 8 - 1
 
     def __len__(self) -> int:
         return len(self.items) // 2
@@ -117,7 +132,17 @@ class StaticHashArray:
             pos += len(bucket)
         offsets[bucket_count] = pos
         max_words = max((key.count(" ") + 1 for key, _ in uniq), default=0)
-        return cls(bucket_count, offsets, items, max_words)
+        tokens = {token for key, _ in uniq for token in key.split(" ")}
+        token_filter = bytearray(1 << max(len(tokens) - 1, 0).bit_length())
+        for token in tokens:
+            bit = zlib.crc32(token.encode("utf-8")) & (len(token_filter) * 8 - 1)
+            token_filter[bit >> 3] |= 1 << (bit & 7)
+        return cls(bucket_count, offsets, items, max_words, token_filter)
+
+    def has_token(self, token: str) -> bool:
+        """False only when no key has ``token`` as a ``split(" ")`` piece."""
+        bit = zlib.crc32(token.encode("utf-8")) & self._token_mask
+        return self.token_filter[bit >> 3] >> (bit & 7) & 1 == 1
 
     def lookup(self, key: str) -> list[int]:
         """Payloads stored under fingerprints matching this key.
@@ -135,8 +160,10 @@ class StaticHashArray:
         return out
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self), self.max_words)
-        return header + _as_le(self.offsets).tobytes() + _as_le(self.items).tobytes()
+        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self), self.max_words,
+                              len(self.token_filter))
+        return (header + _as_le(self.offsets).tobytes() + _as_le(self.items).tobytes()
+                + self.token_filter)
 
     def save(self, target: str | Path | IO[bytes]) -> None:
         if isinstance(target, (str, Path)):
@@ -150,10 +177,8 @@ class StaticHashArray:
         if isinstance(source, (str, Path)):
             with open(source, "rb") as fp:
                 return cls.load(fp)
-        raw = source.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise IndexFormatError("truncated header")
-        magic, version, bucket_count, item_count, max_words = _HEADER.unpack(raw)
+        raw = _read_exact(source, _HEADER.size, "header")
+        magic, version, bucket_count, item_count, max_words, filter_bytes = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise IndexFormatError("bad magic")
         if version != VERSION:
@@ -162,14 +187,13 @@ class StaticHashArray:
             )
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise IndexFormatError("corrupt header: bad bucket count")
-        offsets_raw = source.read((bucket_count + 1) * 8)
-        if len(offsets_raw) < (bucket_count + 1) * 8:
-            raise IndexFormatError("truncated offsets section")
-        items_raw = source.read(item_count * 16)
-        if len(items_raw) < item_count * 16:
-            raise IndexFormatError("truncated items section")
+        if filter_bytes <= 0 or filter_bytes & (filter_bytes - 1):
+            raise IndexFormatError(f"corrupt token filter: {filter_bytes} bytes, not a power of two")
+        offsets_raw = _read_exact(source, (bucket_count + 1) * 8, "offsets section")
+        items_raw = _read_exact(source, item_count * 16, "items section")
+        token_filter = _read_exact(source, filter_bytes, "token filter")
         if source.read(1):
-            raise IndexFormatError("trailing bytes after the items section")
+            raise IndexFormatError("trailing bytes after the token filter")
         offsets = array("Q")
         offsets.frombytes(offsets_raw)
         items = array("Q")
@@ -177,19 +201,21 @@ class StaticHashArray:
         if sys.byteorder != "little":
             offsets.byteswap()
             items.byteswap()
-        return cls(bucket_count, offsets, items, max_words)
+        return cls(bucket_count, offsets, items, max_words, token_filter)
 
 
 class SpanTable:
     """Every span of a token sequence probed once against an index.
 
     ``payloads`` maps each span (i, j) with ``j - i <= max_span`` that hits
-    the index to its sorted unique payloads. Spans longer than the index's
-    longest key are not probed: m tokens joined by spaces hold at least
-    m - 1 spaces, so they equal no key of fewer words. Tokens must already
-    carry whatever normalization was applied to the indexed keys. The greedy
-    walk works on any ``[start, end)`` window, so one table serves every
-    substring of the sequence.
+    the index to its sorted unique payloads. A span that can equal no key is
+    not probed, so only a fingerprint false positive is lost: one longer
+    than the longest key (m tokens joined by spaces hold m - 1 spaces), or
+    one with a token that has a ``split(" ")`` piece the token filter
+    misses (a span equal to a key splits into exactly that key's tokens).
+    Tokens must already carry whatever normalization was applied to the
+    indexed keys. The greedy walk works on any ``[start, end)`` window, so
+    one table serves every substring of the sequence.
     """
 
     def __init__(self, index: StaticHashArray, tokens: Iterable[str], max_span: int = 5):
@@ -199,8 +225,13 @@ class SpanTable:
         # hit ends per start, longest first: the greedy walk's probe order
         self._ends: list[list[int]] = [[] for _ in range(n)]
         max_span = min(max_span, index.max_words)
+        has = index.has_token
+        in_keys = [has(tok) if " " not in tok else all(map(has, tok.split(" "))) for tok in toks]
         for i in range(n):
-            for j in range(min(n, i + max_span), i, -1):
+            end = i  # extend over the run of tokens the filter hits
+            while end < n and end - i < max_span and in_keys[end]:
+                end += 1
+            for j in range(end, i, -1):
                 candidates = index.lookup(" ".join(toks[i:j]))
                 if candidates:
                     self.payloads[(i, j)] = sorted(set(candidates))

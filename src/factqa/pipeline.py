@@ -303,7 +303,9 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
     index, _ = build_entity_index(inputs.kb, inputs.dictionary)
     if config.index is not None:
         index.save(run.path_for(config.index))
-    log.info("built entity index: %d items", len(index))
+    tokens = {t for node, s in inputs.dictionary if node in inputs.kb.nodes for t in tokenize(s)}
+    log.info("built entity index: %d items, longest key %d words, %d distinct key tokens, "
+             "%d filter bytes", len(index), index.max_words, len(tokens), len(index.token_filter))
     return index
 
 
@@ -462,7 +464,7 @@ class OnlineSession:
                 "score": decomposition.score,
             }
             result = self.engine.answer_sequence(
-                decomposition.sequence, spans.mentions(*decomposition.head)
+                decomposition.sequence, spans.mentions(*decomposition.head), decomposition.walk
             )
             if result.value is None:
                 record.update(
@@ -478,7 +480,7 @@ class OnlineSession:
                     steps=result.steps,
                 )
             return record
-        dist = self.engine.answer_distribution(tokens, spans.mentions())
+        dist = self.engine.answer_distribution(tokens, spans.mentions(), decomposition.walk)
         top = dist.top()
         if top is None:
             record.update(answer=None, probability=0.0, reason=dist.reason)

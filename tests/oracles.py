@@ -2,7 +2,9 @@
 
 - The mention loops as they stood before every question's spans were
   probed once into a table: a lazy greedy walk that probes the index span
-  by span, and an all-span loop that probes every span again.
+  by span, and an all-span loop that probes every span again. Neither
+  skips a span for its length or its tokens, and neither does the answer
+  span loop of value extraction.
 - A depth-first path finder between two nodes, next to the streaming
   expansion.
 - A counting estimate of P(path | template), next to EM.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from math import fsum
 
-from factqa.corpus import Tokens, lookup_tokens
+from factqa.corpus import EntityValueExtractor, Tokens, lookup_tokens, normalize_text
 from factqa.decompose import SLOT, Decomposer, Decomposition, QuestionTooLongError
 from factqa.hasharray import StaticHashArray
 from factqa.kb import NAME_PREDICATE, KnowledgeBase, PredicatePath
@@ -43,6 +45,37 @@ def find_mentions(
             out.append(matched)
             i = matched[0][1]
     return out
+
+
+def probe_every_span(
+    index: StaticHashArray, tokens: Tokens, max_span: int = 5
+) -> dict[tuple[int, int], list[int]]:
+    """Sorted unique payloads of every span of at most ``max_span`` tokens
+    that hits the index."""
+    toks = list(tokens)
+    out: dict[tuple[int, int], list[int]] = {}
+    for i in range(len(toks)):
+        for j in range(i + 1, min(len(toks), i + max_span) + 1):
+            candidates = index.lookup(" ".join(toks[i:j]))
+            if candidates:
+                out[(i, j)] = sorted(set(candidates))
+    return out
+
+
+def candidate_values(extractor: EntityValueExtractor, answer: Tokens) -> set[str]:
+    """KB nodes named by an answer span of at most ``max_value_span``
+    tokens, by normalized node text or by an index probe of that span."""
+    kb = extractor.kb
+    found: set[str] = set()
+    n = len(answer)
+    for i in range(n):
+        for j in range(i + 1, min(n, i + extractor.max_value_span) + 1):
+            text = " ".join(answer[i:j])
+            found.update(node for node in kb.nodes if normalize_text(node) == text)
+            for payload in extractor.index.lookup(text):
+                if kb.has_node_id(payload):
+                    found.add(kb.node_name(payload))
+    return {v for v in found if v in kb.nodes}
 
 
 def kb_mentions(

@@ -20,7 +20,7 @@ from factqa.corpus import (
     write_observations,
 )
 from factqa.learn import TrainingSet
-from oracles import predicates_between
+from oracles import candidate_values, predicates_between
 
 Q1 = tokenize("When was Barack Obama born?")
 Q3 = tokenize("How many people are there in Honolulu?")
@@ -270,6 +270,20 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, mo
     assert sorted(calls) == sorted([A1, A2, A3])
     assert list(training.items) == one_by_one
     assert len(training) == 5
+
+
+def test_candidate_values_equal_probing_every_answer_span(toy_extractor, toy_corpus):
+    answers = [pair.answer for pair in toy_corpus]
+    vocab = ["the", "was", "born", "in", "1961", "1964", "390k", "barack", "obama", "michelle",
+             "obama's", "honolulu", "politician", "person", "marriage1", "wife", "he", "", "é"]
+    rng = random.Random(73)
+    answers += [tuple(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(300)]
+    found = 0
+    for answer in answers:
+        want = candidate_values(toy_extractor, answer)
+        assert toy_extractor.candidate_values(answer) == want, answer
+        found += len(want)
+    assert found > 300
 
 
 def test_write_observations_format(toy_training):

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -146,7 +151,7 @@ def test_truncated_items_section():
 
 def test_truncated_offsets_section():
     idx = StaticHashArray.build([("alpha", 7)])
-    header_size = 7 + 4 + 8 * 3
+    header_size = 7 + 4 + 8 * 4
     blob = idx.to_bytes()[: header_size + 4]
     with pytest.raises(IndexFormatError, match="truncated offsets section"):
         StaticHashArray.load(io.BytesIO(blob))
@@ -172,7 +177,7 @@ def test_version_1_header_names_the_version():
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(IndexFormatError, match="index format version 1, expected 3"):
+    with pytest.raises(IndexFormatError, match="index format version 1, expected 4"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -180,8 +185,17 @@ def test_version_2_header_names_the_version():
     # the layout written before the longest-key field
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
-    blob = header + idx.to_bytes()[7 + 4 + 8 * 3:]
-    with pytest.raises(IndexFormatError, match="index format version 2, expected 3"):
+    blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
+    with pytest.raises(IndexFormatError, match="index format version 2, expected 4"):
+        StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_version_3_header_names_the_version():
+    # the layout written before the token filter
+    idx = StaticHashArray.build([("alpha", 7)])
+    header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
+    blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
+    with pytest.raises(IndexFormatError, match="index format version 3, expected 4"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -204,9 +218,74 @@ def test_corrupt_max_words_refused(entries, max_words):
         StaticHashArray.load(io.BytesIO(blob))
 
 
+def test_token_filter_sets_each_key_token_bit_by_crc32():
+    keys = ["barack obama", "new york city", "zürich", "x  y", "東京", "obama"]
+    idx = StaticHashArray.build((key, i) for i, key in enumerate(keys))
+    tokens = {token for key in keys for token in key.split(" ")}
+    assert len(tokens) == 10  # the double space gives an empty token
+    assert len(idx.token_filter) == 16  # the smallest power of two >= 10
+    expected = bytearray(16)
+    for token in tokens:
+        bit = zlib.crc32(token.encode("utf-8")) & (16 * 8 - 1)
+        expected[bit >> 3] |= 1 << (bit & 7)
+    assert idx.token_filter == bytes(expected)
+    assert all(idx.has_token(token) for token in tokens)
+    reloaded = StaticHashArray.load(io.BytesIO(idx.to_bytes()))
+    assert reloaded.token_filter == idx.token_filter
+    assert all(reloaded.has_token(token) for token in tokens)
+
+
+@pytest.mark.parametrize("keys, size", [([], 1), (["a"], 1), (["a b c d e f g h"], 8),
+                                        (["a b c d", "e f g h i"], 16)])
+def test_token_filter_size_is_the_smallest_power_of_two_at_least_the_tokens(keys, size):
+    assert len(StaticHashArray.build((key, 0) for key in keys).token_filter) == size
+
+
+def test_token_filter_misses_most_absent_tokens():
+    rng = random.Random(31)
+    idx = StaticHashArray.build((key, i) for i, key in enumerate(random_keys(rng, 10_000)))
+    absent = random_keys(random.Random(32), 10_000, prefix="out:")
+    assert sum(map(idx.has_token, absent)) < 0.15 * len(absent)
+
+
+def test_index_bytes_do_not_depend_on_the_hash_seed():
+    # set order and hash() change with PYTHONHASHSEED; the file must not
+    script = (
+        "import sys; from factqa.hasharray import StaticHashArray; sys.stdout.write("
+        "StaticHashArray.build((f'k{i} t{i % 7} ü{i % 5}', i) for i in range(300)).to_bytes().hex())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    blobs = {
+        subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src,
+                                                 "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(blobs) == 1
+
+
+def _with_filter_bytes(blob: bytes, filter_bytes: int) -> bytes:
+    return blob[: 7 + 4 + 8 * 3] + struct.pack("<Q", filter_bytes) + blob[7 + 4 + 8 * 4:]
+
+
+@pytest.mark.parametrize("filter_bytes", [0, 3, 12])
+def test_token_filter_length_not_a_power_of_two_refused(filter_bytes):
+    blob = _with_filter_bytes(StaticHashArray.build([("alpha", 7)]).to_bytes(), filter_bytes)
+    with pytest.raises(IndexFormatError, match="corrupt token filter"):
+        StaticHashArray.load(io.BytesIO(blob))
+
+
+def test_truncated_token_filter():
+    blob = StaticHashArray.build([("alpha beta gamma", 7)]).to_bytes()
+    with pytest.raises(IndexFormatError, match="truncated token filter"):
+        StaticHashArray.load(io.BytesIO(blob[:-1]))
+
+
 def test_trailing_bytes_refused():
     blob = StaticHashArray.build([("alpha", 7), ("beta", 8)]).to_bytes()
-    with pytest.raises(IndexFormatError, match="trailing bytes after the items section"):
+    with pytest.raises(IndexFormatError, match="trailing bytes after the token filter"):
         StaticHashArray.load(io.BytesIO(blob + b"garbage!"))
 
 

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from factqa.cli import build_parser, main
+from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
+from factqa.engine import AnswerEngine
 from factqa.learn import PredicateModel
 from factqa.pipeline import (
     ConfigError,
@@ -184,6 +186,51 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
     assert len(steps) == 2
     # the head is answered from the question's own table
     assert built == [tokenize("When was Barack Obama's wife born?"), *steps[1:]]
+
+
+def _record_calls(monkeypatch, owner, name: str) -> list:
+    """The token tuples ``owner.name`` is called with, from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(self, tokens, *args, **kwargs):
+        calls.append(tuple(tokens))
+        return original(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_primitive_question_derives_concepts_once_per_mention(online, monkeypatch):
+    calls = _record_calls(monkeypatch, ConceptGraph, "question_concepts")
+    assert online.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    assert calls == [tokenize("When was Barack Obama born?")]
+
+
+def test_chain_head_is_walked_once(online, monkeypatch):
+    calls = _record_calls(monkeypatch, AnswerEngine, "supported_templates")
+    record = online.answer_record("When was Barack Obama's wife born?")
+    assert record["answer"] == "1964"
+    assert calls.count(tokenize("barack obama's wife")) == 1
+    assert calls.count(tokenize("when was michelle obama born")) == 1
+
+
+def test_question_with_two_mention_spans_carries_no_walk(online, monkeypatch):
+    tokens = tokenize("Who is Barack Obama and Michelle Obama?")
+    model = PredicateModel({
+        "who is $person and michelle obama": {("dob",): 1.0},
+        "who is barack obama and $person": {("dob",): 1.0},
+    })
+    monkeypatch.setattr(online.engine, "model", model)
+    decomposition = online.decomposer.decompose(tokens)
+    assert (decomposition.sequence, decomposition.score) == ([tokens], 0.0)
+    assert decomposition.walk is None
+    record = online.answer_record("Who is Barack Obama and Michelle Obama?")
+    # as answered with no walk handed in: probed and walked in place
+    dist = online.engine.answer_distribution(tokens)
+    assert dist.entries == pytest.approx({"1961": 1 / 3, "1964": 2 / 3})
+    assert (record["answer"], record["probability"]) == dist.top()
+    assert record["trace"]["entity"] == dist.traces[record["answer"]].entity
 
 
 def test_online_unparseable_question(online):
@@ -483,7 +530,7 @@ def test_cli_truncated_index_exits_2_naming_the_file(built_data):
 
 def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     index = built_data / "out" / "toy.index"
-    body = index.read_bytes()[7 + 4 + 8 * 3:]
+    body = index.read_bytes()[7 + 4 + 8 * 4:]
     # header of the layout written before the single key hash: two seed
     # fields between the version and the counts
     header = struct.pack("<7sIQQ", b"SHA1DX\x00", 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F)
@@ -493,28 +540,48 @@ def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(index) in proc.stderr
-    assert "index format version 1, expected 3: rerun the offline flow" in proc.stderr
+    assert "index format version 1, expected 4: rerun the offline flow" in proc.stderr
 
 
-def _corrupt_v3_header(blob: bytes) -> bytes:
+def _zero_max_words(blob: bytes) -> bytes:
     return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", 0) + blob[7 + 4 + 8 * 3:]
 
 
+def _filter_bytes(count: int):
+    def rewrite(blob: bytes) -> bytes:
+        return blob[: 7 + 4 + 8 * 3] + struct.pack("<Q", count) + blob[7 + 4 + 8 * 4:]
+    return rewrite
+
+
 def _v2_layout(blob: bytes) -> bytes:
-    # the header written before the longest-key field
+    # the header written before the longest-key field, and no token filter
+    filter_bytes = struct.unpack_from("<Q", blob, 7 + 4 + 8 * 3)[0]
     return struct.pack("<7sIQQ", b"SHA1DX\x00", 2, *struct.unpack_from("<QQ", blob, 11)) + (
-        blob[7 + 4 + 8 * 3:]
+        blob[7 + 4 + 8 * 4 : -filter_bytes]
+    )
+
+
+def _v3_layout(blob: bytes) -> bytes:
+    # the header written before the token filter, and no token filter
+    filter_bytes = struct.unpack_from("<Q", blob, 7 + 4 + 8 * 3)[0]
+    return struct.pack("<7sIQQQ", b"SHA1DX\x00", 3, *struct.unpack_from("<QQQ", blob, 11)) + (
+        blob[7 + 4 + 8 * 4 : -filter_bytes]
     )
 
 
 @pytest.mark.parametrize(
     "rewrite, message",
     [
-        (_corrupt_v3_header, "corrupt header: longest key of 0 words for 3 items"),
-        (lambda blob: blob + b"garbage!", "trailing bytes after the items section"),
-        (_v2_layout, "index format version 2, expected 3"),
+        (_zero_max_words, "corrupt header: longest key of 0 words for 3 items"),
+        (lambda blob: blob + b"garbage!", "trailing bytes after the token filter"),
+        (_v2_layout, "index format version 2, expected 4"),
+        (_v3_layout, "index format version 3, expected 4"),
+        (_filter_bytes(0), "corrupt token filter: 0 bytes, not a power of two"),
+        (_filter_bytes(3), "corrupt token filter: 3 bytes, not a power of two"),
+        (lambda blob: blob[:-1], "truncated token filter"),
     ],
-    ids=["zero-max-words", "trailing-bytes", "version-2"],
+    ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "zero-filter-bytes",
+         "filter-bytes-not-a-power-of-two", "truncated-filter"],
 )
 def test_cli_refused_index_exits_2(built_data, rewrite, message):
     index = built_data / "out" / "toy.index"

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
@@ -88,7 +89,7 @@ def test_table_primitivity_matches_is_primitive_on_every_substring(
         for start in range(len(question)):
             for end in range(start + 1, len(question) + 1):
                 sub = question[start:end]
-                from_table = decomposer._primitive(sub, table.mentions(start, end))
+                from_table = bool(decomposer._walk(sub, table.mentions(start, end)))
                 assert from_table == decomposer.is_primitive(sub), sub
                 primitive_seen += from_table
     assert primitive_seen > 0
@@ -108,9 +109,76 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
     table = MentionTable(toy_kb, index, tokens, max_span=5)
-    assert len(probed) == 8 + 7  # every span of one or two tokens, once
+    # only spans of one or two tokens that hold no token outside every key:
+    # barack obama, barack, obama, michelle obama, michelle, obama
+    assert len(probed) == 6
     assert all(len(key.split(" ")) <= 2 for key in probed)
     monkeypatch.undo()
     assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, 5)
     assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, 5)
     assert table.entity_spans() == {(2, 4), (5, 7)}
+
+
+# Keys with multi-word, non-ASCII and empty pieces (the double space in
+# "x  y"), and a vocabulary mixing their tokens with tokens no key holds,
+# an empty token, and tokens with inner or trailing spaces.
+FILTER_KEYS = ["barack obama", "obama", "new york city", "zürich", "東京 tower", "x  y", "a b", "é"]
+FILTER_VOCAB = [
+    "barack", "obama", "new", "york", "city", "zürich", "東京", "tower", "x", "y", "a", "b",
+    "é", "", "a b", "obama ", "x  y", "when", "was", "zurich", "東", "e", "bar",
+]
+
+
+@pytest.mark.parametrize("max_span", [1, 2, 3, 5])
+def test_filtered_probes_equal_probing_every_span(max_span, monkeypatch):
+    index = StaticHashArray.build((key, i) for i, key in enumerate(FILTER_KEYS))
+    rng = random.Random(4000 + max_span)
+    probed = hits = spans = 0
+    lookup = StaticHashArray.lookup
+
+    def counting_lookup(self, key):
+        nonlocal probed
+        probed += 1
+        return lookup(self, key)
+
+    for _ in range(400):
+        tokens = tuple(rng.choice(FILTER_VOCAB) for _ in range(rng.randrange(0, 11)))
+        monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
+        table = SpanTable(index, tokens, max_span)
+        monkeypatch.undo()
+        want = oracles.probe_every_span(index, tokens, max_span)
+        assert table.payloads == want, tokens
+        assert [(span, table.payloads[span]) for span in table.greedy()] == (
+            oracles.find_mentions(index, tokens, max_span)
+        ), tokens
+        hits += len(want)
+        spans += sum(min(max_span, len(tokens) - i) for i in range(len(tokens)))
+    assert hits > 100
+    # the filter and the longest key do skip spans
+    assert 0 < probed < spans * 0.8
+
+
+def test_one_span_naming_two_entities_derives_concepts_once_per_mention(
+    toy_kb, ambiguous_index, toy_concepts, fixture_model, monkeypatch
+):
+    engine = AnswerEngine(toy_kb, ambiguous_index, toy_concepts, fixture_model)
+    decomposer = Decomposer(engine, PatternIndex({}))
+    tokens = tokenize("obama's wife")
+    calls = []
+    question_concepts = ConceptGraph.question_concepts
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return question_concepts(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConceptGraph, "question_concepts", counting)
+    spans = engine.probe(tokens)
+    mentions = spans.mentions()
+    assert mentions == [((0, 1), "BarackObama"), ((0, 1), "MichelleObama")]
+    decomposition = decomposer.decompose(tokens, spans)
+    assert (decomposition.sequence, decomposition.score) == ([tokens], 1.0)
+    dist = engine.answer_distribution(tokens, mentions, decomposition.walk)
+    assert len(calls) == len(mentions)
+    monkeypatch.undo()
+    assert dist.entries == engine.answer_distribution(tokens).entries
+    assert dist.entries
