@@ -53,14 +53,16 @@ class Decomposition:
 
     ``sequence[0]`` is the head question; later elements contain the
     ``$e`` slot. A score of zero means no valid decomposition was found
-    and the sequence is the question itself. ``walk`` lists the head's
-    ``supported_templates`` for ``answer_distribution``, or is None when the
-    head has not exactly one mention span.
+    and the sequence is the question itself. ``mentions`` are the head's,
+    from the question's mention table and relative to the head, and
+    ``walk`` lists their ``supported_templates``, or is None when the head
+    has not exactly one mention span; answering the head reuses both.
     """
 
     sequence: list[Tokens]
     score: float
     walk: list[SupportedTemplate] | None = field(default=None, repr=False)
+    mentions: list[tuple[tuple[int, int], str]] | None = field(default=None, repr=False)
 
     @property
     def texts(self) -> list[str]:
@@ -94,7 +96,14 @@ class PatternIndex:
         entity_spans: Mapping[Tokens, Iterable[tuple[int, int]]],
     ) -> "PatternIndex":
         """From each distinct question's frequency and entity spans (see
-        ``corpus.probe_corpus``)."""
+        ``corpus.probe_corpus``).
+
+        f_o is counted for the kept patterns only. Any span of a question
+        generates the pattern ``prefix $e suffix`` iff the question starts
+        with the prefix, ends with the suffix, and leaves at least one token
+        between them; each question counts once per pattern. A pattern is
+        split at each of its slot tokens, so this holds for any tokens.
+        """
         f_v: dict[Tokens, int] = {}
         for question, spans in entity_spans.items():
             size = len(question)
@@ -102,15 +111,24 @@ class PatternIndex:
             valid = {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}
             for pattern in valid:
                 f_v[pattern] = f_v.get(pattern, 0) + frequency[question]
+        ends: dict[Tokens, list[tuple[Tokens, Tokens]]] = {}  # prefix -> (suffix, pattern)
+        for pattern in f_v:
+            for k, token in enumerate(pattern):
+                if token == SLOT:
+                    ends.setdefault(pattern[:k], []).append((pattern[k + 1:], pattern))
+        prefix_lengths = sorted({len(prefix) for prefix in ends})
         f_o = dict.fromkeys(f_v, 0)
         for question, n in frequency.items():
             size = len(question)
-            patterns = {
-                question[:i] + (SLOT,) + question[j:]
-                for i in range(size)
-                for j in range(i + 1, size + 1)
-            }
-            for pattern in patterns & f_o.keys():
+            found = set()
+            for length in prefix_lengths:
+                if length >= size:
+                    break
+                for suffix, pattern in ends.get(question[:length], ()):
+                    rest = size - len(suffix)
+                    if rest > length and question[rest:] == suffix:
+                        found.add(pattern)
+            for pattern in found:
                 f_o[pattern] += n
         return cls({pattern: (f_v[pattern], f_o[pattern]) for pattern in f_v})
 
@@ -188,16 +206,19 @@ class Decomposer:
         for i in range(n - 1, -1, -1):
             first_end[i] = min(first_end[i], first_end[i + 1])
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
-        walks: dict[Tokens, list[SupportedTemplate] | None] = {}
+        walks: dict[Tokens, tuple[list[tuple[tuple[int, int], str]],
+                                  list[SupportedTemplate] | None]] = {}
 
         def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:
             sub = question[start:end]
             if sub in best:
                 return best[sub]
-            walks[sub] = self._walk(sub, spans.mentions(start, end))
+            mentions = spans.mentions(start, end)
+            walk = self._walk(sub, mentions)
+            walks[sub] = mentions, walk
             # Every validity is at most 1 (f_v <= f_o), so no chain can
             # strictly beat a primitive substring's score of 1.
-            if walks[sub]:
+            if walk:
                 best[sub] = (1.0, (sub,))
                 return best[sub]
             size = end - start
@@ -227,4 +248,5 @@ class Decomposer:
             # solve refers to itself; without this, every call leaves a
             # cycle (and the question's table) for the cyclic collector
             del solve
-        return Decomposition(list(sequence), score, walks[sequence[0]])
+        mentions, walk = walks[sequence[0]]
+        return Decomposition(list(sequence), score, walk, mentions)

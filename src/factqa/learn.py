@@ -22,8 +22,9 @@ from .kb import PredicatePath, convert_last, read_tsv
 
 # Latent assignment: (template text, predicate path).
 Assignment = tuple[str, PredicatePath]
-# Items with equal candidates: (assignment ids, factors, item indices, weights).
-CandidateGroup = tuple[tuple[int, ...], tuple[float, ...], list[int], list[float]]
+# Items with equal candidates: (assignment ids, factors, item indices, weights,
+# the weights' folded mass fsum(weights)).
+CandidateGroup = tuple[tuple[int, ...], tuple[float, ...], list[int], list[float], float]
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ class TrainingSet:
     def interned(self) -> tuple[list[Assignment], list[CandidateGroup]]:
         """Every assignment numbered once, in order of first appearance, and
         the items grouped by equal candidates, groups in order of their first
-        member. Built on first use (EM's first step) and kept: EM scores
-        each group once per step, not each item."""
+        member, each with its folded mass. Built on first use (EM's first
+        step) and kept: EM scores and sums each group once per step, not
+        each item."""
         assignments: list[Assignment] = []
         number: dict[Assignment, int] = {}
         groups: dict[tuple, tuple[list[int], list[float]]] = {}
@@ -88,7 +90,9 @@ class TrainingSet:
             members, weights = groups.setdefault(key, ([], []))
             members.append(i)
             weights.append(item.weight)
-        return assignments, [(*key, *mw) for key, mw in groups.items()]
+        return assignments, [
+            (*key, members, weights, fsum(weights)) for key, (members, weights) in groups.items()
+        ]
 
     @property
     def observations(self) -> list[Observation]:
@@ -107,10 +111,12 @@ class TrainingSet:
         """One item per (entity, value) extracted from each pair; ``mentions``
         holds each question's ``kb_mentions`` (``CorpusMentions.mentions``).
         Each distinct answer of a question with mentions is matched to KB
-        values once."""
+        values once, and each (entity, value) pair to its paths once."""
         items: list[TrainingItem] = []
         kb = extractor.kb
         values: dict[Tokens, set[str]] = {}
+        # P(value | entity, path) over the connecting paths, once per pair
+        value_probs: dict[tuple[str, str], dict[PredicatePath, float]] = {}
         for pair in corpus:
             found = mentions[pair.question]
             if found and pair.answer not in values:
@@ -132,14 +138,16 @@ class TrainingSet:
                     t.text: prob
                     for t, prob in derive_templates(pair.question, span, concept_dist).items()
                 }
-                value_probs = {
-                    path: kb.value_distribution(entity, path).get(value, 0.0)
-                    for path in extractor.connecting_paths(entity, value)
-                }
+                probs = value_probs.get((entity, value))
+                if probs is None:
+                    probs = value_probs[entity, value] = {
+                        path: kb.value_distribution(entity, path).get(value, 0.0)
+                        for path in extractor.connecting_paths(entity, value)
+                    }
                 items.append(
                     TrainingItem(
                         pair.question, entity, value, mass, p_q, p_e,
-                        template_probs, value_probs,
+                        template_probs, probs,
                     )
                 )
         return cls(items)
@@ -214,9 +222,11 @@ def _probability(text: str) -> float:
 @dataclass
 class Posterior:
     """Per-observation responsibilities; observations with no admissible
-    assignment are dropped and counted. Items with equal candidates share
-    one responsibility dict. ``log_likelihood`` is the weighted log
-    marginal of the model scored (``log_likelihood(training, model)``)."""
+    assignment are dropped and counted. The members of a candidate group
+    (``TrainingSet.interned``) share one responsibility dict, and
+    ``m_step`` reads it at the group's first member only.
+    ``log_likelihood`` is the weighted log marginal of the model scored
+    (``log_likelihood(training, model)``)."""
 
     responsibilities: list[dict[Assignment, float] | None]
     dropped: list[int] = field(default_factory=list)
@@ -244,7 +254,7 @@ def e_step(training: TrainingSet, model: PredicateModel) -> Posterior:
     responsibilities: list[dict[Assignment, float] | None] = [None] * len(training.items)
     dropped: list[int] = []
     terms: list[float] = []
-    for ids, factors, members, weights in groups:
+    for ids, factors, members, weights, _ in groups:
         scores = [(a, s) for a, f in zip(ids, factors) if (s := f * theta[a]) > 0]
         total = fsum(s for _, s in scores)
         if total <= 0:
@@ -262,21 +272,20 @@ def e_step(training: TrainingSet, model: PredicateModel) -> Posterior:
 def m_step(training: TrainingSet, posterior: Posterior) -> PredicateModel:
     """Row-renormalized responsibility mass, weighted by observation mass.
 
-    Templates left with zero total mass are removed. A responsibility dict
-    shared by several items is read once.
+    Each candidate group adds its folded mass times r for each of its
+    assignments z, reading the responsibility dict its members share (see
+    ``Posterior``) once. The mass of z is the ``fsum`` of those terms,
+    which can differ in its last digits from a sum over the items one by
+    one. Templates left with zero total mass are removed.
     """
-    weights: dict[int, tuple[dict[Assignment, float], list[float]]] = {}
-    for item, resp in zip(training.items, posterior.responsibilities):
+    _, groups = training.interned
+    terms: dict[Assignment, list[float]] = {}
+    for _, _, members, _, mass in groups:
+        resp = posterior.responsibilities[members[0]]
         if resp is None:
             continue
-        entry = weights.get(id(resp))
-        if entry is None:
-            entry = weights[id(resp)] = (resp, [])
-        entry[1].append(item.weight)
-    terms: dict[Assignment, list[float]] = {}
-    for resp, ws in weights.values():
         for z, r in resp.items():
-            terms.setdefault(z, []).extend([w * r for w in ws])
+            terms.setdefault(z, []).append(mass * r)
     sums: dict[str, dict[PredicatePath, float]] = {}
     for (template, path), zterms in terms.items():
         sums.setdefault(template, {})[path] = fsum(zterms)

@@ -450,9 +450,8 @@ class OnlineSession:
         itself, else along the chain."""
         tokens = tokenize(question)
         record: dict = {"question": question}
-        spans = self.engine.probe(tokens)
         try:
-            decomposition = self.decomposer.decompose(tokens, spans)
+            decomposition = self.decomposer.decompose(tokens)
         except QuestionTooLongError as exc:
             record.update(answer=None, probability=0.0, reason=str(exc))
             return record
@@ -464,7 +463,7 @@ class OnlineSession:
                 "score": decomposition.score,
             }
             result = self.engine.answer_sequence(
-                decomposition.sequence, spans.mentions(*decomposition.head), decomposition.walk
+                decomposition.sequence, decomposition.mentions, decomposition.walk
             )
             if result.value is None:
                 record.update(
@@ -480,7 +479,7 @@ class OnlineSession:
                     steps=result.steps,
                 )
             return record
-        dist = self.engine.answer_distribution(tokens, spans.mentions(), decomposition.walk)
+        dist = self.engine.answer_distribution(tokens, decomposition.mentions, decomposition.walk)
         top = dist.top()
         if top is None:
             record.update(answer=None, probability=0.0, reason=dist.reason)

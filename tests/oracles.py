@@ -7,19 +7,24 @@
   span loop of value extraction.
 - A depth-first path finder between two nodes, next to the streaming
   expansion.
-- A counting estimate of P(path | template), next to EM.
-- An exhaustive recursive decomposition, next to the DP.
+- A counting estimate of P(path | template), next to EM, and the M-step as
+  it stood before items with equal candidates were summed as one group:
+  one ``w * r`` term per item.
+- Pattern validity counted over every span of every corpus question, as it
+  stood before f_o was counted for the kept patterns only, and an
+  exhaustive recursive decomposition, next to the DP.
 """
 
 from __future__ import annotations
 
 from math import fsum
+from typing import Iterable, Mapping
 
 from factqa.corpus import EntityValueExtractor, Tokens, lookup_tokens, normalize_text
 from factqa.decompose import SLOT, Decomposer, Decomposition, QuestionTooLongError
 from factqa.hasharray import StaticHashArray
 from factqa.kb import NAME_PREDICATE, KnowledgeBase, PredicatePath
-from factqa.learn import PredicateModel, TrainingSet
+from factqa.learn import Assignment, Posterior, PredicateModel, TrainingSet
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -176,6 +181,48 @@ def counting_baseline(training: TrainingSet) -> PredicateModel:
             continue
         rows[template] = {path: s / total for path, s in sums.items()}
     return PredicateModel(rows)
+
+
+def m_step_item_by_item(training: TrainingSet, posterior: Posterior) -> PredicateModel:
+    """Row-renormalized responsibility mass, each z's mass the ``fsum`` of
+    ``weight * r`` over the items one by one."""
+    terms: dict[Assignment, list[float]] = {}
+    for item, resp in zip(training.items, posterior.responsibilities):
+        for z, r in (resp or {}).items():
+            terms.setdefault(z, []).append(item.weight * r)
+    sums: dict[str, dict[PredicatePath, float]] = {}
+    for (template, path), zterms in terms.items():
+        sums.setdefault(template, {})[path] = fsum(zterms)
+    rows: dict[str, dict[PredicatePath, float]] = {}
+    for template, by_path in sums.items():
+        total = fsum(by_path.values())
+        if total > 0:
+            rows[template] = {path: s / total for path, s in by_path.items()}
+    return PredicateModel(rows)
+
+
+def pattern_counts(
+    frequency: Mapping[Tokens, int], entity_spans: Mapping[Tokens, Iterable[tuple[int, int]]]
+) -> dict[Tokens, tuple[int, int]]:
+    """(f_v, f_o) of every pattern with f_v > 0, f_o counted by building
+    every pattern that any span of each question generates."""
+    f_v: dict[Tokens, int] = {}
+    for question, spans in entity_spans.items():
+        size = len(question)
+        valid = {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}
+        for pattern in valid:
+            f_v[pattern] = f_v.get(pattern, 0) + frequency[question]
+    f_o = dict.fromkeys(f_v, 0)
+    for question, n in frequency.items():
+        size = len(question)
+        patterns = {
+            question[:i] + (SLOT,) + question[j:]
+            for i in range(size)
+            for j in range(i + 1, size + 1)
+        }
+        for pattern in patterns & f_o.keys():
+            f_o[pattern] += n
+    return {pattern: (f_v[pattern], f_o[pattern]) for pattern in f_v}
 
 
 def decompose_bruteforce(decomposer: Decomposer, tokens: Tokens) -> Decomposition:

@@ -17,7 +17,7 @@ from factqa.hasharray import StaticHashArray
 from factqa.kb import TsvParseError, load_kb
 from factqa.learn import PredicateModel
 from factqa.pipeline import build_entity_index, load_entity_dictionary
-from oracles import decompose_bruteforce
+from oracles import decompose_bruteforce, pattern_counts
 
 
 def test_pattern_validity_birth_pattern(toy_decomposer):
@@ -35,6 +35,48 @@ def test_pattern_validity_overgeneral_pattern(toy_decomposer):
 
 def test_pattern_validity_unmatched_pattern(toy_decomposer):
     assert toy_decomposer.patterns.validity(("nothing", "$e", "matches")) == (0, 0, 0.0)
+
+
+def _random_corpus(rng, vocab, fixed=((), ())):
+    """Questions of 1 to 6 tokens drawn with repeats from a small pool, each
+    with a random subset of its spans as entity spans; some questions have
+    every span an entity span, some none. ``fixed`` is a (prefix, suffix)
+    that about half the questions wrap their tokens in."""
+    pool = []
+    for _ in range(rng.randrange(1, 30)):
+        tokens = tuple(rng.choice(vocab) for _ in range(rng.randrange(1, 7)))
+        if rng.random() < 0.5:
+            tokens = fixed[0] + tokens + fixed[1]
+        pool.append(tokens)
+    frequency: dict = {}
+    for _ in range(rng.randrange(1, 60)):
+        question = rng.choice(pool)
+        frequency[question] = frequency.get(question, 0) + rng.randrange(1, 4)
+    entity_spans = {}
+    for question in frequency:
+        size = len(question)
+        spans = [(i, j) for i in range(size) for j in range(i + 1, size + 1)]
+        share = rng.choice([0.0, 0.2, 0.5, 1.0])
+        entity_spans[question] = {span for span in spans if rng.random() < share}
+    return frequency, entity_spans
+
+
+@pytest.mark.parametrize("vocab, fixed", [
+    (["a", "b"], ((), ())),
+    (["a", "b", "c", "d"], ((), ())),
+    (["a", "b", "c"], (("when", "was"), ("born",))),
+    (["a", SLOT, "b"], ((), ())),  # tokenize never yields the slot, but build allows it
+])
+def test_pattern_index_build_matches_every_span_oracle(vocab, fixed):
+    rng = random.Random(f"patterns-{vocab}-{fixed}")
+    kept = shared = 0
+    for _ in range(150):
+        frequency, entity_spans = _random_corpus(rng, vocab, fixed)
+        counts = PatternIndex.build(frequency, entity_spans).counts
+        assert counts == pattern_counts(frequency, entity_spans)
+        kept += len(counts)
+        shared += sum(f_v < f_o for f_v, f_o in counts.values())
+    assert kept and shared
 
 
 def test_mention_spans_enumerates_all_hits(toy_kb, toy_index):

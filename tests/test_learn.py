@@ -21,7 +21,7 @@ from factqa.learn import (
     log_likelihood,
     m_step,
 )
-from oracles import counting_baseline
+from oracles import counting_baseline, m_step_item_by_item
 
 # the module, not the ``learn`` function the package exports under its name
 learn_module = importlib.import_module("factqa.learn")
@@ -137,6 +137,26 @@ def test_factor_f_zero_when_template_missing(toy_training):
 def test_factor_f_zero_when_path_not_connecting(toy_training):
     item = next(i for i in toy_training.items if i.entity == "BarackObama")
     assert factor_f(item, (T_PERSON, ("population",))) == 0.0
+
+
+def test_build_reads_value_probabilities_once_per_entity_value_pair(
+    monkeypatch, toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts
+):
+    calls = []
+    kb_type = type(toy_extractor.kb)
+    original = kb_type.value_distribution
+
+    def counting(self, entity, path):
+        calls.append((entity, path))
+        return original(self, entity, path)
+
+    monkeypatch.setattr(kb_type, "value_distribution", counting)
+    training = TrainingSet.build(
+        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
+    )
+    pairs = {(i.entity, i.value): len(i.value_probs) for i in training.items}
+    assert len(pairs) < len(training)
+    assert len(calls) == sum(pairs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +285,26 @@ def test_m_step_rows_sum_to_one_random():
             assert isclose(fsum(model.row(t).values()), 1.0, abs_tol=1e-9)
 
 
+def test_m_step_on_duplicate_items_matches_item_by_item_oracle():
+    rng = random.Random(43)
+    for _ in range(40):
+        training = random_training_set_with_duplicates(
+            rng, n_obs=rng.randrange(2, 25), n_distinct=rng.randrange(1, 5)
+        )
+        for model in (init_theta(training), random_partial_model(rng)):
+            posterior = e_step(training, model)
+            _assert_models_close(m_step(training, posterior),
+                                 m_step_item_by_item(training, posterior))
+
+
+def _assert_models_close(got, want):
+    assert got.templates() == want.templates()
+    for template in want.templates():
+        assert set(got.row(template)) == set(want.row(template))
+        for path, prob in want.row(template).items():
+            assert abs(got.row(template)[path] - prob) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # learn
 
@@ -348,6 +388,37 @@ def test_ll_history_is_the_likelihood_of_every_model_visited(monkeypatch):
             assert ll == log_likelihood(training, model)
             assert ll == log_likelihood_oracle(training, model)
         assert result.final_log_likelihood == result.ll_history[-1]
+
+
+def test_learn_matches_an_item_by_item_run(monkeypatch, toy_training):
+    # A group's folded mass times r can differ in its last digits from the
+    # item-by-item sum. Where every group has one member the two runs agree
+    # bit for bit by construction; on the toy corpus, which has a group of
+    # two, they agree bit for bit too; elsewhere they agree to 1e-12.
+    rng = random.Random(57)
+    distinct = [
+        random_training_set(rng, n_obs=rng.randrange(5, 25), n_templates=4, n_paths=4)
+        for _ in range(15)
+    ]
+    duplicated = [
+        random_training_set_with_duplicates(
+            rng, n_obs=rng.randrange(2, 30), n_distinct=rng.randrange(1, 6)
+        )
+        for _ in range(15)
+    ]
+    runs = [(training, learn(training)) for training in [toy_training, *distinct, *duplicated]]
+    monkeypatch.setattr(learn_module, "m_step", m_step_item_by_item)
+    for training, got in runs:
+        want = learn(training)
+        assert got.iterations == want.iterations
+        if training is toy_training or all(len(g[2]) == 1 for g in training.interned[1]):
+            assert got.ll_history == want.ll_history
+            assert got.model.items() == want.model.items()
+        else:
+            assert got.ll_history == pytest.approx(want.ll_history, rel=1e-12, abs=0)
+            _assert_models_close(got.model, want.model)
+    assert len(toy_training.interned[1]) < len(toy_training)
+    assert all(len(g[2]) == 1 for training in distinct for g in training.interned[1])
 
 
 def test_log_likelihood_invariant_under_reordering():

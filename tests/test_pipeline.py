@@ -17,6 +17,7 @@ import pytest
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
+from factqa.decompose import PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.learn import PredicateModel
 from factqa.pipeline import (
@@ -29,7 +30,7 @@ from factqa.pipeline import (
     patterns_path,
     run_offline,
 )
-from oracles import counting_baseline
+from oracles import counting_baseline, pattern_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,6 +129,16 @@ def test_run_offline_is_deterministic(tmp_path):
     assert patterns_path(config_a.model).read_bytes() == patterns_path(config_b.model).read_bytes()
 
 
+def test_run_offline_pattern_file_matches_every_span_oracle(tmp_path, toy_probe):
+    config = make_config(tmp_path)
+    run_offline(config)
+    oracle = tmp_path / "oracle.patterns.tsv"
+    PatternIndex(pattern_counts(toy_probe.frequency, toy_probe.entity_spans)).save(oracle)
+    written = patterns_path(config.model).read_bytes()
+    assert written == oracle.read_bytes()
+    assert written == b"how many people are there in $e\t1\t1\nwhen was $e born\t2\t2\n"
+
+
 def test_run_offline_missing_inputs_is_config_error(tmp_path):
     config = make_config(tmp_path, kb=tmp_path / "missing.tsv")
     with pytest.raises(ConfigError):
@@ -186,6 +197,26 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
     assert len(steps) == 2
     # the head is answered from the question's own table
     assert built == [tokenize("When was Barack Obama's wife born?"), *steps[1:]]
+
+
+def test_answer_record_walks_each_window_once(online, monkeypatch):
+    windows = []
+    mentions = MentionTable.mentions
+
+    def counting(self, *args):
+        windows.append(args)
+        return mentions(self, *args)
+
+    monkeypatch.setattr(MentionTable, "mentions", counting)
+    assert online.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    # the root cell's walk, which the direct answer reuses
+    assert windows == [(0, 5)]
+    windows.clear()
+    record = online.answer_record("When was Barack Obama's wife born?")
+    assert record["answer"] == "1964"
+    # every cell once, the head's among them, and the second step's own walk
+    assert (2, 5) in windows and windows[-1] == ()
+    assert len(set(windows)) == len(windows)
 
 
 def _record_calls(monkeypatch, owner, name: str) -> list:
