@@ -187,9 +187,8 @@ class MentionTable(SpanTable):
     entity (a fingerprint false positive) still takes its span.
     """
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens,
-                 max_span: int = 5):
-        super().__init__(index, lookup_tokens(tokens), max_span)
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens):
+        super().__init__(index, lookup_tokens(tokens))
         self.entities: dict[tuple[int, int], list[str]] = {}
         for span, payloads in self.payloads.items():
             nodes = [kb.node_name(p) for p in payloads if kb.has_node_id(p)]
@@ -217,7 +216,7 @@ class MentionTable(SpanTable):
 
 
 def kb_mentions(
-    kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens, max_span: int = 5
+    kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens
 ) -> list[tuple[tuple[int, int], str]]:
     """Entity mentions in a token sequence, KB-verified.
 
@@ -225,7 +224,7 @@ def kb_mentions(
     name a KB entity (possible fingerprint false positives) are dropped.
     Returns one (span, entity) per distinct entity, first span wins.
     """
-    return MentionTable(kb, index, tokens, max_span).mentions()
+    return MentionTable(kb, index, tokens).mentions()
 
 
 class CorpusMentions(NamedTuple):
@@ -238,7 +237,7 @@ class CorpusMentions(NamedTuple):
 
 
 def probe_corpus(
-    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair], max_span: int = 5
+    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair]
 ) -> CorpusMentions:
     """One MentionTable per distinct question, kept only while it is read."""
     frequency: dict[Tokens, int] = {}
@@ -247,7 +246,7 @@ def probe_corpus(
     mentions = {}
     entity_spans = {}
     for question in frequency:
-        table = MentionTable(kb, index, question, max_span)
+        table = MentionTable(kb, index, question)
         mentions[question] = table.mentions()
         entity_spans[question] = table.entity_spans()
     return CorpusMentions(frequency, mentions, entity_spans)
@@ -270,23 +269,21 @@ class EntityValueExtractor:
         expansion: dict[tuple[str, str], list[PredicatePath]],
         *,
         predicate_categories: dict[str, str] | None = None,
-        max_mention_span: int = 5,
-        max_value_span: int = 5,
     ):
         self.kb = kb
         self.index = index
         self.predicate_categories = predicate_categories or {}
-        self.max_mention_span = max_mention_span
-        self.max_value_span = max_value_span
         self._expansion = expansion
         # built up front so instances stay read-only under concurrent use
         table: dict[str, list[str]] = {}
         for node in kb.nodes:
             table.setdefault(normalize_text(node), []).append(node)
         self._nodes_by_text = {text: tuple(sorted(ns)) for text, ns in table.items()}
+        # no answer span of more words can equal a node text
+        self._longest_text = max((text.count(" ") + 1 for text in table), default=0)
 
     def mention_entities(self, tokens: Tokens) -> list[tuple[tuple[int, int], str]]:
-        return kb_mentions(self.kb, self.index, tokens, self.max_mention_span)
+        return kb_mentions(self.kb, self.index, tokens)
 
     def candidate_values(self, answer: Tokens) -> set[str]:
         """KB nodes named by some contiguous answer span.
@@ -298,9 +295,9 @@ class EntityValueExtractor:
         found: set[str] = set()
         n = len(answer)
         for i in range(n):
-            for j in range(i + 1, min(n, i + self.max_value_span) + 1):
+            for j in range(i + 1, min(n, i + self._longest_text) + 1):
                 found.update(by_text.get(" ".join(answer[i:j]), ()))
-        for payloads in SpanTable(self.index, answer, self.max_value_span).payloads.values():
+        for payloads in SpanTable(self.index, answer).payloads.values():
             found.update(self.kb.node_name(p) for p in payloads if self.kb.has_node_id(p))
         return {v for v in found if v in self.kb.nodes}
 

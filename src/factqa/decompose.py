@@ -68,13 +68,6 @@ class Decomposition:
     def texts(self) -> list[str]:
         return [" ".join(part) for part in self.sequence]
 
-    @property
-    def head(self) -> tuple[int, int]:
-        """The head's ``[start, end)`` window in the question: each later
-        element's slot stands where the substring before it starts."""
-        start = sum(part.index(SLOT) for part in self.sequence[1:])
-        return start, start + len(self.sequence[0])
-
 
 class PatternIndex:
     """Validity counts of the corpus patterns with f_v > 0.

@@ -72,15 +72,12 @@ class AnswerEngine:
         concepts: ConceptGraph,
         model: PredicateModel,
         surfaces: dict[str, str] | None = None,
-        *,
-        max_mention_span: int = 5,
     ):
         self.kb = kb
         self.index = index
         self.concepts = concepts
         self.model = model
         self.surfaces = surfaces or {}
-        self.max_mention_span = max_mention_span
 
     def surface(self, node: str) -> str:
         """Canonical surface string for substitution; falls back to the
@@ -89,7 +86,7 @@ class AnswerEngine:
 
     def probe(self, tokens: Tokens) -> MentionTable:
         """The question's mention table, each span probed once."""
-        return MentionTable(self.kb, self.index, tokens, self.max_mention_span)
+        return MentionTable(self.kb, self.index, tokens)
 
     def supported_templates(
         self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]

@@ -207,29 +207,28 @@ class StaticHashArray:
 class SpanTable:
     """Every span of a token sequence probed once against an index.
 
-    ``payloads`` maps each span (i, j) with ``j - i <= max_span`` that hits
-    the index to its sorted unique payloads. A span that can equal no key is
-    not probed, so only a fingerprint false positive is lost: one longer
-    than the longest key (m tokens joined by spaces hold m - 1 spaces), or
-    one with a token that has a ``split(" ")`` piece the token filter
-    misses (a span equal to a key splits into exactly that key's tokens).
+    ``payloads`` maps each span (i, j) that hits the index to its sorted
+    unique payloads. A span that can equal no key is not probed, so only a
+    fingerprint false positive is lost: one longer than the longest key (m
+    tokens joined by spaces hold m - 1 spaces), or one with a token that
+    has a ``split(" ")`` piece the token filter misses (a span equal to a
+    key splits into exactly that key's tokens).
     Tokens must already carry whatever normalization was applied to the
     indexed keys. The greedy walk works on any ``[start, end)`` window, so
     one table serves every substring of the sequence.
     """
 
-    def __init__(self, index: StaticHashArray, tokens: Iterable[str], max_span: int = 5):
+    def __init__(self, index: StaticHashArray, tokens: Iterable[str]):
         toks = list(tokens)
         n = len(toks)
         self.payloads: dict[tuple[int, int], list[int]] = {}
         # hit ends per start, longest first: the greedy walk's probe order
         self._ends: list[list[int]] = [[] for _ in range(n)]
-        max_span = min(max_span, index.max_words)
-        has = index.has_token
+        longest, has = index.max_words, index.has_token
         in_keys = [has(tok) if " " not in tok else all(map(has, tok.split(" "))) for tok in toks]
         for i in range(n):
             end = i  # extend over the run of tokens the filter hits
-            while end < n and end - i < max_span and in_keys[end]:
+            while end < n and end - i < longest and in_keys[end]:
                 end += 1
             for j in range(end, i, -1):
                 candidates = index.lookup(" ".join(toks[i:j]))
@@ -260,7 +259,7 @@ class SpanTable:
 
 
 def find_mentions(
-    index: StaticHashArray, tokens: Iterable[str], max_span: int = 5
+    index: StaticHashArray, tokens: Iterable[str]
 ) -> list[tuple[tuple[int, int], list[int]]]:
     """Greedy left-to-right longest-match span spotting.
 
@@ -268,5 +267,5 @@ def find_mentions(
     token ranges and never overlap. Tokens must already carry whatever
     normalization was applied to the indexed keys.
     """
-    table = SpanTable(index, tokens, max_span)
+    table = SpanTable(index, tokens)
     return [(span, table.payloads[span]) for span in table.greedy()]

@@ -17,7 +17,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, get_args, get_type_hints
+from typing import Iterator, Mapping, NamedTuple, get_args, get_type_hints
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph
@@ -81,15 +81,7 @@ class PipelineConfig:
     name_symbol: str = "name"
     em_max_iters: int = 100
     em_epsilon: float = 1e-6
-    refine: bool | None = None  # None: refine iff predicate categories supplied
     max_question_len: int = DEFAULT_MAX_QUESTION_LEN
-    max_mention_span: int = 5
-    max_value_span: int = 5
-
-    def resolved_refine(self) -> bool:
-        if self.refine is None:
-            return self.predicate_categories is not None
-        return self.refine
 
     def require(self, *names: str) -> None:
         """Check the knob ranges, then that ``names`` are set and, for
@@ -136,15 +128,11 @@ def _parse_bool(value: str) -> bool:
 
 
 def _parse(key: str, value: str, base: Path) -> object:
-    """A config-file value. A relative path resolves against ``base``; a
-    bool setting whose default is None (decided from other settings)
-    also takes ``auto`` for that default."""
+    """A config-file value; a relative path resolves against ``base``."""
     kind = SETTINGS[key]
     if kind is Path:
         return base / value  # an absolute value replaces base
     if kind is bool:
-        if value.lower() == "auto" and getattr(PipelineConfig, key) is None:
-            return None
         return _parse_bool(value)
     return kind(value)
 
@@ -188,27 +176,41 @@ def load_entity_dictionary(path: str | Path) -> list[tuple[str, str]]:
     return read_tsv(path, 2)
 
 
-def build_entity_index(
+def _keyed_rows(
     kb: KnowledgeBase, dictionary: list[tuple[str, str]]
-) -> tuple[StaticHashArray, dict[str, str]]:
-    """Index normalized surfaces to KB node ids; returns the index and the
-    canonical surface per node. Surfaces naming unknown nodes are skipped."""
-    entries: list[tuple[str, int]] = []
-    canonical: dict[str, str] = {}
-    skipped = 0
+) -> Iterator[tuple[str, str, str]]:
+    """(node, surface, key) for each dictionary row the entity index holds:
+    its node is in the KB and its surface normalizes to a non-empty key.
+    The skipped rows are counted in a warning."""
+    unknown = wordless = 0
     for node, surface in dictionary:
         if node not in kb.nodes:
-            skipped += 1
+            unknown += 1
             continue
         key = normalize_text(surface)
         if not key:
-            skipped += 1
+            wordless += 1
             continue
-        entries.append((key, kb.node_id(node)))
-        canonical.setdefault(node, surface)
-    if skipped:
-        log.warning("entity dictionary: skipped %d rows naming unknown nodes", skipped)
-    return StaticHashArray.build(entries), canonical
+        yield node, surface, key
+    if unknown:
+        log.warning("entity dictionary: skipped %d rows naming unknown nodes", unknown)
+    if wordless:
+        log.warning("entity dictionary: skipped %d rows whose surface has no word", wordless)
+
+
+def build_entity_index(kb: KnowledgeBase, dictionary: list[tuple[str, str]]) -> StaticHashArray:
+    """Index normalized surfaces to KB node ids."""
+    rows = _keyed_rows(kb, dictionary)
+    return StaticHashArray.build((key, kb.node_id(node)) for node, _, key in rows)
+
+
+def canonical_surfaces(kb: KnowledgeBase, dictionary: list[tuple[str, str]]) -> dict[str, str]:
+    """The first indexed surface of each node, which a chain substitutes
+    for it."""
+    surfaces: dict[str, str] = {}
+    for node, surface, _ in _keyed_rows(kb, dictionary):
+        surfaces.setdefault(node, surface)
+    return surfaces
 
 
 def corpus_seed_entities(mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]]) -> set[str]:
@@ -300,12 +302,12 @@ class _Staged:
 def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> StaticHashArray:
     """Build the entity index; write it when an index path is configured."""
     run.stage = "build-index"
-    index, _ = build_entity_index(inputs.kb, inputs.dictionary)
+    index = build_entity_index(inputs.kb, inputs.dictionary)
     if config.index is not None:
         index.save(run.path_for(config.index))
-    tokens = {t for node, s in inputs.dictionary if node in inputs.kb.nodes for t in tokenize(s)}
-    log.info("built entity index: %d items, longest key %d words, %d distinct key tokens, "
-             "%d filter bytes", len(index), index.max_words, len(tokens), len(index.token_filter))
+    log.info("built entity index: %d items in %d buckets, longest key %d words, "
+             "%d filter bytes", len(index), index.bucket_count, index.max_words,
+             len(index.token_filter))
     return index
 
 
@@ -315,7 +317,7 @@ def _expand_stage(
     """Probe each distinct corpus question once; expand predicate paths from
     the entities it mentions and write them."""
     run.stage = "expand"
-    probed = probe_corpus(inputs.kb, index, inputs.pairs, config.max_mention_span)
+    probed = probe_corpus(inputs.kb, index, inputs.pairs)
     seeds = corpus_seed_entities(probed.mentions)
     paths = expand_predicates(
         inputs.kb,
@@ -334,7 +336,8 @@ def _extract_stage(
     run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
     paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
-    """Extract the weighted observations; write them when configured."""
+    """Extract the weighted observations, refined to the question category
+    when predicate categories are supplied; write them when configured."""
     run.stage = "extract"
     categories = (
         _read(corpus_mod.load_predicate_categories, config.predicate_categories)
@@ -346,12 +349,10 @@ def _extract_stage(
         index,
         expansion_map(paths),
         predicate_categories=categories,
-        max_mention_span=config.max_mention_span,
-        max_value_span=config.max_value_span,
     )
     training = TrainingSet.build(
         inputs.pairs, mentions, extractor, corpus_stats(inputs.pairs), inputs.concepts,
-        config.resolved_refine(),
+        config.predicate_categories is not None,
     )
     if not len(training):
         raise StageError("extract", "no observations extracted")
@@ -432,12 +433,9 @@ class OnlineSession:
         rerun = ": rerun the offline flow"
         index = _read(StaticHashArray.load, config.index, advice=rerun)
         self.model = _read(PredicateModel.load, config.model, advice=rerun)
-        surfaces: dict[str, str] = {}
-        for node, surface in inputs.dictionary:
-            surfaces.setdefault(node, surface)
         self.engine = AnswerEngine(
-            inputs.kb, index, inputs.concepts, self.model, surfaces,
-            max_mention_span=config.max_mention_span,
+            inputs.kb, index, inputs.concepts, self.model,
+            canonical_surfaces(inputs.kb, inputs.dictionary),
         )
         self.decomposer = Decomposer(
             self.engine,

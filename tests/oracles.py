@@ -68,13 +68,13 @@ def probe_every_span(
 
 
 def candidate_values(extractor: EntityValueExtractor, answer: Tokens) -> set[str]:
-    """KB nodes named by an answer span of at most ``max_value_span``
-    tokens, by normalized node text or by an index probe of that span."""
+    """KB nodes named by an answer span, by normalized node text or by an
+    index probe of that span."""
     kb = extractor.kb
     found: set[str] = set()
     n = len(answer)
     for i in range(n):
-        for j in range(i + 1, min(n, i + extractor.max_value_span) + 1):
+        for j in range(i + 1, n + 1):
             text = " ".join(answer[i:j])
             found.update(node for node in kb.nodes if normalize_text(node) == text)
             for payload in extractor.index.lookup(text):

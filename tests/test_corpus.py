@@ -19,6 +19,8 @@ from factqa.corpus import (
     tokenize,
     write_observations,
 )
+from factqa.hasharray import StaticHashArray
+from factqa.kb import KnowledgeBase, Triple
 from factqa.learn import TrainingSet
 from oracles import candidate_values, predicates_between
 
@@ -284,6 +286,27 @@ def test_candidate_values_equal_probing_every_answer_span(toy_extractor, toy_cor
         assert toy_extractor.candidate_values(answer) == want, answer
         found += len(want)
     assert found > 300
+
+
+def test_candidate_values_reach_the_longest_node_text():
+    """Answer spans are matched against node texts up to the longest one,
+    here three words, and against index keys up to the longest key."""
+    kb = KnowledgeBase([
+        Triple("Ada", "dob", "10 December 1815"),
+        Triple("Ada", "spouse", "William King"),
+        Triple("Ada", "title", "Countess"),
+    ])
+    index = StaticHashArray.build([("william king", kb.node_id("William King"))])
+    extractor = EntityValueExtractor(kb, index, {})
+    assert index.max_words == 2
+    vocab = ["born", "10", "december", "1815", "william", "king", "countess", "ada", "of"]
+    rng = random.Random(91)
+    answers = [tokenize("She was born on 10 December 1815."), tokenize("William King")]
+    answers += [tuple(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(300)]
+    assert extractor.candidate_values(answers[0]) == {"10 December 1815"}
+    assert extractor.candidate_values(answers[1]) == {"William King"}
+    for answer in answers:
+        assert extractor.candidate_values(answer) == candidate_values(extractor, answer), answer
 
 
 def test_write_observations_format(toy_training):

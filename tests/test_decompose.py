@@ -216,7 +216,7 @@ def rich_decomposer(data_dir):
     """A decomposer over a livelier corpus so random questions exercise
     patterns with validities strictly between 0 and 1."""
     kb = load_kb(data_dir / "toy_kb.tsv")
-    index, _ = build_entity_index(kb, load_entity_dictionary(data_dir / "entities.tsv"))
+    index = build_entity_index(kb, load_entity_dictionary(data_dir / "entities.tsv"))
     from factqa.concepts import ConceptGraph
 
     concepts = ConceptGraph.load(data_dir / "isa.tsv")
@@ -298,8 +298,9 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
         brute = decompose_bruteforce(decomposer, tokens)
         assert dp.score == brute.score, tokens
         assert dp.sequence == brute.sequence, tokens
-        start, end = dp.head
-        assert tokens[start:end] == dp.sequence[0], tokens
+        # each later element's slot stands where the substring before it starts
+        start = sum(part.index(SLOT) for part in dp.sequence[1:])
+        assert tokens[start : start + len(dp.sequence[0])] == dp.sequence[0], tokens
         answered += dp.score > 0
         chained += len(dp.sequence) >= 2
         tied += dp.score > 0 and _chain_scores(decomposer, tokens).count(dp.score) >= 2

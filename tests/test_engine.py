@@ -19,7 +19,7 @@ Q0 = tokenize("When was Barack Obama born?")
 def quadruple_sum_oracle(engine, tokens):
     """Full nested sum over every (entity, template, path, value) with no
     zero-skipping; normalized the same way."""
-    mentions = kb_mentions(engine.kb, engine.index, tokens, engine.max_mention_span)
+    mentions = kb_mentions(engine.kb, engine.index, tokens)
     if not mentions:
         return {}
     p_e = 1.0 / len(mentions)

@@ -353,8 +353,18 @@ def test_find_mentions_no_overlap():
     assert [span for span, _ in find_mentions(idx, tokens)] == [(0, 1), (1, 2), (2, 3)]
 
 
-def test_find_mentions_respects_max_span():
-    idx = StaticHashArray.build([("a b c", 1)])
-    tokens = ["a", "b", "c"]
-    assert find_mentions(idx, tokens, max_span=2) == []
-    assert find_mentions(idx, tokens, max_span=3) == [((0, 3), [1])]
+def test_find_mentions_respects_max_span(monkeypatch):
+    """The maximum span is the index's longest key: spans up to it are
+    matched, and no longer span is probed."""
+    idx = StaticHashArray.build([("a b c", 1), ("b", 2)])
+    assert idx.max_words == 3
+    probed: list[str] = []
+    lookup = StaticHashArray.lookup
+
+    def recording_lookup(self, key):
+        probed.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(StaticHashArray, "lookup", recording_lookup)
+    assert find_mentions(idx, ["a", "b", "c", "b", "a"]) == [((0, 3), [1]), ((3, 4), [2])]
+    assert probed and max(key.count(" ") + 1 for key in probed) == 3

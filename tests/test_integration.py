@@ -161,9 +161,9 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
 
     config, _, _ = world
     kb = load_kb(config.kb)
-    index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
+    index = build_entity_index(kb, load_entity_dictionary(config.entities))
     pairs = load_corpus(config.corpus)
-    mentions = probe_corpus(kb, index, pairs, 5).mentions
+    mentions = probe_corpus(kb, index, pairs).mentions
     extractor = EntityValueExtractor(
         kb,
         index,

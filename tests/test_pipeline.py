@@ -23,6 +23,7 @@ from factqa.learn import PredicateModel
 from factqa.pipeline import (
     ConfigError,
     OnlineSession,
+    SETTINGS,
     PipelineConfig,
     StageError,
     _Staged,
@@ -176,6 +177,23 @@ def test_online_answers_simple_question(online):
 def test_online_answers_complex_question(online):
     record = online.answer_record("When was Barack Obama's wife born?")
     assert record["decomposition"]["sequence"] == ["barack obama's wife", "when was $e born"]
+    assert record["answer"] == "1964"
+
+
+def test_chain_substitutes_the_surface_the_index_keys(tmp_path, caplog):
+    """A first dictionary row that normalizes to no key is skipped online
+    as it is in the index, so the chain substitutes the indexed surface."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    entities = data / "entities.tsv"
+    entities.write_text("MichelleObama\t...\n" + entities.read_text())
+    config = make_config(tmp_path, entities=entities)
+    run_offline(config)
+    assert "skipped 1 rows whose surface has no word" in caplog.text
+    assert "unknown nodes" not in caplog.text
+    shutil.copyfile(DATA / "model_fixture.tsv", config.model)
+    record = OnlineSession(config).answer_record("When was Barack Obama's wife born?")
+    assert record["steps"][1]["question"] == "when was michelle obama born"
     assert record["answer"] == "1964"
 
 
@@ -355,19 +373,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_load_config_rejects_malformed_values(tmp_path):
     bad = tmp_path / "bad.cfg"
-    for line in ("k = abc", "em-epsilon = small", "refine = maybe", "name-restriction = auto"):
+    for line in ("k = abc", "em-epsilon = small", "name-restriction = maybe",
+                 "name-restriction = auto"):
         bad.write_text(f"# settings\n{line}\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value for"):
             load_config(bad)
-
-
-def test_load_config_refine_auto_equals_unset(tmp_path):
-    auto = tmp_path / "auto.cfg"
-    auto.write_text("k = 3\nrefine = auto\n")
-    unset = tmp_path / "unset.cfg"
-    unset.write_text("k = 3\n")
-    assert load_config(auto).refine is None
-    assert load_config(auto) == load_config(unset)
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -384,7 +394,6 @@ SETTING_SAMPLES = {
     "float": ("0.5", 0.5),
     "str": ("label", "label"),
     "bool": ("off", False),
-    "bool | None": ("off", False),
 }
 
 
@@ -399,6 +408,23 @@ def test_config_key_and_cli_flag_parse_alike(tmp_path, setting):
     flags = [f"--no-{key}"] if expected is False else [f"--{key}", text]
     args = build_parser().parse_args(["answer", *flags, "q"])
     assert getattr(args, setting.name) == expected
+
+
+@pytest.mark.parametrize("setting", ["refine", "max-mention-span", "max-value-span"])
+def test_settings_the_inputs_decide_are_refused(tmp_path, capsys, caplog, setting):
+    """Refinement follows from the predicate categories, and the span
+    bounds from the index's longest key and the KB's longest node text."""
+    assert setting.replace("-", "_") not in SETTINGS
+    flags = [f"--{setting}", f"--{setting}=1", f"--no-{setting}"]
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pipeline", flag])
+        assert exc.value.code == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{setting} = 1\n")
+    code, _ = run_cli(["pipeline", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"c.cfg:1: unknown setting {setting.replace('-', '_')!r}" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +491,6 @@ def test_cli_config_error_exit_code(capsys):
         ("--em-epsilon=-1", "em_epsilon must be >= 0, got -1.0"),
         ("--em-epsilon=nan", "em_epsilon must be >= 0, got nan"),
         ("--max-question-len=0", "max_question_len must be >= 1, got 0"),
-        ("--max-mention-span=0", "max_mention_span must be >= 1, got 0"),
-        ("--max-value-span=0", "max_value_span must be >= 1, got 0"),
     ],
 )
 def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message):

@@ -21,8 +21,7 @@ VOCAB = [
 ]
 
 
-@pytest.fixture(scope="module")
-def ambiguous_index(toy_kb, data_dir):
+def _ambiguous_entries(toy_kb, data_dir) -> list[tuple[str, int]]:
     """The toy dictionary, plus "obama" shared by two entities and a
     surface overlapping it that names a value node, not an entity (as a
     fingerprint false positive would): it still takes its span in the
@@ -31,32 +30,60 @@ def ambiguous_index(toy_kb, data_dir):
         (" ".join(tokenize(surface)), toy_kb.node_id(node))
         for node, surface in load_entity_dictionary(data_dir / "entities.tsv")
     ]
-    entries += [
+    return entries + [
         ("obama", toy_kb.node_id("BarackObama")),
         ("obama", toy_kb.node_id("MichelleObama")),
         ("obama born", toy_kb.node_id("1961")),
     ]
-    return StaticHashArray.build(entries)
 
 
-def _sequences(seed: int, count: int, max_len: int):
+@pytest.fixture(scope="module")
+def ambiguous_index(toy_kb, data_dir):
+    return StaticHashArray.build(_ambiguous_entries(toy_kb, data_dir))
+
+
+# keys of up to five words, nested in and overlapping the ambiguous ones
+LONG_KEYS = [
+    ("wife of barack obama", "MichelleObama"),
+    ("the wife of barack obama", "MichelleObama"),
+    ("michelle obama born in honolulu", "1964"),
+]
+
+
+def _sequences(seed: int, count: int, max_len: int, keys=()):
+    """Random token sequences; with ``keys``, a quarter of the picks are a
+    whole key, so long keys do occur."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield tuple(rng.choice(VOCAB) for _ in range(rng.randrange(0, max_len + 1)))
+        size = rng.randrange(0, max_len + 1)
+        tokens: list[str] = []
+        while len(tokens) < size:
+            if keys and rng.random() < 0.25:
+                tokens += rng.choice(keys).split(" ")
+            else:
+                tokens.append(rng.choice(VOCAB))
+        yield tuple(tokens)
 
 
-@pytest.mark.parametrize("max_span", [1, 2, 5])
-def test_greedy_and_all_span_mentions_match_the_plain_loops(toy_kb, ambiguous_index, max_span):
-    for tokens in _sequences(31 + max_span, 150, 10):
-        table = MentionTable(toy_kb, ambiguous_index, tokens, max_span)
-        for start in range(len(tokens) + 1):
-            for end in range(start, len(tokens) + 1):
+@pytest.mark.parametrize("longest", [1, 2, 5])
+def test_greedy_and_all_span_mentions_match_the_plain_loops(toy_kb, data_dir, longest):
+    entries = _ambiguous_entries(toy_kb, data_dir)
+    entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
+    entries = [(key, node) for key, node in entries if key.count(" ") < longest]
+    index = StaticHashArray.build(entries)
+    assert index.max_words == longest
+    keys = [key for key, _ in entries]
+    for tokens in _sequences(31 + longest, 150, 12, keys):
+        table = MentionTable(toy_kb, index, tokens)
+        n = len(tokens)
+        for start in range(n + 1):
+            for end in range(start, n + 1):
                 sub = tokens[start:end]
                 assert table.mentions(start, end) == oracles.kb_mentions(
-                    toy_kb, ambiguous_index, sub, max_span
+                    toy_kb, index, sub, n
                 ), (tokens, start, end)
                 assert table.entity_spans(start, end) == oracles.mention_spans(
-                    toy_kb, ambiguous_index, sub, max_span
+                    toy_kb, index, sub, n
                 ), (tokens, start, end)
 
 
@@ -65,9 +92,9 @@ def test_raw_greedy_walk_matches_the_plain_loop(ambiguous_index):
         assert find_mentions(ambiguous_index, tokens) == oracles.find_mentions(
             ambiguous_index, tokens
         ), tokens
-        table = SpanTable(ambiguous_index, tokens, 3)
+        table = SpanTable(ambiguous_index, tokens)
         assert [(span, table.payloads[span]) for span in table.greedy()] == (
-            oracles.find_mentions(ambiguous_index, tokens, 3)
+            oracles.find_mentions(ambiguous_index, tokens, len(tokens))
         )
 
 
@@ -108,31 +135,37 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
         return lookup(self, key)
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
-    table = MentionTable(toy_kb, index, tokens, max_span=5)
+    table = MentionTable(toy_kb, index, tokens)
     # only spans of one or two tokens that hold no token outside every key:
     # barack obama, barack, obama, michelle obama, michelle, obama
     assert len(probed) == 6
     assert all(len(key.split(" ")) <= 2 for key in probed)
     monkeypatch.undo()
-    assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, 5)
-    assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, 5)
+    assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, len(tokens))
+    assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, len(tokens))
     assert table.entity_spans() == {(2, 4), (5, 7)}
 
 
 # Keys with multi-word, non-ASCII and empty pieces (the double space in
 # "x  y"), and a vocabulary mixing their tokens with tokens no key holds,
 # an empty token, and tokens with inner or trailing spaces.
-FILTER_KEYS = ["barack obama", "obama", "new york city", "zürich", "東京 tower", "x  y", "a b", "é"]
+FILTER_KEYS = [
+    "barack obama", "obama", "new york city", "zürich", "東京 tower", "x  y", "a b", "é",
+    "new york city a b", "a b a b a",
+]
 FILTER_VOCAB = [
     "barack", "obama", "new", "york", "city", "zürich", "東京", "tower", "x", "y", "a", "b",
     "é", "", "a b", "obama ", "x  y", "when", "was", "zurich", "東", "e", "bar",
 ]
 
 
-@pytest.mark.parametrize("max_span", [1, 2, 3, 5])
-def test_filtered_probes_equal_probing_every_span(max_span, monkeypatch):
-    index = StaticHashArray.build((key, i) for i, key in enumerate(FILTER_KEYS))
-    rng = random.Random(4000 + max_span)
+@pytest.mark.parametrize("longest", [1, 2, 3, 5])
+def test_filtered_probes_equal_probing_every_span(longest, monkeypatch):
+    """Against an index cut to the keys of at most ``longest`` words."""
+    keys = [key for key in FILTER_KEYS if key.count(" ") < longest]
+    index = StaticHashArray.build((key, i) for i, key in enumerate(keys))
+    assert index.max_words == longest
+    rng = random.Random(4000 + longest)
     probed = hits = spans = 0
     lookup = StaticHashArray.lookup
 
@@ -144,15 +177,16 @@ def test_filtered_probes_equal_probing_every_span(max_span, monkeypatch):
     for _ in range(400):
         tokens = tuple(rng.choice(FILTER_VOCAB) for _ in range(rng.randrange(0, 11)))
         monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
-        table = SpanTable(index, tokens, max_span)
+        table = SpanTable(index, tokens)
         monkeypatch.undo()
-        want = oracles.probe_every_span(index, tokens, max_span)
+        n = len(tokens)
+        want = oracles.probe_every_span(index, tokens, n)
         assert table.payloads == want, tokens
         assert [(span, table.payloads[span]) for span in table.greedy()] == (
-            oracles.find_mentions(index, tokens, max_span)
+            oracles.find_mentions(index, tokens, n)
         ), tokens
         hits += len(want)
-        spans += sum(min(max_span, len(tokens) - i) for i in range(len(tokens)))
+        spans += n * (n + 1) // 2
     assert hits > 100
     # the filter and the longest key do skip spans
     assert 0 < probed < spans * 0.8
