@@ -166,16 +166,6 @@ def corpus_stats(corpus: Iterable[QaPair]) -> CorpusStats:
     return CorpusStats(question_probs, answer_probs)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (question, entity, value) training triple with its corpus mass."""
-
-    question: Tokens
-    entity: str
-    value: str
-    weight: float
-
-
 class MentionTable(SpanTable):
     """A question's span table, probed once, with the KB entities per span.
 
@@ -336,9 +326,3 @@ class EntityValueExtractor:
                     continue
                 pairs.add((entity, value))
         return pairs
-
-
-def write_observations(observations: Iterable[Observation], fp: IO[str]) -> None:
-    """Debug dump: ``question<TAB>entity<TAB>value<TAB>weight``."""
-    for obs in observations:
-        fp.write(f"{' '.join(obs.question)}\t{obs.entity}\t{obs.value}\t{obs.weight!r}\n")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
-from .corpus import MentionTable, Tokens
+from .corpus import Tokens
 from .kb import read_tsv
 
 if TYPE_CHECKING:  # the engine imports SLOT from here
@@ -178,18 +178,17 @@ class Decomposer:
         one_span = len({span for span, _ in mentions}) == 1
         return list(self.engine.supported_templates(tokens, mentions)) if one_span else None
 
-    def decompose(self, tokens: Tokens, spans: MentionTable | None = None) -> Decomposition:
+    def decompose(self, tokens: Tokens) -> Decomposition:
         """Best-scoring chain by memoized recursion over the substrings a
         pattern of positive validity reaches from the whole question.
 
         A substring's primitivity is read from one mention table of the
-        question (``spans``, probed here if not given), so each span is
-        probed once. The length limit bounds the search, so a primitive
-        question, which needs none, is never refused.
+        question, probed here, so each span is probed once. The length
+        limit bounds the search, so a primitive question, which needs none,
+        is never refused.
         """
         question = tuple(tokens)
-        if spans is None:
-            spans = self.engine.probe(question)
+        spans = self.engine.probe(question)
         # first_end[i]: the least end of an entity span starting at i or
         # later; [i, j) holds an entity span iff first_end[i] <= j
         n = len(question)

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import IO, Iterable, Mapping
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import CorpusStats, EntityValueExtractor, Observation, QaPair, Tokens
+from .corpus import CorpusStats, EntityValueExtractor, QaPair, Tokens
 from .kb import PredicatePath, convert_last, read_tsv
 
 # Latent assignment: (template text, predicate path).
@@ -56,10 +56,6 @@ class TrainingItem:
                 out.append(((template, path), self.p_q * self.p_e * pt * pv))
         return tuple(out)
 
-    @property
-    def observation(self) -> Observation:
-        return Observation(self.question, self.entity, self.value, self.weight)
-
 
 class TrainingSet:
     """Observations with precomputed factors; the input to learning."""
@@ -93,10 +89,6 @@ class TrainingSet:
         return assignments, [
             (*key, members, weights, fsum(weights)) for key, (members, weights) in groups.items()
         ]
-
-    @property
-    def observations(self) -> list[Observation]:
-        return [item.observation for item in self.items]
 
     @classmethod
     def build(
@@ -151,6 +143,12 @@ class TrainingSet:
                     )
                 )
         return cls(items)
+
+
+def write_observations(items: Iterable[TrainingItem], fp: IO[str]) -> None:
+    """Debug dump: ``question<TAB>entity<TAB>value<TAB>weight``."""
+    for item in items:
+        fp.write(f"{' '.join(item.question)}\t{item.entity}\t{item.value}\t{item.weight!r}\n")
 
 
 class PredicateModel:
@@ -329,6 +327,9 @@ def learn(
     model = init_theta(training)
     if not len(model):
         return LearnResult(model, 0, 0.0, len(training.items))
+    # init_theta's rows and m_step's are keyed by these assignments, so
+    # comparing the models on them compares every entry of either
+    assignments, _ = training.interned
     history = []
     dropped = 0
     iterations = 0
@@ -338,20 +339,10 @@ def learn(
         dropped = len(posterior.dropped)
         new_model = m_step(training, posterior)
         iterations += 1
-        delta = _max_abs_change(model, new_model)
+        delta = max(abs(model.prob(*z) - new_model.prob(*z)) for z in assignments)
         model = new_model
         if delta < epsilon:
             break
     history.append(log_likelihood(training, model))
     return LearnResult(model, iterations, history[-1], dropped, history)
 
-
-def _max_abs_change(old: PredicateModel, new: PredicateModel) -> float:
-    delta = 0.0
-    templates = set(old.templates()) | set(new.templates())
-    for template in templates:
-        old_row = old.row(template)
-        new_row = new.row(template)
-        for path in set(old_row) | set(new_row):
-            delta = max(delta, abs(old_row.get(path, 0.0) - new_row.get(path, 0.0)))
-    return delta

@@ -30,7 +30,6 @@ from .corpus import (
     normalize_text,
     probe_corpus,
     tokenize,
-    write_observations,
 )
 from .decompose import DEFAULT_MAX_QUESTION_LEN, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
@@ -44,7 +43,7 @@ from .kb import (
     read_tsv,
     write_expansion,
 )
-from .learn import LearnResult, PredicateModel, TrainingSet, learn
+from .learn import LearnResult, PredicateModel, TrainingSet, learn, write_observations
 
 log = logging.getLogger("factqa")
 
@@ -91,6 +90,8 @@ class PipelineConfig:
                 raise ConfigError(f"{knob} must be >= 1, got {getattr(self, knob)}")
         if not self.em_epsilon >= 0:  # NaN fails too
             raise ConfigError(f"em_epsilon must be >= 0, got {self.em_epsilon}")
+        if not self.name_symbol:  # no KB predicate is empty
+            raise ConfigError("name_symbol must be non-empty")
         missing = [n for n in names if getattr(self, n) is None]
         if missing:
             raise ConfigError("missing required settings: " + ", ".join(sorted(missing)))
@@ -358,7 +359,7 @@ def _extract_stage(
         raise StageError("extract", "no observations extracted")
     if config.observations:
         with open(run.path_for(config.observations), "w", encoding="utf-8") as fp:
-            write_observations(training.observations, fp)
+            write_observations(training.items, fp)
     log.info("extracted %d observations from %d pairs", len(training), len(inputs.pairs))
     return training
 

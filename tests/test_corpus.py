@@ -17,11 +17,10 @@ from factqa.corpus import (
     probe_corpus,
     question_category,
     tokenize,
-    write_observations,
 )
 from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase, Triple
-from factqa.learn import TrainingSet
+from factqa.learn import TrainingSet, write_observations
 from oracles import candidate_values, predicates_between
 
 Q1 = tokenize("When was Barack Obama born?")
@@ -211,7 +210,7 @@ def test_observations_are_kb_connected(toy_extractor, toy_corpus):
 
 
 def test_build_observations_fixture_weights(toy_training):
-    observations = toy_training.observations
+    observations = toy_training.items
     assert len(observations) == 3
     obama = [o for o in observations if o.entity == "BarackObama"]
     assert len(obama) == 2
@@ -229,7 +228,7 @@ def test_build_observations_empty_extraction(toy_extractor, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
     mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, [pair]).mentions
-    assert TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).observations == []
+    assert TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).items == ()
 
 
 def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_concepts, toy_training):
@@ -238,8 +237,8 @@ def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_conc
     scaled = TrainingSet.build(
         doubled, mentions, toy_extractor, corpus_stats(doubled), toy_concepts
     )
-    assert [(o.entity, o.value, o.weight) for o in toy_training.observations] == [
-        (o.entity, o.value, o.weight) for o in scaled.observations
+    assert [(o.entity, o.value, o.weight) for o in toy_training.items] == [
+        (o.entity, o.value, o.weight) for o in scaled.items
     ]
 
 
@@ -311,7 +310,7 @@ def test_candidate_values_reach_the_longest_node_text():
 
 def test_write_observations_format(toy_training):
     buf = io.StringIO()
-    write_observations(toy_training.observations, buf)
+    write_observations(toy_training.items, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[0].split("\t")[:3] == ["when was barack obama born", "BarackObama", "1961"]

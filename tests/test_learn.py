@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import io
 import random
+import sys
+from types import ModuleType
 from math import fsum, isclose, log
 
 import pytest
 
+import factqa.learn as learn_module
 from factqa.learn import (
     Posterior,
     PredicateModel,
@@ -23,13 +25,20 @@ from factqa.learn import (
 )
 from oracles import counting_baseline, m_step_item_by_item
 
-# the module, not the ``learn`` function the package exports under its name
-learn_module = importlib.import_module("factqa.learn")
-
 DOB = ("dob",)
 CATEGORY = ("category",)
 T_PERSON = "when was $person born"
 T_POLITICIAN = "when was $politician born"
+
+
+def test_package_attributes_are_its_submodules():
+    """The package re-exports no name, so ``factqa.learn`` is the module,
+    not the ``learn`` function."""
+    assert learn_module is sys.modules["factqa.learn"]
+    package = sys.modules["factqa"]
+    public = {name: value for name, value in vars(package).items() if not name.startswith("_")}
+    assert "learn" in public
+    assert all(isinstance(value, ModuleType) for value in public.values()), sorted(public)
 
 
 def make_item(template_probs, value_probs, weight=1.0, p_q=1.0, p_e=1.0):

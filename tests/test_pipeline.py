@@ -491,16 +491,22 @@ def test_cli_config_error_exit_code(capsys):
         ("--em-epsilon=-1", "em_epsilon must be >= 0, got -1.0"),
         ("--em-epsilon=nan", "em_epsilon must be >= 0, got nan"),
         ("--max-question-len=0", "max_question_len must be >= 1, got 0"),
+        ("--name-symbol=", "name_symbol must be non-empty"),
     ],
 )
 def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message):
+    """Given as a flag or as the same key in the config file."""
     data = tmp_path / "data"
     shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    bad = data / "bad.cfg"
+    key, _, value = flag[2:].partition("=")
+    bad.write_text((data / "pipeline.cfg").read_text() + f"\n{key} = {value}\n")
     for command in ("pipeline", "answer"):
-        proc = _cli_with_input(command, "--config", str(data / "pipeline.cfg"), flag)
-        assert proc.returncode == 2, (command, proc.stderr)
-        assert "Traceback" not in proc.stderr, command
-        assert message in proc.stderr, (command, proc.stderr)
+        for args in (("--config", str(data / "pipeline.cfg"), flag), ("--config", str(bad))):
+            proc = _cli_with_input(command, *args)
+            assert proc.returncode == 2, (command, args, proc.stderr)
+            assert "Traceback" not in proc.stderr, (command, args)
+            assert message in proc.stderr, (command, args, proc.stderr)
     assert not (data / "out").exists()
 
 

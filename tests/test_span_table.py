@@ -206,10 +206,9 @@ def test_one_span_naming_two_entities_derives_concepts_once_per_mention(
         return question_concepts(self, *args, **kwargs)
 
     monkeypatch.setattr(ConceptGraph, "question_concepts", counting)
-    spans = engine.probe(tokens)
-    mentions = spans.mentions()
+    mentions = engine.probe(tokens).mentions()
     assert mentions == [((0, 1), "BarackObama"), ((0, 1), "MichelleObama")]
-    decomposition = decomposer.decompose(tokens, spans)
+    decomposition = decomposer.decompose(tokens)
     assert (decomposition.sequence, decomposition.score) == ([tokens], 1.0)
     dist = engine.answer_distribution(tokens, mentions, decomposition.walk)
     assert len(calls) == len(mentions)
