@@ -3,7 +3,8 @@
 Machine-readable records go to stdout as JSON lines; logging goes to
 stderr. Exit codes: 0 success, 2 configuration error (online, also an
 input or artifact that cannot be read), 3 stage failure (offline, also an
-input that cannot be read), 4 unanswerable question in batch mode.
+input that cannot be read), 4 unanswerable question in batch mode. A
+stdout closed by its reader ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -142,6 +144,11 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         logging.getLogger("factqa").error("%s", exc)
         return EXIT_STAGE
+    except BrokenPipeError:
+        # the reader asked for nothing more; the interpreter's final flush
+        # of what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

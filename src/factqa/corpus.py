@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .hasharray import SpanTable, StaticHashArray
+from .hasharray import ProbeMemo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
@@ -177,7 +177,7 @@ class MentionTable(SpanTable):
     entity (a fingerprint false positive) still takes its span.
     """
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens):
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens):
         super().__init__(index, lookup_tokens(tokens))
         self.entities: dict[tuple[int, int], list[str]] = {}
         for span, payloads in self.payloads.items():
@@ -227,7 +227,7 @@ class CorpusMentions(NamedTuple):
 
 
 def probe_corpus(
-    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair]
+    kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, corpus: Iterable[QaPair]
 ) -> CorpusMentions:
     """One MentionTable per distinct question, kept only while it is read."""
     frequency: dict[Tokens, int] = {}
@@ -255,7 +255,7 @@ class EntityValueExtractor:
     def __init__(
         self,
         kb: KnowledgeBase,
-        index: StaticHashArray,
+        index: StaticHashArray | ProbeMemo,
         expansion: dict[tuple[str, str], list[PredicatePath]],
         *,
         predicate_categories: dict[str, str] | None = None,
@@ -264,7 +264,8 @@ class EntityValueExtractor:
         self.index = index
         self.predicate_categories = predicate_categories or {}
         self._expansion = expansion
-        # built up front so instances stay read-only under concurrent use
+        # built up front: after construction the only writes are a ProbeMemo
+        # index's, and each stores the value any other writer would store
         table: dict[str, list[str]] = {}
         for node in kb.nodes:
             table.setdefault(normalize_text(node), []).append(node)

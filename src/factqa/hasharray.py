@@ -204,6 +204,36 @@ class StaticHashArray:
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
 
+class ProbeMemo:
+    """An index's probes, each distinct token and key asked of it once.
+
+    Exposes what ``SpanTable`` reads: ``max_words``, ``has_token`` and
+    ``lookup``, the latter's payloads as a tuple so no two callers share a
+    list. The memo grows with every distinct key probed, so it suits one
+    pass over a finite input, such as one offline run over its corpus.
+    """
+
+    __slots__ = ("index", "max_words", "_tokens", "_keys")
+
+    def __init__(self, index: StaticHashArray):
+        self.index = index
+        self.max_words = index.max_words
+        self._tokens: dict[str, bool] = {}
+        self._keys: dict[str, tuple[int, ...]] = {}
+
+    def has_token(self, token: str) -> bool:
+        found = self._tokens.get(token)
+        if found is None:
+            found = self._tokens[token] = self.index.has_token(token)
+        return found
+
+    def lookup(self, key: str) -> tuple[int, ...]:
+        found = self._keys.get(key)
+        if found is None:
+            found = self._keys[key] = tuple(self.index.lookup(key))
+        return found
+
+
 class SpanTable:
     """Every span of a token sequence probed once against an index.
 
@@ -218,7 +248,7 @@ class SpanTable:
     one table serves every substring of the sequence.
     """
 
-    def __init__(self, index: StaticHashArray, tokens: Iterable[str]):
+    def __init__(self, index: StaticHashArray | ProbeMemo, tokens: Iterable[str]):
         toks = list(tokens)
         n = len(toks)
         self.payloads: dict[tuple[int, int], list[int]] = {}

@@ -103,12 +103,17 @@ class TrainingSet:
         """One item per (entity, value) extracted from each pair; ``mentions``
         holds each question's ``kb_mentions`` (``CorpusMentions.mentions``).
         Each distinct answer of a question with mentions is matched to KB
-        values once, and each (entity, value) pair to its paths once."""
+        values once, each (entity, value) pair to its paths once, and each
+        (question, entity) pair to its templates once: items of one such
+        pair share the ``template_probs`` dict."""
         items: list[TrainingItem] = []
         kb = extractor.kb
         values: dict[Tokens, set[str]] = {}
         # P(value | entity, path) over the connecting paths, once per pair
         value_probs: dict[tuple[str, str], dict[PredicatePath, float]] = {}
+        # P(template | entity, question); the entity's span is its first in
+        # the question's mentions, so it depends on the question alone
+        templates: dict[tuple[Tokens, str], dict[str, float]] = {}
         for pair in corpus:
             found = mentions[pair.question]
             if found and pair.answer not in values:
@@ -116,20 +121,19 @@ class TrainingSet:
             extracted = sorted(extractor.extract(pair, refine, found, values.get(pair.answer)))
             if not extracted:
                 continue
-            first_span: dict[str, tuple[int, int]] = {}
-            for span, entity in found:
-                first_span.setdefault(entity, span)
             distinct_entities = {e for e, _ in extracted}
             p_e = 1.0 / len(distinct_entities)
             p_q = stats.p_q(pair.question)
             mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
             for entity, value in extracted:
-                span = first_span[entity]
-                concept_dist = concepts.question_concepts(pair.question, entity, span)
-                template_probs = {
-                    t.text: prob
-                    for t, prob in derive_templates(pair.question, span, concept_dist).items()
-                }
+                template_probs = templates.get((pair.question, entity))
+                if template_probs is None:
+                    span = next(span for span, e in found if e == entity)
+                    concept_dist = concepts.question_concepts(pair.question, entity, span)
+                    template_probs = templates[pair.question, entity] = {
+                        t.text: prob
+                        for t, prob in derive_templates(pair.question, span, concept_dist).items()
+                    }
                 probs = value_probs.get((entity, value))
                 if probs is None:
                     probs = value_probs[entity, value] = {

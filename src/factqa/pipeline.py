@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .decompose import DEFAULT_MAX_QUESTION_LEN, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
-from .hasharray import StaticHashArray
+from .hasharray import ProbeMemo, StaticHashArray
 from .kb import (
     KnowledgeBase,
     SpoPath,
@@ -313,7 +313,7 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 
 def _expand_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: ProbeMemo
 ) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
     """Probe each distinct corpus question once; expand predicate paths from
     the entities it mentions and write them."""
@@ -334,7 +334,7 @@ def _expand_stage(
 
 
 def _extract_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: ProbeMemo,
     paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
     """Extract the weighted observations, refined to the question category
@@ -388,7 +388,8 @@ def run_expand(config: PipelineConfig) -> dict:
     config.require("kb", "entities", "corpus", "expansion")
     with _Staged() as run:
         inputs = load_inputs(config, concepts=False)
-        _, seeds, paths = _expand_stage(run, config, inputs, _index_stage(run, config, inputs))
+        probes = ProbeMemo(_index_stage(run, config, inputs))
+        _, seeds, paths = _expand_stage(run, config, inputs, probes)
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
@@ -398,10 +399,13 @@ def run_offline(config: PipelineConfig) -> dict:
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
-        probed, _, paths = _expand_stage(run, config, inputs, index)
+        # one memo for the run's probes: the corpus questions and answers
+        # repeat a few phrasings, so each distinct key is asked once
+        probes = ProbeMemo(index)
+        probed, _, paths = _expand_stage(run, config, inputs, probes)
         patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
-        training = _extract_stage(run, config, inputs, index, paths, probed.mentions)
-        del probed  # EM needs none of it
+        training = _extract_stage(run, config, inputs, probes, paths, probed.mentions)
+        del probed, probes  # EM needs none of it
         result = _learn_stage(run, config, training, patterns)
         report = {
             "triples": len(inputs.kb),

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from factqa.cli import build_parser, main
-from factqa.concepts import ConceptGraph
+from factqa.concepts import ConceptGraph, derive_templates
 from factqa.corpus import MentionTable, tokenize
 from factqa.decompose import PatternIndex
 from factqa.engine import AnswerEngine
-from factqa.learn import PredicateModel
+from factqa.hasharray import StaticHashArray
+from factqa.learn import PredicateModel, TrainingSet
 from factqa.pipeline import (
     ConfigError,
     OnlineSession,
@@ -151,6 +152,47 @@ def test_observations_dump(tmp_path):
     run_offline(config)
     lines = config.observations.read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_run_offline_asks_each_key_token_and_template_once(
+    tmp_path, monkeypatch, toy_kb, toy_index, toy_concepts
+):
+    calls: dict[str, list] = {}
+    for owner, name in ((StaticHashArray, "lookup"), (StaticHashArray, "has_token"),
+                        (ConceptGraph, "question_concepts")):
+        original = getattr(owner, name)
+
+        def counting(self, *args, _original=original, _calls=calls.setdefault(name, [])):
+            _calls.append(args[:2])
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    built: list[TrainingSet] = []
+    build = TrainingSet.build.__func__
+
+    def keeping(cls, *args):
+        built.append(build(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(TrainingSet, "build", classmethod(keeping))
+    config = make_config(tmp_path, observations=tmp_path / "artifacts" / "obs.tsv")
+    run_offline(config)
+    monkeypatch.undo()
+    for name, args in calls.items():
+        assert args and len(args) == len(set(args)), name
+    items = built[0].items
+    assert set(calls["question_concepts"]) == {(item.question, item.entity) for item in items}
+    for item in items:
+        span = next(s for s, e in MentionTable(toy_kb, toy_index[0], item.question).mentions()
+                    if e == item.entity)
+        concepts = toy_concepts.question_concepts(item.question, item.entity, span)
+        assert item.template_probs == {
+            t.text: p for t, p in derive_templates(item.question, span, concepts).items()
+        }
+    assert config.observations.read_text() == (
+        "when was barack obama born\tBarackObama\t1961\t0.3333333333333333\n" * 2
+        + "how many people are there in honolulu\tHonolulu\t390K\t0.3333333333333333\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +591,30 @@ def test_cli_repl(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(records) == 1
     assert records[0]["answer"] == "1961"
+
+
+@pytest.mark.parametrize("command", ["repl", "answer"])
+def test_cli_closed_stdout_ends_quietly_with_0(built_data, tmp_path, command):
+    """The reader takes one record and closes the pipe; records far beyond
+    a pipe buffer are still to come."""
+    question = "When was Barack Obama born?"
+    stdin = tmp_path / "questions.txt"
+    stdin.write_text(f"{question}\n" * 3000)
+    args = [question] * 3000 if command == "answer" else []
+    with open(stdin) as fp:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "factqa", command, "--config",
+             str(built_data / "pipeline.cfg"), *args],
+            stdin=fp, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert json.loads(first)["answer"] == "1961"
+    assert code == 0, stderr
+    assert "Traceback" not in stderr and "Broken pipe" not in stderr
 
 
 def test_cli_module_entrypoint(tmp_path):

@@ -7,11 +7,12 @@ import random
 import pytest
 
 import oracles
+from factqa import hasharray
 from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
-from factqa.hasharray import SpanTable, StaticHashArray, find_mentions
+from factqa.hasharray import ProbeMemo, SpanTable, StaticHashArray, find_mentions
 from factqa.pipeline import load_entity_dictionary
 
 VOCAB = [
@@ -215,3 +216,48 @@ def test_one_span_naming_two_entities_derives_concepts_once_per_mention(
     monkeypatch.undo()
     assert dist.entries == engine.answer_distribution(tokens).entries
     assert dist.entries
+
+
+def _not_from_the_memo(*args):
+    raise AssertionError("probe not served from the memo")
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_tables_over_a_probe_memo_equal_those_over_its_index(
+    toy_kb, data_dir, collide, monkeypatch
+):
+    """Also on a second pass, served from the memo alone. With ``collide``,
+    the absent key "obama barack" shares both hash halves with "obama born",
+    so its lookup returns that key's payload, a node that is no entity: the
+    false positive still takes its span."""
+    entries = _ambiguous_entries(toy_kb, data_dir)
+    entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
+    if collide:
+        key_hash = hasharray.key_hash
+        monkeypatch.setattr(
+            hasharray, "key_hash",
+            lambda key: key_hash("obama born" if key == "obama barack" else key),
+        )
+    index = StaticHashArray.build(entries)
+    memo = ProbeMemo(index)
+    keys = [key for key, _ in entries] + ["obama barack"]
+    sequences = list(_sequences(53, 150, 12, keys))
+
+    def tables(probes, tokens):
+        spans = SpanTable(probes, tokens)
+        mentions = MentionTable(toy_kb, probes, tokens)
+        return (spans.payloads, spans.greedy(), find_mentions(probes, tokens),
+                mentions.entities, mentions.mentions(), mentions.entity_spans())
+
+    table = MentionTable(toy_kb, memo, ("when", "was", "obama", "barack", "born"))
+    if collide:
+        assert memo.lookup("obama barack") == (toy_kb.node_id("1961"),)
+        assert (table.greedy(), table.mentions()) == ([(2, 4)], [])
+    else:
+        assert table.greedy() == [(2, 3)]
+    want = [tables(index, tokens) for tokens in sequences]
+    assert [tables(memo, tokens) for tokens in sequences] == want
+    monkeypatch.setattr(StaticHashArray, "lookup", _not_from_the_memo)
+    monkeypatch.setattr(StaticHashArray, "has_token", _not_from_the_memo)
+    assert [tables(memo, tokens) for tokens in sequences] == want
+    assert isinstance(memo.lookup("barack obama"), tuple)
