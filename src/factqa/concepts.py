@@ -59,6 +59,7 @@ class ConceptGraph:
             row = table.setdefault(entity, {})
             row[concept] = row.get(concept, 0.0) + float(weight)
         self._edges = table
+        self._priors: dict[str, dict[str, float]] = {}  # filled lazily
         self.context_weights = dict(context_weights or {})
         self.overrides = {q: dict(d) for q, d in (overrides or {}).items()}
 
@@ -86,12 +87,19 @@ class ConceptGraph:
         return cls(edges, weights, overrides)
 
     def concept_prior(self, entity: str) -> dict[str, float]:
-        """isA edge weights of the entity, normalized; empty if it has none."""
-        row = self._edges.get(entity)
-        if not row:
-            return {}
-        total = fsum(row.values())
-        return {c: w / total for c, w in sorted(row.items())}
+        """isA edge weights of the entity, normalized; empty if it has none.
+
+        Normalized once per entity and cached (the edges never change), so
+        every caller gets the same dict: callers only read it.
+        """
+        prior = self._priors.get(entity)
+        if prior is None:
+            row = self._edges.get(entity)
+            if not row:
+                return {}
+            total = fsum(row.values())
+            prior = self._priors[entity] = {c: w / total for c, w in sorted(row.items())}
+        return prior
 
     def conceptualize(
         self, tokens: Iterable[str], entity: str, mention: tuple[int, int] | None = None
@@ -100,20 +108,24 @@ class ConceptGraph:
 
         P(c | q, e) is proportional to P(c | e) * (1 + sum of the
         context weights of tokens outside the mention span). With no
-        context weights this reduces to the prior exactly.
+        context weights every factor is exactly 1, so the token loop is
+        skipped and this is the prior divided by its fsum.
         """
         prior = self.concept_prior(entity)
         if not prior:
             return {}
         weights = self.context_weights
-        toks = list(tokens)
-        if mention is not None:
-            start, end = mention
-            toks = toks[:start] + toks[end:]
-        scores = {
-            c: p * (1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks))
-            for c, p in prior.items()
-        }
+        scores = prior
+        if weights:
+            toks = list(tokens)
+            if mention is not None:
+                start, end = mention
+                toks = toks[:start] + toks[end:]
+            scores = {
+                c: p * (1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks))
+                for c, p in prior.items()
+            }
+        # the prior's fsum need not be exactly 1, so divide even without weights
         total = fsum(scores.values())
         return {c: s / total for c, s in scores.items()}
 

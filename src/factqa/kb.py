@@ -2,17 +2,32 @@
 
 Nodes live in a single id space; a node counts as an entity iff it occurs
 as a subject. The store is immutable after construction and safe for
-concurrent readers.
+concurrent readers. The offline flow saves it, with the canonical surface
+of each node, as one binary KB store file that online start-up reads in
+place of the KB and dictionary TSVs.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
+from collections import Counter
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, NamedTuple
+from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 PredicatePath = tuple[str, ...]
 
 NAME_PREDICATE = "name"
+
+STORE_MAGIC = b"FQAKBS\x00"
+STORE_VERSION = 1
+# magic, version, then the counts of nodes, predicates, edges and surfaces
+# and the byte lengths of the node, predicate and surface tables
+_STORE_HEADER = struct.Struct("<7sIQQQQQQQ")
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 class Triple(NamedTuple):
@@ -88,33 +103,64 @@ def _tsv_rows(lines: Iterable[str], n_fields: int, convert: RowConverter | None,
 
 
 class KnowledgeBase:
-    """Immutable set of triples with forward adjacency.
+    """Immutable set of triples as a CSR adjacency over interned ids.
 
-    Adjacency maps subject -> predicate -> objects. Node ids are interned
-    to dense ints in sorted order so downstream indexes are reproducible.
+    Nodes and predicates are interned to dense ints in sorted order, so
+    downstream indexes are reproducible. Node ``i``'s out-edges are
+    positions ``offsets[i]`` to ``offsets[i + 1]`` of two parallel id
+    arrays, predicates and objects, sorted by (predicate, object): the
+    edges run in sorted triple order. Built from triples offline, or read
+    back from the KB store (``load_store``) online; the two are equal in
+    every accessor.
     """
 
-    def __init__(self, triples: Iterable[Triple]):
-        self.triples: tuple[Triple, ...] = tuple(sorted(set(triples)))
-        adj: dict[str, dict[str, list[str]]] = {}
-        nodes: set[str] = set()
-        for s, p, o in self.triples:
-            adj.setdefault(s, {}).setdefault(p, []).append(o)
-            nodes.add(s)
-            nodes.add(o)
-        self._adj: dict[str, dict[str, tuple[str, ...]]] = {
-            s: {p: tuple(objs) for p, objs in by_pred.items()} for s, by_pred in adj.items()
-        }
-        self.entities: frozenset[str] = frozenset(self._adj)
-        self.nodes: frozenset[str] = frozenset(nodes)
-        self._node_list: tuple[str, ...] = tuple(sorted(nodes))
-        self._node_ids: dict[str, int] = {n: i for i, n in enumerate(self._node_list)}
+    def __init__(self, triples: Iterable[Triple] = ()):
+        rows = sorted(set(triples))
+        nodes = sorted({s for s, _, _ in rows}.union(o for _, _, o in rows))
+        degree = Counter(s for s, _, _ in rows)
+        self._adopt(nodes, sorted({p for _, p, _ in rows}),
+                    array(_U32, accumulate((degree[n] for n in nodes), initial=0)),
+                    array(_U32), array(_U32))
+        self._edge_predicates.extend(self._pred_ids[p] for _, p, _ in rows)
+        self._edge_objects.extend(self._node_ids[o] for _, _, o in rows)
+
+    def _adopt(self, nodes: list[str], predicates: list[str], offsets: array,
+               edge_predicates: array, edge_objects: array) -> None:
+        self._node_list: tuple[str, ...] = tuple(nodes)
+        self._node_ids: dict[str, int] = dict(zip(nodes, range(len(nodes))))
+        self.predicates: tuple[str, ...] = tuple(predicates)
+        self._pred_ids: dict[str, int] = dict(zip(predicates, range(len(predicates))))
+        self._offsets = offsets
+        self._edge_predicates = edge_predicates
+        self._edge_objects = edge_objects
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self._edge_objects)
+
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        """Every triple, sorted; built on first use (the online side never
+        asks)."""
+        names, offsets = self._node_list, self._offsets
+        subjects = chain.from_iterable(
+            repeat(name, offsets[i + 1] - offsets[i]) for i, name in enumerate(names)
+        )
+        return tuple(map(Triple, subjects, map(self.predicates.__getitem__, self._edge_predicates),
+                         map(names.__getitem__, self._edge_objects)))
+
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self._node_list)
+
+    @cached_property
+    def entities(self) -> frozenset[str]:
+        """The nodes with an out-edge: those that occur as a subject."""
+        offsets = self._offsets
+        return frozenset(n for n, a, b in zip(self._node_list, offsets, offsets[1:]) if a != b)
 
     def is_entity(self, node: str) -> bool:
-        return node in self.entities
+        i = self._node_ids.get(node)
+        return i is not None and self._offsets[i] != self._offsets[i + 1]
 
     def node_id(self, node: str) -> int:
         return self._node_ids[node]
@@ -126,30 +172,150 @@ class KnowledgeBase:
         return 0 <= node_id < len(self._node_list)
 
     def value_distribution(self, entity: str, path: PredicatePath) -> dict[str, float]:
-        """Uniform distribution over distinct nodes reachable via ``path``.
+        """Uniform distribution over distinct nodes reachable via ``path``,
+        in node order.
 
         An unknown entity or an unrealizable path yields an empty map.
         """
         if not path:
             raise ValueError("empty predicate path")
-        if entity not in self.nodes:
+        node = self._node_ids.get(entity)
+        if node is None:
             return {}
-        frontier: set[str] = {entity}
+        offsets, preds, objs = self._offsets, self._edge_predicates, self._edge_objects
+        frontier: set[int] = {node}
         for pred in path:
-            nxt: set[str] = set()
-            for node in frontier:
-                nxt.update(self._adj.get(node, {}).get(pred, ()))
+            p = self._pred_ids.get(pred)
+            if p is None:
+                return {}
+            nxt: set[int] = set()
+            for n in frontier:
+                for e in range(offsets[n], offsets[n + 1]):
+                    if preds[e] == p:
+                        nxt.add(objs[e])
             frontier = nxt
             if not frontier:
                 return {}
         share = 1.0 / len(frontier)
-        return {v: share for v in sorted(frontier)}
+        names = self._node_list
+        return {names[v]: share for v in sorted(frontier)}
 
 
 def load_kb(source: str | Path | IO[str] | Iterable[str]) -> KnowledgeBase:
     """Load a knowledge base from a path, file object, or line iterable of
     ``subject<TAB>predicate<TAB>object`` rows."""
     return KnowledgeBase(Triple(*row) for row in read_tsv(source, 3))
+
+
+class StoreFormatError(ValueError):
+    """Raised when a serialized KB store cannot be decoded."""
+
+
+def _name_table(names: Sequence[str], what: str) -> bytes:
+    text = "".join(f"{name}\n" for name in names)
+    if text.count("\n") != len(names):
+        raise ValueError(f"a {what} holds a line break, which the KB store cannot hold")
+    return text.encode("utf-8")
+
+
+def _u32_bytes(values: Iterable[int]) -> bytes:
+    arr = array(_U32, values)
+    if sys.byteorder != "little":
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
+    """The KB store: ``kb`` as its CSR plus the canonical surface of each
+    node in ``surfaces``, which must all be KB nodes."""
+    surface_ids = sorted(kb.node_id(node) for node in surfaces)
+    tables = [
+        _name_table(kb._node_list, "node"),
+        _name_table(kb.predicates, "predicate"),
+        _name_table([surfaces[kb.node_name(i)] for i in surface_ids], "surface"),
+    ]
+    header = _STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(kb._node_list),
+                                len(kb.predicates), len(kb), len(surface_ids),
+                                *map(len, tables))
+    return b"".join([header, tables[0], tables[1], _u32_bytes(kb._offsets),
+                     _u32_bytes(kb._edge_predicates), _u32_bytes(kb._edge_objects),
+                     _u32_bytes(surface_ids), tables[2]])
+
+
+def save_store(target: str | Path, kb: KnowledgeBase, surfaces: Mapping[str, str]) -> None:
+    with open(target, "wb") as fp:
+        fp.write(store_bytes(kb, surfaces))
+
+
+def load_store(source: str | Path) -> tuple[KnowledgeBase, dict[str, str]]:
+    """The KB and canonical surfaces of a KB store file; a store that does
+    not decode, or whose ids or offsets are out of range, raises
+    StoreFormatError."""
+    with open(source, "rb") as fp:
+        data = fp.read()
+    if len(data) < _STORE_HEADER.size:
+        raise StoreFormatError("truncated header")
+    (magic, version, node_count, predicate_count, edge_count, surface_count, node_bytes,
+     predicate_bytes, surface_bytes) = _STORE_HEADER.unpack_from(data)
+    if magic != STORE_MAGIC:
+        raise StoreFormatError("bad magic")
+    if version != STORE_VERSION:
+        raise StoreFormatError(
+            f"unsupported version: KB store format version {version}, expected {STORE_VERSION}"
+        )
+    view = memoryview(data)
+    pos = _STORE_HEADER.size
+
+    def section(size: int, name: str) -> memoryview:
+        nonlocal pos
+        if len(data) - pos < size:
+            raise StoreFormatError(f"truncated {name}")
+        pos += size
+        return view[pos - size:pos]
+
+    def names(size: int, count: int, name: str) -> list[str]:
+        try:
+            out = str(section(size, name), "utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise StoreFormatError(f"corrupt {name}: {exc}") from None
+        if len(out) != count + 1 or out.pop():
+            raise StoreFormatError(f"corrupt {name}: not {count} names")
+        return out
+
+    def ids(count: int, name: str) -> array:
+        arr = array(_U32)
+        arr.frombytes(section(count * 4, name))
+        if sys.byteorder != "little":
+            arr.byteswap()
+        return arr
+
+    nodes = names(node_bytes, node_count, "node table")
+    predicates = names(predicate_bytes, predicate_count, "predicate table")
+    offsets = ids(node_count + 1, "offsets")
+    edge_predicates = ids(edge_count, "edge predicates")
+    edge_objects = ids(edge_count, "edge objects")
+    surface_ids = ids(surface_count, "surface ids")
+    surfaces = names(surface_bytes, surface_count, "surface table")
+    if pos != len(data):
+        raise StoreFormatError("trailing bytes after the surface table")
+    bounds = offsets.tolist()
+    if bounds[0] != 0 or bounds[-1] != edge_count or bounds != sorted(bounds):
+        raise StoreFormatError("corrupt offsets: not monotone from 0 to the edge count")
+    for arr, limit, name in ((edge_predicates, predicate_count, "edge predicates"),
+                             (edge_objects, node_count, "edge objects"),
+                             (surface_ids, node_count, "surface ids")):
+        if arr and max(arr) >= limit:
+            raise StoreFormatError(f"corrupt {name}: id {max(arr)} out of range 0..{limit - 1}")
+    kb = KnowledgeBase.__new__(KnowledgeBase)
+    kb._adopt(nodes, predicates, offsets, edge_predicates, edge_objects)
+    named = dict(zip(map(nodes.__getitem__, surface_ids), surfaces))
+    # sorted, and as many distinct keys as entries: strictly ascending
+    for table, distinct, name in ((nodes, kb._node_ids, "node table"),
+                                  (predicates, kb._pred_ids, "predicate table"),
+                                  (surface_ids.tolist(), named, "surface ids")):
+        if len(distinct) != len(table) or table != sorted(table):
+            raise StoreFormatError(f"corrupt {name}: not strictly ascending")
+    return kb, named
 
 
 def expand_predicates(

@@ -5,9 +5,9 @@ question once, expands predicate paths from the entities mentioned,
 extracts observations, runs the learner and counts pattern validity; all
 artifacts are staged to temporary files and renamed into place only when
 every stage has succeeded, so a failed stage leaves nothing behind. The
-online flow loads those artifacts, with the KB, dictionary and isA files
-but not the corpus, and answers questions, decomposing the ones that are
-not directly answerable.
+online flow loads those artifacts, the KB store written beside the index
+among them, with the isA files but not the KB, dictionary or corpus, and
+answers questions, decomposing the ones that are not directly answerable.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from .kb import (
     expand_predicates,
     expansion_map,
     load_kb,
+    load_store,
     read_tsv,
+    save_store,
     write_expansion,
 )
 from .learn import LearnResult, PredicateModel, TrainingSet, learn, write_observations
@@ -226,10 +228,17 @@ def patterns_path(model: Path) -> Path:
     return model.with_name(f"{model.stem}.patterns{model.suffix}")
 
 
+def store_path(index: Path) -> Path:
+    """The KB store, written with the index and kept beside it:
+    ``world.index`` gives ``world.index.kb``."""
+    index = Path(index)
+    return index.with_name(f"{index.name}.kb")
+
+
 def _read(load, *paths: Path | None, advice: str = ""):
     """``load(*paths)``; a file that cannot be read or parsed (an OSError,
-    or a ValueError such as a TsvParseError or an IndexFormatError) is a
-    ConfigError naming it."""
+    or a ValueError such as a TsvParseError, an IndexFormatError or a
+    StoreFormatError) is a ConfigError naming it."""
     try:
         return load(*paths)
     except (OSError, ValueError) as exc:
@@ -239,7 +248,7 @@ def _read(load, *paths: Path | None, advice: str = ""):
 
 
 class Inputs(NamedTuple):
-    """The parsed input files the offline stages and online startup share."""
+    """The parsed input files the offline stages share."""
 
     kb: KnowledgeBase
     dictionary: list[tuple[str, str]]
@@ -301,11 +310,14 @@ class _Staged:
 
 
 def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> StaticHashArray:
-    """Build the entity index; write it when an index path is configured."""
+    """Build the entity index; write it and, beside it, the KB store when
+    an index path is configured."""
     run.stage = "build-index"
     index = build_entity_index(inputs.kb, inputs.dictionary)
     if config.index is not None:
         index.save(run.path_for(config.index))
+        save_store(run.path_for(store_path(config.index)), inputs.kb,
+                   canonical_surfaces(inputs.kb, inputs.dictionary))
     log.info("built entity index: %d items in %d buckets, longest key %d words, "
              "%d filter bytes", len(index), index.bucket_count, index.max_words,
              len(index.token_filter))
@@ -429,19 +441,19 @@ class OnlineSession:
     """Loaded artifacts plus the answering and decomposition machinery."""
 
     def __init__(self, config: PipelineConfig):
-        config.require("kb", "entities", "isa", "index", "model")
-        patterns_file = patterns_path(config.model)
-        missing = [str(p) for p in (config.index, config.model, patterns_file) if not p.is_file()]
+        config.require("isa", "index", "model")
+        store_file, patterns_file = store_path(config.index), patterns_path(config.model)
+        missing = [str(p) for p in (config.index, store_file, config.model, patterns_file)
+                   if not p.is_file()]
         if missing:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
-        inputs = load_inputs(config, corpus=False)
+        concepts = _read(ConceptGraph.load, config.isa, config.context_weights,
+                         config.fixture_overrides)
         rerun = ": rerun the offline flow"
         index = _read(StaticHashArray.load, config.index, advice=rerun)
+        kb, surfaces = _read(load_store, store_file, advice=rerun)
         self.model = _read(PredicateModel.load, config.model, advice=rerun)
-        self.engine = AnswerEngine(
-            inputs.kb, index, inputs.concepts, self.model,
-            canonical_surfaces(inputs.kb, inputs.dictionary),
-        )
+        self.engine = AnswerEngine(kb, index, concepts, self.model, surfaces)
         self.decomposer = Decomposer(
             self.engine,
             _read(PatternIndex.load, patterns_file, advice=rerun),

@@ -6,7 +6,9 @@
   skips a span for its length or its tokens, and neither does the answer
   span loop of value extraction.
 - A depth-first path finder between two nodes, next to the streaming
-  expansion.
+  expansion, and a value walk over the raw triples, next to the CSR walk.
+- Concept conceptualization as it stood before each entity's prior was
+  cached: the prior normalized and the token loop run on every call.
 - A counting estimate of P(path | template), next to EM, and the M-step as
   it stood before items with equal candidates were summed as one group:
   one ``w * r`` term per item.
@@ -151,6 +153,45 @@ def predicates_between(
     if name_restriction:
         found = {p for p in found if len(p) < 2 or p[-1] == name_symbol}
     return sorted(found, key=lambda p: (len(p), p))
+
+
+def value_distribution(
+    triples: Iterable[tuple[str, str, str]], entity: str, path: PredicatePath
+) -> dict[str, float]:
+    """Uniform over the distinct nodes that ``path`` reaches from ``entity``,
+    by a scan of every triple per step; sorted by node."""
+    frontier = {entity}
+    for pred in path:
+        frontier = {o for s, p, o in triples if p == pred and s in frontier}
+    return {v: 1.0 / len(frontier) for v in sorted(frontier)}
+
+
+def conceptualize(
+    edges: Iterable[tuple[str, str, float]],
+    context_weights: Mapping[tuple[str, str], float],
+    tokens: Tokens,
+    entity: str,
+    mention: tuple[int, int] | None = None,
+) -> dict[str, float]:
+    """P(c | q, e): the entity's isA weights normalized, each times 1 plus
+    the context weights of the tokens outside the mention, normalized."""
+    row: dict[str, float] = {}
+    for e, concept, weight in edges:
+        if e == entity:
+            row[concept] = row.get(concept, 0.0) + float(weight)
+    if not row:
+        return {}
+    total = fsum(row.values())
+    prior = {c: w / total for c, w in sorted(row.items())}
+    toks = list(tokens)
+    if mention is not None:
+        toks = toks[: mention[0]] + toks[mention[1]:]
+    scores = {
+        c: p * (1.0 + fsum(context_weights.get((c, tok), 0.0) for tok in toks))
+        for c, p in prior.items()
+    }
+    total = fsum(scores.values())
+    return {c: s / total for c, s in scores.items()}
 
 
 def counting_baseline(training: TrainingSet) -> PredicateModel:

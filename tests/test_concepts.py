@@ -8,6 +8,7 @@ import random
 import pytest
 
 from factqa.concepts import ConceptGraph, Template, derive_templates
+from oracles import conceptualize as conceptualize_oracle
 
 
 def test_concept_prior_normalizes_weights():
@@ -78,6 +79,30 @@ def test_conceptualize_symmetry_yields_uniform():
     graph = ConceptGraph(edges, context_weights=weights)
     dist = graph.conceptualize(("tok", "tok"), "e")
     assert all(math.isclose(p, 1 / 3, abs_tol=1e-12) for p in dist.values())
+
+
+@pytest.mark.parametrize("with_weights", [False, True], ids=["no-weights", "weights"])
+def test_cached_conceptualize_equals_the_uncached_oracle(with_weights):
+    """Bit for bit, on every call: the first computes and caches the
+    entity's prior, the later ones read it."""
+    rng = random.Random(17)
+    for _ in range(30):
+        concepts = [f"c{i}" for i in range(rng.randrange(1, 5))]
+        edges = [(f"e{rng.randrange(6)}", rng.choice(concepts), rng.uniform(0.1, 5.0))
+                 for _ in range(rng.randrange(1, 15))]
+        weights = {
+            (rng.choice(concepts), f"w{rng.randrange(4)}"): rng.uniform(0, 2.0)
+            for _ in range(rng.randrange(1, 6) if with_weights else 0)
+        }
+        graph = ConceptGraph(edges, context_weights=weights)
+        for _ in range(20):
+            tokens = tuple(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 6)))
+            start = rng.randrange(len(tokens))
+            mention = rng.choice([None, (start, rng.randrange(start + 1, len(tokens) + 1))])
+            entity = f"e{rng.randrange(7)}"  # e6 has no edges
+            want = conceptualize_oracle(edges, weights, tokens, entity, mention)
+            assert graph.conceptualize(tokens, entity, mention) == want
+            assert graph.conceptualize(tokens, entity, mention) == want
 
 
 def test_question_concepts_override_wins(toy_concepts):

@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
 from factqa.kb import (
     KnowledgeBase,
     SpoPath,
+    StoreFormatError,
     Triple,
     TsvParseError,
     expand_predicates,
     expansion_map,
     load_kb,
+    load_store,
     read_tsv,
+    save_store,
+    store_bytes,
     write_expansion,
 )
+from factqa.pipeline import canonical_surfaces, load_entity_dictionary
 from oracles import predicates_between
+from oracles import value_distribution as value_distribution_oracle
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -266,3 +273,105 @@ def test_expansion_file_roundtrip(toy_kb, tmp_path):
     assert {SpoPath(s, tuple(p.split("|")), o) for s, p, o in rows} == paths
     grouped = expansion_map(paths)
     assert grouped[("BarackObama", "MichelleObama")] == [("marriage", "person", "name")]
+
+
+# ---------------------------------------------------------------------------
+# the KB store
+
+
+def assert_same_kb(got: KnowledgeBase, want: KnowledgeBase) -> None:
+    """Equal in every accessor, value distributions over every path the
+    unrestricted expansion of every entity yields included."""
+    assert got.nodes == want.nodes
+    assert got.entities == want.entities
+    assert got.triples == want.triples
+    assert len(got) == len(want)
+    assert [got.node_name(i) for i in range(len(got.nodes))] == sorted(want.nodes)
+    for i in range(-2, len(want.nodes) + 2):
+        assert got.has_node_id(i) == want.has_node_id(i)
+    for node in [*sorted(want.nodes), "no such node"]:
+        assert got.is_entity(node) == want.is_entity(node)
+    paths = expand_predicates(want, want.entities, 3, name_restriction=False)
+    assert paths == expand_predicates(got, got.entities, 3, name_restriction=False)
+    for sp in paths:
+        want_dist = value_distribution_oracle(want.triples, sp.subject, sp.path)
+        assert got.value_distribution(sp.subject, sp.path) == want_dist
+        assert want.value_distribution(sp.subject, sp.path) == want_dist
+
+
+def round_trip(kb: KnowledgeBase, surfaces: dict[str, str], path) -> None:
+    save_store(path, kb, surfaces)
+    back, back_surfaces = load_store(path)
+    assert back_surfaces == surfaces
+    assert_same_kb(back, kb)
+    assert store_bytes(back, back_surfaces) == path.read_bytes()
+
+
+def test_store_of_the_toy_data_equals_its_tsv(toy_kb, data_dir, tmp_path):
+    surfaces = canonical_surfaces(toy_kb, load_entity_dictionary(data_dir / "entities.tsv"))
+    assert surfaces["MichelleObama"] == "Michelle Obama"
+    round_trip(toy_kb, surfaces, tmp_path / "toy.index.kb")
+
+
+def test_store_of_random_kbs_equals_the_kb(tmp_path):
+    rng = random.Random(5)
+    for trial in range(30):
+        nodes = rng.randrange(2, 40)  # at least 16 distinct triples to draw from
+        triples = random_graph(rng, nodes=nodes, edges=rng.randrange(min(80, nodes * nodes)),
+                               predicates=("name", "p1", "p2", "ü3"))
+        kb = KnowledgeBase(triples)
+        named = rng.sample(sorted(kb.nodes), rng.randrange(len(kb.nodes) + 1))
+        surfaces = {node: f"Surface {node} é" for node in named}
+        round_trip(kb, surfaces, tmp_path / f"{trial}.kb")
+
+
+def test_store_of_an_empty_kb(tmp_path):
+    round_trip(KnowledgeBase(), {}, tmp_path / "empty.kb")
+
+
+@pytest.mark.parametrize("triple", [("a\nb", "p", "c"), ("a", "p\n", "c"), ("a", "p", "\n")])
+def test_store_refuses_a_name_with_a_line_break(triple):
+    with pytest.raises(ValueError, match="line break"):
+        store_bytes(KnowledgeBase([Triple(*triple)]), {})
+
+
+def test_store_refuses_a_surface_with_a_line_break():
+    with pytest.raises(ValueError, match="line break"):
+        store_bytes(KnowledgeBase([Triple("a", "p", "b")]), {"a": "A\nB"})
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        # the toy store's node table starts "1961\n1964\n"
+        (lambda blob: blob.replace(b"1961\n1964\n", b"1964\n1961\n", 1),
+         "corrupt node table: not strictly ascending"),
+        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1961\n", 1),
+         "corrupt node table: not strictly ascending"),
+        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1964 ", 1),
+         "corrupt node table: not 10 names"),
+        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n196\xff\n", 1),
+         "corrupt node table: 'utf-8' codec can't decode"),
+        (lambda blob: blob.replace(b"category\ndob\n", b"dob\ncategory\n", 1),
+         "corrupt predicate table: not strictly ascending"),
+    ],
+    ids=["nodes-unsorted", "nodes-repeated", "node-count", "node-utf8", "predicates-unsorted"],
+)
+def test_store_refuses_a_corrupt_name_table(toy_kb, tmp_path, rewrite, message):
+    path = tmp_path / "toy.index.kb"
+    blob = store_bytes(toy_kb, {})
+    path.write_bytes(rewrite(blob))
+    assert path.read_bytes() != blob
+    with pytest.raises(StoreFormatError, match=message):
+        load_store(path)
+
+
+def test_store_refuses_repeated_surface_ids(toy_kb, tmp_path):
+    path = tmp_path / "toy.index.kb"
+    surfaces = {"BarackObama": "Barack Obama", "Honolulu": "Honolulu"}
+    blob = store_bytes(toy_kb, surfaces)
+    first = struct.pack("<I", toy_kb.node_id("BarackObama"))
+    second = struct.pack("<I", toy_kb.node_id("Honolulu"))
+    path.write_bytes(blob.replace(first + second, first + first, 1))
+    with pytest.raises(StoreFormatError, match="corrupt surface ids: not strictly ascending"):
+        load_store(path)

@@ -31,6 +31,7 @@ from factqa.pipeline import (
     load_config,
     patterns_path,
     run_offline,
+    store_path,
 )
 from oracles import counting_baseline, pattern_counts
 
@@ -348,6 +349,7 @@ def test_online_missing_artifacts_listed(tmp_path):
     config = make_config(tmp_path)
     with pytest.raises(ConfigError, match="toy.index") as excinfo:
         OnlineSession(config)
+    assert "toy.index.kb" in str(excinfo.value)
     assert "toy.model.patterns.tsv" in str(excinfo.value)
     run_offline(config)
     patterns_path(config.model).unlink()
@@ -576,6 +578,8 @@ def test_cli_build_index_and_expand(tmp_path, capsys):
     code, records = run_cli(["build-index", *cli_flags(config)], capsys)
     assert code == 0
     assert config.index.is_file()
+    assert store_path(config.index) == config.index.with_name("toy.index.kb")
+    assert store_path(config.index).is_file()
     code, records = run_cli(["expand", *cli_flags(config)], capsys)
     assert code == 0
     assert records[0]["paths"] > 0
@@ -670,6 +674,107 @@ def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     assert "index format version 1, expected 4: rerun the offline flow" in proc.stderr
 
 
+def test_kb_edit_after_training_keeps_the_trained_answer(built_data):
+    """Online answers come from the KB store the offline run wrote, whose
+    node ids are the index payloads, so a KB edit cannot shift them."""
+    with open(built_data / "toy_kb.tsv", "a", encoding="utf-8") as fp:
+        fp.write("AAA\tdob\t1900\n")
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["answer"] == "1961"
+
+
+def test_online_commands_read_no_kb_or_dictionary(built_data):
+    shutil.copyfile(DATA / "model_fixture.tsv", built_data / "out" / "toy.model.tsv")
+    config = str(built_data / "pipeline.cfg")
+    questions = ["When was Barack Obama born?", "When was Barack Obama's wife born?"]
+    before = [_module_cli(command, "--config", config, *questions)
+              for command in ("answer", "decompose")]
+    (built_data / "toy_kb.tsv").unlink()
+    (built_data / "entities.tsv").unlink()
+    after = [_module_cli(command, "--config", config, *questions)
+             for command in ("answer", "decompose")]
+    for old, new in zip(before, after):
+        assert new.returncode == old.returncode == 0, new.stderr
+        assert new.stdout == old.stdout
+    # the chain substitutes the canonical surface the store carries
+    assert json.loads(after[0].stdout.splitlines()[1])["steps"][1]["question"] == (
+        "when was michelle obama born"
+    )
+
+
+_STORE_HEADER = struct.Struct("<7sIQQQQQQQ")
+_STORE_SECTIONS = ("node table", "predicate table", "offsets", "edge predicates",
+                   "edge objects", "surface ids", "surface table")
+
+
+def _store_sections(blob: bytes) -> dict[str, tuple[int, int]]:
+    """(start, end) of each section of a KB store."""
+    _, _, nodes, _, edges, surfaces, node_bytes, predicate_bytes, surface_bytes = (
+        _STORE_HEADER.unpack_from(blob))
+    sizes = (node_bytes, predicate_bytes, (nodes + 1) * 4, edges * 4, edges * 4, surfaces * 4,
+             surface_bytes)
+    out, pos = {}, _STORE_HEADER.size
+    for name, size in zip(_STORE_SECTIONS, sizes):
+        out[name] = (pos, pos + size)
+        pos += size
+    assert pos == len(blob)
+    return out
+
+
+def _truncated_in(section: str):
+    def rewrite(blob: bytes) -> bytes:
+        start, end = _store_sections(blob)[section]
+        assert end - start >= 2
+        return blob[: (start + end) // 2]
+    return rewrite
+
+
+def _u32_at(section: str, index: int, value: int):
+    def rewrite(blob: bytes) -> bytes:
+        pos = _store_sections(blob)[section][0] + 4 * index
+        return blob[:pos] + struct.pack("<I", value) + blob[pos + 4:]
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (lambda blob: b"NOTAKB\x00" + blob[7:], "bad magic"),
+        (lambda blob: blob[:7] + struct.pack("<I", 2) + blob[11:],
+         "KB store format version 2, expected 1"),
+        (lambda blob: blob[:40], "truncated header"),
+        *[(_truncated_in(name), f"truncated {name}") for name in _STORE_SECTIONS],
+        (lambda blob: blob + b"\x00", "trailing bytes after the surface table"),
+        # the toy KB has 10 nodes, 6 predicates and 9 edges
+        (_u32_at("edge objects", 0, 10), "corrupt edge objects: id 10 out of range 0..9"),
+        (_u32_at("edge predicates", 3, 6), "corrupt edge predicates: id 6 out of range 0..5"),
+        (_u32_at("offsets", 1, 9), "corrupt offsets: not monotone from 0 to the edge count"),
+        (_u32_at("surface ids", 0, 17), "corrupt surface ids: id 17 out of range 0..9"),
+        (None, "missing artifacts (run the offline flow first)"),
+    ],
+    ids=["bad-magic", "version-2", "truncated-header",
+         *[f"truncated-{name.replace(' ', '-')}" for name in _STORE_SECTIONS],
+         "trailing-byte", "object-id-out-of-range", "predicate-id-out-of-range",
+         "offsets-not-monotone", "surface-id-out-of-range", "missing"],
+)
+def test_cli_refused_kb_store_exits_2(built_data, rewrite, message):
+    store = built_data / "out" / "toy.index.kb"
+    if rewrite is None:
+        store.unlink()
+    else:
+        store.write_bytes(rewrite(store.read_bytes()))
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(store) in proc.stderr
+    assert message in proc.stderr
+    if rewrite is not None:
+        assert f"{message}: rerun the offline flow" in proc.stderr
+
+
 def _zero_max_words(blob: bytes) -> bytes:
     return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", 0) + blob[7 + 4 + 8 * 3:]
 
@@ -752,17 +857,20 @@ def _cli_with_input(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_malformed_kb_line_exits_2_online_and_3_offline(built_data):
+def test_cli_malformed_kb_line_exits_3_offline_and_online_reads_the_store(built_data):
     kb = built_data / "toy_kb.tsv"
     with open(kb, "a", encoding="utf-8") as fp:
         fp.write("BarackObama\tdob\n")
     config = str(built_data / "pipeline.cfg")
-    for command, code in [("answer", 2), ("decompose", 2), ("repl", 2),
-                          ("build-index", 3), ("expand", 3), ("pipeline", 3)]:
+    for command in ("build-index", "expand", "pipeline"):
         proc = _cli_with_input(command, "--config", config)
-        assert proc.returncode == code, (command, proc.stderr)
+        assert proc.returncode == 3, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, command
         assert f"{kb}: line 11: expected 3 tab-separated fields, got 2" in proc.stderr, command
+    for command in ("answer", "decompose", "repl"):
+        proc = _cli_with_input(command, "--config", config)
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert proc.stderr == "", command
 
 
 def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
