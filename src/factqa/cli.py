@@ -2,9 +2,10 @@
 
 Machine-readable records go to stdout as JSON lines; logging goes to
 stderr. Exit codes: 0 success, 2 configuration error (online, also an
-input or artifact that cannot be read), 3 stage failure (offline, also an
-input that cannot be read), 4 unanswerable question in batch mode. A
-stdout closed by its reader ends the command quietly with 0.
+artifact that cannot be read: the online commands read no input file), 3
+stage failure (offline, also an input that cannot be read), 4 unanswerable
+question in batch mode. A stdout closed by its reader ends the command
+quietly with 0.
 """
 
 from __future__ import annotations

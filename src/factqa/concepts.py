@@ -1,16 +1,44 @@
-"""isA taxonomy: concept priors, context-aware reweighting, template derivation."""
+"""isA taxonomy: concept priors, context-aware reweighting, template derivation.
+
+The offline flow saves the graph it trained with as one binary concept
+file beside the model, which online start-up reads in place of the isA,
+context-weight and override TSVs.
+"""
 
 from __future__ import annotations
 
+import operator
+import struct
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import fsum
+from itertools import accumulate, compress
+from math import fsum, inf, isfinite
 from pathlib import Path
 from typing import Iterable
 
-from .kb import convert_last, read_tsv
+from .corpus import normalize_text
+from .kb import (
+    U32,
+    SectionReader,
+    StoreFormatError,
+    check_ascending,
+    convert_last,
+    name_table,
+    packed,
+    read_tsv,
+)
 
 PLACEHOLDER_MARK = "$"
 FALLBACK_CONCEPT = "entity"
+
+CONCEPTS_MAGIC = b"FQACON\x00"
+CONCEPTS_VERSION = 1
+# magic, version, then the counts of entities, concepts, isA edges, context
+# weights and override rows, and the byte lengths of the entity, concept,
+# context concept, context token, override question and override concept
+# tables
+_HEADER = struct.Struct("<7sI11Q")
 
 
 @dataclass(frozen=True)
@@ -38,7 +66,15 @@ def _positive_weight(text: str) -> float:
 
 
 class ConceptGraph:
-    """Weighted entity -> concept edges plus optional context machinery.
+    """Weighted entity -> concept edges as a CSR, plus optional context
+    machinery.
+
+    Entities and concepts are interned in sorted order. Entity ``i``'s
+    concepts are positions ``offsets[i]`` to ``offsets[i + 1]`` of two
+    parallel arrays, concept ids (ascending) and weights, each weight the
+    sum of its (entity, concept) pair's edge weights in input order. Built
+    from edges offline, or read back from the concept file
+    (``load_concepts``) online; the two are equal in every accessor.
 
     ``context_weights`` maps (concept, token) to a non-negative boost used
     by :meth:`conceptualize`. ``overrides`` pins an exact concept
@@ -54,14 +90,36 @@ class ConceptGraph:
     ):
         table: dict[str, dict[str, float]] = {}
         for entity, concept, weight in edges:
-            if weight <= 0:
-                raise ValueError(f"isA edge weight must be positive: ({entity}, {concept})")
             row = table.setdefault(entity, {})
-            row[concept] = row.get(concept, 0.0) + float(weight)
-        self._edges = table
+            total = row.get(concept, 0.0) + float(weight)
+            if not (weight > 0 and total < inf):  # NaN fails too
+                raise ValueError(
+                    f"isA edge weight must be positive, and a pair's weights must sum to a "
+                    f"finite number: ({entity}, {concept})"
+                )
+            row[concept] = total
+        entities = sorted(table)
+        concepts = sorted({c for row in table.values() for c in row})
+        ids = dict(zip(concepts, range(len(concepts))))
+        rows = [sorted(table[e].items()) for e in entities]
+        self._adopt(
+            entities, concepts, array(U32, accumulate(map(len, rows), initial=0)),
+            array(U32, [ids[c] for row in rows for c, _ in row]),
+            array("d", [w for row in rows for _, w in row]),
+            dict(context_weights or {}), {q: dict(d) for q, d in (overrides or {}).items()},
+        )
+
+    def _adopt(self, entities: list[str], concepts: list[str], offsets: array,
+               concept_ids: array, weights: array, context_weights: dict[tuple[str, str], float],
+               overrides: dict[str, dict[str, float]]) -> None:
+        self._entities = entities
+        self._concepts = concepts
+        self._offsets = offsets
+        self._concept_ids = concept_ids
+        self._weights = weights
         self._priors: dict[str, dict[str, float]] = {}  # filled lazily
-        self.context_weights = dict(context_weights or {})
-        self.overrides = {q: dict(d) for q, d in (overrides or {}).items()}
+        self.context_weights = context_weights
+        self.overrides = overrides
 
     @classmethod
     def load(
@@ -70,8 +128,7 @@ class ConceptGraph:
         context_weights_path: str | Path | None = None,
         overrides_path: str | Path | None = None,
     ) -> "ConceptGraph":
-        from .corpus import normalize_text
-
+        """The graph of the isA, context-weight and override TSVs."""
         edges = read_tsv(isa_path, 3, convert_last(_positive_weight))
         weights = None
         if context_weights_path is not None:
@@ -89,16 +146,23 @@ class ConceptGraph:
     def concept_prior(self, entity: str) -> dict[str, float]:
         """isA edge weights of the entity, normalized; empty if it has none.
 
-        Normalized once per entity and cached (the edges never change), so
-        every caller gets the same dict: callers only read it.
+        Normalized from the entity's CSR slice on first use and cached (the
+        edges never change), so every caller gets the same dict: callers
+        only read it.
         """
         prior = self._priors.get(entity)
         if prior is None:
-            row = self._edges.get(entity)
-            if not row:
+            entities = self._entities
+            i = bisect_left(entities, entity)
+            if i == len(entities) or entities[i] != entity:
                 return {}
-            total = fsum(row.values())
-            prior = self._priors[entity] = {c: w / total for c, w in sorted(row.items())}
+            start, end = self._offsets[i], self._offsets[i + 1]
+            weights = self._weights[start:end]
+            total = fsum(weights)
+            names = self._concepts
+            prior = self._priors[entity] = {
+                names[c]: w / total for c, w in zip(self._concept_ids[start:end], weights)
+            }
         return prior
 
     def conceptualize(
@@ -164,3 +228,79 @@ def derive_templates(
         slot = (PLACEHOLDER_MARK + concept,)
         out[Template(toks[:start] + slot + toks[end:], concept)] = prob
     return out
+
+
+def concepts_bytes(graph: ConceptGraph) -> bytes:
+    """The concept file: ``graph``'s CSR, then its context weights sorted by
+    (concept, token), then its override rows by question, each question's
+    concepts in their given order."""
+    context = sorted(graph.context_weights.items())
+    overrides = [(q, c, p) for q in sorted(graph.overrides) for c, p in graph.overrides[q].items()]
+    tables = [
+        name_table(graph._entities, "entity"),
+        name_table(graph._concepts, "concept"),
+        name_table([c for (c, _), _ in context], "context concept"),
+        name_table([tok for (_, tok), _ in context], "context token"),
+        name_table([q for q, _, _ in overrides], "override question"),
+        name_table([c for _, c, _ in overrides], "override concept"),
+    ]
+    header = _HEADER.pack(CONCEPTS_MAGIC, CONCEPTS_VERSION, len(graph._entities),
+                          len(graph._concepts), len(graph._concept_ids), len(context),
+                          len(overrides), *map(len, tables))
+    return b"".join([
+        header, tables[0], tables[1], packed(U32, graph._offsets),
+        packed(U32, graph._concept_ids), packed("d", graph._weights),
+        tables[2], tables[3], packed("d", [w for _, w in context]),
+        tables[4], tables[5], packed("d", [p for _, _, p in overrides]),
+    ])
+
+
+def load_concepts(source: str | Path) -> ConceptGraph:
+    """The graph of a concept file. A file that does not decode, whose ids,
+    offsets or isA weights are out of range, or whose context weights or
+    overrides the TSV readers could not have given, raises
+    StoreFormatError."""
+    with open(source, "rb") as fp:
+        read = SectionReader(fp.read(), _HEADER, CONCEPTS_MAGIC, CONCEPTS_VERSION,
+                             "concept file")
+    (entity_count, concept_count, edge_count, context_count, override_count, entity_bytes,
+     concept_bytes, context_concept_bytes, token_bytes, question_bytes,
+     override_concept_bytes) = read.fields
+    entities = read.names(entity_bytes, entity_count, "entity table")
+    concepts = read.names(concept_bytes, concept_count, "concept table")
+    offsets = read.offsets(entity_count + 1, edge_count)
+    concept_ids = read.ids(edge_count, concept_count, "concept ids")
+    weights = read.packed("d", edge_count, "isA weights")
+    context_concepts = read.names(context_concept_bytes, context_count, "context concepts")
+    tokens = read.names(token_bytes, context_count, "context tokens")
+    context_weights = read.packed("d", context_count, "context weights")
+    questions = read.names(question_bytes, override_count, "override questions")
+    override_concepts = read.names(override_concept_bytes, override_count, "override concepts")
+    probabilities = read.packed("d", override_count, "override probabilities")
+    read.end("override probabilities")
+    check_ascending(entities, "entity table")
+    check_ascending(concepts, "concept table")
+    # an id no greater than the one before it may only start an entity's slice
+    repeats = compress(range(1, edge_count), map(operator.le, concept_ids[1:], concept_ids))
+    if not set(repeats).issubset(offsets):
+        raise StoreFormatError("corrupt concept ids: not ascending within an entity")
+    if not (all(map(isfinite, weights)) and min(weights, default=1.0) > 0):
+        raise StoreFormatError("corrupt isA weights: not all positive and finite")
+    for table, name in ((context_concepts, "context concepts"), (tokens, "context tokens"),
+                        (override_concepts, "override concepts")):
+        if "" in table:
+            raise StoreFormatError(f"corrupt {name}: an empty name")
+    check_ascending(list(zip(context_concepts, tokens)), "context weights")
+    if any(map(operator.gt, questions, questions[1:])):
+        raise StoreFormatError("corrupt override questions: not in ascending order")
+    overrides: dict[str, dict[str, float]] = {}
+    for question, concept, prob in zip(questions, override_concepts, probabilities):
+        overrides.setdefault(question, {})[concept] = prob
+    if sum(map(len, overrides.values())) != override_count:
+        raise StoreFormatError("corrupt override concepts: repeated within a question")
+    if any(normalize_text(q) != q for q in overrides):
+        raise StoreFormatError("corrupt override questions: not in tokenized form")
+    graph = ConceptGraph.__new__(ConceptGraph)
+    graph._adopt(entities, concepts, offsets, concept_ids, weights,
+                 dict(zip(zip(context_concepts, tokens), context_weights)), overrides)
+    return graph

@@ -273,9 +273,6 @@ class EntityValueExtractor:
         # no answer span of more words can equal a node text
         self._longest_text = max((text.count(" ") + 1 for text in table), default=0)
 
-    def mention_entities(self, tokens: Tokens) -> list[tuple[tuple[int, int], str]]:
-        return kb_mentions(self.kb, self.index, tokens)
-
     def candidate_values(self, answer: Tokens) -> set[str]:
         """KB nodes named by some contiguous answer span.
 
@@ -301,22 +298,13 @@ class EntityValueExtractor:
     def extract(
         self,
         pair: QaPair,
+        mentions: list[tuple[tuple[int, int], str]],
+        values: set[str],
         refine: bool = True,
-        mentions: list[tuple[tuple[int, int], str]] | None = None,
-        values: set[str] | None = None,
     ) -> set[tuple[str, str]]:
-        """Candidate (entity, value) pairs for one QA pair.
-
-        ``mentions`` are the question's ``mention_entities`` and ``values``
-        the answer's ``candidate_values``, if already found.
-        """
+        """Candidate (entity, value) pairs for one QA pair, given the
+        question's ``kb_mentions`` and the answer's ``candidate_values``."""
         pairs: set[tuple[str, str]] = set()
-        if mentions is None:
-            mentions = self.mention_entities(pair.question)
-        if not mentions:
-            return pairs
-        if values is None:
-            values = self.candidate_values(pair.answer)
         qcat = question_category(pair.question)
         for _, entity in mentions:
             for value in values:

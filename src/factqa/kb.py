@@ -4,11 +4,13 @@ Nodes live in a single id space; a node counts as an entity iff it occurs
 as a subject. The store is immutable after construction and safe for
 concurrent readers. The offline flow saves it, with the canonical surface
 of each node, as one binary KB store file that online start-up reads in
-place of the KB and dictionary TSVs.
+place of the KB and dictionary TSVs. The store's checked section reader
+and its name-table and packed-array writers serve the concept file too.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from array import array
@@ -27,7 +29,7 @@ STORE_VERSION = 1
 # magic, version, then the counts of nodes, predicates, edges and surfaces
 # and the byte lengths of the node, predicate and surface tables
 _STORE_HEADER = struct.Struct("<7sIQQQQQQQ")
-_U32 = next(code for code in "IL" if array(code).itemsize == 4)
+U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 class Triple(NamedTuple):
@@ -119,8 +121,8 @@ class KnowledgeBase:
         nodes = sorted({s for s, _, _ in rows}.union(o for _, _, o in rows))
         degree = Counter(s for s, _, _ in rows)
         self._adopt(nodes, sorted({p for _, p, _ in rows}),
-                    array(_U32, accumulate((degree[n] for n in nodes), initial=0)),
-                    array(_U32), array(_U32))
+                    array(U32, accumulate((degree[n] for n in nodes), initial=0)),
+                    array(U32), array(U32))
         self._edge_predicates.extend(self._pred_ids[p] for _, p, _ in rows)
         self._edge_objects.extend(self._node_ids[o] for _, _, o in rows)
 
@@ -208,21 +210,94 @@ def load_kb(source: str | Path | IO[str] | Iterable[str]) -> KnowledgeBase:
 
 
 class StoreFormatError(ValueError):
-    """Raised when a serialized KB store cannot be decoded."""
+    """Raised when a binary artifact, the KB store or the concept file,
+    cannot be decoded."""
 
 
-def _name_table(names: Sequence[str], what: str) -> bytes:
+def name_table(names: Sequence[str], what: str) -> bytes:
+    """``names`` as one UTF-8 section, each name followed by ``\\n``."""
     text = "".join(f"{name}\n" for name in names)
     if text.count("\n") != len(names):
-        raise ValueError(f"a {what} holds a line break, which the KB store cannot hold")
+        raise ValueError(f"a {what} holds a line break, which a name table cannot hold")
     return text.encode("utf-8")
 
 
-def _u32_bytes(values: Iterable[int]) -> bytes:
-    arr = array(_U32, values)
+def packed(code: str, values: Iterable[Any]) -> bytes:
+    """``values`` as a little-endian array of the ``array`` type ``code``."""
+    arr = array(code, values)
     if sys.byteorder != "little":
         arr.byteswap()
     return arr.tobytes()
+
+
+def check_ascending(values: Sequence[Any], name: str) -> None:
+    """Refuse ``values`` unless each is less than the next."""
+    if not all(map(operator.lt, values, values[1:])):
+        raise StoreFormatError(f"corrupt {name}: not strictly ascending")
+
+
+class SectionReader:
+    """A binary artifact read front to back: a header of magic, version
+    and the fields of ``header`` after them, then sections in order, each
+    refused with StoreFormatError unless it is all there."""
+
+    def __init__(self, data: bytes, header: struct.Struct, magic: bytes, version: int,
+                 kind: str):
+        if len(data) < header.size:
+            raise StoreFormatError("truncated header")
+        found_magic, found_version, *self.fields = header.unpack_from(data)
+        if found_magic != magic:
+            raise StoreFormatError("bad magic")
+        if found_version != version:
+            raise StoreFormatError(
+                f"unsupported version: {kind} format version {found_version}, expected {version}"
+            )
+        self._view = memoryview(data)
+        self._pos = header.size
+
+    def section(self, size: int, name: str) -> memoryview:
+        if len(self._view) - self._pos < size:
+            raise StoreFormatError(f"truncated {name}")
+        self._pos += size
+        return self._view[self._pos - size:self._pos]
+
+    def names(self, size: int, count: int, name: str) -> list[str]:
+        """A ``name_table`` of ``size`` bytes holding ``count`` names."""
+        try:
+            out = str(self.section(size, name), "utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise StoreFormatError(f"corrupt {name}: {exc}") from None
+        if len(out) != count + 1 or out.pop():
+            raise StoreFormatError(f"corrupt {name}: not {count} names")
+        return out
+
+    def packed(self, code: str, count: int, name: str) -> array:
+        """A ``packed`` array of ``count`` items of type ``code``."""
+        arr = array(code)
+        arr.frombytes(self.section(count * arr.itemsize, name))
+        if sys.byteorder != "little":
+            arr.byteswap()
+        return arr
+
+    def ids(self, count: int, limit: int, name: str) -> array:
+        """A ``packed`` ``uint32`` array of ``count`` ids, each below ``limit``."""
+        arr = self.packed(U32, count, name)
+        if arr and max(arr) >= limit:
+            raise StoreFormatError(f"corrupt {name}: id {max(arr)} out of range 0..{limit - 1}")
+        return arr
+
+    def offsets(self, count: int, total: int) -> array:
+        """``count`` CSR offsets, rising from 0 to ``total``, the edge count."""
+        arr = self.packed(U32, count, "offsets")
+        bounds = arr.tolist()
+        if bounds[0] != 0 or bounds[-1] != total or bounds != sorted(bounds):
+            raise StoreFormatError("corrupt offsets: not monotone from 0 to the edge count")
+        return arr
+
+    def end(self, last: str) -> None:
+        """Refuse any bytes after the ``last`` section."""
+        if self._pos != len(self._view):
+            raise StoreFormatError(f"trailing bytes after the {last}")
 
 
 def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
@@ -230,16 +305,16 @@ def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
     node in ``surfaces``, which must all be KB nodes."""
     surface_ids = sorted(kb.node_id(node) for node in surfaces)
     tables = [
-        _name_table(kb._node_list, "node"),
-        _name_table(kb.predicates, "predicate"),
-        _name_table([surfaces[kb.node_name(i)] for i in surface_ids], "surface"),
+        name_table(kb._node_list, "node"),
+        name_table(kb.predicates, "predicate"),
+        name_table([surfaces[kb.node_name(i)] for i in surface_ids], "surface"),
     ]
     header = _STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(kb._node_list),
                                 len(kb.predicates), len(kb), len(surface_ids),
                                 *map(len, tables))
-    return b"".join([header, tables[0], tables[1], _u32_bytes(kb._offsets),
-                     _u32_bytes(kb._edge_predicates), _u32_bytes(kb._edge_objects),
-                     _u32_bytes(surface_ids), tables[2]])
+    return b"".join([header, tables[0], tables[1], packed(U32, kb._offsets),
+                     packed(U32, kb._edge_predicates), packed(U32, kb._edge_objects),
+                     packed(U32, surface_ids), tables[2]])
 
 
 def save_store(target: str | Path, kb: KnowledgeBase, surfaces: Mapping[str, str]) -> None:
@@ -252,70 +327,23 @@ def load_store(source: str | Path) -> tuple[KnowledgeBase, dict[str, str]]:
     not decode, or whose ids or offsets are out of range, raises
     StoreFormatError."""
     with open(source, "rb") as fp:
-        data = fp.read()
-    if len(data) < _STORE_HEADER.size:
-        raise StoreFormatError("truncated header")
-    (magic, version, node_count, predicate_count, edge_count, surface_count, node_bytes,
-     predicate_bytes, surface_bytes) = _STORE_HEADER.unpack_from(data)
-    if magic != STORE_MAGIC:
-        raise StoreFormatError("bad magic")
-    if version != STORE_VERSION:
-        raise StoreFormatError(
-            f"unsupported version: KB store format version {version}, expected {STORE_VERSION}"
-        )
-    view = memoryview(data)
-    pos = _STORE_HEADER.size
-
-    def section(size: int, name: str) -> memoryview:
-        nonlocal pos
-        if len(data) - pos < size:
-            raise StoreFormatError(f"truncated {name}")
-        pos += size
-        return view[pos - size:pos]
-
-    def names(size: int, count: int, name: str) -> list[str]:
-        try:
-            out = str(section(size, name), "utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"corrupt {name}: {exc}") from None
-        if len(out) != count + 1 or out.pop():
-            raise StoreFormatError(f"corrupt {name}: not {count} names")
-        return out
-
-    def ids(count: int, name: str) -> array:
-        arr = array(_U32)
-        arr.frombytes(section(count * 4, name))
-        if sys.byteorder != "little":
-            arr.byteswap()
-        return arr
-
-    nodes = names(node_bytes, node_count, "node table")
-    predicates = names(predicate_bytes, predicate_count, "predicate table")
-    offsets = ids(node_count + 1, "offsets")
-    edge_predicates = ids(edge_count, "edge predicates")
-    edge_objects = ids(edge_count, "edge objects")
-    surface_ids = ids(surface_count, "surface ids")
-    surfaces = names(surface_bytes, surface_count, "surface table")
-    if pos != len(data):
-        raise StoreFormatError("trailing bytes after the surface table")
-    bounds = offsets.tolist()
-    if bounds[0] != 0 or bounds[-1] != edge_count or bounds != sorted(bounds):
-        raise StoreFormatError("corrupt offsets: not monotone from 0 to the edge count")
-    for arr, limit, name in ((edge_predicates, predicate_count, "edge predicates"),
-                             (edge_objects, node_count, "edge objects"),
-                             (surface_ids, node_count, "surface ids")):
-        if arr and max(arr) >= limit:
-            raise StoreFormatError(f"corrupt {name}: id {max(arr)} out of range 0..{limit - 1}")
+        read = SectionReader(fp.read(), _STORE_HEADER, STORE_MAGIC, STORE_VERSION, "KB store")
+    (node_count, predicate_count, edge_count, surface_count, node_bytes, predicate_bytes,
+     surface_bytes) = read.fields
+    nodes = read.names(node_bytes, node_count, "node table")
+    predicates = read.names(predicate_bytes, predicate_count, "predicate table")
+    offsets = read.offsets(node_count + 1, edge_count)
+    edge_predicates = read.ids(edge_count, predicate_count, "edge predicates")
+    edge_objects = read.ids(edge_count, node_count, "edge objects")
+    surface_ids = read.ids(surface_count, node_count, "surface ids")
+    surfaces = read.names(surface_bytes, surface_count, "surface table")
+    read.end("surface table")
+    check_ascending(nodes, "node table")
+    check_ascending(predicates, "predicate table")
+    check_ascending(surface_ids, "surface ids")
     kb = KnowledgeBase.__new__(KnowledgeBase)
     kb._adopt(nodes, predicates, offsets, edge_predicates, edge_objects)
-    named = dict(zip(map(nodes.__getitem__, surface_ids), surfaces))
-    # sorted, and as many distinct keys as entries: strictly ascending
-    for table, distinct, name in ((nodes, kb._node_ids, "node table"),
-                                  (predicates, kb._pred_ids, "predicate table"),
-                                  (surface_ids.tolist(), named, "surface ids")):
-        if len(distinct) != len(table) or table != sorted(table):
-            raise StoreFormatError(f"corrupt {name}: not strictly ascending")
-    return kb, named
+    return kb, dict(zip(map(nodes.__getitem__, surface_ids), surfaces))
 
 
 def expand_predicates(

@@ -118,7 +118,9 @@ class TrainingSet:
             found = mentions[pair.question]
             if found and pair.answer not in values:
                 values[pair.answer] = extractor.candidate_values(pair.answer)
-            extracted = sorted(extractor.extract(pair, refine, found, values.get(pair.answer)))
+            # without mentions nothing is extracted, and no value is looked for
+            answer_values = values.get(pair.answer, set())
+            extracted = sorted(extractor.extract(pair, found, answer_values, refine))
             if not extracted:
                 continue
             distinct_entities = {e for e, _ in extracted}

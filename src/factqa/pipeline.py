@@ -5,9 +5,10 @@ question once, expands predicate paths from the entities mentioned,
 extracts observations, runs the learner and counts pattern validity; all
 artifacts are staged to temporary files and renamed into place only when
 every stage has succeeded, so a failed stage leaves nothing behind. The
-online flow loads those artifacts, the KB store written beside the index
-among them, with the isA files but not the KB, dictionary or corpus, and
-answers questions, decomposing the ones that are not directly answerable.
+online flow loads those artifacts alone, the KB store written beside the
+index and the concept file written beside the model among them, and reads
+no input file; it answers questions, decomposing the ones that are not
+directly answerable.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, get_args, get_type_hints
+from typing import Mapping, NamedTuple, get_args, get_type_hints
 
 from . import corpus as corpus_mod
-from .concepts import ConceptGraph
+from .concepts import ConceptGraph, concepts_bytes, load_concepts
 from .corpus import (
     CorpusMentions,
     EntityValueExtractor,
@@ -179,12 +180,18 @@ def load_entity_dictionary(path: str | Path) -> list[tuple[str, str]]:
     return read_tsv(path, 2)
 
 
-def _keyed_rows(
+def build_entity_index(
     kb: KnowledgeBase, dictionary: list[tuple[str, str]]
-) -> Iterator[tuple[str, str, str]]:
-    """(node, surface, key) for each dictionary row the entity index holds:
-    its node is in the KB and its surface normalizes to a non-empty key.
-    The skipped rows are counted in a warning."""
+) -> tuple[StaticHashArray, dict[str, str]]:
+    """Index normalized surfaces to KB node ids, in one pass over the
+    dictionary that also finds each node's canonical surface, its first
+    indexed one, which a chain substitutes for it.
+
+    A row is indexed when its node is in the KB and its surface normalizes
+    to a non-empty key; the skipped rows are counted in a warning.
+    """
+    entries: list[tuple[str, int]] = []
+    surfaces: dict[str, str] = {}
     unknown = wordless = 0
     for node, surface in dictionary:
         if node not in kb.nodes:
@@ -194,26 +201,13 @@ def _keyed_rows(
         if not key:
             wordless += 1
             continue
-        yield node, surface, key
+        entries.append((key, kb.node_id(node)))
+        surfaces.setdefault(node, surface)
     if unknown:
         log.warning("entity dictionary: skipped %d rows naming unknown nodes", unknown)
     if wordless:
         log.warning("entity dictionary: skipped %d rows whose surface has no word", wordless)
-
-
-def build_entity_index(kb: KnowledgeBase, dictionary: list[tuple[str, str]]) -> StaticHashArray:
-    """Index normalized surfaces to KB node ids."""
-    rows = _keyed_rows(kb, dictionary)
-    return StaticHashArray.build((key, kb.node_id(node)) for node, _, key in rows)
-
-
-def canonical_surfaces(kb: KnowledgeBase, dictionary: list[tuple[str, str]]) -> dict[str, str]:
-    """The first indexed surface of each node, which a chain substitutes
-    for it."""
-    surfaces: dict[str, str] = {}
-    for node, surface, _ in _keyed_rows(kb, dictionary):
-        surfaces.setdefault(node, surface)
-    return surfaces
+    return StaticHashArray.build(entries), surfaces
 
 
 def corpus_seed_entities(mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]]) -> set[str]:
@@ -226,6 +220,13 @@ def patterns_path(model: Path) -> Path:
     ``world.model.tsv`` gives ``world.model.patterns.tsv``."""
     model = Path(model)
     return model.with_name(f"{model.stem}.patterns{model.suffix}")
+
+
+def concepts_path(model: Path) -> Path:
+    """The concept file, written with the model and kept beside it:
+    ``world.model.tsv`` gives ``world.model.concepts``."""
+    model = Path(model)
+    return model.with_name(f"{model.stem}.concepts")
 
 
 def store_path(index: Path) -> Path:
@@ -313,11 +314,10 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
     """Build the entity index; write it and, beside it, the KB store when
     an index path is configured."""
     run.stage = "build-index"
-    index = build_entity_index(inputs.kb, inputs.dictionary)
+    index, surfaces = build_entity_index(inputs.kb, inputs.dictionary)
     if config.index is not None:
         index.save(run.path_for(config.index))
-        save_store(run.path_for(store_path(config.index)), inputs.kb,
-                   canonical_surfaces(inputs.kb, inputs.dictionary))
+        save_store(run.path_for(store_path(config.index)), inputs.kb, surfaces)
     log.info("built entity index: %d items in %d buckets, longest key %d words, "
              "%d filter bytes", len(index), index.bucket_count, index.max_words,
              len(index.token_filter))
@@ -377,13 +377,16 @@ def _extract_stage(
 
 
 def _learn_stage(
-    run: _Staged, config: PipelineConfig, training: TrainingSet, patterns: PatternIndex
+    run: _Staged, config: PipelineConfig, training: TrainingSet, patterns: PatternIndex,
+    concepts: ConceptGraph,
 ) -> LearnResult:
-    """Fit the model by EM; write it and, beside it, the pattern validity."""
+    """Fit the model by EM; write it and, beside it, the pattern validity
+    and the concept graph it was trained with."""
     run.stage = "learn"
     result = learn(training, config.em_max_iters, config.em_epsilon)
     result.model.save(run.path_for(config.model))
     patterns.save(run.path_for(patterns_path(config.model)))
+    run.path_for(concepts_path(config.model)).write_bytes(concepts_bytes(concepts))
     return result
 
 
@@ -418,7 +421,7 @@ def run_offline(config: PipelineConfig) -> dict:
         patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
         training = _extract_stage(run, config, inputs, probes, paths, probed.mentions)
         del probed, probes  # EM needs none of it
-        result = _learn_stage(run, config, training, patterns)
+        result = _learn_stage(run, config, training, patterns, inputs.concepts)
         report = {
             "triples": len(inputs.kb),
             "entities": len(inputs.kb.entities),
@@ -441,17 +444,17 @@ class OnlineSession:
     """Loaded artifacts plus the answering and decomposition machinery."""
 
     def __init__(self, config: PipelineConfig):
-        config.require("isa", "index", "model")
-        store_file, patterns_file = store_path(config.index), patterns_path(config.model)
-        missing = [str(p) for p in (config.index, store_file, config.model, patterns_file)
-                   if not p.is_file()]
+        config.require("index", "model")
+        store_file = store_path(config.index)
+        patterns_file, concepts_file = patterns_path(config.model), concepts_path(config.model)
+        missing = [str(p) for p in (config.index, store_file, config.model, patterns_file,
+                                    concepts_file) if not p.is_file()]
         if missing:
             raise ConfigError("missing artifacts (run the offline flow first): " + ", ".join(missing))
-        concepts = _read(ConceptGraph.load, config.isa, config.context_weights,
-                         config.fixture_overrides)
         rerun = ": rerun the offline flow"
         index = _read(StaticHashArray.load, config.index, advice=rerun)
         kb, surfaces = _read(load_store, store_file, advice=rerun)
+        concepts = _read(load_concepts, concepts_file, advice=rerun)
         self.model = _read(PredicateModel.load, config.model, advice=rerun)
         self.engine = AnswerEngine(kb, index, concepts, self.model, surfaces)
         self.decomposer = Decomposer(

@@ -20,7 +20,7 @@ from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
 from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
-from factqa.pipeline import build_entity_index, canonical_surfaces, load_entity_dictionary
+from factqa.pipeline import build_entity_index, load_entity_dictionary
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,8 +37,7 @@ def toy_kb():
 
 @pytest.fixture(scope="session")
 def toy_index(toy_kb):
-    dictionary = load_entity_dictionary(DATA / "entities.tsv")
-    return build_entity_index(toy_kb, dictionary), canonical_surfaces(toy_kb, dictionary)
+    return build_entity_index(toy_kb, load_entity_dictionary(DATA / "entities.tsv"))
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,9 @@
   span loop of value extraction.
 - A depth-first path finder between two nodes, next to the streaming
   expansion, and a value walk over the raw triples, next to the CSR walk.
-- Concept conceptualization as it stood before each entity's prior was
-  cached: the prior normalized and the token loop run on every call.
+- Concept priors and conceptualization as they stood before each
+  entity's prior was cached: the isA edges scanned, the prior normalized
+  and the token loop run on every call.
 - A counting estimate of P(path | template), next to EM, and the M-step as
   it stood before items with equal candidates were summed as one group:
   one ``w * r`` term per item.
@@ -166,6 +167,17 @@ def value_distribution(
     return {v: 1.0 / len(frontier) for v in sorted(frontier)}
 
 
+def concept_prior(edges: Iterable[tuple[str, str, float]], entity: str) -> dict[str, float]:
+    """The entity's isA weights, summed per concept in edge order and
+    normalized, by concept; empty if it has none."""
+    row: dict[str, float] = {}
+    for e, concept, weight in edges:
+        if e == entity:
+            row[concept] = row.get(concept, 0.0) + float(weight)
+    total = fsum(row.values())
+    return {c: w / total for c, w in sorted(row.items())}
+
+
 def conceptualize(
     edges: Iterable[tuple[str, str, float]],
     context_weights: Mapping[tuple[str, str], float],
@@ -175,14 +187,9 @@ def conceptualize(
 ) -> dict[str, float]:
     """P(c | q, e): the entity's isA weights normalized, each times 1 plus
     the context weights of the tokens outside the mention, normalized."""
-    row: dict[str, float] = {}
-    for e, concept, weight in edges:
-        if e == entity:
-            row[concept] = row.get(concept, 0.0) + float(weight)
-    if not row:
+    prior = concept_prior(edges, entity)
+    if not prior:
         return {}
-    total = fsum(row.values())
-    prior = {c: w / total for c, w in sorted(row.items())}
     toks = list(tokens)
     if mention is not None:
         toks = toks[: mention[0]] + toks[mention[1]:]
@@ -192,6 +199,22 @@ def conceptualize(
     }
     total = fsum(scores.values())
     return {c: s / total for c, s in scores.items()}
+
+
+def question_concepts(
+    edges: Iterable[tuple[str, str, float]],
+    context_weights: Mapping[tuple[str, str], float],
+    overrides: Mapping[str, Mapping[str, float]],
+    tokens: Tokens,
+    entity: str,
+    mention: tuple[int, int] | None = None,
+) -> dict[str, float]:
+    """The question's override if it has one, else ``conceptualize``, else
+    the universal concept alone."""
+    override = overrides.get(" ".join(tokens))
+    if override:
+        return dict(override)
+    return conceptualize(edges, context_weights, tokens, entity, mention) or {"entity": 1.0}
 
 
 def counting_baseline(training: TrainingSet) -> PredicateModel:

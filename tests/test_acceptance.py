@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_keys
-from factqa.corpus import QaPair, corpus_stats, tokenize
+from factqa.corpus import QaPair, corpus_stats, kb_mentions, tokenize
 from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase, SpoPath, expand_predicates
 from factqa.learn import TrainingSet, e_step, init_theta, learn, m_step
@@ -74,11 +74,15 @@ def test_criterion_3_extraction(toy_extractor):
         tokenize("When was Barack Obama born?"),
         tokenize("The politician was born in 1961."),
     )
-    assert toy_extractor.extract(pair, refine=False) == {
+    mentions = kb_mentions(toy_extractor.kb, toy_extractor.index, pair.question)
+    values = toy_extractor.candidate_values(pair.answer)
+    assert toy_extractor.extract(pair, mentions, values, refine=False) == {
         ("BarackObama", "1961"),
         ("BarackObama", "politician"),
     }
-    assert toy_extractor.extract(pair, refine=True) == {("BarackObama", "1961")}
+    assert toy_extractor.extract(pair, mentions, values, refine=True) == {
+        ("BarackObama", "1961")
+    }
 
 
 @criterion(4, "EM: monotone likelihood, exact E-step, noise tolerance, < 60 s")

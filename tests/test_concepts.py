@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 
-from factqa.concepts import ConceptGraph, Template, derive_templates
+from factqa.concepts import (
+    ConceptGraph,
+    Template,
+    concepts_bytes,
+    derive_templates,
+    load_concepts,
+)
+from factqa.kb import StoreFormatError, convert_last, read_tsv
+from oracles import concept_prior as concept_prior_oracle
 from oracles import conceptualize as conceptualize_oracle
+from oracles import question_concepts as question_concepts_oracle
 
 
 def test_concept_prior_normalizes_weights():
@@ -29,6 +39,13 @@ def test_concept_prior_no_edges():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError):
         ConceptGraph([("x", "thing", 0)])
+
+
+@pytest.mark.parametrize("weights", [[math.nan], [math.inf], [1e308, 1e308]],
+                         ids=["nan", "inf", "sum-overflows"])
+def test_weight_or_pair_sum_that_is_not_finite_rejected(weights):
+    with pytest.raises(ValueError, match=r"must sum to a finite number: \(x, thing\)"):
+        ConceptGraph([("x", "thing", w) for w in weights])
 
 
 def test_conceptualize_reduces_to_prior_without_weights(data_dir):
@@ -124,6 +141,146 @@ def test_override_file_keys_are_normalized(tmp_path, data_dir):
     graph = ConceptGraph.load(data_dir / "isa.tsv", overrides_path=raw)
     tokens = ("when", "was", "barack", "obama", "born")
     assert graph.question_concepts(tokens, "BarackObama", (2, 4)) == {"person": 0.8}
+
+
+# ---------------------------------------------------------------------------
+# the concept file
+
+
+def round_trip(graph: ConceptGraph, path) -> ConceptGraph:
+    """``graph`` written, read back and written again: the same bytes."""
+    path.write_bytes(concepts_bytes(graph))
+    back = load_concepts(path)
+    assert concepts_bytes(back) == path.read_bytes()
+    return back
+
+
+def assert_same_concepts(got: ConceptGraph, want: ConceptGraph, edges, context_weights,
+                         overrides, questions) -> None:
+    """``got`` equals ``want`` and the oracles for every entity of the edges
+    and one without any, on every question, with no mention and with each
+    span of it as the mention."""
+    assert got.context_weights == want.context_weights
+    assert got.overrides == want.overrides
+    for entity in sorted({e for e, _, _ in edges}) + ["no such entity"]:
+        prior = concept_prior_oracle(edges, entity)
+        assert got.concept_prior(entity) == want.concept_prior(entity) == prior, entity
+        assert list(got.concept_prior(entity)) == list(prior)
+        for tokens in questions:
+            spans = [(i, j) for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)]
+            for mention in [None, *spans]:
+                dist = conceptualize_oracle(edges, context_weights, tokens, entity, mention)
+                assert got.conceptualize(tokens, entity, mention) == dist
+                assert want.conceptualize(tokens, entity, mention) == dist
+                dist = question_concepts_oracle(edges, context_weights, overrides, tokens,
+                                                entity, mention)
+                assert got.question_concepts(tokens, entity, mention) == dist
+                assert want.question_concepts(tokens, entity, mention) == dist
+                assert list(got.question_concepts(tokens, entity, mention)) == list(dist)
+
+
+def test_concept_file_of_the_toy_data_equals_its_tsv(data_dir, tmp_path):
+    paths = [data_dir / name for name in ("isa.tsv", "context_weights.tsv",
+                                          "fixture_overrides.tsv")]
+    graph = ConceptGraph.load(*paths)
+    edges = read_tsv(paths[0], 3, convert_last(float))
+    context_weights = {(c, tok): w for c, tok, w in read_tsv(paths[1], 3, convert_last(float))}
+    overrides = {"when was barack obama born": {"person": 0.64, "politician": 0.36}}
+    questions = [("when", "was", "barack", "obama", "born"), ("who", "is", "michelle", "obama"),
+                 ("how", "many", "people", "are", "there", "in", "honolulu")]
+    back = round_trip(graph, tmp_path / "toy.model.concepts")
+    assert_same_concepts(back, graph, edges, context_weights, overrides, questions)
+
+
+def test_concept_file_of_random_graphs_equals_the_graph(tmp_path):
+    rng = random.Random(23)
+    for trial in range(30):
+        entities = [f"e{i} ü" for i in range(rng.randrange(1, 8))]
+        concepts = [f"c{i}é" for i in range(rng.randrange(1, 5))]
+        words = [f"w{i}" for i in range(4)]
+        # repeated (entity, concept) pairs sum their weights
+        edges = [(rng.choice(entities), rng.choice(concepts), rng.uniform(0.1, 5.0))
+                 for _ in range(rng.randrange(20))]
+        context_weights = {(rng.choice(concepts), rng.choice(words)): rng.uniform(0, 2.0)
+                           for _ in range(rng.randrange(5))}
+        overrides = {}
+        for _ in range(rng.randrange(3)):
+            question = " ".join(rng.choices(words, k=rng.randrange(1, 4)))
+            overrides[question] = {c: rng.random() for c in rng.sample(concepts, len(concepts))}
+        graph = ConceptGraph(edges, context_weights, overrides)
+        questions = {tuple(rng.choices(words, k=rng.randrange(1, 4))) for _ in range(4)}
+        questions.update(tuple(q.split(" ")) for q in overrides)
+        back = round_trip(graph, tmp_path / f"{trial}.concepts")
+        assert_same_concepts(back, graph, edges, context_weights, overrides, sorted(questions))
+
+
+def test_concept_file_of_an_empty_isa(tmp_path):
+    for graph in [ConceptGraph(), ConceptGraph(overrides={"who is x": {"thing": 1.0}})]:
+        back = round_trip(graph, tmp_path / "empty.concepts")
+        assert_same_concepts(back, graph, [], {}, graph.overrides,
+                             [("who", "is", "x"), ("who", "is", "y")])
+
+
+_IDS_0_1 = struct.pack("<II", 0, 1)
+
+
+def _swapped(blob: bytes, old: bytes, new: bytes) -> bytes:
+    assert blob.count(old) == 1
+    return blob.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "graph, rewrite, message",
+    [
+        (ConceptGraph(context_weights={("a", "x"): 1.0, ("b", "y"): 2.0}),
+         lambda blob: _swapped(blob, b"a\nb\n", b"b\na\n"),
+         "corrupt context weights: not strictly ascending"),
+        (ConceptGraph(context_weights={("a", "x"): 1.0, ("a", "y"): 2.0}),
+         lambda blob: _swapped(blob, b"x\ny\n", b"x\nx\n"),
+         "corrupt context weights: not strictly ascending"),
+        (ConceptGraph(context_weights={("a", ""): 1.0}), None,
+         "corrupt context tokens: an empty name"),
+        (ConceptGraph(context_weights={("", "x"): 1.0}), None,
+         "corrupt context concepts: an empty name"),
+        (ConceptGraph(overrides={"a b": {"c": 1.0}, "d e": {"c": 1.0}}),
+         lambda blob: _swapped(blob, b"a b\nd e\n", b"d e\na b\n"),
+         "corrupt override questions: not in ascending order"),
+        (ConceptGraph(overrides={"Who is X?": {"c": 1.0}}), None,
+         "corrupt override questions: not in tokenized form"),
+        (ConceptGraph(overrides={"who is x": {"": 1.0}}), None,
+         "corrupt override concepts: an empty name"),
+        # the concept ids of one entity's edges, 0 and 1, made 1 and 1, or 1 and 0
+        (ConceptGraph([("e", "a", 1.0), ("e", "b", 1.0)]),
+         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 1)),
+         "corrupt concept ids: not ascending within an entity"),
+        (ConceptGraph([("e", "a", 1.0), ("e", "b", 1.0)]),
+         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 0)),
+         "corrupt concept ids: not ascending within an entity"),
+    ],
+    ids=["context-unsorted", "context-repeated", "context-empty-token",
+         "context-empty-concept", "override-questions-unsorted", "override-not-tokenized",
+         "override-empty-concept", "concept-ids-repeated", "concept-ids-unsorted"],
+)
+def test_concept_file_refuses_what_no_tsv_gives(tmp_path, graph, rewrite, message):
+    path = tmp_path / "bad.concepts"
+    blob = concepts_bytes(graph)
+    path.write_bytes(rewrite(blob) if rewrite else blob)
+    with pytest.raises(StoreFormatError, match=message):
+        load_concepts(path)
+
+
+def test_concept_file_takes_any_context_weight_or_override_value(tmp_path):
+    """``float`` accepts NaN, infinities and negative numbers in the
+    context-weight and override TSVs, so the concept file does too."""
+    values = [math.nan, math.inf, -math.inf, -2.5, 0.0]
+    graph = ConceptGraph(
+        context_weights={("c", f"w{i}"): v for i, v in enumerate(values)},
+        overrides={"who is x": {f"c{i}": v for i, v in enumerate(values)}},
+    )
+    back = round_trip(graph, tmp_path / "any.concepts")
+    assert list(map(repr, back.context_weights.values())) == list(map(repr, values))
+    assert list(map(repr, back.overrides["who is x"].values())) == list(map(repr, values))
+    assert list(back.overrides["who is x"]) == [f"c{i}" for i in range(len(values))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from factqa.corpus import (
     EntityValueExtractor,
     QaPair,
     corpus_stats,
+    kb_mentions,
     load_corpus,
     lookup_tokens,
     probe_corpus,
@@ -28,6 +29,13 @@ Q3 = tokenize("How many people are there in Honolulu?")
 A1 = tokenize("The politician was born in 1961.")
 A2 = tokenize("He was born in 1961.")
 A3 = tokenize("It's 390K.")
+
+
+def extract(extractor: EntityValueExtractor, pair: QaPair, refine: bool = True) -> set:
+    """``extractor.extract`` given the question's ``kb_mentions`` and the
+    answer's ``candidate_values``, as the offline flow gives them."""
+    mentions = kb_mentions(extractor.kb, extractor.index, pair.question)
+    return extractor.extract(pair, mentions, extractor.candidate_values(pair.answer), refine)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +161,29 @@ def test_corpus_stats_normalized(toy_stats):
 
 def test_extract_unrefined_obama_pair(toy_extractor):
     pair = QaPair(Q1, A1)
-    assert toy_extractor.extract(pair, refine=False) == {
+    assert extract(toy_extractor, pair, refine=False) == {
         ("BarackObama", "1961"),
         ("BarackObama", "politician"),
     }
 
 
 def test_extract_refined_obama_pair(toy_extractor):
-    assert toy_extractor.extract(QaPair(Q1, A1), refine=True) == {("BarackObama", "1961")}
+    assert extract(toy_extractor, QaPair(Q1, A1), refine=True) == {("BarackObama", "1961")}
 
 
 def test_extract_honolulu_pair(toy_extractor):
-    assert toy_extractor.extract(QaPair(Q3, A3), refine=True) == {("Honolulu", "390K")}
+    assert extract(toy_extractor, QaPair(Q3, A3), refine=True) == {("Honolulu", "390K")}
 
 
 def test_extract_disconnected_answer_is_empty(toy_extractor):
     pair = QaPair(Q1, tokenize("No idea, sorry."))
-    assert toy_extractor.extract(pair) == set()
+    assert extract(toy_extractor, pair) == set()
 
 
 def test_extract_refined_subset_of_unrefined(toy_extractor, toy_corpus):
     for pair in toy_corpus:
-        refined = toy_extractor.extract(pair, refine=True)
-        unrefined = toy_extractor.extract(pair, refine=False)
+        refined = extract(toy_extractor, pair, refine=True)
+        unrefined = extract(toy_extractor, pair, refine=False)
         assert refined <= unrefined
 
 
@@ -183,24 +191,24 @@ def test_extract_invariant_under_answer_permutation(toy_extractor):
     # value matching is content-based on spans, so shuffling the other
     # answer tokens around the value must not change the result
     rng = random.Random(2)
-    base = toy_extractor.extract(QaPair(Q1, A1), refine=False)
+    base = extract(toy_extractor, QaPair(Q1, A1), refine=False)
     others = [t for t in A1 if t != "1961" and t != "politician"]
     for _ in range(5):
         rng.shuffle(others)
         cut = rng.randrange(len(others) + 1)
         answer = tuple(others[:cut]) + ("politician", "1961") + tuple(others[cut:])
-        assert toy_extractor.extract(QaPair(Q1, answer), refine=False) == base
+        assert extract(toy_extractor, QaPair(Q1, answer), refine=False) == base
 
 
 def test_extract_multiword_entity_value(toy_kb, toy_index, toy_extractor):
     # an answer naming an entity through its surface resolves via the index
     pair = QaPair(tokenize("Who is Barack Obama's wife?"), tokenize("She is Michelle Obama."))
-    assert ("BarackObama", "MichelleObama") in toy_extractor.extract(pair, refine=False)
+    assert ("BarackObama", "MichelleObama") in extract(toy_extractor, pair, refine=False)
 
 
 def test_observations_are_kb_connected(toy_extractor, toy_corpus):
     for pair in toy_corpus:
-        for entity, value in toy_extractor.extract(pair, refine=False):
+        for entity, value in extract(toy_extractor, pair, refine=False):
             paths = predicates_between(toy_extractor.kb, entity, value, 3, name_restriction=True)
             assert paths, (entity, value)
 

@@ -216,7 +216,7 @@ def rich_decomposer(data_dir):
     """A decomposer over a livelier corpus so random questions exercise
     patterns with validities strictly between 0 and 1."""
     kb = load_kb(data_dir / "toy_kb.tsv")
-    index = build_entity_index(kb, load_entity_dictionary(data_dir / "entities.tsv"))
+    index, _ = build_entity_index(kb, load_entity_dictionary(data_dir / "entities.tsv"))
     from factqa.concepts import ConceptGraph
 
     concepts = ConceptGraph.load(data_dir / "isa.tsv")

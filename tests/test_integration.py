@@ -161,7 +161,7 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
 
     config, _, _ = world
     kb = load_kb(config.kb)
-    index = build_entity_index(kb, load_entity_dictionary(config.entities))
+    index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
     pairs = load_corpus(config.corpus)
     mentions = probe_corpus(kb, index, pairs).mentions
     extractor = EntityValueExtractor(

@@ -22,7 +22,7 @@ from factqa.kb import (
     store_bytes,
     write_expansion,
 )
-from factqa.pipeline import canonical_surfaces, load_entity_dictionary
+from factqa.pipeline import build_entity_index, load_entity_dictionary
 from oracles import predicates_between
 from oracles import value_distribution as value_distribution_oracle
 
@@ -308,7 +308,7 @@ def round_trip(kb: KnowledgeBase, surfaces: dict[str, str], path) -> None:
 
 
 def test_store_of_the_toy_data_equals_its_tsv(toy_kb, data_dir, tmp_path):
-    surfaces = canonical_surfaces(toy_kb, load_entity_dictionary(data_dir / "entities.tsv"))
+    _, surfaces = build_entity_index(toy_kb, load_entity_dictionary(data_dir / "entities.tsv"))
     assert surfaces["MichelleObama"] == "Michelle Obama"
     round_trip(toy_kb, surfaces, tmp_path / "toy.index.kb")
 

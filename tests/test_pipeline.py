@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import stat
 import struct
@@ -29,6 +30,7 @@ from factqa.pipeline import (
     StageError,
     _Staged,
     load_config,
+    concepts_path,
     patterns_path,
     run_offline,
     store_path,
@@ -351,6 +353,7 @@ def test_online_missing_artifacts_listed(tmp_path):
         OnlineSession(config)
     assert "toy.index.kb" in str(excinfo.value)
     assert "toy.model.patterns.tsv" in str(excinfo.value)
+    assert "toy.model.concepts" in str(excinfo.value)
     run_offline(config)
     patterns_path(config.model).unlink()
     with pytest.raises(ConfigError, match=r"first\): \S*toy\.model\.patterns\.tsv$"):
@@ -685,14 +688,33 @@ def test_kb_edit_after_training_keeps_the_trained_answer(built_data):
     assert json.loads(proc.stdout)["answer"] == "1961"
 
 
+def test_isa_edit_after_training_keeps_the_trained_answer(built_data):
+    """Online answers use the concept graph the model was trained with,
+    from the concept file the offline run wrote beside the model."""
+    config = str(built_data / "pipeline.cfg")
+    before = _module_cli("answer", "--config", config, "When was Michelle Obama born?")
+    assert before.returncode == 0, before.stderr
+    assert json.loads(before.stdout)["answer"] == "1964"
+    isa = built_data / "isa.tsv"
+    rows = isa.read_text(encoding="utf-8")
+    assert "MichelleObama\tperson\t1\n" in rows
+    # read online, this would leave no template with a model row
+    isa.write_text(rows.replace("MichelleObama\tperson\t1\n", "MichelleObama\tcity\t1\n"),
+                   encoding="utf-8")
+    after = _module_cli("answer", "--config", config, "When was Michelle Obama born?")
+    assert after.returncode == 0, after.stderr
+    assert after.stdout == before.stdout
+
+
 def test_online_commands_read_no_kb_or_dictionary(built_data):
     shutil.copyfile(DATA / "model_fixture.tsv", built_data / "out" / "toy.model.tsv")
     config = str(built_data / "pipeline.cfg")
     questions = ["When was Barack Obama born?", "When was Barack Obama's wife born?"]
     before = [_module_cli(command, "--config", config, *questions)
               for command in ("answer", "decompose")]
-    (built_data / "toy_kb.tsv").unlink()
-    (built_data / "entities.tsv").unlink()
+    for name in ("toy_kb.tsv", "entities.tsv", "isa.tsv", "context_weights.tsv",
+                 "fixture_overrides.tsv"):
+        (built_data / name).unlink()
     after = [_module_cli(command, "--config", config, *questions)
              for command in ("answer", "decompose")]
     for old, new in zip(before, after):
@@ -723,18 +745,19 @@ def _store_sections(blob: bytes) -> dict[str, tuple[int, int]]:
     return out
 
 
-def _truncated_in(section: str):
+def _truncated_in(section: str, sections=_store_sections):
     def rewrite(blob: bytes) -> bytes:
-        start, end = _store_sections(blob)[section]
+        start, end = sections(blob)[section]
         assert end - start >= 2
         return blob[: (start + end) // 2]
     return rewrite
 
 
-def _u32_at(section: str, index: int, value: int):
+def _packed_at(section: str, index: int, value, fmt: str = "<I", sections=_store_sections):
+    """The file with item ``index`` of ``section`` packed anew as ``value``."""
     def rewrite(blob: bytes) -> bytes:
-        pos = _store_sections(blob)[section][0] + 4 * index
-        return blob[:pos] + struct.pack("<I", value) + blob[pos + 4:]
+        pos = sections(blob)[section][0] + struct.calcsize(fmt) * index
+        return blob[:pos] + struct.pack(fmt, value) + blob[pos + struct.calcsize(fmt):]
     return rewrite
 
 
@@ -748,10 +771,10 @@ def _u32_at(section: str, index: int, value: int):
         *[(_truncated_in(name), f"truncated {name}") for name in _STORE_SECTIONS],
         (lambda blob: blob + b"\x00", "trailing bytes after the surface table"),
         # the toy KB has 10 nodes, 6 predicates and 9 edges
-        (_u32_at("edge objects", 0, 10), "corrupt edge objects: id 10 out of range 0..9"),
-        (_u32_at("edge predicates", 3, 6), "corrupt edge predicates: id 6 out of range 0..5"),
-        (_u32_at("offsets", 1, 9), "corrupt offsets: not monotone from 0 to the edge count"),
-        (_u32_at("surface ids", 0, 17), "corrupt surface ids: id 17 out of range 0..9"),
+        (_packed_at("edge objects", 0, 10), "corrupt edge objects: id 10 out of range 0..9"),
+        (_packed_at("edge predicates", 3, 6), "corrupt edge predicates: id 6 out of range 0..5"),
+        (_packed_at("offsets", 1, 9), "corrupt offsets: not monotone from 0 to the edge count"),
+        (_packed_at("surface ids", 0, 17), "corrupt surface ids: id 17 out of range 0..9"),
         (None, "missing artifacts (run the offline flow first)"),
     ],
     ids=["bad-magic", "version-2", "truncated-header",
@@ -770,6 +793,109 @@ def test_cli_refused_kb_store_exits_2(built_data, rewrite, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(store) in proc.stderr
+    assert message in proc.stderr
+    if rewrite is not None:
+        assert f"{message}: rerun the offline flow" in proc.stderr
+
+
+_CONCEPTS_HEADER = struct.Struct("<7sI11Q")
+_CONCEPT_SECTIONS = ("entity table", "concept table", "offsets", "concept ids", "isA weights",
+                     "context concepts", "context tokens", "context weights",
+                     "override questions", "override concepts", "override probabilities")
+# the name tables, each with its byte length's position among the header fields
+_CONCEPT_TABLES = {"entity table": 5, "concept table": 6, "context concepts": 7,
+                   "context tokens": 8, "override questions": 9, "override concepts": 10}
+
+
+def _concept_sections(blob: bytes) -> dict[str, tuple[int, int]]:
+    """(start, end) of each section of a concept file."""
+    fields = _CONCEPTS_HEADER.unpack_from(blob)[2:]
+    entities, _, edges, context, overrides = fields[:5]
+    tables = iter(fields[5:])
+    sizes = (next(tables), next(tables), (entities + 1) * 4, edges * 4, edges * 8,
+             next(tables), next(tables), context * 8, next(tables), next(tables), overrides * 8)
+    out, pos = {}, _CONCEPTS_HEADER.size
+    for name, size in zip(_CONCEPT_SECTIONS, sizes):
+        out[name] = (pos, pos + size)
+        pos += size
+    assert pos == len(blob)
+    return out
+
+
+def _concepts_table(section: str, table: bytes):
+    """The file with the name table ``section`` replaced by ``table``, its
+    byte length in the header to match."""
+    def rewrite(blob: bytes) -> bytes:
+        start, end = _concept_sections(blob)[section]
+        fields = list(_CONCEPTS_HEADER.unpack_from(blob))
+        fields[2 + _CONCEPT_TABLES[section]] = len(table)
+        return _CONCEPTS_HEADER.pack(*fields) + blob[_CONCEPTS_HEADER.size:start] + table + (
+            blob[end:])
+    return rewrite
+
+
+@pytest.fixture(scope="module")
+def built_with_context_weights(tmp_path_factory) -> Path:
+    """The toy data trained with context weights too, so that every section
+    of its concept file holds something."""
+    data = tmp_path_factory.mktemp("context") / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    with open(data / "pipeline.cfg", "a", encoding="utf-8") as fp:
+        fp.write("context-weights = context_weights.tsv\n")
+    proc = _module_cli("pipeline", "--config", str(data / "pipeline.cfg"))
+    assert proc.returncode == 0, proc.stderr
+    return data
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (lambda blob: b"NOTCON\x00" + blob[7:], "bad magic"),
+        (lambda blob: blob[:7] + struct.pack("<I", 2) + blob[11:],
+         "concept file format version 2, expected 1"),
+        (lambda blob: blob[:40], "truncated header"),
+        *[(_truncated_in(name, _concept_sections), f"truncated {name}")
+          for name in _CONCEPT_SECTIONS],
+        (lambda blob: blob + b"\x00", "trailing bytes after the override probabilities"),
+        # the toy isA has 3 entities, 3 concepts and 4 edges
+        (_packed_at("concept ids", 0, 3, sections=_concept_sections),
+         "corrupt concept ids: id 3 out of range 0..2"),
+        (_packed_at("offsets", 1, 4, sections=_concept_sections),
+         "corrupt offsets: not monotone from 0 to the edge count"),
+        *[(_packed_at("isA weights", 1, weight, "<d", _concept_sections),
+           "corrupt isA weights: not all positive and finite")
+          for weight in (0.0, -5.0, math.nan, math.inf)],
+        (_concepts_table("entity table", b"Honolulu\nBarackObama\nMichelleObama\n"),
+         "corrupt entity table: not strictly ascending"),
+        (_concepts_table("concept table", b"city\ncity\npolitician\n"),
+         "corrupt concept table: not strictly ascending"),
+        (_concepts_table("concept table", b"city\npers\xffn\npolitician\n"),
+         "corrupt concept table: 'utf-8' codec can't decode byte 0xff in position 9: "
+         "invalid start byte"),
+        (_concepts_table("override concepts", b"person\nperson\n"),
+         "corrupt override concepts: repeated within a question"),
+        (None, "missing artifacts (run the offline flow first)"),
+    ],
+    ids=["bad-magic", "version-2", "truncated-header",
+         *[f"truncated-{name.replace(' ', '-')}" for name in _CONCEPT_SECTIONS],
+         "trailing-byte", "concept-id-out-of-range", "offsets-not-monotone", "weight-zero",
+         "weight-negative", "weight-nan", "weight-inf", "entities-unsorted",
+         "concepts-repeated", "concepts-utf8", "override-concepts-repeated", "missing"],
+)
+def test_cli_refused_concept_file_exits_2(built_with_context_weights, tmp_path, rewrite,
+                                          message):
+    data = tmp_path / "data"
+    shutil.copytree(built_with_context_weights, data)
+    concepts = data / "out" / "toy.model.concepts"
+    if rewrite is None:
+        concepts.unlink()
+    else:
+        concepts.write_bytes(rewrite(concepts.read_bytes()))
+    proc = _module_cli("answer", "--config", str(data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(concepts) in proc.stderr
     assert message in proc.stderr
     if rewrite is not None:
         assert f"{message}: rerun the offline flow" in proc.stderr
@@ -873,34 +999,38 @@ def test_cli_malformed_kb_line_exits_3_offline_and_online_reads_the_store(built_
         assert proc.stderr == "", command
 
 
-def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
+def test_cli_two_field_isa_row_exits_3_offline_and_online_answers_as_trained(built_data):
     isa = built_data / "isa.tsv"
+    config = str(built_data / "pipeline.cfg")
+    before = _cli_with_input("answer", "--config", config)
+    assert before.returncode == 0, before.stderr
     with open(isa, "a", encoding="utf-8") as fp:
         fp.write("BarackObama\tpolitician\n")
-    config = str(built_data / "pipeline.cfg")
-    for command, code in [("answer", 2), ("pipeline", 3)]:
-        proc = _cli_with_input(command, "--config", config)
-        assert proc.returncode == code, (command, proc.stderr)
-        assert "Traceback" not in proc.stderr, command
-        assert str(isa) in proc.stderr, command
-        assert "expected 3 tab-separated fields, got 2" in proc.stderr, command
+    proc = _cli_with_input("pipeline", "--config", config)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{isa}: line 5: expected 3 tab-separated fields, got 2" in proc.stderr
+    # the online commands read the concept file, not the isA file
+    proc = _cli_with_input("answer", "--config", config)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (before.stdout, "")
 
 
 @pytest.mark.parametrize(
     "name, row, message, commands",
     [
         ("isa.tsv", "BarackObama\tperson\tabc",
-         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+         "could not convert string to float: 'abc'", [("answer", 0), ("pipeline", 3)]),
         ("context_weights.tsv", "person\tborn\tabc",
-         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+         "could not convert string to float: 'abc'", [("answer", 0), ("pipeline", 3)]),
         ("fixture_overrides.tsv", "when was barack obama born\tperson\tabc",
-         "could not convert string to float: 'abc'", [("answer", 2), ("pipeline", 3)]),
+         "could not convert string to float: 'abc'", [("answer", 0), ("pipeline", 3)]),
         ("predicate_categories.tsv", "dob\tcolour",
          "unknown category 'colour'", [("pipeline", 3)]),
         ("out/toy.model.tsv", "when was $person born\tdob\tabc",
          "could not convert string to float: 'abc'", [("answer", 2)]),
         ("isa.tsv", "Honolulu\tplace\t-1",
-         "isA edge weight must be positive, got -1", [("answer", 2), ("pipeline", 3)]),
+         "isA edge weight must be positive, got -1", [("answer", 0), ("pipeline", 3)]),
         ("out/toy.model.patterns.tsv", "who is $e\t3\t2",
          "pattern counts must satisfy 1 <= f_v <= f_o, got f_v=3, f_o=2", [("answer", 2)]),
         ("corpus.jsonl", '{"question": 5, "answer": "x"}',
@@ -912,18 +1042,26 @@ def test_cli_two_field_isa_row_exits_2_online_and_3_offline(built_data):
          "corpus", "corpus-count"],
 )
 def test_cli_malformed_field_names_file_and_line(built_data, name, row, message, commands):
+    """A malformed input exits 3 offline, naming its file and line; the
+    online commands, which read only artifacts, answer as before the edit
+    (exit 0), and a malformed artifact exits 2."""
     path = built_data / name
     line = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as fp:
-        fp.write(row + "\n")
     config = built_data / "pipeline.cfg"
     with open(config, "a", encoding="utf-8") as fp:
         fp.write("context-weights = context_weights.tsv\n")
+    before = _cli_with_input("answer", "--config", str(config))
+    assert before.returncode == 0, before.stderr
+    with open(path, "a", encoding="utf-8") as fp:
+        fp.write(row + "\n")
     for command, code in commands:
         proc = _cli_with_input(command, "--config", str(config))
         assert proc.returncode == code, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, command
-        assert f"{path}: line {line}: {message}" in proc.stderr, (command, proc.stderr)
+        if code:
+            assert f"{path}: line {line}: {message}" in proc.stderr, (command, proc.stderr)
+        else:
+            assert (proc.stdout, proc.stderr) == (before.stdout, ""), command
 
 
 def test_online_commands_do_not_read_the_corpus(built_data):
