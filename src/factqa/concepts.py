@@ -171,7 +171,9 @@ class ConceptGraph:
         """Prior reweighted by question context.
 
         P(c | q, e) is proportional to P(c | e) * (1 + sum of the
-        context weights of tokens outside the mention span). With no
+        context weights of tokens outside the mention span), a factor
+        clamped at 0, since a context weight may be negative. Empty when
+        every factor is 0, as for an entity without isA edges. With no
         context weights every factor is exactly 1, so the token loop is
         skipped and this is the prior divided by its fsum.
         """
@@ -186,11 +188,13 @@ class ConceptGraph:
                 start, end = mention
                 toks = toks[:start] + toks[end:]
             scores = {
-                c: p * (1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks))
+                c: p * max(0.0, 1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks))
                 for c, p in prior.items()
             }
         # the prior's fsum need not be exactly 1, so divide even without weights
         total = fsum(scores.values())
+        if total <= 0:
+            return {}
         return {c: s / total for c, s in scores.items()}
 
     def question_concepts(

@@ -2,16 +2,20 @@
 
 The training unit is a (question, entity, value) observation with a corpus
 mass. For each observation the latent assignment z = (template, path) has a
-fixed factor f(x, z) = P(q) P(e|q) P(t|e,q) P(v|e,p) computed once up
-front; expectation-maximization then alternates responsibilities and row
-renormalization until the table stops moving.
+fixed factor f(x, z) = P(q) P(e|q) P(t|e,q) P(v|e,p). Observations with
+equal candidates (the same assignments with the same factors) are folded
+into one candidate group as they are extracted, and expectation-maximization
+works per group: it alternates responsibilities and row renormalization,
+accelerated by SQUAREM, until a plain EM step stops moving the table.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import fsum, log
+from math import fsum, log, sqrt
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping
@@ -20,75 +24,88 @@ from .concepts import ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, QaPair, Tokens
 from .kb import PredicatePath, convert_last, read_tsv
 
+logger = logging.getLogger("factqa")
+
 # Latent assignment: (template text, predicate path).
 Assignment = tuple[str, PredicatePath]
-# Items with equal candidates: (assignment ids, factors, item indices, weights,
-# the weights' folded mass fsum(weights)).
-CandidateGroup = tuple[tuple[int, ...], tuple[float, ...], list[int], list[float], float]
-
-
-@dataclass(frozen=True)
-class TrainingItem:
-    """One observation plus the per-observation factors feeding f(x, z)."""
-
-    question: Tokens
-    entity: str
-    value: str
-    weight: float
-    p_q: float
-    p_e: float
-    template_probs: dict[str, float]
-    value_probs: dict[PredicatePath, float]
-
-    @property
-    def candidates(self) -> tuple[tuple[Assignment, float], ...]:
-        """All assignments z with positive factor f(x, z), in a deterministic
-        order; EM reads them once, through ``TrainingSet.interned``."""
-        out = []
-        for template in sorted(self.template_probs):
-            pt = self.template_probs[template]
-            if pt <= 0:
-                continue
-            for path in sorted(self.value_probs):
-                pv = self.value_probs[path]
-                if pv <= 0:
-                    continue
-                out.append(((template, path), self.p_q * self.p_e * pt * pv))
-        return tuple(out)
+# One observation as the dump writes it: (question, entity, value, weight).
+Observation = tuple[Tokens, str, str, float]
+# Observations with equal candidates: (assignment ids, factors, the numbers
+# of the member observations).
+CandidateGroup = tuple[tuple[int, ...], tuple[float, ...], list[int]]
 
 
 class TrainingSet:
-    """Observations with precomputed factors; the input to learning."""
+    """Observations folded into candidate groups; the input to learning.
 
-    def __init__(self, items: Iterable[TrainingItem]):
-        self.items: tuple[TrainingItem, ...] = tuple(items)
+    ``add`` is the one way in: it files an observation under the group of
+    its candidate vector, which is computed once per distinct (template
+    row, path row, p_q, p_e). Rows are interned by content
+    (``template_row``, ``path_row``); candidates run over the row entries
+    with a positive probability, templates then paths in sorted order.
+    Assignments are numbered in order of first appearance and groups are
+    kept in order of their first member."""
+
+    def __init__(self) -> None:
+        self.observations: list[Observation] = []
+        self.assignments: list[Assignment] = []
+        self.groups: list[CandidateGroup] = []
+        self._number: dict[Assignment, int] = {}
+        # interned rows: each row's number by content, and the rows by number
+        self._template_rows: tuple[dict, list] = ({}, [])
+        self._path_rows: tuple[dict, list] = ({}, [])
+        self._group_of_vector: dict[tuple[int, int, float, float], CandidateGroup] = {}
+        self._group_of_candidates: dict[tuple, CandidateGroup] = {}
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.observations)
+
+    def template_row(self, probs: Mapping[str, float]) -> int:
+        """The number of the row P(t | e, q) holding ``probs``."""
+        return _intern(*self._template_rows, probs)
+
+    def path_row(self, probs: Mapping[PredicatePath, float]) -> int:
+        """The number of the row P(v | e, p) holding ``probs``."""
+        return _intern(*self._path_rows, probs)
+
+    def add(
+        self, observation: Observation, p_q: float, p_e: float, template_row: int, path_row: int
+    ) -> None:
+        """File one observation, its factors f(x, z) = p_q p_e P(t) P(v)."""
+        vector = (template_row, path_row, p_q, p_e)
+        group = self._group_of_vector.get(vector)
+        if group is None:
+            group = self._group_of_vector[vector] = self._group(p_q * p_e, template_row, path_row)
+        group[2].append(len(self.observations))
+        self.observations.append(observation)
+        self.__dict__.pop("masses", None)
+
+    def _group(self, p_qe: float, template_row: int, path_row: int) -> CandidateGroup:
+        ids: list[int] = []
+        factors: list[float] = []
+        paths = self._path_rows[1][path_row]
+        for template, pt in self._template_rows[1][template_row]:
+            for path, pv in paths:
+                z = (template, path)
+                a = self._number.get(z)
+                if a is None:
+                    a = self._number[z] = len(self.assignments)
+                    self.assignments.append(z)
+                ids.append(a)
+                factors.append(p_qe * pt * pv)
+        key = (tuple(ids), tuple(factors))
+        group = self._group_of_candidates.get(key)
+        if group is None:
+            group = self._group_of_candidates[key] = (*key, [])
+            self.groups.append(group)
+        return group
 
     @cached_property
-    def interned(self) -> tuple[list[Assignment], list[CandidateGroup]]:
-        """Every assignment numbered once, in order of first appearance, and
-        the items grouped by equal candidates, groups in order of their first
-        member, each with its folded mass. Built on first use (EM's first
-        step) and kept: EM scores and sums each group once per step, not
-        each item."""
-        assignments: list[Assignment] = []
-        number: dict[Assignment, int] = {}
-        groups: dict[tuple, tuple[list[int], list[float]]] = {}
-        for i, item in enumerate(self.items):
-            candidates = item.candidates
-            for z, _ in candidates:
-                if z not in number:
-                    number[z] = len(assignments)
-                    assignments.append(z)
-            key = (tuple(number[z] for z, _ in candidates), tuple(f for _, f in candidates))
-            members, weights = groups.setdefault(key, ([], []))
-            members.append(i)
-            weights.append(item.weight)
-        return assignments, [
-            (*key, members, weights, fsum(weights)) for key, (members, weights) in groups.items()
-        ]
+    def masses(self) -> list[float]:
+        """Each group's folded mass, the ``fsum`` of its members' weights;
+        EM reads it on every step, and ``add`` drops it."""
+        observations = self.observations
+        return [fsum(observations[i][3] for i in members) for _, _, members in self.groups]
 
     @classmethod
     def build(
@@ -100,20 +117,20 @@ class TrainingSet:
         concepts: ConceptGraph,
         refine: bool = True,
     ) -> "TrainingSet":
-        """One item per (entity, value) extracted from each pair; ``mentions``
-        holds each question's ``kb_mentions`` (``CorpusMentions.mentions``).
-        Each distinct answer of a question with mentions is matched to KB
-        values once, each (entity, value) pair to its paths once, and each
-        (question, entity) pair to its templates once: items of one such
-        pair share the ``template_probs`` dict."""
-        items: list[TrainingItem] = []
+        """One observation per (entity, value) extracted from each pair;
+        ``mentions`` holds each question's ``kb_mentions``
+        (``CorpusMentions.mentions``). Each distinct answer of a question
+        with mentions is matched to KB values once, each (entity, value)
+        pair to its path row once, and each (question, entity) pair to its
+        template row once."""
+        training = cls()
         kb = extractor.kb
         values: dict[Tokens, set[str]] = {}
         # P(value | entity, path) over the connecting paths, once per pair
-        value_probs: dict[tuple[str, str], dict[PredicatePath, float]] = {}
+        path_rows: dict[tuple[str, str], int] = {}
         # P(template | entity, question); the entity's span is its first in
         # the question's mentions, so it depends on the question alone
-        templates: dict[tuple[Tokens, str], dict[str, float]] = {}
+        template_rows: dict[tuple[Tokens, str], int] = {}
         for pair in corpus:
             found = mentions[pair.question]
             if found and pair.answer not in values:
@@ -128,33 +145,37 @@ class TrainingSet:
             p_q = stats.p_q(pair.question)
             mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
             for entity, value in extracted:
-                template_probs = templates.get((pair.question, entity))
-                if template_probs is None:
+                t_row = template_rows.get((pair.question, entity))
+                if t_row is None:
                     span = next(span for span, e in found if e == entity)
                     concept_dist = concepts.question_concepts(pair.question, entity, span)
-                    template_probs = templates[pair.question, entity] = {
+                    t_row = template_rows[pair.question, entity] = training.template_row({
                         t.text: prob
                         for t, prob in derive_templates(pair.question, span, concept_dist).items()
-                    }
-                probs = value_probs.get((entity, value))
-                if probs is None:
-                    probs = value_probs[entity, value] = {
+                    })
+                p_row = path_rows.get((entity, value))
+                if p_row is None:
+                    p_row = path_rows[entity, value] = training.path_row({
                         path: kb.value_distribution(entity, path).get(value, 0.0)
                         for path in extractor.connecting_paths(entity, value)
-                    }
-                items.append(
-                    TrainingItem(
-                        pair.question, entity, value, mass, p_q, p_e,
-                        template_probs, probs,
-                    )
-                )
-        return cls(items)
+                    })
+                training.add((pair.question, entity, value, mass), p_q, p_e, t_row, p_row)
+        return training
 
 
-def write_observations(items: Iterable[TrainingItem], fp: IO[str]) -> None:
+def _intern(numbers: dict[tuple, int], rows: list[tuple], probs: Mapping) -> int:
+    row = tuple((k, p) for k, p in sorted(probs.items()) if p > 0)
+    number = numbers.get(row)
+    if number is None:
+        number = numbers[row] = len(rows)
+        rows.append(row)
+    return number
+
+
+def write_observations(observations: Iterable[Observation], fp: IO[str]) -> None:
     """Debug dump: ``question<TAB>entity<TAB>value<TAB>weight``."""
-    for item in items:
-        fp.write(f"{' '.join(item.question)}\t{item.entity}\t{item.value}\t{item.weight!r}\n")
+    for question, entity, value, weight in observations:
+        fp.write(f"{' '.join(question)}\t{entity}\t{value}\t{weight!r}\n")
 
 
 class PredicateModel:
@@ -223,25 +244,24 @@ def _probability(text: str) -> float:
     return prob
 
 
+
 @dataclass
 class Posterior:
-    """Per-observation responsibilities; observations with no admissible
-    assignment are dropped and counted. The members of a candidate group
-    (``TrainingSet.interned``) share one responsibility dict, and
-    ``m_step`` reads it at the group's first member only.
-    ``log_likelihood`` is the weighted log marginal of the model scored
+    """One responsibility dict per candidate group (``TrainingSet.groups``),
+    shared by its members; None for a group with no admissible assignment,
+    whose members are dropped and counted. ``log_likelihood`` is the
+    weighted log marginal of the model scored
     (``log_likelihood(training, model)``)."""
 
     responsibilities: list[dict[Assignment, float] | None]
-    dropped: list[int] = field(default_factory=list)
+    dropped: int = 0
     log_likelihood: float = 0.0
 
 
 def init_theta(training: TrainingSet) -> PredicateModel:
     """Uniform rows over every (template, path) supported by some observation."""
-    assignments, _ = training.interned
     support: dict[str, list[PredicatePath]] = {}
-    for template, path in assignments:
+    for template, path in training.assignments:
         support.setdefault(template, []).append(path)
     rows = {
         template: {path: 1.0 / len(paths) for path in paths}
@@ -252,24 +272,22 @@ def init_theta(training: TrainingSet) -> PredicateModel:
 
 def e_step(training: TrainingSet, model: PredicateModel) -> Posterior:
     """Responsibilities proportional to f(x, z) * theta, normalized per
-    observation; each group of equal candidate vectors is scored once."""
-    assignments, groups = training.interned
+    group. A group of mass W whose scores sum to s adds W log s to the
+    log-likelihood."""
+    assignments = training.assignments
     theta = [model.prob(*z) for z in assignments]
-    responsibilities: list[dict[Assignment, float] | None] = [None] * len(training.items)
-    dropped: list[int] = []
+    responsibilities: list[dict[Assignment, float] | None] = []
+    dropped = 0
     terms: list[float] = []
-    for ids, factors, members, weights, _ in groups:
-        scores = [(a, s) for a, f in zip(ids, factors) if (s := f * theta[a]) > 0]
-        total = fsum(s for _, s in scores)
+    for (ids, factors, members), mass in zip(training.groups, training.masses):
+        scores = [f * theta[a] for a, f in zip(ids, factors)]
+        total = fsum(scores)
         if total <= 0:
-            dropped.extend(members)
+            responsibilities.append(None)
+            dropped += len(members)
             continue
-        resp = {assignments[a]: s / total for a, s in scores}
-        for i in members:
-            responsibilities[i] = resp
-        marginal = log(total)
-        terms.extend(w * marginal for w in weights)
-    dropped.sort()
+        responsibilities.append({assignments[a]: s / total for a, s in zip(ids, scores) if s > 0})
+        terms.append(mass * log(total))
     return Posterior(responsibilities, dropped, fsum(terms))
 
 
@@ -277,19 +295,16 @@ def m_step(training: TrainingSet, posterior: Posterior) -> PredicateModel:
     """Row-renormalized responsibility mass, weighted by observation mass.
 
     Each candidate group adds its folded mass times r for each of its
-    assignments z, reading the responsibility dict its members share (see
-    ``Posterior``) once. The mass of z is the ``fsum`` of those terms,
-    which can differ in its last digits from a sum over the items one by
-    one. Templates left with zero total mass are removed.
+    assignments z. The mass of z is the ``fsum`` of those terms, which can
+    differ in its last digits from a sum over the observations one by one.
+    Templates left with zero total mass are removed.
     """
-    _, groups = training.interned
-    terms: dict[Assignment, list[float]] = {}
-    for _, _, members, _, mass in groups:
-        resp = posterior.responsibilities[members[0]]
+    terms: defaultdict[Assignment, list[float]] = defaultdict(list)
+    for resp, mass in zip(posterior.responsibilities, training.masses):
         if resp is None:
             continue
         for z, r in resp.items():
-            terms.setdefault(z, []).append(mass * r)
+            terms[z].append(mass * r)
     sums: dict[str, dict[PredicatePath, float]] = {}
     for (template, path), zterms in terms.items():
         sums.setdefault(template, {})[path] = fsum(zterms)
@@ -323,32 +338,97 @@ class LearnResult:
 def learn(
     training: TrainingSet, max_iters: int = 100, epsilon: float = 1e-6
 ) -> LearnResult:
-    """Alternate E and M steps from the uniform initialization until the
-    max-abs parameter change falls below epsilon or max_iters is hit.
+    """EM from the uniform initialization, accelerated by SQUAREM (SqS3:
+    Varadhan & Roland 2008, Scand. J. Statist. 35).
 
-    ``ll_history`` holds the log-likelihood of every model visited: each
-    E-step gives its model's, and the final model takes one more pass."""
+    A step is one EM map, an E-step and an M-step; at most ``max_iters``
+    are taken. After two plain steps from a cycle's start, the next step
+    starts from the SQUAREM point of the three models instead
+    ("extrapolated"), and its result starts the next cycle. When that
+    point leaves the simplex (an entry EM keeps positive is not) or scores
+    a lower likelihood than the last model scored, the step starts from
+    the plain model ("fallback"), which starts the next cycle; a refused
+    point costs one E-step and no step. Every step is logged at debug
+    level.
+
+    A step's max-abs parameter change is that of a plain EM step from its
+    start. The run stops at a step that changes nothing, or at the second
+    step that changes less than epsilon: in the linear tail an accelerated
+    run can fall below epsilon a fraction of a step ahead of plain EM,
+    farther from the fixed point than plain EM ends.
+
+    ``ll_history`` holds the log-likelihood of every model a step started
+    from, and the final model's; it never decreases beyond rounding."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     model = init_theta(training)
     if not len(model):
-        return LearnResult(model, 0, 0.0, len(training.items))
-    # init_theta's rows and m_step's are keyed by these assignments, so
-    # comparing the models on them compares every entry of either
-    assignments, _ = training.interned
-    history = []
-    dropped = 0
-    iterations = 0
-    for _ in range(max_iters):
-        posterior = e_step(training, model)
+        return LearnResult(model, 0, 0.0, len(training))
+    posterior = e_step(training, model)
+    theta = _vector(training, model)
+    cycle = [theta]  # the cycle's start and the plain steps taken from it
+    kind = "plain"
+    history: list[float] = []
+    steps = below = 0
+    while True:
         history.append(posterior.log_likelihood)
-        dropped = len(posterior.dropped)
-        new_model = m_step(training, posterior)
-        iterations += 1
-        delta = max(abs(model.prob(*z) - new_model.prob(*z)) for z in assignments)
-        model = new_model
-        if delta < epsilon:
+        model = m_step(training, posterior)
+        steps += 1
+        new = _vector(training, model)
+        delta = max(abs(a - b) for a, b in zip(theta, new))
+        logger.debug("EM step %d: log-likelihood %r, max change %.3g, %s",
+                     steps, history[-1], delta, kind)
+        below += delta < epsilon
+        if delta == 0 or below == 2 or steps == max_iters:
             break
+        cycle = [new] if kind == "extrapolated" else [*cycle, new]
+        theta, kind = new, "plain"
+        if len(cycle) == 3:
+            point = _squarem_point(*cycle)
+            if point is not None and not any(p <= 0 < a for a, p in zip(cycle[0], point)):
+                jumped = _model(training, point)
+                scored = e_step(training, jumped)
+                if scored.log_likelihood >= history[-1]:
+                    theta, model, posterior = _vector(training, jumped), jumped, scored
+                    kind = "extrapolated"
+                    continue
+            cycle, kind = [new], "fallback"
+        posterior = e_step(training, model)
     history.append(log_likelihood(training, model))
-    return LearnResult(model, iterations, history[-1], dropped, history)
+    return LearnResult(model, steps, history[-1], posterior.dropped, history)
 
+
+def _vector(training: TrainingSet, model: PredicateModel) -> list[float]:
+    return [model.prob(*z) for z in training.assignments]
+
+
+def _model(training: TrainingSet, theta: list[float]) -> PredicateModel:
+    """The positive entries of ``theta``, each row renormalized: a SQUAREM
+    point's rows sum to one only up to its rounding, which a far step
+    magnifies."""
+    rows: dict[str, dict[PredicatePath, float]] = {}
+    for (template, path), prob in zip(training.assignments, theta):
+        if prob > 0:
+            rows.setdefault(template, {})[path] = prob
+    for template, row in rows.items():
+        total = fsum(row.values())
+        rows[template] = {path: prob / total for path, prob in row.items()}
+    return PredicateModel(rows)
+
+
+def _squarem_point(
+    theta0: list[float], theta1: list[float], theta2: list[float]
+) -> list[float] | None:
+    """theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
+    v = theta2 - 2 theta1 + theta0 and the step alpha = -|r|/|v| taken at
+    least as far as theta2 (alpha <= -1); None when v is zero. The
+    coefficients of the three models sum to one, so each row sums to one
+    up to rounding, but an entry can turn negative."""
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - b - d for b, c, d in zip(theta1, theta2, r)]
+    rr = fsum(x * x for x in r)
+    vv = fsum(x * x for x in v)
+    if vv == 0:
+        return None
+    alpha = min(-1.0, -sqrt(rr / vv))
+    return [a - 2 * alpha * x + alpha * alpha * y for a, x, y in zip(theta0, r, v)]

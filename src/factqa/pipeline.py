@@ -371,7 +371,7 @@ def _extract_stage(
         raise StageError("extract", "no observations extracted")
     if config.observations:
         with open(run.path_for(config.observations), "w", encoding="utf-8") as fp:
-            write_observations(training.items, fp)
+            write_observations(training.observations, fp)
     log.info("extracted %d observations from %d pairs", len(training), len(inputs.pairs))
     return training
 

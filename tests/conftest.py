@@ -21,6 +21,7 @@ from factqa.hasharray import StaticHashArray
 from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
 from factqa.pipeline import build_entity_index, load_entity_dictionary
+from oracles import training_items
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,6 +76,14 @@ def toy_probe(toy_kb, toy_index, toy_corpus):
 @pytest.fixture(scope="session")
 def toy_training(toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts):
     return TrainingSet.build(
+        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
+    )
+
+
+@pytest.fixture(scope="session")
+def toy_items(toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts):
+    """The observations of ``toy_training`` item by item (``oracles``)."""
+    return training_items(
         toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
     )
 

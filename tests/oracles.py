@@ -10,9 +10,19 @@
 - Concept priors and conceptualization as they stood before each
   entity's prior was cached: the isA edges scanned, the prior normalized
   and the token loop run on every call.
-- A counting estimate of P(path | template), next to EM, and the M-step as
-  it stood before items with equal candidates were summed as one group:
-  one ``w * r`` term per item.
+- The training set item by item, as it stood before observations were
+  folded into candidate groups as they were extracted: one
+  ``TrainingItem`` per observation with its template and path
+  probabilities derived afresh, its candidates, and the grouping of items
+  with equal candidates. Next to it, the per-observation view of a folded
+  set: each observation's candidates and responsibilities, read from its
+  group.
+- A counting estimate of P(path | template), next to EM; the M-step as it
+  stood before items with equal candidates were summed as one group (one
+  ``w * r`` term per item); the log-likelihood summed item by item and
+  group by group; a brute-force posterior over each item's template and
+  path grid; and plain EM, as it stood before SQUAREM, over the same
+  groups.
 - Pattern validity counted over every span of every corpus question, as it
   stood before f_o was counted for the kept patterns only, and an
   exhaustive recursive decomposition, next to the DP.
@@ -20,14 +30,21 @@
 
 from __future__ import annotations
 
-from math import fsum
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from math import fsum, log
+from typing import Iterable, Mapping, Sequence
 
-from factqa.corpus import EntityValueExtractor, Tokens, lookup_tokens, normalize_text
+from factqa.concepts import ConceptGraph, derive_templates
+from factqa.corpus import (
+    CorpusStats, EntityValueExtractor, QaPair, Tokens, lookup_tokens, normalize_text,
+)
 from factqa.decompose import SLOT, Decomposer, Decomposition, QuestionTooLongError
 from factqa.hasharray import StaticHashArray
 from factqa.kb import NAME_PREDICATE, KnowledgeBase, PredicatePath
-from factqa.learn import Assignment, Posterior, PredicateModel, TrainingSet
+from factqa.learn import (
+    Assignment, LearnResult, Posterior, PredicateModel, TrainingSet, e_step, init_theta,
+    log_likelihood, m_step,
+)
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -186,7 +203,8 @@ def conceptualize(
     mention: tuple[int, int] | None = None,
 ) -> dict[str, float]:
     """P(c | q, e): the entity's isA weights normalized, each times 1 plus
-    the context weights of the tokens outside the mention, normalized."""
+    the context weights of the tokens outside the mention (at least 0),
+    normalized; empty if no concept keeps a positive score."""
     prior = concept_prior(edges, entity)
     if not prior:
         return {}
@@ -194,11 +212,11 @@ def conceptualize(
     if mention is not None:
         toks = toks[: mention[0]] + toks[mention[1]:]
     scores = {
-        c: p * (1.0 + fsum(context_weights.get((c, tok), 0.0) for tok in toks))
+        c: p * max(0.0, 1.0 + fsum(context_weights.get((c, tok), 0.0) for tok in toks))
         for c, p in prior.items()
     }
     total = fsum(scores.values())
-    return {c: s / total for c, s in scores.items()}
+    return {c: s / total for c, s in scores.items()} if total > 0 else {}
 
 
 def question_concepts(
@@ -217,7 +235,176 @@ def question_concepts(
     return conceptualize(edges, context_weights, tokens, entity, mention) or {"entity": 1.0}
 
 
-def counting_baseline(training: TrainingSet) -> PredicateModel:
+@dataclass(frozen=True)
+class TrainingItem:
+    """One observation plus the per-observation factors feeding f(x, z)."""
+
+    question: Tokens
+    entity: str
+    value: str
+    weight: float
+    p_q: float
+    p_e: float
+    template_probs: Mapping[str, float]
+    value_probs: Mapping[PredicatePath, float]
+
+    @property
+    def candidates(self) -> tuple[tuple[Assignment, float], ...]:
+        """All assignments z with positive factor f(x, z), templates then
+        paths in sorted order."""
+        out = []
+        for template in sorted(self.template_probs):
+            pt = self.template_probs[template]
+            if pt <= 0:
+                continue
+            for path in sorted(self.value_probs):
+                pv = self.value_probs[path]
+                if pv <= 0:
+                    continue
+                out.append(((template, path), self.p_q * self.p_e * pt * pv))
+        return tuple(out)
+
+
+def training_items(
+    corpus: Iterable[QaPair],
+    mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
+    extractor: EntityValueExtractor,
+    stats: CorpusStats,
+    concepts: ConceptGraph,
+    refine: bool = True,
+) -> list[TrainingItem]:
+    """``TrainingSet.build`` item by item: every pair's answer matched, and
+    every item's templates and path probabilities derived, afresh."""
+    kb = extractor.kb
+    items = []
+    for pair in corpus:
+        found = mentions[pair.question]
+        values = extractor.candidate_values(pair.answer) if found else set()
+        extracted = sorted(extractor.extract(pair, found, values, refine))
+        if not extracted:
+            continue
+        p_e = 1.0 / len({e for e, _ in extracted})
+        p_q = stats.p_q(pair.question)
+        mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
+        for entity, value in extracted:
+            span = next(span for span, e in found if e == entity)
+            concept_dist = concepts.question_concepts(pair.question, entity, span)
+            template_probs = {
+                t.text: prob
+                for t, prob in derive_templates(pair.question, span, concept_dist).items()
+            }
+            value_probs = {
+                path: kb.value_distribution(entity, path).get(value, 0.0)
+                for path in extractor.connecting_paths(entity, value)
+            }
+            items.append(TrainingItem(
+                pair.question, entity, value, mass, p_q, p_e, template_probs, value_probs
+            ))
+    return items
+
+
+def fold(items: Iterable[TrainingItem]) -> TrainingSet:
+    """The items filed one by one into a training set."""
+    training = TrainingSet()
+    for item in items:
+        training.add(
+            (item.question, item.entity, item.value, item.weight), item.p_q, item.p_e,
+            training.template_row(item.template_probs), training.path_row(item.value_probs),
+        )
+    return training
+
+
+def grouped(
+    items: Sequence[TrainingItem],
+) -> tuple[list[Assignment], list[tuple[tuple[int, ...], tuple[float, ...], list[int]]]]:
+    """Every assignment numbered in order of first appearance, and the items
+    grouped by equal candidates, groups in order of their first member."""
+    assignments: list[Assignment] = []
+    number: dict[Assignment, int] = {}
+    groups: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        candidates = item.candidates
+        for z, _ in candidates:
+            if z not in number:
+                number[z] = len(assignments)
+                assignments.append(z)
+        key = (tuple(number[z] for z, _ in candidates), tuple(f for _, f in candidates))
+        groups.setdefault(key, []).append(i)
+    return assignments, [(*key, members) for key, members in groups.items()]
+
+
+def _group_of_each(training: TrainingSet) -> list[int]:
+    group_of = [0] * len(training)
+    for g, (_, _, members) in enumerate(training.groups):
+        for i in members:
+            group_of[i] = g
+    return group_of
+
+
+def item_candidates(training: TrainingSet) -> list[tuple[tuple[Assignment, float], ...]]:
+    """Each observation's candidates, read from its group."""
+    vectors = [
+        tuple((training.assignments[a], f) for a, f in zip(ids, factors))
+        for ids, factors, _ in training.groups
+    ]
+    return [vectors[g] for g in _group_of_each(training)]
+
+
+def item_responsibilities(
+    training: TrainingSet, posterior: Posterior
+) -> list[dict[Assignment, float] | None]:
+    """Each observation's responsibilities, read from its group."""
+    return [posterior.responsibilities[g] for g in _group_of_each(training)]
+
+
+def posterior_oracle(
+    items: Iterable[TrainingItem], model: PredicateModel
+) -> list[dict[Assignment, float] | None]:
+    """Brute-force Bayes: enumerate the full template x path grid per
+    observation and normalize by the plain sum."""
+    out = []
+    for item in items:
+        scores = {}
+        for t in sorted(item.template_probs):
+            for p in sorted(item.value_probs):
+                s = (
+                    item.p_q
+                    * item.p_e
+                    * item.template_probs[t]
+                    * item.value_probs[p]
+                    * model.prob(t, p)
+                )
+                if s > 0:
+                    scores[(t, p)] = s
+        total = sum(scores.values())
+        out.append({z: s / total for z, s in scores.items()} if total > 0 else None)
+    return out
+
+
+def log_likelihood_by_item(items: Iterable[TrainingItem], model: PredicateModel) -> float:
+    """The weighted log marginal summed item by item, each from its own
+    candidate list."""
+    terms = []
+    for item in items:
+        total = fsum(f * model.prob(*z) for z, f in item.candidates)
+        if total > 0:
+            terms.append(item.weight * log(total))
+    return fsum(terms)
+
+
+def log_likelihood_by_group(items: Sequence[TrainingItem], model: PredicateModel) -> float:
+    """The weighted log marginal summed group by group (``grouped``), each
+    group's weights folded first."""
+    assignments, groups = grouped(items)
+    terms = []
+    for ids, factors, members in groups:
+        total = fsum(f * model.prob(*assignments[a]) for a, f in zip(ids, factors))
+        if total > 0:
+            terms.append(fsum(items[i].weight for i in members) * log(total))
+    return fsum(terms)
+
+
+def counting_baseline(items: Iterable[TrainingItem]) -> PredicateModel:
     """Counting construction: rows proportional to
     sum_i weight_i * P(t|q_i,e_i) * P(p|e_i,v_i).
 
@@ -225,7 +412,7 @@ def counting_baseline(training: TrainingSet) -> PredicateModel:
     Independent of the EM loop.
     """
     acc: dict[str, dict[PredicatePath, list[float]]] = {}
-    for item in training.items:
+    for item in items:
         connecting = {p: v for p, v in item.value_probs.items() if v > 0}
         if not connecting:
             continue
@@ -249,11 +436,12 @@ def counting_baseline(training: TrainingSet) -> PredicateModel:
 
 def m_step_item_by_item(training: TrainingSet, posterior: Posterior) -> PredicateModel:
     """Row-renormalized responsibility mass, each z's mass the ``fsum`` of
-    ``weight * r`` over the items one by one."""
+    ``weight * r`` over the observations one by one."""
     terms: dict[Assignment, list[float]] = {}
-    for item, resp in zip(training.items, posterior.responsibilities):
+    responsibilities = item_responsibilities(training, posterior)
+    for observation, resp in zip(training.observations, responsibilities):
         for z, r in (resp or {}).items():
-            terms.setdefault(z, []).append(item.weight * r)
+            terms.setdefault(z, []).append(observation[3] * r)
     sums: dict[str, dict[PredicatePath, float]] = {}
     for (template, path), zterms in terms.items():
         sums.setdefault(template, {})[path] = fsum(zterms)
@@ -263,6 +451,33 @@ def m_step_item_by_item(training: TrainingSet, posterior: Posterior) -> Predicat
         if total > 0:
             rows[template] = {path: s / total for path, s in by_path.items()}
     return PredicateModel(rows)
+
+
+def learn_plain(
+    training: TrainingSet, max_iters: int = 100, epsilon: float = 1e-6
+) -> LearnResult:
+    """Plain EM over the groups: alternate E and M steps from the uniform
+    initialization until the max-abs parameter change falls below epsilon
+    or max_iters is hit; ``ll_history`` holds the log-likelihood of every
+    model visited."""
+    model = init_theta(training)
+    if not len(model):
+        return LearnResult(model, 0, 0.0, len(training))
+    history = []
+    dropped = 0
+    iterations = 0
+    for _ in range(max_iters):
+        posterior = e_step(training, model)
+        history.append(posterior.log_likelihood)
+        dropped = posterior.dropped
+        new_model = m_step(training, posterior)
+        iterations += 1
+        delta = max(abs(model.prob(*z) - new_model.prob(*z)) for z in training.assignments)
+        model = new_model
+        if delta < epsilon:
+            break
+    history.append(log_likelihood(training, model))
+    return LearnResult(model, iterations, history[-1], dropped, history)
 
 
 def pattern_counts(

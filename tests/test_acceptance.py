@@ -20,11 +20,11 @@ from conftest import random_keys
 from factqa.corpus import QaPair, corpus_stats, kb_mentions, tokenize
 from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase, SpoPath, expand_predicates
-from factqa.learn import TrainingSet, e_step, init_theta, learn, m_step
+from factqa.learn import e_step, init_theta, learn, m_step
 from factqa.pipeline import OnlineSession, run_offline
-from oracles import decompose_bruteforce
+from oracles import decompose_bruteforce, fold, item_responsibilities, posterior_oracle
 from test_kb import enumerate_paths_oracle, random_graph
-from test_learn import make_item, posterior_oracle, random_training_set
+from test_learn import make_item, random_items, random_training_set
 from test_pipeline import make_config
 
 DATA = Path(__file__).parent / "data"
@@ -101,15 +101,16 @@ def test_criterion_4_em_correctness():
 
     # (b) E-step equals brute-force posterior enumeration to 1e-12
     for _ in range(30):
-        training = random_training_set(
+        items = random_items(
             rng,
             n_obs=rng.randrange(1, 6),
             n_templates=rng.randrange(1, 4),
             n_paths=rng.randrange(1, 4),
         )
+        training = fold(items)
         model = init_theta(training)
-        got = e_step(training, model).responsibilities
-        want = posterior_oracle(training, model)
+        got = item_responsibilities(training, e_step(training, model))
+        want = posterior_oracle(items, model)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
             if g is None:
@@ -121,7 +122,7 @@ def test_criterion_4_em_correctness():
     # (c) noise tolerance: 90% of a template's observations share one predicate
     items = [make_item({"t": 1.0}, {("dob",): 1.0}) for _ in range(18)]
     items += [make_item({"t": 1.0}, {("category",): 1.0}) for _ in range(2)]
-    model = learn(TrainingSet(items)).model
+    model = learn(fold(items)).model
     assert model.top_path("t")[0] == ("dob",)
 
     assert time.perf_counter() - start < 60.0

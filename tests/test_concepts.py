@@ -98,6 +98,38 @@ def test_conceptualize_symmetry_yields_uniform():
     assert all(math.isclose(p, 1 / 3, abs_tol=1e-12) for p in dist.values())
 
 
+def test_conceptualize_with_negative_context_weights_is_a_distribution_or_empty():
+    """A context weight may be negative: each concept's factor is clamped
+    at 0, and when no concept keeps a positive score the result is empty,
+    so ``question_concepts`` falls back to the universal concept."""
+    rng = random.Random(5)
+    empty = 0
+    for _ in range(300):
+        concepts = [f"c{i}" for i in range(rng.randrange(1, 5))]
+        edges = [("e", c, rng.uniform(0.1, 5.0)) for c in concepts]
+        weights = {
+            (rng.choice(concepts), f"w{rng.randrange(4)}"): rng.choice([-1.0, rng.uniform(-3, 2)])
+            for _ in range(rng.randrange(1, 8))
+        }
+        graph = ConceptGraph(edges, context_weights=weights)
+        tokens = tuple(f"w{rng.randrange(5)}" for _ in range(rng.randrange(1, 5)))
+        dist = graph.conceptualize(tokens, "e")
+        assert dist == conceptualize_oracle(edges, weights, tokens, "e")
+        if not dist:
+            empty += 1
+            assert graph.question_concepts(tokens, "e") == {"entity": 1.0}
+            continue
+        assert all(0.0 <= p <= 1.0 for p in dist.values())
+        assert math.isclose(math.fsum(dist.values()), 1.0, abs_tol=1e-12)
+    assert empty > 10
+
+
+def test_conceptualize_cancelled_boost_is_empty():
+    graph = ConceptGraph([("e", "person", 1.0)], context_weights={("person", "died"): -1.0})
+    assert graph.conceptualize(("when", "did", "e", "died"), "e", mention=(2, 3)) == {}
+    assert graph.question_concepts(("when", "did", "e", "died"), "e", (2, 3)) == {"entity": 1.0}
+
+
 @pytest.mark.parametrize("with_weights", [False, True], ids=["no-weights", "weights"])
 def test_cached_conceptualize_equals_the_uncached_oracle(with_weights):
     """Bit for bit, on every call: the first computes and caches the

@@ -218,25 +218,26 @@ def test_observations_are_kb_connected(toy_extractor, toy_corpus):
 
 
 def test_build_observations_fixture_weights(toy_training):
-    observations = toy_training.items
+    observations = toy_training.observations
     assert len(observations) == 3
-    obama = [o for o in observations if o.entity == "BarackObama"]
+    obama = [(v, w) for _, e, v, w in observations if e == "BarackObama"]
     assert len(obama) == 2
-    for obs in obama:
-        assert obs.value == "1961"
+    for value, weight in obama:
+        assert value == "1961"
         # 1 * P(a|q) * P(q) = 1 * 0.5 * 2/3
-        assert obs.weight == pytest.approx(1 / 3, abs=1e-15)
-    honolulu = [o for o in observations if o.entity == "Honolulu"]
+        assert weight == pytest.approx(1 / 3, abs=1e-15)
+    honolulu = [(v, w) for _, e, v, w in observations if e == "Honolulu"]
     assert len(honolulu) == 1
-    assert honolulu[0].value == "390K"
-    assert honolulu[0].weight == pytest.approx(1 / 3, abs=1e-15)
+    assert honolulu[0][0] == "390K"
+    assert honolulu[0][1] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_build_observations_empty_extraction(toy_extractor, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
     mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, [pair]).mentions
-    assert TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).items == ()
+    training = TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts)
+    assert training.observations == [] and training.groups == []
 
 
 def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_concepts, toy_training):
@@ -245,9 +246,7 @@ def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_conc
     scaled = TrainingSet.build(
         doubled, mentions, toy_extractor, corpus_stats(doubled), toy_concepts
     )
-    assert [(o.entity, o.value, o.weight) for o in toy_training.items] == [
-        (o.entity, o.value, o.weight) for o in scaled.items
-    ]
+    assert scaled.observations == toy_training.observations
 
 
 def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, monkeypatch):
@@ -265,7 +264,9 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, mo
     one_by_one = [
         item
         for pair in pairs
-        for item in TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts).items
+        for item in TrainingSet.build(
+            [pair], mentions, toy_extractor, stats, toy_concepts
+        ).observations
     ]
     calls = []
     original = EntityValueExtractor.candidate_values
@@ -277,7 +278,7 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, mo
     monkeypatch.setattr(EntityValueExtractor, "candidate_values", counting)
     training = TrainingSet.build(pairs, mentions, toy_extractor, stats, toy_concepts)
     assert sorted(calls) == sorted([A1, A2, A3])
-    assert list(training.items) == one_by_one
+    assert training.observations == one_by_one
     assert len(training) == 5
 
 
@@ -318,7 +319,7 @@ def test_candidate_values_reach_the_longest_node_text():
 
 def test_write_observations_format(toy_training):
     buf = io.StringIO()
-    write_observations(toy_training.items, buf)
+    write_observations(toy_training.observations, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[0].split("\t")[:3] == ["when was barack obama born", "BarackObama", "1961"]

@@ -14,7 +14,7 @@ import pytest
 
 from factqa.learn import PredicateModel
 from factqa.pipeline import OnlineSession, PipelineConfig, run_offline
-from oracles import counting_baseline
+from oracles import counting_baseline, grouped, training_items
 
 N_PEOPLE = 60
 N_CITIES = 25
@@ -170,11 +170,12 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
         expansion=expansion_map(expand_predicates(kb, corpus_seed_entities(mentions), 3)),
         predicate_categories=load_predicate_categories(config.predicate_categories),
     )
-    training = TrainingSet.build(
-        pairs, mentions, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa)
-    )
+    args = (pairs, mentions, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa))
+    training = TrainingSet.build(*args)
+    items = training_items(*args)
+    assert (training.assignments, training.groups) == grouped(items)
     em = learn(training).model
-    counting = counting_baseline(training)
+    counting = counting_baseline(items)
     born = "when was $human born"
     assert counting.prob(born, ("founded",)) > 0.05  # ambiguity really present
     assert em.prob(born, ("founded",)) < 0.01  # and EM resolved it

@@ -1,9 +1,11 @@
-"""EM estimation: factors, initialization, E/M steps, convergence, baseline."""
+"""EM estimation: the folded training set, factors, initialization, E/M
+steps, SQUAREM and convergence, baseline."""
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import logging
 import random
 import sys
 from types import ModuleType
@@ -15,7 +17,6 @@ import factqa.learn as learn_module
 from factqa.learn import (
     Posterior,
     PredicateModel,
-    TrainingItem,
     TrainingSet,
     e_step,
     init_theta,
@@ -23,7 +24,19 @@ from factqa.learn import (
     log_likelihood,
     m_step,
 )
-from oracles import counting_baseline, m_step_item_by_item
+from oracles import (
+    TrainingItem,
+    counting_baseline,
+    fold,
+    grouped,
+    item_candidates,
+    item_responsibilities,
+    learn_plain,
+    log_likelihood_by_group,
+    log_likelihood_by_item,
+    m_step_item_by_item,
+    posterior_oracle,
+)
 
 DOB = ("dob",)
 CATEGORY = ("category",)
@@ -45,7 +58,7 @@ def make_item(template_probs, value_probs, weight=1.0, p_q=1.0, p_e=1.0):
     return TrainingItem(("q",), "e", "v", weight, p_q, p_e, template_probs, value_probs)
 
 
-def random_training_set(rng, n_obs=10, n_templates=3, n_paths=3):
+def random_items(rng, n_obs=10, n_templates=3, n_paths=3):
     """Random sparse instances; every observation supports at least one
     template and one path."""
     templates = [f"t{i}" for i in range(n_templates)]
@@ -62,22 +75,26 @@ def random_training_set(rng, n_obs=10, n_templates=3, n_paths=3):
             make_item(template_probs, value_probs, weight=rng.uniform(0.5, 2.0),
                       p_q=rng.uniform(0.1, 1.0))
         )
-    return TrainingSet(items)
+    return items
 
 
-def random_training_set_with_duplicates(rng, n_obs=20, n_distinct=4):
+def random_training_set(rng, n_obs=10, n_templates=3, n_paths=3):
+    return fold(random_items(rng, n_obs, n_templates, n_paths))
+
+
+def random_items_with_duplicates(rng, n_obs=20, n_distinct=4):
     """Random instances in which items repeat one another's candidates
     (equal factors and assignments) under weights of their own."""
-    base = random_training_set(rng, n_obs=n_distinct, n_templates=3, n_paths=3).items
-    return TrainingSet(
+    base = random_items(rng, n_obs=n_distinct, n_templates=3, n_paths=3)
+    return [
         dataclasses.replace(rng.choice(base), weight=rng.uniform(0.5, 2.0))
         for _ in range(n_obs)
-    )
+    ]
 
 
 def random_partial_model(rng, n_templates=3, n_paths=3):
     """Random rows over random subsets of the templates and paths of
-    ``random_training_set``, so some observations score zero."""
+    ``random_items``, so some observations score zero."""
     rows = {}
     for t in range(n_templates):
         if rng.random() < 0.7:
@@ -88,68 +105,84 @@ def random_partial_model(rng, n_templates=3, n_paths=3):
     return PredicateModel(rows)
 
 
-def log_likelihood_oracle(training, model):
-    """The weighted log marginal summed item by item, each from its own
-    candidate list."""
-    terms = []
-    for item in training.items:
-        total = fsum(f * model.prob(*z) for z, f in item.candidates)
-        if total > 0:
-            terms.append(item.weight * log(total))
-    return fsum(terms)
-
-
-def posterior_oracle(training, model):
-    """Brute-force Bayes: enumerate the full template x path grid per
-    observation and normalize by the plain sum."""
-    out = []
-    for item in training.items:
-        all_templates = sorted(item.template_probs)
-        all_paths = sorted(item.value_probs)
-        scores = {}
-        for t in all_templates:
-            for p in all_paths:
-                s = (
-                    item.p_q
-                    * item.p_e
-                    * item.template_probs[t]
-                    * item.value_probs[p]
-                    * model.prob(t, p)
-                )
-                if s > 0:
-                    scores[(t, p)] = s
-        total = sum(scores.values())
-        out.append({z: s / total for z, s in scores.items()} if total > 0 else None)
-    return out
+def _assert_likelihood_of(training, items, model, ll):
+    """``ll`` is the model's log-likelihood as the E-step scores it: equal
+    to the group-by-group sum, and within 1e-12 (relative) of the item by
+    item one."""
+    assert ll == log_likelihood(training, model)
+    assert ll == log_likelihood_by_group(items, model)
+    assert abs(ll - log_likelihood_by_item(items, model)) <= 1e-12 * abs(ll)
 
 
 # ---------------------------------------------------------------------------
-# f(x, z), read from the frozen candidate list (absent means zero)
+# the folded training set
 
 
-def factor_f(item, assignment):
-    return dict(item.candidates).get(assignment, 0.0)
+def test_build_folds_the_items_of_the_item_by_item_build(toy_items, toy_training):
+    assert toy_training.observations == [
+        (i.question, i.entity, i.value, i.weight) for i in toy_items
+    ]
+    assert item_candidates(toy_training) == [item.candidates for item in toy_items]
+    assert (toy_training.assignments, toy_training.groups) == grouped(toy_items)
+    assert len(toy_training.groups) < len(toy_training)
+
+
+def test_fold_groups_items_as_the_item_by_item_grouping():
+    """Over random sets with repeated candidates, rows equal in content but
+    built apart, zero probabilities and items with no candidate."""
+    rng = random.Random(17)
+    for _ in range(60):
+        items = random_items_with_duplicates(
+            rng, n_obs=rng.randrange(1, 30), n_distinct=rng.randrange(1, 6)
+        )
+        items += [
+            dataclasses.replace(rng.choice(items), template_probs={"t0": 0.0}),
+            make_item({"t1": 1.0, "t2": 0.0}, {DOB: 0.0, CATEGORY: 0.5}),
+            make_item({"t2": 0.0, "t1": 1.0}, {CATEGORY: 0.5}),
+        ]
+        rng.shuffle(items)
+        training = fold(items)
+        assert (training.assignments, training.groups) == grouped(items)
+        assert item_candidates(training) == [item.candidates for item in items]
+        assert training.masses == [
+            fsum(items[i].weight for i in members) for _, _, members in training.groups
+        ]
+
+
+def test_masses_follow_every_add():
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0}, weight=0.25)])
+    assert training.masses == [0.25]
+    row_t, row_p = training.template_row({"t": 1.0}), training.path_row({DOB: 1.0})
+    training.add((("q",), "e", "v", 0.5), 1.0, 1.0, row_t, row_p)
+    assert training.masses == [0.75]
+    assert len(training) == 2
+
+
+# ---------------------------------------------------------------------------
+# f(x, z), read from the observation's group (absent means zero)
+
+
+def factor_f(training, entity, assignment):
+    i = next(i for i, o in enumerate(training.observations) if o[1] == entity)
+    return dict(item_candidates(training)[i]).get(assignment, 0.0)
 
 
 def test_factor_f_obama_fixture(toy_training):
-    item = next(i for i in toy_training.items if i.entity == "BarackObama")
-    f = factor_f(item, (T_PERSON, DOB))
+    f = factor_f(toy_training, "BarackObama", (T_PERSON, DOB))
     assert f == pytest.approx((2 / 3) * 1.0 * 0.64 * 1.0, abs=1e-12)
     assert f == pytest.approx(0.4267, abs=5e-5)
 
 
 def test_factor_f_zero_when_template_missing(toy_training):
-    item = next(i for i in toy_training.items if i.entity == "BarackObama")
-    assert factor_f(item, ("who is $person", DOB)) == 0.0
+    assert factor_f(toy_training, "BarackObama", ("who is $person", DOB)) == 0.0
 
 
 def test_factor_f_zero_when_path_not_connecting(toy_training):
-    item = next(i for i in toy_training.items if i.entity == "BarackObama")
-    assert factor_f(item, (T_PERSON, ("population",))) == 0.0
+    assert factor_f(toy_training, "BarackObama", (T_PERSON, ("population",))) == 0.0
 
 
 def test_build_reads_value_probabilities_once_per_entity_value_pair(
-    monkeypatch, toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts
+    monkeypatch, toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts, toy_items
 ):
     calls = []
     kb_type = type(toy_extractor.kb)
@@ -163,7 +196,7 @@ def test_build_reads_value_probabilities_once_per_entity_value_pair(
     training = TrainingSet.build(
         toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
     )
-    pairs = {(i.entity, i.value): len(i.value_probs) for i in training.items}
+    pairs = {(i.entity, i.value): len(i.value_probs) for i in toy_items}
     assert len(pairs) < len(training)
     assert len(calls) == sum(pairs.values())
 
@@ -173,13 +206,13 @@ def test_build_reads_value_probabilities_once_per_entity_value_pair(
 
 
 def test_init_theta_two_way_uniform():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0, CATEGORY: 0.5})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0, CATEGORY: 0.5})])
     model = init_theta(training)
     assert model.row("t") == {DOB: 0.5, CATEGORY: 0.5}
 
 
 def test_init_theta_single_support():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0})])
     assert init_theta(training).row("t") == {DOB: 1.0}
 
 
@@ -193,7 +226,7 @@ def test_init_theta_rows_sum_to_one_random():
 
 
 def test_init_theta_empty():
-    assert len(init_theta(TrainingSet([]))) == 0
+    assert len(init_theta(TrainingSet())) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +234,15 @@ def test_init_theta_empty():
 
 
 def test_e_step_single_assignment():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0})])
     post = e_step(training, init_theta(training))
     assert post.responsibilities == [{("t", DOB): 1.0}]
-    assert post.dropped == []
+    assert post.dropped == 0
 
 
 def test_e_step_hand_normalization():
     # theta row (0.5, 0.5), factors (0.4, 0.1) -> responsibilities (0.8, 0.2)
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 0.4, CATEGORY: 0.1})])
+    training = fold([make_item({"t": 1.0}, {DOB: 0.4, CATEGORY: 0.1})])
     model = PredicateModel({"t": {DOB: 0.5, CATEGORY: 0.5}})
     (resp,) = e_step(training, model).responsibilities
     assert resp[("t", DOB)] == pytest.approx(0.8, abs=1e-12)
@@ -219,15 +252,16 @@ def test_e_step_hand_normalization():
 def test_e_step_matches_bruteforce_oracle():
     rng = random.Random(31)
     for _ in range(25):
-        training = random_training_set(
+        items = random_items(
             rng,
             n_obs=rng.randrange(1, 6),
             n_templates=rng.randrange(1, 4),
             n_paths=rng.randrange(1, 4),
         )
+        training = fold(items)
         model = init_theta(training)
-        got = e_step(training, model).responsibilities
-        want = posterior_oracle(training, model)
+        got = item_responsibilities(training, e_step(training, model))
+        want = posterior_oracle(items, model)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
@@ -239,33 +273,35 @@ def test_e_step_matches_bruteforce_oracle():
 
 
 def test_e_step_drops_unsupported_observations():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0}), make_item({"t": 1.0}, {DOB: 1.0})])
     model = PredicateModel({"other": {DOB: 1.0}})
     post = e_step(training, model)
     assert post.responsibilities == [None]
-    assert post.dropped == [0]
+    assert post.dropped == 2
+    assert post.log_likelihood == 0.0
 
 
 def test_e_step_on_duplicate_items_matches_oracle_and_likelihood():
     rng = random.Random(37)
     for _ in range(40):
-        training = random_training_set_with_duplicates(
+        items = random_items_with_duplicates(
             rng, n_obs=rng.randrange(2, 25), n_distinct=rng.randrange(1, 5)
         )
+        training = fold(items)
         for model in (init_theta(training), random_partial_model(rng)):
             post = e_step(training, model)
-            want = posterior_oracle(training, model)
-            assert len(post.responsibilities) == len(want)
-            assert post.dropped == [i for i, w in enumerate(want) if w is None]
-            for g, w in zip(post.responsibilities, want):
+            want = posterior_oracle(items, model)
+            got = item_responsibilities(training, post)
+            assert len(got) == len(want)
+            assert post.dropped == sum(w is None for w in want)
+            for g, w in zip(got, want):
                 assert (g is None) == (w is None)
                 if g is None:
                     continue
                 assert set(g) == set(w)
                 for z in g:
                     assert abs(g[z] - w[z]) <= 1e-12
-            assert post.log_likelihood == log_likelihood(training, model)
-            assert post.log_likelihood == log_likelihood_oracle(training, model)
+            _assert_likelihood_of(training, items, model, post.log_likelihood)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +309,13 @@ def test_e_step_on_duplicate_items_matches_oracle_and_likelihood():
 
 
 def test_m_step_all_mass_on_one_assignment():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0})])
     post = Posterior([{("t", DOB): 1.0}])
     assert m_step(training, post).row("t") == {DOB: 1.0}
 
 
 def test_m_step_hand_division():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0, CATEGORY: 1.0})])
+    training = fold([make_item({"t": 1.0}, {DOB: 1.0, CATEGORY: 1.0})])
     post = Posterior([{("t", DOB): 0.75, ("t", CATEGORY): 0.25}])
     model = m_step(training, post)
     assert model.row("t") == {DOB: 0.75, CATEGORY: 0.25}
@@ -297,9 +333,9 @@ def test_m_step_rows_sum_to_one_random():
 def test_m_step_on_duplicate_items_matches_item_by_item_oracle():
     rng = random.Random(43)
     for _ in range(40):
-        training = random_training_set_with_duplicates(
+        training = fold(random_items_with_duplicates(
             rng, n_obs=rng.randrange(2, 25), n_distinct=rng.randrange(1, 5)
-        )
+        ))
         for model in (init_theta(training), random_partial_model(rng)):
             posterior = e_step(training, model)
             _assert_models_close(m_step(training, posterior),
@@ -314,6 +350,15 @@ def _assert_models_close(got, want):
             assert abs(got.row(template)[path] - prob) <= 1e-12
 
 
+def distance(a, b):
+    """Max |a - b| over every entry of either model."""
+    return max(
+        (abs(a.prob(t, p) - b.prob(t, p))
+         for model in (a, b) for t in model.templates() for p in model.row(t)),
+        default=0.0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # learn
 
@@ -322,7 +367,7 @@ def test_learn_noise_tolerance_majority_predicate():
     # 90% of the template's observations connect via dob only
     items = [make_item({"t": 1.0}, {DOB: 1.0}) for _ in range(18)]
     items += [make_item({"t": 1.0}, {CATEGORY: 1.0}) for _ in range(2)]
-    result = learn(TrainingSet(items))
+    result = learn(fold(items))
     top = result.model.top_path("t")
     assert top is not None and top[0] == DOB
     assert result.model.prob("t", DOB) == pytest.approx(0.9, abs=1e-9)
@@ -330,7 +375,7 @@ def test_learn_noise_tolerance_majority_predicate():
 
 def test_learn_single_assignment_converges_immediately():
     items = [make_item({"t": 1.0}, {DOB: 1.0}), make_item({"u": 1.0}, {CATEGORY: 1.0})]
-    result = learn(TrainingSet(items))
+    result = learn(fold(items))
     assert result.iterations == 1
     assert result.model.prob("t", DOB) == 1.0
 
@@ -342,8 +387,16 @@ def test_learn_toy_fixture_prefers_dob(toy_training):
     assert result.dropped_observations == 0
 
 
+def test_learn_toy_fixture_equals_plain_em(toy_training):
+    """The toy set converges in one step, before any extrapolation."""
+    got, want = learn(toy_training), learn_plain(toy_training)
+    assert got.iterations == want.iterations == 1
+    assert got.model.items() == want.model.items()
+    assert got.ll_history == want.ll_history
+
+
 def test_learn_empty_training_set():
-    result = learn(TrainingSet([]))
+    result = learn(TrainingSet())
     assert len(result.model) == 0
     assert result.iterations == 0
 
@@ -353,12 +406,149 @@ def test_learn_rejects_bad_max_iters(toy_training):
         learn(toy_training, max_iters=0)
 
 
+def random_em_items(rng):
+    """A random set with repeated candidates, one-member groups, zero
+    template and path probabilities (an item keeps some candidates) and an
+    item with no candidate, which every model drops."""
+    items = random_items_with_duplicates(
+        rng, n_obs=rng.randrange(2, 30), n_distinct=rng.randrange(1, 6)
+    )
+    items += random_items(rng, n_obs=rng.randrange(1, 8), n_templates=4, n_paths=4)
+    items.append(dataclasses.replace(items[0], weight=rng.uniform(0.5, 2.0)))
+    zeroed = rng.choice(items)
+    items.append(dataclasses.replace(
+        zeroed,
+        template_probs={**zeroed.template_probs, "t3": 0.0},
+        value_probs={**zeroed.value_probs, ("p3",): 0.0},
+    ))
+    items.append(make_item({"t0": 0.0}, {("p0",): 1.0}, weight=rng.uniform(0.5, 2.0)))
+    rng.shuffle(items)
+    return items
+
+
+def test_squarem_over_random_training_sets():
+    """Over 200 seeded sets: the likelihood never decreases (beyond
+    rounding), every row is on the simplex, and the model is no farther
+    from EM's fixed point (plain EM run to 1e-12) than plain EM stopped at
+    the same epsilon. Where plain EM takes more than 1,000 steps to reach
+    1e-12 (a tail that creeps toward a row's edge), no fixed point is at
+    hand and the distance is not compared."""
+    rng = random.Random(1801)
+    compared = 0
+    for _ in range(200):
+        items = random_em_items(rng)
+        training = fold(items)
+        assert any(len(members) > 1 for _, _, members in training.groups)
+        assert any(len(members) == 1 for _, _, members in training.groups)
+        result = learn(training)
+        assert result.dropped_observations >= 1
+        history = result.ll_history
+        assert len(history) == result.iterations + 1
+        for before, after in zip(history, history[1:]):
+            assert after >= before - 1e-12 * abs(before)
+        for template in result.model.templates():
+            row = result.model.row(template)
+            assert all(0 < p <= 1 for p in row.values())
+            assert abs(fsum(row.values()) - 1.0) <= 1e-12
+        plain = learn_plain(training)
+        assert result.iterations <= plain.iterations + 1
+        fixed = learn_plain(training, max_iters=1000, epsilon=1e-12)
+        if fixed.iterations < 1000:
+            compared += 1
+            assert distance(result.model, fixed.model) <= distance(plain.model, fixed.model)
+    assert compared >= 140
+
+
+def _debug_steps(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.DEBUG and r.getMessage().startswith("EM step ")]
+
+
+def test_learn_logs_one_debug_line_per_step(caplog, toy_training):
+    caplog.set_level(logging.DEBUG, logger="factqa")
+    rng = random.Random(1803)
+    for training in [toy_training, *(fold(random_em_items(rng)) for _ in range(20))]:
+        caplog.clear()
+        result = learn(training)
+        steps = _debug_steps(caplog)
+        assert len(steps) == result.iterations
+        for number, (line, ll) in enumerate(zip(steps, result.ll_history), 1):
+            assert line.startswith(f"EM step {number}: log-likelihood {ll!r}, max change ")
+            assert line.endswith(("plain", "extrapolated", "fallback"))
+
+
+def test_learn_first_two_steps_are_plain_em():
+    rng = random.Random(1805)
+    for _ in range(30):
+        training = fold(random_em_items(rng))
+        for max_iters in (1, 2):
+            got, want = learn(training, max_iters), learn_plain(training, max_iters)
+            assert got.iterations == want.iterations
+            assert got.model.items() == want.model.items()
+            assert got.ll_history == want.ll_history
+
+
+def test_learn_third_step_starts_from_the_squarem_point(caplog):
+    caplog.set_level(logging.DEBUG, logger="factqa")
+    rng = random.Random(1807)
+    kinds = set()
+    for _ in range(30):
+        training = fold(random_em_items(rng))
+        if learn_plain(training, 3).iterations < 3:
+            continue
+        caplog.clear()
+        result = learn(training, max_iters=3)
+        assert result.iterations == 3
+        steps = _debug_steps(caplog)
+        assert [s.rsplit(", ", 1)[1] for s in steps[:2]] == ["plain", "plain"]
+        kinds.add(steps[2].rsplit(", ", 1)[1])
+        history = result.ll_history
+        assert all(b >= a - 1e-12 * abs(a) for a, b in zip(history, history[1:]))
+    assert "extrapolated" in kinds
+
+
+@pytest.mark.parametrize("refused", ["leaves-the-simplex", "lower-likelihood"])
+def test_refused_extrapolations_fall_back_to_plain_em(monkeypatch, caplog, refused):
+    """When every SQUAREM point is refused, each cycle goes on from the
+    plain model, so the run is plain EM step for step."""
+
+    def leaving(theta0, theta1, theta2):
+        # an entry that EM keeps positive is pushed below zero
+        point = list(theta0)
+        point[next(a for a, p in enumerate(theta0) if p > 0)] = -0.5
+        return point
+
+    def lower(theta0, theta1, theta2):
+        # the cycle's start scores below theta1, the last model scored
+        return list(theta0)
+
+    monkeypatch.setattr(
+        learn_module, "_squarem_point", leaving if refused == "leaves-the-simplex" else lower
+    )
+    caplog.set_level(logging.DEBUG, logger="factqa")
+    rng = random.Random(1809)
+    for _ in range(20):
+        training = fold(random_em_items(rng))
+        caplog.clear()
+        got = learn(training)
+        # plain EM to its stop, and one more step for the second change
+        # below epsilon
+        assert got.iterations - learn_plain(training).iterations in (0, 1)
+        want = learn_plain(training, got.iterations, epsilon=0.0)
+        assert got.iterations == want.iterations
+        assert got.model.items() == want.model.items()
+        assert got.ll_history == want.ll_history
+        kinds = [s.rsplit(", ", 1)[1] for s in _debug_steps(caplog)]
+        assert "extrapolated" not in kinds
+        assert kinds[:3] == ["plain", "plain", "fallback"][: len(kinds)]
+
+
 # ---------------------------------------------------------------------------
 # log_likelihood
 
 
 def test_log_likelihood_single_term():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 0.5})])
+    training = fold([make_item({"t": 1.0}, {DOB: 0.5})])
     model = PredicateModel({"t": {DOB: 0.5}})
     assert log_likelihood(training, model) == pytest.approx(log(0.25), abs=1e-12)
 
@@ -377,25 +567,33 @@ def test_log_likelihood_monotone_over_random_instances():
 
 
 def test_ll_history_is_the_likelihood_of_every_model_visited(monkeypatch):
-    models = []
+    scored = {}
+    inputs = []
+
+    def recording_e_step(training, model):
+        posterior = e_step(training, model)
+        scored[id(posterior)] = model
+        return posterior
 
     def recording_m_step(training, posterior):
-        models.append(m_step(training, posterior))
-        return models[-1]
+        inputs.append(scored[id(posterior)])
+        return m_step(training, posterior)
 
+    monkeypatch.setattr(learn_module, "e_step", recording_e_step)
     monkeypatch.setattr(learn_module, "m_step", recording_m_step)
     rng = random.Random(53)
     for _ in range(15):
-        training = random_training_set_with_duplicates(
+        items = random_items_with_duplicates(
             rng, n_obs=rng.randrange(2, 30), n_distinct=rng.randrange(1, 6)
         )
-        models.clear()
+        training = fold(items)
+        scored.clear()
+        inputs.clear()
         result = learn(training, max_iters=rng.randrange(1, 40))
-        visited = [init_theta(training), *models]
-        assert len(result.ll_history) == len(visited) == result.iterations + 1
-        for ll, model in zip(result.ll_history, visited):
-            assert ll == log_likelihood(training, model)
-            assert ll == log_likelihood_oracle(training, model)
+        assert inputs[0].items() == init_theta(training).items()
+        assert len(result.ll_history) == len(inputs) + 1 == result.iterations + 1
+        for ll, model in zip(result.ll_history, [*inputs, result.model]):
+            _assert_likelihood_of(training, items, model, ll)
         assert result.final_log_likelihood == result.ll_history[-1]
 
 
@@ -410,9 +608,9 @@ def test_learn_matches_an_item_by_item_run(monkeypatch, toy_training):
         for _ in range(15)
     ]
     duplicated = [
-        random_training_set_with_duplicates(
+        fold(random_items_with_duplicates(
             rng, n_obs=rng.randrange(2, 30), n_distinct=rng.randrange(1, 6)
-        )
+        ))
         for _ in range(15)
     ]
     runs = [(training, learn(training)) for training in [toy_training, *distinct, *duplicated]]
@@ -420,21 +618,22 @@ def test_learn_matches_an_item_by_item_run(monkeypatch, toy_training):
     for training, got in runs:
         want = learn(training)
         assert got.iterations == want.iterations
-        if training is toy_training or all(len(g[2]) == 1 for g in training.interned[1]):
+        if training is toy_training or all(len(g[2]) == 1 for g in training.groups):
             assert got.ll_history == want.ll_history
             assert got.model.items() == want.model.items()
         else:
             assert got.ll_history == pytest.approx(want.ll_history, rel=1e-12, abs=0)
             _assert_models_close(got.model, want.model)
-    assert len(toy_training.interned[1]) < len(toy_training)
-    assert all(len(g[2]) == 1 for training in distinct for g in training.interned[1])
+    assert len(toy_training.groups) < len(toy_training)
+    assert all(len(g[2]) == 1 for training in distinct for g in training.groups)
 
 
 def test_log_likelihood_invariant_under_reordering():
     rng = random.Random(61)
-    training = random_training_set(rng, n_obs=12)
+    items = random_items(rng, n_obs=12)
+    training = fold(items)
     model = init_theta(training)
-    shuffled = TrainingSet(list(reversed(training.items)))
+    shuffled = fold(list(reversed(items)))
     assert log_likelihood(training, model) == pytest.approx(
         log_likelihood(shuffled, model), abs=1e-12
     )
@@ -445,13 +644,12 @@ def test_log_likelihood_invariant_under_reordering():
 
 
 def test_counting_baseline_unique_connector():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 1.0}) for _ in range(3)])
-    assert counting_baseline(training).row("t") == {DOB: 1.0}
+    items = [make_item({"t": 1.0}, {DOB: 1.0}) for _ in range(3)]
+    assert counting_baseline(items).row("t") == {DOB: 1.0}
 
 
 def test_counting_baseline_two_equal_connectors():
-    training = TrainingSet([make_item({"t": 1.0}, {DOB: 0.5, CATEGORY: 0.5})])
-    model = counting_baseline(training)
+    model = counting_baseline([make_item({"t": 1.0}, {DOB: 0.5, CATEGORY: 0.5})])
     assert model.row("t") == {DOB: 0.5, CATEGORY: 0.5}
 
 
@@ -463,7 +661,7 @@ def test_counting_baseline_two_to_one_split():
         make_item({T_PERSON: 1.0}, {DOB: 1.0}, weight=1 / 3),
         make_item({T_PERSON: 1.0}, {CATEGORY: 0.5}, weight=1 / 3),
     ]
-    model = counting_baseline(TrainingSet(items))
+    model = counting_baseline(items)
     assert model.prob(T_PERSON, DOB) == pytest.approx(2 / 3, abs=1e-12)
     assert model.prob(T_PERSON, CATEGORY) == pytest.approx(1 / 3, abs=1e-12)
     assert round(model.prob(T_PERSON, DOB), 2) == 0.67
@@ -480,9 +678,8 @@ def test_counting_baseline_agrees_with_em_on_single_connector_instances():
             t = f"t{rng.randrange(2)}"
             p = (f"p{rng.randrange(3)}",)
             items.append(make_item({t: 1.0}, {p: rng.uniform(0.2, 1.0)}))
-        training = TrainingSet(items)
-        em_model = learn(training).model
-        count_model = counting_baseline(training)
+        em_model = learn(fold(items)).model
+        count_model = counting_baseline(items)
         for t in count_model.templates():
             assert em_model.top_path(t)[0] == count_model.top_path(t)[0]
 

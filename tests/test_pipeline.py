@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from factqa.cli import build_parser, main
-from factqa.concepts import ConceptGraph, derive_templates
+from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
 from factqa.decompose import PatternIndex
 from factqa.engine import AnswerEngine
@@ -35,7 +35,7 @@ from factqa.pipeline import (
     run_offline,
     store_path,
 )
-from oracles import counting_baseline, pattern_counts
+from oracles import counting_baseline, item_candidates, pattern_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,7 +62,7 @@ def make_config(tmp_path: Path, **overrides) -> PipelineConfig:
 # offline flow
 
 
-def test_run_offline_produces_expected_model(tmp_path, toy_training):
+def test_run_offline_produces_expected_model(tmp_path, toy_items):
     config = make_config(tmp_path)
     report = run_offline(config)
     assert report["observations"] == 3
@@ -71,7 +71,7 @@ def test_run_offline_produces_expected_model(tmp_path, toy_training):
     top = model.top_path("when was $person born")
     assert top is not None and top[0] == ("dob",)
     # independent counting oracle agrees on the argmax
-    oracle = counting_baseline(toy_training)
+    oracle = counting_baseline(toy_items)
     assert oracle.top_path("when was $person born")[0] == ("dob",)
     # all artifacts exist and the report is valid JSON
     assert config.index.is_file() and config.expansion.is_file()
@@ -157,9 +157,7 @@ def test_observations_dump(tmp_path):
     assert len(lines) == 3
 
 
-def test_run_offline_asks_each_key_token_and_template_once(
-    tmp_path, monkeypatch, toy_kb, toy_index, toy_concepts
-):
+def test_run_offline_asks_each_key_token_and_template_once(tmp_path, monkeypatch, toy_items):
     calls: dict[str, list] = {}
     for owner, name in ((StaticHashArray, "lookup"), (StaticHashArray, "has_token"),
                         (ConceptGraph, "question_concepts")):
@@ -183,15 +181,11 @@ def test_run_offline_asks_each_key_token_and_template_once(
     monkeypatch.undo()
     for name, args in calls.items():
         assert args and len(args) == len(set(args)), name
-    items = built[0].items
-    assert set(calls["question_concepts"]) == {(item.question, item.entity) for item in items}
-    for item in items:
-        span = next(s for s, e in MentionTable(toy_kb, toy_index[0], item.question).mentions()
-                    if e == item.entity)
-        concepts = toy_concepts.question_concepts(item.question, item.entity, span)
-        assert item.template_probs == {
-            t.text: p for t, p in derive_templates(item.question, span, concepts).items()
-        }
+    (training,) = built
+    assert set(calls["question_concepts"]) == {(q, e) for q, e, _, _ in training.observations}
+    # each observation's candidates are those of its own templates, derived
+    # afresh item by item
+    assert item_candidates(training) == [item.candidates for item in toy_items]
     assert config.observations.read_text() == (
         "when was barack obama born\tBarackObama\t1961\t0.3333333333333333\n" * 2
         + "how many people are there in honolulu\tHonolulu\t390K\t0.3333333333333333\n"
@@ -523,6 +517,25 @@ def test_cli_answer_unanswerable_exit_code(tmp_path, capsys):
     code, records = run_cli(["answer", *cli_flags(config), "when was the moon made"], capsys)
     assert code == 4
     assert records[0]["answer"] is None
+
+
+def test_cli_context_weight_cancelling_every_concept_answers_without_a_traceback(tmp_path):
+    """``person<TAB>died<TAB>-1`` zeroes the only concept of Michelle Obama
+    in a question holding "died": the question falls back to the universal
+    concept and gets an answer or a reason, never a crash."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    (data / "cancel.tsv").write_text("person\tdied\t-1\n", encoding="utf-8")
+    with open(data / "pipeline.cfg", "a", encoding="utf-8") as fp:
+        fp.write("context-weights = cancel.tsv\n")
+    proc = _module_cli("pipeline", "--config", str(data / "pipeline.cfg"))
+    assert proc.returncode == 0, proc.stderr
+    proc = _module_cli("answer", "--config", str(data / "pipeline.cfg"),
+                       "When did Michelle Obama died?")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 4), proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["answer"] is not None or record["reason"]
 
 
 def test_cli_config_error_exit_code(capsys):
