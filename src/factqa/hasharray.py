@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import sys
 import zlib
 from array import array
 from pathlib import Path
 from typing import IO, Iterable
+
+from .kb import SectionReader, StoreFormatError, packed
 
 MAGIC = b"SHA1DX\x00"
 VERSION = 4
@@ -34,25 +35,6 @@ def key_hash(key: str) -> tuple[int, int]:
     """(bucket hash, fingerprint): the low and high 64 bits of the key's
     128-bit blake2b digest."""
     return _DIGEST.unpack(hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest())
-
-
-class IndexFormatError(ValueError):
-    """Raised when a serialized index cannot be decoded."""
-
-
-def _as_le(arr: array) -> array:
-    if sys.byteorder == "little":
-        return arr
-    swapped = array("Q", arr)
-    swapped.byteswap()
-    return swapped
-
-
-def _read_exact(source: IO[bytes], size: int, section: str) -> bytes:
-    data = source.read(size)
-    if len(data) < size:
-        raise IndexFormatError(f"truncated {section}")
-    return data
 
 
 class StaticHashArray:
@@ -71,18 +53,6 @@ class StaticHashArray:
 
     def __init__(self, bucket_count: int, offsets: array, items: array, max_words: int,
                  token_filter: bytes):
-        if bucket_count <= 0 or bucket_count & (bucket_count - 1):
-            raise IndexFormatError("bucket count must be a positive power of two")
-        if len(offsets) != bucket_count + 1:
-            raise IndexFormatError("corrupt offsets section: wrong length")
-        if offsets[0] != 0 or any(offsets[i] > offsets[i + 1] for i in range(bucket_count)):
-            raise IndexFormatError("corrupt offsets section: not a prefix sum")
-        if offsets[bucket_count] * 2 != len(items):
-            raise IndexFormatError("corrupt offsets section: item count mismatch")
-        if (max_words == 0) != (not items):
-            raise IndexFormatError(
-                f"corrupt header: longest key of {max_words} words for {len(items) // 2} items"
-            )
         self.bucket_count = bucket_count
         self._mask = bucket_count - 1
         self.offsets = offsets
@@ -162,45 +132,29 @@ class StaticHashArray:
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self), self.max_words,
                               len(self.token_filter))
-        return (header + _as_le(self.offsets).tobytes() + _as_le(self.items).tobytes()
-                + self.token_filter)
-
-    def save(self, target: str | Path | IO[bytes]) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "wb") as fp:
-                fp.write(self.to_bytes())
-        else:
-            target.write(self.to_bytes())
+        return b"".join([header, packed("Q", self.offsets), packed("Q", self.items),
+                         self.token_filter])
 
     @classmethod
     def load(cls, source: str | Path | IO[bytes]) -> "StaticHashArray":
-        if isinstance(source, (str, Path)):
-            with open(source, "rb") as fp:
-                return cls.load(fp)
-        raw = _read_exact(source, _HEADER.size, "header")
-        magic, version, bucket_count, item_count, max_words, filter_bytes = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise IndexFormatError("bad magic")
-        if version != VERSION:
-            raise IndexFormatError(
-                f"unsupported version: index format version {version}, expected {VERSION}"
-            )
+        """The index of a file or binary stream; one that does not decode,
+        or whose header or offsets are out of range, raises
+        StoreFormatError."""
+        data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+        read = SectionReader(data, _HEADER, MAGIC, VERSION, "index")
+        bucket_count, item_count, max_words, filter_bytes = read.fields
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
-            raise IndexFormatError("corrupt header: bad bucket count")
+            raise StoreFormatError("corrupt header: bad bucket count")
         if filter_bytes <= 0 or filter_bytes & (filter_bytes - 1):
-            raise IndexFormatError(f"corrupt token filter: {filter_bytes} bytes, not a power of two")
-        offsets_raw = _read_exact(source, (bucket_count + 1) * 8, "offsets section")
-        items_raw = _read_exact(source, item_count * 16, "items section")
-        token_filter = _read_exact(source, filter_bytes, "token filter")
-        if source.read(1):
-            raise IndexFormatError("trailing bytes after the token filter")
-        offsets = array("Q")
-        offsets.frombytes(offsets_raw)
-        items = array("Q")
-        items.frombytes(items_raw)
-        if sys.byteorder != "little":
-            offsets.byteswap()
-            items.byteswap()
+            raise StoreFormatError(f"corrupt token filter: {filter_bytes} bytes, not a power of two")
+        if (max_words == 0) != (item_count == 0):
+            raise StoreFormatError(
+                f"corrupt header: longest key of {max_words} words for {item_count} items"
+            )
+        offsets = read.offsets(bucket_count + 1, item_count, "Q", "offsets section", "item")
+        items = read.packed("Q", item_count * 2, "items section")
+        token_filter = read.section(filter_bytes, "token filter")
+        read.end("token filter")
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
 

@@ -5,7 +5,9 @@ as a subject. The store is immutable after construction and safe for
 concurrent readers. The offline flow saves it, with the canonical surface
 of each node, as one binary KB store file that online start-up reads in
 place of the KB and dictionary TSVs. The store's checked section reader
-and its name-table and packed-array writers serve the concept file too.
+and its name-table and packed-array writers serve the concept file and
+the entity index too: this module knows the binary layout all three
+artifacts share.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def load_kb(source: str | Path | IO[str] | Iterable[str]) -> KnowledgeBase:
 
 
 class StoreFormatError(ValueError):
-    """Raised when a binary artifact, the KB store or the concept file,
-    cannot be decoded."""
+    """Raised when a binary artifact, the KB store, the concept file or the
+    entity index, cannot be decoded."""
 
 
 def name_table(names: Sequence[str], what: str) -> bytes:
@@ -286,12 +288,14 @@ class SectionReader:
             raise StoreFormatError(f"corrupt {name}: id {max(arr)} out of range 0..{limit - 1}")
         return arr
 
-    def offsets(self, count: int, total: int) -> array:
-        """``count`` CSR offsets, rising from 0 to ``total``, the edge count."""
-        arr = self.packed(U32, count, "offsets")
+    def offsets(self, count: int, total: int, code: str = U32, name: str = "offsets",
+                of: str = "edge") -> array:
+        """``count`` CSR offsets of the ``array`` type ``code``, rising from 0
+        to ``total``, the count of what they index (``of``)."""
+        arr = self.packed(code, count, name)
         bounds = arr.tolist()
         if bounds[0] != 0 or bounds[-1] != total or bounds != sorted(bounds):
-            raise StoreFormatError("corrupt offsets: not monotone from 0 to the edge count")
+            raise StoreFormatError(f"corrupt {name}: not monotone from 0 to the {of} count")
         return arr
 
     def end(self, last: str) -> None:
@@ -315,11 +319,6 @@ def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
     return b"".join([header, tables[0], tables[1], packed(U32, kb._offsets),
                      packed(U32, kb._edge_predicates), packed(U32, kb._edge_objects),
                      packed(U32, surface_ids), tables[2]])
-
-
-def save_store(target: str | Path, kb: KnowledgeBase, surfaces: Mapping[str, str]) -> None:
-    with open(target, "wb") as fp:
-        fp.write(store_bytes(kb, surfaces))
 
 
 def load_store(source: str | Path) -> tuple[KnowledgeBase, dict[str, str]]:

@@ -43,7 +43,7 @@ from .kb import (
     load_kb,
     load_store,
     read_tsv,
-    save_store,
+    store_bytes,
     write_expansion,
 )
 from .learn import LearnResult, PredicateModel, TrainingSet, learn, write_observations
@@ -236,10 +236,39 @@ def store_path(index: Path) -> Path:
     return index.with_name(f"{index.name}.kb")
 
 
+# the files an artifact setting also names: the KB store beside the index,
+# the pattern validity and concept files beside the model
+_BESIDE = {
+    "index": (("the KB store of index", store_path),),
+    "model": (("the pattern file of model", patterns_path),
+              ("the concept file of model", concepts_path)),
+}
+
+
+def _refuse_shared_files(config: PipelineConfig, *artifacts: str) -> None:
+    """Refuse two of the files that the ``artifacts`` settings name, the
+    files beside them included, that resolve to one path, and any of them
+    that resolves to a configured input file: one would overwrite the
+    other. Paths are compared made absolute and normalized, with no file
+    system call (``Path.resolve`` makes one per path component, which
+    online start-up would pay), so two that meet only through a symlink
+    pass."""
+    seen = {os.path.abspath(getattr(config, n)): n for n in _INPUT_FIELDS if getattr(config, n)}
+    for name in artifacts:
+        path = getattr(config, name)
+        if path is None:
+            continue
+        files = [(name, path)] + [(label, beside(path)) for label, beside in _BESIDE.get(name, ())]
+        for label, file in files:
+            other = seen.setdefault(os.path.abspath(file), label)
+            if other != label:
+                raise ConfigError(f"{other} and {label} resolve to one file: {file}")
+
+
 def _read(load, *paths: Path | None, advice: str = ""):
     """``load(*paths)``; a file that cannot be read or parsed (an OSError,
-    or a ValueError such as a TsvParseError, an IndexFormatError or a
-    StoreFormatError) is a ConfigError naming it."""
+    or a ValueError such as a TsvParseError or a StoreFormatError) is a
+    ConfigError naming it."""
     try:
         return load(*paths)
     except (OSError, ValueError) as exc:
@@ -316,8 +345,8 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
     run.stage = "build-index"
     index, surfaces = build_entity_index(inputs.kb, inputs.dictionary)
     if config.index is not None:
-        index.save(run.path_for(config.index))
-        save_store(run.path_for(store_path(config.index)), inputs.kb, surfaces)
+        run.path_for(config.index).write_bytes(index.to_bytes())
+        run.path_for(store_path(config.index)).write_bytes(store_bytes(inputs.kb, surfaces))
     log.info("built entity index: %d items in %d buckets, longest key %d words, "
              "%d filter bytes", len(index), index.bucket_count, index.max_words,
              len(index.token_filter))
@@ -393,6 +422,7 @@ def _learn_stage(
 def run_build_index(config: PipelineConfig) -> dict:
     """The load and build-index stages; artifacts written atomically."""
     config.require("kb", "entities", "index")
+    _refuse_shared_files(config, "index")
     with _Staged() as run:
         index = _index_stage(run, config, load_inputs(config, corpus=False, concepts=False))
     return {"index": str(config.index), "items": len(index)}
@@ -401,6 +431,7 @@ def run_build_index(config: PipelineConfig) -> dict:
 def run_expand(config: PipelineConfig) -> dict:
     """The load, build-index and expand stages; artifacts written atomically."""
     config.require("kb", "entities", "corpus", "expansion")
+    _refuse_shared_files(config, "index", "expansion")
     with _Staged() as run:
         inputs = load_inputs(config, concepts=False)
         probes = ProbeMemo(_index_stage(run, config, inputs))
@@ -411,6 +442,7 @@ def run_expand(config: PipelineConfig) -> dict:
 def run_offline(config: PipelineConfig) -> dict:
     """Index build, expansion, extraction, learning; atomic artifact writes."""
     config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report")
+    _refuse_shared_files(config, "index", "expansion", "model", "report", "observations")
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
@@ -445,6 +477,7 @@ class OnlineSession:
 
     def __init__(self, config: PipelineConfig):
         config.require("index", "model")
+        _refuse_shared_files(config, "index", "model")
         store_file = store_path(config.index)
         patterns_file, concepts_file = patterns_path(config.model), concepts_path(config.model)
         missing = [str(p) for p in (config.index, store_file, config.model, patterns_file,

@@ -1,0 +1,79 @@
+"""The three binary artifacts, the entity index, the KB store and the
+concept file: their bytes pinned across commits, and fault injection."""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from factqa.concepts import load_concepts
+from factqa.hasharray import StaticHashArray
+from factqa.kb import StoreFormatError, load_store
+from factqa.pipeline import load_config, run_offline
+
+DATA = Path(__file__).parent / "data"
+
+# sha256 of the toy pipeline's binary artifacts. A change to one of the
+# formats bumps its version and updates its digest here in the same change.
+DIGESTS = {
+    "toy.index": "f9223b987cf04bb0eaf6ccacdd75c8f0bd396569c328479cf1523a0b34ea72f8",
+    "toy.index.kb": "6175958f1bd25851cc39a14384b72f6d27815d0300dc617a9c0c22831762ebcd",
+    "toy.model.concepts": "01e90beb657955c16bc8c0a915d06b8e19fc731ef78df024cc13a69527f18612",
+}
+
+LOADERS = {
+    "toy.index": StaticHashArray.load,
+    "toy.index.kb": load_store,
+    "toy.model.concepts": load_concepts,
+}
+
+
+@pytest.fixture(scope="module")
+def toy_artifacts(tmp_path_factory) -> Path:
+    """The toy pipeline (``tests/data/pipeline.cfg``) run into a fresh directory."""
+    out = tmp_path_factory.mktemp("toy")
+    run_offline(load_config(DATA / "pipeline.cfg", {
+        "index": out / "toy.index", "expansion": out / "toy.expansion.tsv",
+        "model": out / "toy.model.tsv", "report": out / "toy.report.json",
+    }))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_binary_artifact_bytes_are_pinned(toy_artifacts, name):
+    assert hashlib.sha256((toy_artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def variants(blob: bytes):
+    """(label, bytes): the file cut at every shorter length, then each byte
+    set to 0x00, to 0xff, and to itself XOR 0x80 and XOR 0x01."""
+    for size in range(len(blob)):
+        yield f"cut to {size} bytes", blob[:size]
+    for i, byte in enumerate(blob):
+        for label, new in (("0x00", 0), ("0xff", 0xFF), ("^0x80", byte ^ 0x80),
+                           ("^0x01", byte ^ 0x01)):
+            yield f"byte {i} set to {label}", blob[:i] + bytes([new]) + blob[i + 1:]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_every_damaged_binary_artifact_loads_or_is_refused(toy_artifacts, tmp_path, name):
+    blob = (toy_artifacts / name).read_bytes()
+    LOADERS[name](toy_artifacts / name)
+    target = tmp_path / name
+    escaped, loaded_cuts = [], []
+    for label, damaged in variants(blob):
+        target.write_bytes(damaged)
+        try:
+            LOADERS[name](target)
+        except StoreFormatError:
+            continue
+        except Exception as exc:  # any other exception is an escape, to be listed
+            escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if label.startswith("cut"):
+            loaded_cuts.append(label)
+    assert escaped == []
+    # every section's length is in the header, so no cut file decodes
+    assert loaded_cuts == []

@@ -18,11 +18,11 @@ import pytest
 from conftest import random_keys
 from factqa.hasharray import (
     MAGIC,
-    IndexFormatError,
     StaticHashArray,
     find_mentions,
     key_hash,
 )
+from factqa.kb import StoreFormatError
 
 
 def test_inserted_keys_are_found():
@@ -138,14 +138,14 @@ def test_roundtrip_bytes_identical():
 def test_save_load_file(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     target = tmp_path / "idx.bin"
-    idx.save(target)
+    target.write_bytes(idx.to_bytes())
     assert StaticHashArray.load(target).lookup("alpha") == [7]
 
 
 def test_truncated_items_section():
     idx = StaticHashArray.build([("alpha", 7), ("beta", 8)])
     blob = idx.to_bytes()
-    with pytest.raises(IndexFormatError, match="truncated items section"):
+    with pytest.raises(StoreFormatError, match="truncated items section"):
         StaticHashArray.load(io.BytesIO(blob[:-8]))
 
 
@@ -153,14 +153,14 @@ def test_truncated_offsets_section():
     idx = StaticHashArray.build([("alpha", 7)])
     header_size = 7 + 4 + 8 * 4
     blob = idx.to_bytes()[: header_size + 4]
-    with pytest.raises(IndexFormatError, match="truncated offsets section"):
+    with pytest.raises(StoreFormatError, match="truncated offsets section"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
 def test_bad_magic():
     idx = StaticHashArray.build([("alpha", 7)])
     blob = b"XXXXXXX" + idx.to_bytes()[len(MAGIC):]
-    with pytest.raises(IndexFormatError, match="bad magic"):
+    with pytest.raises(StoreFormatError, match="bad magic"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -168,7 +168,7 @@ def test_bad_version():
     idx = StaticHashArray.build([("alpha", 7)])
     blob = bytearray(idx.to_bytes())
     blob[7] = 99
-    with pytest.raises(IndexFormatError, match="unsupported version"):
+    with pytest.raises(StoreFormatError, match="unsupported version"):
         StaticHashArray.load(io.BytesIO(bytes(blob)))
 
 
@@ -177,7 +177,7 @@ def test_version_1_header_names_the_version():
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(IndexFormatError, match="index format version 1, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 1, expected 4"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -186,7 +186,7 @@ def test_version_2_header_names_the_version():
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(IndexFormatError, match="index format version 2, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 2, expected 4"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -195,7 +195,7 @@ def test_version_3_header_names_the_version():
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(IndexFormatError, match="index format version 3, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 3, expected 4"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -214,7 +214,7 @@ def _with_max_words(blob: bytes, max_words: int) -> bytes:
                          ids=["zero-for-keys", "nonzero-for-none"])
 def test_corrupt_max_words_refused(entries, max_words):
     blob = _with_max_words(StaticHashArray.build(entries).to_bytes(), max_words)
-    with pytest.raises(IndexFormatError, match="corrupt header"):
+    with pytest.raises(StoreFormatError, match="corrupt header"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
@@ -273,19 +273,19 @@ def _with_filter_bytes(blob: bytes, filter_bytes: int) -> bytes:
 @pytest.mark.parametrize("filter_bytes", [0, 3, 12])
 def test_token_filter_length_not_a_power_of_two_refused(filter_bytes):
     blob = _with_filter_bytes(StaticHashArray.build([("alpha", 7)]).to_bytes(), filter_bytes)
-    with pytest.raises(IndexFormatError, match="corrupt token filter"):
+    with pytest.raises(StoreFormatError, match="corrupt token filter"):
         StaticHashArray.load(io.BytesIO(blob))
 
 
 def test_truncated_token_filter():
     blob = StaticHashArray.build([("alpha beta gamma", 7)]).to_bytes()
-    with pytest.raises(IndexFormatError, match="truncated token filter"):
+    with pytest.raises(StoreFormatError, match="truncated token filter"):
         StaticHashArray.load(io.BytesIO(blob[:-1]))
 
 
 def test_trailing_bytes_refused():
     blob = StaticHashArray.build([("alpha", 7), ("beta", 8)]).to_bytes()
-    with pytest.raises(IndexFormatError, match="trailing bytes after the token filter"):
+    with pytest.raises(StoreFormatError, match="trailing bytes after the token filter"):
         StaticHashArray.load(io.BytesIO(blob + b"garbage!"))
 
 
@@ -296,7 +296,7 @@ def test_key_hash_is_blake2b_split_in_halves():
 
 
 def test_truncated_header():
-    with pytest.raises(IndexFormatError, match="truncated header"):
+    with pytest.raises(StoreFormatError, match="truncated header"):
         StaticHashArray.load(io.BytesIO(b"SHA"))
 
 

@@ -18,7 +18,6 @@ from factqa.kb import (
     load_kb,
     load_store,
     read_tsv,
-    save_store,
     store_bytes,
     write_expansion,
 )
@@ -300,7 +299,7 @@ def assert_same_kb(got: KnowledgeBase, want: KnowledgeBase) -> None:
 
 
 def round_trip(kb: KnowledgeBase, surfaces: dict[str, str], path) -> None:
-    save_store(path, kb, surfaces)
+    path.write_bytes(store_bytes(kb, surfaces))
     back, back_surfaces = load_store(path)
     assert back_surfaces == surfaces
     assert_same_kb(back, kb)

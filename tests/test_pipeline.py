@@ -570,6 +570,34 @@ def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message)
     assert not (data / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("pipeline", ["--expansion", "out/X", "--report", "out/X"],
+         "expansion and report resolve to one file"),
+        ("pipeline", ["--index", "out/m.tsv", "--model", "out/m.tsv"],
+         "index and model resolve to one file"),
+        ("pipeline", ["--report", "corpus.jsonl"], "corpus and report resolve to one file"),
+        ("pipeline", ["--index", "out/toy.model.concepts"],
+         "index and the concept file of model resolve to one file"),
+        ("build-index", ["--index", "toy_kb.tsv"], "kb and index resolve to one file"),
+        ("answer", ["--index", "out/toy.model.tsv"], "index and model resolve to one file"),
+    ],
+    ids=["expansion-is-report", "index-is-model", "report-is-corpus", "index-is-concepts",
+         "index-is-kb", "online-index-is-model"],
+)
+def test_cli_shared_artifact_path_exits_2_before_any_stage(built_data, command, flags,
+                                                           message):
+    before = {path: path.read_bytes() for path in built_data.rglob("*") if path.is_file()}
+    flags = [flag if flag.startswith("--") else str(built_data / flag) for flag in flags]
+    proc = _cli_with_input(command, "--config", str(built_data / "pipeline.cfg"), *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    after = {path: path.read_bytes() for path in built_data.rglob("*") if path.is_file()}
+    assert after == before
+
+
 def test_cli_stage_failure_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text('{"question": "nothing known", "answer": "nope"}\n')
@@ -924,6 +952,23 @@ def _filter_bytes(count: int):
     return rewrite
 
 
+def _u64_at(offset: int, value: int):
+    def rewrite(blob: bytes) -> bytes:
+        return blob[:offset] + struct.pack("<Q", value) + blob[offset + 8:]
+    return rewrite
+
+
+# the header fields after magic and version: bucket count, item count,
+# longest key, filter bytes; then the offsets, one per bucket plus one
+_BUCKETS, _ITEMS, _OFFSETS = 7 + 4, 7 + 4 + 8, 7 + 4 + 8 * 4
+_NOT_MONOTONE = "corrupt offsets section: not monotone from 0 to the item count"
+
+
+def _last_offset_past_the_items(blob: bytes) -> bytes:
+    buckets, items = struct.unpack_from("<QQ", blob, _BUCKETS)
+    return _u64_at(_OFFSETS + 8 * buckets, items + 1)(blob)
+
+
 def _v2_layout(blob: bytes) -> bytes:
     # the header written before the longest-key field, and no token filter
     filter_bytes = struct.unpack_from("<Q", blob, 7 + 4 + 8 * 3)[0]
@@ -950,9 +995,17 @@ def _v3_layout(blob: bytes) -> bytes:
         (_filter_bytes(0), "corrupt token filter: 0 bytes, not a power of two"),
         (_filter_bytes(3), "corrupt token filter: 3 bytes, not a power of two"),
         (lambda blob: blob[:-1], "truncated token filter"),
+        (_u64_at(_BUCKETS, 1 << 60), "truncated offsets section"),
+        (_u64_at(_ITEMS, 1 << 59), _NOT_MONOTONE),
+        (_filter_bytes(1 << 60), "truncated token filter"),
+        (_u64_at(_BUCKETS, 3), "corrupt header: bad bucket count"),
+        (_u64_at(_OFFSETS + 8, 1 << 40), _NOT_MONOTONE),
+        (_last_offset_past_the_items, _NOT_MONOTONE),
     ],
     ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "zero-filter-bytes",
-         "filter-bytes-not-a-power-of-two", "truncated-filter"],
+         "filter-bytes-not-a-power-of-two", "truncated-filter", "huge-bucket-count",
+         "huge-item-count", "huge-filter-bytes", "bucket-count-not-a-power-of-two",
+         "offsets-fall", "offsets-end-past-the-items"],
 )
 def test_cli_refused_index_exits_2(built_data, rewrite, message):
     index = built_data / "out" / "toy.index"
