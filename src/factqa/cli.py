@@ -124,13 +124,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, {name: getattr(args, name) for name in SETTINGS})
         if args.command == "build-index":
-            _emit(run_build_index(config))
+            _emit(run_build_index(config, args.config))
             return EXIT_OK
         if args.command == "expand":
-            _emit(run_expand(config))
+            _emit(run_expand(config, args.config))
             return EXIT_OK
         if args.command == "pipeline":
-            _emit(run_offline(config))
+            _emit(run_offline(config, args.config))
             return EXIT_OK
         if args.command == "answer":
             return _cmd_answer(config, args.question)

@@ -10,7 +10,7 @@ import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .hasharray import ProbeMemo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
@@ -82,9 +82,9 @@ def question_category(tokens: Tokens) -> str:
     return CATEGORY_DESCRIPTION
 
 
-def load_predicate_categories(source: str | Path | IO[str]) -> dict[str, str]:
+def load_predicate_categories(path: str | Path) -> dict[str, str]:
     """TSV ``predicate<TAB>category``; unknown category names are rejected."""
-    return dict(read_tsv(source, 2, convert_last(_category)))
+    return dict(read_tsv(path, 2, convert_last(_category)))
 
 
 def _category(name: str) -> str:
@@ -100,39 +100,38 @@ class QaPair:
     frequency: int = 1
 
 
-def load_corpus(source: str | Path | IO[str]) -> list[QaPair]:
-    """JSON-lines corpus: {"question": ..., "answer": ..., "count": n}.
+def load_corpus(path: str | Path) -> list[QaPair]:
+    """The JSON-lines corpus at ``path``: {"question": ..., "answer": ...,
+    "count": n}.
 
     Identical (question, answer) pairs merge, summing counts; order of
     first occurrence is preserved.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return load_corpus(fp)
     counts: dict[tuple[Tokens, Tokens], int] = {}
-    for lineno, raw in enumerate(source, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
-        try:
-            question, answer = record["question"], record["answer"]
-            count = record.get("count", 1)
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: missing field {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"line {lineno}: bad record ({exc})") from exc
-        if not (isinstance(question, str) and isinstance(answer, str)):
-            raise ValueError(f"line {lineno}: bad record (question and answer must be strings)")
-        if type(count) is not int:  # a bool is an int too
-            raise ValueError(f"line {lineno}: bad record (count must be an integer)")
-        if count < 1:
-            raise ValueError(f"line {lineno}: count must be >= 1")
-        key = (tokenize(question), tokenize(answer))
-        counts[key] = counts.get(key, 0) + count
+    with open(path, encoding="utf-8") as fp:
+        for lineno, raw in enumerate(fp, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
+            try:
+                question, answer = record["question"], record["answer"]
+                count = record.get("count", 1)
+            except KeyError as exc:
+                raise ValueError(f"line {lineno}: missing field {exc}") from exc
+            except TypeError as exc:
+                raise ValueError(f"line {lineno}: bad record ({exc})") from exc
+            if not (isinstance(question, str) and isinstance(answer, str)):
+                raise ValueError(f"line {lineno}: bad record (question and answer must be strings)")
+            if type(count) is not int:  # a bool is an int too
+                raise ValueError(f"line {lineno}: bad record (count must be an integer)")
+            if count < 1:
+                raise ValueError(f"line {lineno}: count must be >= 1")
+            key = (tokenize(question), tokenize(answer))
+            counts[key] = counts.get(key, 0) + count
     return [QaPair(q, a, n) for (q, a), n in counts.items()]
 
 
@@ -287,7 +286,7 @@ class EntityValueExtractor:
                 found.update(by_text.get(" ".join(answer[i:j]), ()))
         for payloads in SpanTable(self.index, answer).payloads.values():
             found.update(self.kb.node_name(p) for p in payloads if self.kb.has_node_id(p))
-        return {v for v in found if v in self.kb.nodes}
+        return found
 
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:
         return self._expansion.get((entity, value), [])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .corpus import Tokens
 from .kb import read_tsv
@@ -133,9 +133,9 @@ class PatternIndex:
             fp.writelines(f"{text}\t{f_v}\t{f_o}\n" for text, f_v, f_o in rows)
 
     @classmethod
-    def load(cls, source: str | Path | IO[str]) -> "PatternIndex":
+    def load(cls, path: str | Path) -> "PatternIndex":
         return cls({tuple(text.split(" ")): (f_v, f_o)
-                    for text, f_v, f_o in read_tsv(source, 3, _pattern_row)})
+                    for text, f_v, f_o in read_tsv(path, 3, _pattern_row)})
 
     def validity(self, pattern: Tokens) -> tuple[int, int, float]:
         """(f_v, f_o, f_v / f_o); all zero for a pattern of no positive validity."""

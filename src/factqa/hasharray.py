@@ -21,7 +21,7 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from .kb import SectionReader, StoreFormatError, packed
 
@@ -136,12 +136,10 @@ class StaticHashArray:
                          self.token_filter])
 
     @classmethod
-    def load(cls, source: str | Path | IO[bytes]) -> "StaticHashArray":
-        """The index of a file or binary stream; one that does not decode,
-        or whose header or offsets are out of range, raises
-        StoreFormatError."""
-        data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-        read = SectionReader(data, _HEADER, MAGIC, VERSION, "index")
+    def load(cls, path: str | Path) -> "StaticHashArray":
+        """The index of the file at ``path``; one that does not decode, or
+        whose header or offsets are out of range, raises StoreFormatError."""
+        read = SectionReader(Path(path).read_bytes(), _HEADER, MAGIC, VERSION, "index")
         bucket_count, item_count, max_words, filter_bytes = read.fields
         if bucket_count <= 0 or bucket_count & (bucket_count - 1):
             raise StoreFormatError("corrupt header: bad bucket count")

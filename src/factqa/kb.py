@@ -1,13 +1,14 @@
-"""In-memory triple store with value queries and bounded predicate expansion.
+"""In-memory triple store as a CSR adjacency, with value queries and
+bounded predicate expansion that both walk it.
 
 Nodes live in a single id space; a node counts as an entity iff it occurs
-as a subject. The store is immutable after construction and safe for
-concurrent readers. The offline flow saves it, with the canonical surface
-of each node, as one binary KB store file that online start-up reads in
-place of the KB and dictionary TSVs. The store's checked section reader
-and its name-table and packed-array writers serve the concept file and
-the entity index too: this module knows the binary layout all three
-artifacts share.
+as a subject. The store is immutable after construction, holds no lazily
+built cache and is safe for concurrent readers. The offline flow saves
+it, with the canonical surface of each node, as one binary KB store file
+that online start-up reads in place of the KB and dictionary TSVs. The
+store's checked section reader and its name-table and packed-array
+writers serve the concept file and the entity index too: this module
+knows the binary layout all three artifacts share.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Callable, Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 PredicatePath = tuple[str, ...]
 
@@ -49,12 +49,10 @@ class SpoPath(NamedTuple):
 
 
 class TsvParseError(ValueError):
-    """A malformed line in a tab-separated file; names the file when read
-    from a path (``path`` is None otherwise)."""
+    """A malformed line in a tab-separated file; names the file."""
 
-    def __init__(self, line_number: int, message: str, path: str | Path | None = None):
-        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, line_number: int, message: str, path: str | Path):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
         self.path = path
 
@@ -62,9 +60,9 @@ class TsvParseError(ValueError):
 RowConverter = Callable[[tuple[str, ...]], tuple[Any, ...]]
 
 
-def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int,
+def read_tsv(path: str | Path, n_fields: int,
              convert: RowConverter | None = None) -> list[tuple[Any, ...]]:
-    """Rows of a tab-separated file from a path, file object or line iterable.
+    """Rows of the tab-separated file at ``path``.
 
     Line ends (``\\n``, ``\\r``) are stripped, and blank lines and lines
     starting with ``#`` are skipped. Every other line must hold exactly
@@ -72,38 +70,31 @@ def read_tsv(source: str | Path | IO[str] | Iterable[str], n_fields: int,
     fields to the row returned (``convert_last`` makes the common one); a
     ValueError it raises names the line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fp:
-            return _tsv_rows(fp, n_fields, convert, source)
-    return _tsv_rows(source, n_fields, convert, None)
+    rows = []
+    with open(path, encoding="utf-8") as fp:
+        for lineno, raw in enumerate(fp, 1):
+            line = raw.rstrip("\r\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = tuple(line.split("\t"))
+            if len(fields) != n_fields:
+                raise TsvParseError(
+                    lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}", path
+                )
+            if not all(fields):
+                raise TsvParseError(lineno, "empty field", path)
+            if convert is not None:
+                try:
+                    fields = convert(fields)
+                except ValueError as exc:
+                    raise TsvParseError(lineno, str(exc), path) from None
+            rows.append(fields)
+    return rows
 
 
 def convert_last(convert: Callable[[str], Any]) -> RowConverter:
     """A ``read_tsv`` row converter that converts only the last field."""
     return lambda fields: fields[:-1] + (convert(fields[-1]),)
-
-
-def _tsv_rows(lines: Iterable[str], n_fields: int, convert: RowConverter | None,
-              path: str | Path | None) -> list[tuple[Any, ...]]:
-    rows = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = tuple(line.split("\t"))
-        if len(fields) != n_fields:
-            raise TsvParseError(
-                lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}", path
-            )
-        if not all(fields):
-            raise TsvParseError(lineno, "empty field", path)
-        if convert is not None:
-            try:
-                fields = convert(fields)
-            except ValueError as exc:
-                raise TsvParseError(lineno, str(exc), path) from None
-        rows.append(fields)
-    return rows
 
 
 class KnowledgeBase:
@@ -118,7 +109,7 @@ class KnowledgeBase:
     every accessor.
     """
 
-    def __init__(self, triples: Iterable[Triple] = ()):
+    def __init__(self, triples: Iterable[tuple[str, str, str]] = ()):
         rows = sorted(set(triples))
         nodes = sorted({s for s, _, _ in rows}.union(o for _, _, o in rows))
         degree = Counter(s for s, _, _ in rows)
@@ -132,6 +123,7 @@ class KnowledgeBase:
                edge_predicates: array, edge_objects: array) -> None:
         self._node_list: tuple[str, ...] = tuple(nodes)
         self._node_ids: dict[str, int] = dict(zip(nodes, range(len(nodes))))
+        self.nodes: KeysView[str] = self._node_ids.keys()
         self.predicates: tuple[str, ...] = tuple(predicates)
         self._pred_ids: dict[str, int] = dict(zip(predicates, range(len(predicates))))
         self._offsets = offsets
@@ -141,24 +133,10 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self._edge_objects)
 
-    @cached_property
-    def triples(self) -> tuple[Triple, ...]:
-        """Every triple, sorted; built on first use (the online side never
-        asks)."""
-        names, offsets = self._node_list, self._offsets
-        subjects = chain.from_iterable(
-            repeat(name, offsets[i + 1] - offsets[i]) for i, name in enumerate(names)
-        )
-        return tuple(map(Triple, subjects, map(self.predicates.__getitem__, self._edge_predicates),
-                         map(names.__getitem__, self._edge_objects)))
-
-    @cached_property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._node_list)
-
-    @cached_property
+    @property
     def entities(self) -> frozenset[str]:
-        """The nodes with an out-edge: those that occur as a subject."""
+        """The nodes with an out-edge: those that occur as a subject;
+        computed on each read."""
         offsets = self._offsets
         return frozenset(n for n, a, b in zip(self._node_list, offsets, offsets[1:]) if a != b)
 
@@ -205,10 +183,10 @@ class KnowledgeBase:
         return {names[v]: share for v in sorted(frontier)}
 
 
-def load_kb(source: str | Path | IO[str] | Iterable[str]) -> KnowledgeBase:
-    """Load a knowledge base from a path, file object, or line iterable of
-    ``subject<TAB>predicate<TAB>object`` rows."""
-    return KnowledgeBase(Triple(*row) for row in read_tsv(source, 3))
+def load_kb(path: str | Path) -> KnowledgeBase:
+    """The knowledge base of a TSV file of ``subject<TAB>predicate<TAB>object``
+    rows."""
+    return KnowledgeBase(read_tsv(path, 3))
 
 
 class StoreFormatError(ValueError):
@@ -355,36 +333,36 @@ def expand_predicates(
 ) -> set[SpoPath]:
     """All (subject, path, object) reachable from the seeds within k steps.
 
-    Implemented as k sequential scans of the triple stream, each joined
-    against the previous round's endpoints; no reverse adjacency is built.
-    Paths may revisit nodes; identical results deduplicate. With the name
-    restriction on, paths of length >= 2 must end with the name predicate.
+    A breadth-first walk of the CSR: each of the k rounds follows the
+    out-edges of the previous round's endpoints, carrying predicate ids,
+    and names are looked up only for a path that is recorded. Seeds that
+    are not entities are dropped. Paths may revisit nodes; identical
+    results deduplicate. With the name restriction on, paths of length
+    >= 2 must end with the name predicate.
     """
     found: set[SpoPath] = set()
-    if k < 1:
-        return found
-    seed_set = {s for s in seeds if s in kb.entities}
-    if not seed_set:
-        return found
-    # frontier: endpoint -> set of (origin, path so far) arriving there
-    frontier: dict[str, set[tuple[str, PredicatePath]]] = {s: {(s, ())} for s in seed_set}
-    for _ in range(k):
-        nxt: dict[str, set[tuple[str, PredicatePath]]] = {}
-        for s, p, o in kb.triples:
-            arrivals = frontier.get(s)
-            if not arrivals:
-                continue
-            bucket = nxt.setdefault(o, set())
-            for origin, path in arrivals:
-                bucket.add((origin, path + (p,)))
+    names, predicates = kb._node_list, kb.predicates
+    offsets, edge_predicates, edge_objects = kb._offsets, kb._edge_predicates, kb._edge_objects
+    name_id = kb._pred_ids.get(name_symbol)
+    # frontier: endpoint id -> set of (origin, predicate ids so far) arriving there
+    frontier: dict[int, set[tuple[str, tuple[int, ...]]]] = {
+        kb.node_id(s): {(s, ())} for s in seeds if kb.is_entity(s)
+    }
+    for length in range(1, k + 1):
+        nxt: dict[int, set[tuple[str, tuple[int, ...]]]] = {}
+        for node, arrivals in frontier.items():
+            for e in range(offsets[node], offsets[node + 1]):
+                p = edge_predicates[e]
+                nxt.setdefault(edge_objects[e], set()).update(
+                    (origin, path + (p,)) for origin, path in arrivals
+                )
+        restricted = name_restriction and length >= 2
         for endpoint, arrivals in nxt.items():
             for origin, path in arrivals:
-                found.add(SpoPath(origin, path, endpoint))
-        if not nxt:
-            break
+                if not restricted or path[-1] == name_id:
+                    found.add(SpoPath(origin, tuple(map(predicates.__getitem__, path)),
+                                      names[endpoint]))
         frontier = nxt
-    if name_restriction:
-        found = {sp for sp in found if len(sp.path) < 2 or sp.path[-1] == name_symbol}
     return found
 
 

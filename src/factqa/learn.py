@@ -219,20 +219,17 @@ class PredicateModel:
                 out.append((template, path, prob))
         return out
 
-    def save(self, target: str | Path | IO[str]) -> None:
+    def save(self, path: str | Path) -> None:
         """TSV ``template<TAB>p1|p2|...<TAB>probability``, sorted by
         template then probability descending."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as fp:
-                self.save(fp)
-            return
-        for template, path, prob in self.items():
-            target.write(f"{template}\t{'|'.join(path)}\t{prob!r}\n")
+        with open(path, "w", encoding="utf-8") as fp:
+            for template, preds, prob in self.items():
+                fp.write(f"{template}\t{'|'.join(preds)}\t{prob!r}\n")
 
     @classmethod
-    def load(cls, source: str | Path | IO[str]) -> "PredicateModel":
+    def load(cls, path: str | Path) -> "PredicateModel":
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for template, path_text, prob in read_tsv(source, 3, convert_last(_probability)):
+        for template, path_text, prob in read_tsv(path, 3, convert_last(_probability)):
             rows.setdefault(template, {})[tuple(path_text.split("|"))] = prob
         return cls(rows)
 

@@ -245,15 +245,18 @@ _BESIDE = {
 }
 
 
-def _refuse_shared_files(config: PipelineConfig, *artifacts: str) -> None:
+def _refuse_shared_files(config: PipelineConfig, *artifacts: str,
+                         config_file: Path | None = None) -> None:
     """Refuse two of the files that the ``artifacts`` settings name, the
     files beside them included, that resolve to one path, and any of them
-    that resolves to a configured input file: one would overwrite the
-    other. Paths are compared made absolute and normalized, with no file
-    system call (``Path.resolve`` makes one per path component, which
-    online start-up would pay), so two that meet only through a symlink
-    pass."""
+    that resolves to a configured input file or to the ``config_file`` the
+    settings were read from: one would overwrite the other. Paths are
+    compared made absolute and normalized, with no file system call
+    (``Path.resolve`` makes one per path component, which online start-up
+    would pay), so two that meet only through a symlink pass."""
     seen = {os.path.abspath(getattr(config, n)): n for n in _INPUT_FIELDS if getattr(config, n)}
+    if config_file is not None:
+        seen.setdefault(os.path.abspath(config_file), "the config file")
     for name in artifacts:
         path = getattr(config, name)
         if path is None:
@@ -419,19 +422,21 @@ def _learn_stage(
     return result
 
 
-def run_build_index(config: PipelineConfig) -> dict:
-    """The load and build-index stages; artifacts written atomically."""
+def run_build_index(config: PipelineConfig, config_file: Path | None = None) -> dict:
+    """The load and build-index stages; artifacts written atomically. No
+    artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "index")
-    _refuse_shared_files(config, "index")
+    _refuse_shared_files(config, "index", config_file=config_file)
     with _Staged() as run:
         index = _index_stage(run, config, load_inputs(config, corpus=False, concepts=False))
     return {"index": str(config.index), "items": len(index)}
 
 
-def run_expand(config: PipelineConfig) -> dict:
-    """The load, build-index and expand stages; artifacts written atomically."""
+def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
+    """The load, build-index and expand stages; artifacts written atomically.
+    No artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "corpus", "expansion")
-    _refuse_shared_files(config, "index", "expansion")
+    _refuse_shared_files(config, "index", "expansion", config_file=config_file)
     with _Staged() as run:
         inputs = load_inputs(config, concepts=False)
         probes = ProbeMemo(_index_stage(run, config, inputs))
@@ -439,10 +444,12 @@ def run_expand(config: PipelineConfig) -> dict:
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
-def run_offline(config: PipelineConfig) -> dict:
-    """Index build, expansion, extraction, learning; atomic artifact writes."""
+def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict:
+    """Index build, expansion, extraction, learning; atomic artifact writes.
+    No artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report")
-    _refuse_shared_files(config, "index", "expansion", "model", "report", "observations")
+    _refuse_shared_files(config, "index", "expansion", "model", "report", "observations",
+                         config_file=config_file)
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)

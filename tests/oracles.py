@@ -5,8 +5,9 @@
   by span, and an all-span loop that probes every span again. Neither
   skips a span for its length or its tokens, and neither does the answer
   span loop of value extraction.
-- A depth-first path finder between two nodes, next to the streaming
-  expansion, and a value walk over the raw triples, next to the CSR walk.
+- A KB's triples read off its CSR; a depth-first path finder between two
+  nodes over them, next to the expansion's breadth-first walk, and a value
+  walk over the raw triples, next to the CSR walk.
 - Concept priors and conceptualization as they stood before each
   entity's prior was cached: the isA edges scanned, the prior normalized
   and the token loop run on every call.
@@ -136,6 +137,16 @@ def mention_spans(
     return spans
 
 
+def triples_of(kb: KnowledgeBase) -> list[tuple[str, str, str]]:
+    """Every triple of ``kb`` in edge order, which is sorted triple order."""
+    return [
+        (kb.node_name(node), kb.predicates[kb._edge_predicates[e]],
+         kb.node_name(kb._edge_objects[e]))
+        for node in range(len(kb.nodes))
+        for e in range(kb._offsets[node], kb._offsets[node + 1])
+    ]
+
+
 def predicates_between(
     kb: KnowledgeBase,
     entity: str,
@@ -152,7 +163,7 @@ def predicates_between(
     predicate.
     """
     adjacency: dict[str, dict[str, list[str]]] = {}
-    for s, p, o in kb.triples:
+    for s, p, o in triples_of(kb):
         adjacency.setdefault(s, {}).setdefault(p, []).append(o)
     found: set[PredicatePath] = set()
 

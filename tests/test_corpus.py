@@ -83,30 +83,36 @@ def test_question_category_rules(text, category):
 # corpus loading and statistics
 
 
-def test_load_corpus_merges_duplicates():
-    lines = io.StringIO(
+def load_corpus_text(tmp_path, text: str) -> list:
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return load_corpus(path)
+
+
+def test_load_corpus_merges_duplicates(tmp_path):
+    corpus = load_corpus_text(
+        tmp_path,
         '{"question": "q one", "answer": "a one"}\n'
         '{"question": "q one", "answer": "a one"}\n'
-        '{"question": "q two", "answer": "a two", "count": 3}\n'
+        '{"question": "q two", "answer": "a two", "count": 3}\n',
     )
-    corpus = load_corpus(lines)
     assert [(p.question, p.frequency) for p in corpus] == [
         (("q", "one"), 2),
         (("q", "two"), 3),
     ]
 
 
-def test_load_corpus_rejects_bad_records():
+def test_load_corpus_rejects_bad_records(tmp_path):
     with pytest.raises(ValueError, match="line 1"):
-        load_corpus(io.StringIO("not json\n"))
+        load_corpus_text(tmp_path, "not json\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_corpus(io.StringIO('{"question": "q", "answer": "a"}\n{"question": "q"}\n'))
+        load_corpus_text(tmp_path, '{"question": "q", "answer": "a"}\n{"question": "q"}\n')
     with pytest.raises(ValueError, match="count"):
-        load_corpus(io.StringIO('{"question": "q", "answer": "a", "count": 0}\n'))
+        load_corpus_text(tmp_path, '{"question": "q", "answer": "a", "count": 0}\n')
     for count in ("2.7", "true", '"3"'):
         line = f'{{"question": "q", "answer": "a", "count": {count}}}\n'
         with pytest.raises(ValueError, match=r"line 1: bad record \(count must be an integer\)"):
-            load_corpus(io.StringIO(line))
+            load_corpus_text(tmp_path, line)
 
 
 def test_load_predicate_categories_rejects_unknown_category(tmp_path):

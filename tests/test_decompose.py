@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import random
 import re
 import time
@@ -423,7 +422,8 @@ def test_validity_is_asked_only_about_windows_holding_an_entity(one_token_decomp
     ],
     ids=["non-integer", "no-valid-match"],
 )
-def test_pattern_file_rejects_bad_counts(row, message):
-    lines = io.StringIO(f"when was $e born\t2\t2\n{row}\n")
+def test_pattern_file_rejects_bad_counts(tmp_path, row, message):
+    path = tmp_path / "patterns.tsv"
+    path.write_text(f"when was $e born\t2\t2\n{row}\n", encoding="utf-8")
     with pytest.raises(TsvParseError, match=r"line 2: .*" + re.escape(message)):
-        PatternIndex.load(lines)
+        PatternIndex.load(path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import random
 import struct
@@ -125,11 +124,18 @@ def test_items_within_bucket_keep_insertion_order():
 # serialization
 
 
-def test_roundtrip_bytes_identical():
+def load_blob(tmp_path: Path, blob: bytes) -> StaticHashArray:
+    """The index loaded from a file holding ``blob``."""
+    path = tmp_path / "blob.index"
+    path.write_bytes(blob)
+    return StaticHashArray.load(path)
+
+
+def test_roundtrip_bytes_identical(tmp_path):
     rng = random.Random(12)
     idx = StaticHashArray.build((k, i) for i, k in enumerate(random_keys(rng, 1000)))
     blob = idx.to_bytes()
-    reloaded = StaticHashArray.load(io.BytesIO(blob))
+    reloaded = load_blob(tmp_path, blob)
     assert reloaded.to_bytes() == blob
     for k in random_keys(rng, 50):
         assert reloaded.lookup(k) == idx.lookup(k)
@@ -142,67 +148,67 @@ def test_save_load_file(tmp_path):
     assert StaticHashArray.load(target).lookup("alpha") == [7]
 
 
-def test_truncated_items_section():
+def test_truncated_items_section(tmp_path):
     idx = StaticHashArray.build([("alpha", 7), ("beta", 8)])
     blob = idx.to_bytes()
     with pytest.raises(StoreFormatError, match="truncated items section"):
-        StaticHashArray.load(io.BytesIO(blob[:-8]))
+        load_blob(tmp_path, blob[:-8])
 
 
-def test_truncated_offsets_section():
+def test_truncated_offsets_section(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     header_size = 7 + 4 + 8 * 4
     blob = idx.to_bytes()[: header_size + 4]
     with pytest.raises(StoreFormatError, match="truncated offsets section"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_bad_magic():
+def test_bad_magic(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     blob = b"XXXXXXX" + idx.to_bytes()[len(MAGIC):]
     with pytest.raises(StoreFormatError, match="bad magic"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_bad_version():
+def test_bad_version(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     blob = bytearray(idx.to_bytes())
     blob[7] = 99
     with pytest.raises(StoreFormatError, match="unsupported version"):
-        StaticHashArray.load(io.BytesIO(bytes(blob)))
+        load_blob(tmp_path, bytes(blob))
 
 
-def test_version_1_header_names_the_version():
+def test_version_1_header_names_the_version(tmp_path):
     # the layout written before the single key hash: two seed fields
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
     with pytest.raises(StoreFormatError, match="index format version 1, expected 4"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_version_2_header_names_the_version():
+def test_version_2_header_names_the_version(tmp_path):
     # the layout written before the longest-key field
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
     with pytest.raises(StoreFormatError, match="index format version 2, expected 4"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_version_3_header_names_the_version():
+def test_version_3_header_names_the_version(tmp_path):
     # the layout written before the token filter
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
     with pytest.raises(StoreFormatError, match="index format version 3, expected 4"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_max_words_round_trips():
+def test_max_words_round_trips(tmp_path):
     idx = StaticHashArray.build([("alpha", 1), ("barack obama", 2), ("new york city", 3)])
     assert idx.max_words == 3
-    assert StaticHashArray.load(io.BytesIO(idx.to_bytes())).max_words == 3
+    assert load_blob(tmp_path, idx.to_bytes()).max_words == 3
     assert StaticHashArray.build([]).max_words == 0
 
 
@@ -212,13 +218,13 @@ def _with_max_words(blob: bytes, max_words: int) -> bytes:
 
 @pytest.mark.parametrize("entries, max_words", [([("alpha", 7)], 0), ([], 1)],
                          ids=["zero-for-keys", "nonzero-for-none"])
-def test_corrupt_max_words_refused(entries, max_words):
+def test_corrupt_max_words_refused(tmp_path, entries, max_words):
     blob = _with_max_words(StaticHashArray.build(entries).to_bytes(), max_words)
     with pytest.raises(StoreFormatError, match="corrupt header"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_token_filter_sets_each_key_token_bit_by_crc32():
+def test_token_filter_sets_each_key_token_bit_by_crc32(tmp_path):
     keys = ["barack obama", "new york city", "zürich", "x  y", "東京", "obama"]
     idx = StaticHashArray.build((key, i) for i, key in enumerate(keys))
     tokens = {token for key in keys for token in key.split(" ")}
@@ -230,7 +236,7 @@ def test_token_filter_sets_each_key_token_bit_by_crc32():
         expected[bit >> 3] |= 1 << (bit & 7)
     assert idx.token_filter == bytes(expected)
     assert all(idx.has_token(token) for token in tokens)
-    reloaded = StaticHashArray.load(io.BytesIO(idx.to_bytes()))
+    reloaded = load_blob(tmp_path, idx.to_bytes())
     assert reloaded.token_filter == idx.token_filter
     assert all(reloaded.has_token(token) for token in tokens)
 
@@ -271,22 +277,22 @@ def _with_filter_bytes(blob: bytes, filter_bytes: int) -> bytes:
 
 
 @pytest.mark.parametrize("filter_bytes", [0, 3, 12])
-def test_token_filter_length_not_a_power_of_two_refused(filter_bytes):
+def test_token_filter_length_not_a_power_of_two_refused(tmp_path, filter_bytes):
     blob = _with_filter_bytes(StaticHashArray.build([("alpha", 7)]).to_bytes(), filter_bytes)
     with pytest.raises(StoreFormatError, match="corrupt token filter"):
-        StaticHashArray.load(io.BytesIO(blob))
+        load_blob(tmp_path, blob)
 
 
-def test_truncated_token_filter():
+def test_truncated_token_filter(tmp_path):
     blob = StaticHashArray.build([("alpha beta gamma", 7)]).to_bytes()
     with pytest.raises(StoreFormatError, match="truncated token filter"):
-        StaticHashArray.load(io.BytesIO(blob[:-1]))
+        load_blob(tmp_path, blob[:-1])
 
 
-def test_trailing_bytes_refused():
+def test_trailing_bytes_refused(tmp_path):
     blob = StaticHashArray.build([("alpha", 7), ("beta", 8)]).to_bytes()
     with pytest.raises(StoreFormatError, match="trailing bytes after the token filter"):
-        StaticHashArray.load(io.BytesIO(blob + b"garbage!"))
+        load_blob(tmp_path, blob + b"garbage!")
 
 
 def test_key_hash_is_blake2b_split_in_halves():
@@ -295,9 +301,9 @@ def test_key_hash_is_blake2b_split_in_halves():
     assert key_hash("barack obama") == (value & (1 << 64) - 1, value >> 64)
 
 
-def test_truncated_header():
+def test_truncated_header(tmp_path):
     with pytest.raises(StoreFormatError, match="truncated header"):
-        StaticHashArray.load(io.BytesIO(b"SHA"))
+        load_blob(tmp_path, b"SHA")
 
 
 def test_serialized_form_smaller_than_construction_peak():

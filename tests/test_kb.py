@@ -1,4 +1,4 @@
-"""Triple store: loading, value queries, the path oracle, streaming expansion."""
+"""Triple store: loading, value queries, the path oracle, expansion over the CSR."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from factqa.kb import (
     write_expansion,
 )
 from factqa.pipeline import build_entity_index, load_entity_dictionary
-from oracles import predicates_between
+from oracles import predicates_between, triples_of
 from oracles import value_distribution as value_distribution_oracle
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ from oracles import value_distribution as value_distribution_oracle
 
 def enumerate_paths_oracle(triples, seeds, k, name_restriction=False, name_symbol="name"):
     """Exhaustive recursive enumeration of (s, path, o) over a raw triple
-    list; structured nothing like the scan-join implementation."""
+    list; structured nothing like the breadth-first walk of the CSR."""
     out = set()
 
     def step(origin, node, prefix):
@@ -70,6 +70,12 @@ def random_graph(rng, nodes=100, edges=200, predicates=("name", "p1", "p2", "p3"
 # loading
 
 
+def load_kb_text(tmp_path, text: str) -> KnowledgeBase:
+    path = tmp_path / "kb.tsv"
+    path.write_text(text, encoding="utf-8")
+    return load_kb(path)
+
+
 def test_toy_kb_loads(toy_kb):
     assert len(toy_kb) == 9
     assert len(toy_kb.entities) == 5
@@ -77,31 +83,30 @@ def test_toy_kb_loads(toy_kb):
     assert not toy_kb.is_entity("1961")
 
 
-def test_empty_stream_is_valid():
-    kb = load_kb(iter([]))
+def test_empty_stream_is_valid(tmp_path):
+    kb = load_kb_text(tmp_path, "")
     assert len(kb) == 0
     assert kb.entities == frozenset()
 
 
-def test_duplicate_lines_collapse():
-    lines = ["a\tp\tb\n", "a\tp\tb\n", "a\tq\tc\n"]
-    assert len(load_kb(iter(lines))) == 2
+def test_duplicate_lines_collapse(tmp_path):
+    assert len(load_kb_text(tmp_path, "a\tp\tb\na\tp\tb\na\tq\tc\n")) == 2
 
 
-def test_malformed_line_reports_line_number():
+def test_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(TsvParseError) as exc:
-        load_kb(iter(["a\tp\tb\n", "broken line\n"]))
-    assert "line 2" in str(exc.value)
+        load_kb_text(tmp_path, "a\tp\tb\nbroken line\n")
+    assert f"{tmp_path / 'kb.tsv'}: line 2" in str(exc.value)
     assert exc.value.line_number == 2
 
 
-def test_empty_field_rejected():
+def test_empty_field_rejected(tmp_path):
     with pytest.raises(TsvParseError):
-        load_kb(iter(["a\t\tb\n"]))
+        load_kb_text(tmp_path, "a\t\tb\n")
 
 
-def test_comments_and_blank_lines_skipped():
-    kb = load_kb(iter(["# header\n", "\n", "a\tp\tb\n"]))
+def test_comments_and_blank_lines_skipped(tmp_path):
+    kb = load_kb_text(tmp_path, "# header\n\na\tp\tb\n")
     assert len(kb) == 1
 
 
@@ -164,7 +169,7 @@ def test_predicates_between_spouse(toy_kb):
 
 def test_predicates_between_self_loop_is_empty(toy_kb):
     # frozen from the exhaustive oracle on the toy graph
-    assert paths_between_oracle(toy_kb.triples, "BarackObama", "BarackObama", 3) == []
+    assert paths_between_oracle(triples_of(toy_kb), "BarackObama", "BarackObama", 3) == []
     assert predicates_between(toy_kb, "BarackObama", "BarackObama", 3) == []
 
 
@@ -228,24 +233,29 @@ def test_expand_k_zero(toy_kb):
 
 def test_expand_matches_bfs_oracle_on_random_graphs():
     rng = random.Random(42)
+    seen_objects_only = 0
     for _ in range(50):
         triples = random_graph(rng)
         kb = KnowledgeBase(triples)
         entities = sorted(kb.entities)
-        seeds = set(rng.sample(entities, min(10, len(entities))))
+        objects_only = sorted(set(kb.nodes) - kb.entities)
+        # a node that is only an object, and a name the KB lacks, seed nothing
+        seeds = {*rng.sample(entities, min(10, len(entities))), *objects_only[:1], "no such node"}
+        seen_objects_only += bool(objects_only)
         k = rng.randrange(1, 4)
         restricted = rng.random() < 0.5
         got = expand_predicates(kb, seeds, k, name_restriction=restricted)
         want = enumerate_paths_oracle(triples, seeds, k, name_restriction=restricted)
         assert got == want
+    assert seen_objects_only
 
 
-def test_expand_invariant_under_stream_permutation(toy_kb, data_dir):
+def test_expand_invariant_under_stream_permutation(toy_kb, data_dir, tmp_path):
     lines = [l for l in (data_dir / "toy_kb.tsv").read_text().splitlines() if not l.startswith("#")]
     rng = random.Random(3)
     for _ in range(5):
         rng.shuffle(lines)
-        kb = load_kb(iter(lines))
+        kb = load_kb_text(tmp_path, "\n".join(lines))
         assert expand_predicates(kb, {"BarackObama"}, 3) == expand_predicates(
             toy_kb, {"BarackObama"}, 3
         )
@@ -283,7 +293,7 @@ def assert_same_kb(got: KnowledgeBase, want: KnowledgeBase) -> None:
     unrestricted expansion of every entity yields included."""
     assert got.nodes == want.nodes
     assert got.entities == want.entities
-    assert got.triples == want.triples
+    assert triples_of(got) == triples_of(want)
     assert len(got) == len(want)
     assert [got.node_name(i) for i in range(len(got.nodes))] == sorted(want.nodes)
     for i in range(-2, len(want.nodes) + 2):
@@ -293,7 +303,7 @@ def assert_same_kb(got: KnowledgeBase, want: KnowledgeBase) -> None:
     paths = expand_predicates(want, want.entities, 3, name_restriction=False)
     assert paths == expand_predicates(got, got.entities, 3, name_restriction=False)
     for sp in paths:
-        want_dist = value_distribution_oracle(want.triples, sp.subject, sp.path)
+        want_dist = value_distribution_oracle(triples_of(want), sp.subject, sp.path)
         assert got.value_distribution(sp.subject, sp.path) == want_dist
         assert want.value_distribution(sp.subject, sp.path) == want_dist
 

@@ -4,7 +4,6 @@ steps, SQUAREM and convergence, baseline."""
 from __future__ import annotations
 
 import dataclasses
-import io
 import logging
 import random
 import sys
@@ -699,11 +698,10 @@ def test_model_save_load_roundtrip(tmp_path, toy_training):
     assert lines == sorted(lines, key=lambda l: (l.split("\t")[0], -float(l.split("\t")[2])))
 
 
-def test_model_items_deterministic(fixture_model):
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    fixture_model.save(buf1)
-    fixture_model.save(buf2)
-    assert buf1.getvalue() == buf2.getvalue()
+def test_model_items_deterministic(fixture_model, tmp_path):
+    fixture_model.save(tmp_path / "first.tsv")
+    fixture_model.save(tmp_path / "second.tsv")
+    assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "second.tsv").read_bytes()
 
 
 def test_model_row_is_read_only():

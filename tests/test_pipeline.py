@@ -582,9 +582,15 @@ def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message)
          "index and the concept file of model resolve to one file"),
         ("build-index", ["--index", "toy_kb.tsv"], "kb and index resolve to one file"),
         ("answer", ["--index", "out/toy.model.tsv"], "index and model resolve to one file"),
+        ("pipeline", ["--report", "pipeline.cfg"], "the config file and report resolve to one file"),
+        ("pipeline", ["--model", "pipeline.cfg"], "the config file and model resolve to one file"),
+        ("expand", ["--expansion", "pipeline.cfg"],
+         "the config file and expansion resolve to one file"),
+        ("build-index", ["--index", "pipeline.cfg"], "the config file and index resolve to one file"),
     ],
     ids=["expansion-is-report", "index-is-model", "report-is-corpus", "index-is-concepts",
-         "index-is-kb", "online-index-is-model"],
+         "index-is-kb", "online-index-is-model", "report-is-config", "model-is-config",
+         "expansion-is-config", "index-is-config"],
 )
 def test_cli_shared_artifact_path_exits_2_before_any_stage(built_data, command, flags,
                                                            message):
