@@ -108,8 +108,8 @@ class AnswerEngine:
         mentions: list[tuple[tuple[int, int], str]] | None = None,
         walk: Iterable[SupportedTemplate] | None = None,
     ) -> AnswerDistribution:
-        """P(value | question); ``mentions`` are the question's, from its
-        mention table, probed here if not given; ``walk`` their
+        """P(value | question); ``mentions`` are the question's (a chain
+        step's is its carried answer), probed here if not given; ``walk`` their
         ``supported_templates`` (``Decomposition.walk``), walked here if not."""
         if mentions is None:
             mentions = self.probe(tokens).mentions()
@@ -156,7 +156,8 @@ class AnswerEngine:
 
         The first element is answered directly, from ``head_mentions`` and
         ``head_walk`` if given (see ``Decomposition``); each later element
-        carries a ``$e`` slot that receives the previous answer's surface form.
+        carries a ``$e`` slot that receives the previous answer's surface form,
+        and that answer as its one mention, unprobed, if a worded KB entity.
         Aborts, reporting the failing index, when any step yields nothing.
         """
         if not sequence:
@@ -168,8 +169,10 @@ class AnswerEngine:
             if i == 0:
                 question, mentions, walk = tuple(element), head_mentions, head_walk
             else:
-                substitution = tokenize(self.surface(current_value))
-                question, mentions, walk = _substitute(tuple(element), substitution), None, None
+                surface = tokenize(self.surface(current_value))
+                question, span = _substitute(tuple(element), surface)
+                carried = surface and self.kb.is_entity(current_value)
+                mentions, walk = [(span, current_value)] if carried else [], None
             dist = self.answer_distribution(question, mentions, walk)
             top = dist.top()
             if top is None:
@@ -186,8 +189,9 @@ class AnswerEngine:
         return SequenceResult(current_value, probability, None, steps)
 
 
-def _substitute(pattern: Tokens, replacement: Tokens) -> Tokens:
+def _substitute(pattern: Tokens, replacement: Tokens) -> tuple[Tokens, tuple[int, int]]:
+    """The pattern with its one ``$e`` replaced, and the replacement's span."""
     if pattern.count(SLOT) != 1:
         raise ValueError(f"pattern must contain {SLOT!r} exactly once: {pattern}")
     i = pattern.index(SLOT)
-    return pattern[:i] + replacement + pattern[i + 1 :]
+    return pattern[:i] + replacement + pattern[i + 1 :], (i, i + len(replacement))

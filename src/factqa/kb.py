@@ -34,12 +34,6 @@ _STORE_HEADER = struct.Struct("<7sIQQQQQQQ")
 U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
-class Triple(NamedTuple):
-    subject: str
-    predicate: str
-    object: str
-
-
 class SpoPath(NamedTuple):
     """A subject connected to an object through an ordered predicate path."""
 

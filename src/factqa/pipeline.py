@@ -185,7 +185,8 @@ def build_entity_index(
 ) -> tuple[StaticHashArray, dict[str, str]]:
     """Index normalized surfaces to KB node ids, in one pass over the
     dictionary that also finds each node's canonical surface, its first
-    indexed one, which a chain substitutes for it.
+    indexed one, which a chain step's text splices in for it: a wordless
+    surface would leave the step no span to mention it at.
 
     A row is indexed when its node is in the KB and its surface normalizes
     to a non-empty key; the skipped rows are counted in a warning.

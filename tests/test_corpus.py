@@ -20,7 +20,7 @@ from factqa.corpus import (
     tokenize,
 )
 from factqa.hasharray import StaticHashArray
-from factqa.kb import KnowledgeBase, Triple
+from factqa.kb import KnowledgeBase
 from factqa.learn import TrainingSet, write_observations
 from oracles import candidate_values, predicates_between
 
@@ -306,9 +306,9 @@ def test_candidate_values_reach_the_longest_node_text():
     """Answer spans are matched against node texts up to the longest one,
     here three words, and against index keys up to the longest key."""
     kb = KnowledgeBase([
-        Triple("Ada", "dob", "10 December 1815"),
-        Triple("Ada", "spouse", "William King"),
-        Triple("Ada", "title", "Countess"),
+        ("Ada", "dob", "10 December 1815"),
+        ("Ada", "spouse", "William King"),
+        ("Ada", "title", "Countess"),
     ])
     index = StaticHashArray.build([("william king", kb.node_id("William King"))])
     extractor = EntityValueExtractor(kb, index, {})

@@ -10,7 +10,7 @@ from factqa.concepts import ConceptGraph, derive_templates
 from factqa.corpus import kb_mentions, tokenize
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
-from factqa.kb import KnowledgeBase, Triple
+from factqa.kb import KnowledgeBase
 from factqa.learn import PredicateModel
 
 Q0 = tokenize("When was Barack Obama born?")
@@ -148,7 +148,7 @@ def test_enumeration_counter_linear_in_model_paths():
     # must grow linearly with the number of model-supported paths
     counts = {}
     for n in (4, 8):
-        triples = [Triple("e", f"p{i}", f"v{i}") for i in range(n)]
+        triples = [("e", f"p{i}", f"v{i}") for i in range(n)]
         kb = KnowledgeBase(triples)
         index = StaticHashArray.build([("e", kb.node_id("e"))])
         concepts = ConceptGraph([("e", "thing", 1.0)])
@@ -182,6 +182,14 @@ def test_answer_sequence_fails_at_first_index(toy_engine):
     result = toy_engine.answer_sequence([tokenize("nothing here"), ("when", "was", "$e", "born")])
     assert result.value is None
     assert result.failed_index == 0
+
+
+def test_answer_sequence_step_on_a_value_that_is_no_entity(toy_engine):
+    """A literal answer is no entity to ask the next step about."""
+    result = toy_engine.answer_sequence([Q0, ("when", "was", "$e", "born")])
+    assert result.steps[0]["answer"] == "1961"
+    assert result.steps[1] == {"question": "when was 1961 born", "reason": "no entity"}
+    assert result.failed_index == 1
 
 
 def test_answer_sequence_empty(toy_engine):

@@ -11,7 +11,6 @@ from factqa.kb import (
     KnowledgeBase,
     SpoPath,
     StoreFormatError,
-    Triple,
     TsvParseError,
     expand_predicates,
     expansion_map,
@@ -62,7 +61,7 @@ def random_graph(rng, nodes=100, edges=200, predicates=("name", "p1", "p2", "p3"
     while len(triples) < edges:
         s = f"n{rng.randrange(nodes)}"
         o = f"n{rng.randrange(nodes)}"
-        triples.add(Triple(s, rng.choice(predicates), o))
+        triples.add((s, rng.choice(predicates), o))
     return sorted(triples)
 
 
@@ -341,12 +340,12 @@ def test_store_of_an_empty_kb(tmp_path):
 @pytest.mark.parametrize("triple", [("a\nb", "p", "c"), ("a", "p\n", "c"), ("a", "p", "\n")])
 def test_store_refuses_a_name_with_a_line_break(triple):
     with pytest.raises(ValueError, match="line break"):
-        store_bytes(KnowledgeBase([Triple(*triple)]), {})
+        store_bytes(KnowledgeBase([triple]), {})
 
 
 def test_store_refuses_a_surface_with_a_line_break():
     with pytest.raises(ValueError, match="line break"):
-        store_bytes(KnowledgeBase([Triple("a", "p", "b")]), {"a": "A\nB"})
+        store_bytes(KnowledgeBase([("a", "p", "b")]), {"a": "A\nB"})
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,55 @@ def test_chain_substitutes_the_surface_the_index_keys(tmp_path, caplog):
     assert record["answer"] == "1964"
 
 
+def _spouse_chain_on(tmp_path, kb: str = "", isa: str = "", entities=lambda text: text) -> dict:
+    """The record of "When was Barack Obama's wife born?" on a copy of the
+    test data with ``kb`` and ``isa`` rows added and the dictionary's text
+    passed through ``entities``, after the offline run, with the fixture model."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    for name, rows in (("toy_kb.tsv", kb), ("isa.tsv", isa)):
+        (data / name).write_text((data / name).read_text() + rows)
+    (data / "entities.tsv").write_text(entities((data / "entities.tsv").read_text()))
+    config = make_config(
+        tmp_path, kb=data / "toy_kb.tsv", isa=data / "isa.tsv", entities=data / "entities.tsv"
+    )
+    run_offline(config)
+    shutil.copyfile(DATA / "model_fixture.tsv", config.model)
+    return OnlineSession(config).answer_record("When was Barack Obama's wife born?")
+
+
+def test_chain_step_answers_the_entity_not_others_sharing_its_surface(tmp_path):
+    """A second entity indexed under the answer's surface takes no share of
+    the next step, which is asked about the answer itself."""
+    record = _spouse_chain_on(
+        tmp_path,
+        kb="OtherMichelle\tdob\t1950\n",
+        isa="OtherMichelle\tperson\t1\n",
+        entities=lambda text: text + "OtherMichelle\tMichelle Obama\n",
+    )
+    assert record["steps"][1]["question"] == "when was michelle obama born"
+    assert (record["answer"], record["probability"]) == ("1964", pytest.approx(1.0))
+
+
+def test_chain_step_answers_an_entity_with_no_dictionary_surface(tmp_path):
+    """With no indexed surface the step's text spells the node id, which
+    indexes nothing, and the step is still asked about the entity."""
+    record = _spouse_chain_on(
+        tmp_path, entities=lambda text: text.replace("MichelleObama\tMichelle Obama\n", "")
+    )
+    assert record["steps"][1]["question"] == "when was michelleobama born"
+    assert record["answer"] == "1964"
+
+
+def test_chain_step_on_an_entity_with_no_worded_surface_has_no_entity(tmp_path):
+    """An answer whose surface tokenizes to nothing leaves the step no span
+    to mention it at: the step fails with no entity and nothing raises."""
+    record = _spouse_chain_on(tmp_path, kb="MichellePerson\tname\t?\n?\tdob\t1964\n")
+    assert record["steps"][0]["answer"] == "?"
+    assert record["steps"][1] == {"question": "when was born", "reason": "no entity"}
+    assert (record["answer"], record["reason"]) == (None, "unanswerable at step 1")
+
+
 def test_answer_record_probes_each_question_once(online, monkeypatch):
     built = []
     init = MentionTable.__init__
@@ -250,10 +299,10 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
     built.clear()
     record = online.answer_record("When was Barack Obama's wife born?")
     assert record["answer"] == "1964"
-    steps = [tuple(step["question"].split()) for step in record["steps"]]
-    assert len(steps) == 2
-    # the head is answered from the question's own table
-    assert built == [tokenize("When was Barack Obama's wife born?"), *steps[1:]]
+    assert len(record["steps"]) == 2
+    # the head is answered from the question's own table, and the second
+    # step from the entity the head answered, with no table of its own
+    assert built == [tokenize("When was Barack Obama's wife born?")]
 
 
 def test_answer_record_walks_each_window_once(online, monkeypatch):
@@ -271,8 +320,9 @@ def test_answer_record_walks_each_window_once(online, monkeypatch):
     windows.clear()
     record = online.answer_record("When was Barack Obama's wife born?")
     assert record["answer"] == "1964"
-    # every cell once, the head's among them, and the second step's own walk
-    assert (2, 5) in windows and windows[-1] == ()
+    # every cell once, the head's among them, and no walk of the second
+    # step, whose mention is the head's answer
+    assert (2, 5) in windows and all(len(window) == 2 for window in windows)
     assert len(set(windows)) == len(windows)
 
 
