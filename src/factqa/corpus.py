@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import string
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -105,9 +107,11 @@ def load_corpus(path: str | Path) -> list[QaPair]:
     "count": n}.
 
     Identical (question, answer) pairs merge, summing counts; order of
-    first occurrence is preserved.
+    first occurrence is preserved. Each distinct string is tokenized once,
+    and its lines share that one token tuple.
     """
     counts: dict[tuple[Tokens, Tokens], int] = {}
+    tokenized: dict[str, Tokens] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
             line = raw.strip()
@@ -130,7 +134,13 @@ def load_corpus(path: str | Path) -> list[QaPair]:
                 raise ValueError(f"line {lineno}: bad record (count must be an integer)")
             if count < 1:
                 raise ValueError(f"line {lineno}: count must be >= 1")
-            key = (tokenize(question), tokenize(answer))
+            q = tokenized.get(question)
+            if q is None:
+                q = tokenized[question] = tokenize(question)
+            a = tokenized.get(answer)
+            if a is None:
+                a = tokenized[answer] = tokenize(answer)
+            key = (q, a)
             counts[key] = counts.get(key, 0) + count
     return [QaPair(q, a, n) for (q, a), n in counts.items()]
 
@@ -174,14 +184,25 @@ class MentionTable(SpanTable):
     payloads name KB entities (payload order): the greedy walk stops on any
     hit and filters to entities afterwards, so a payload that names no
     entity (a fingerprint false positive) still takes its span.
+
+    A pass over many questions may pass ``keys``, the question's
+    ``lookup_tokens``, and ``entities_of``, which it shares between the
+    tables to filter each distinct payload tuple once.
     """
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens):
-        super().__init__(index, lookup_tokens(tokens))
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens,
+                 keys: Tokens | None = None,
+                 entities_of: dict[tuple[int, ...], list[str]] | None = None):
+        super().__init__(index, lookup_tokens(tokens) if keys is None else keys)
         self.entities: dict[tuple[int, int], list[str]] = {}
         for span, payloads in self.payloads.items():
-            nodes = [kb.node_name(p) for p in payloads if kb.has_node_id(p)]
-            entities = [node for node in nodes if kb.is_entity(node)]
+            if entities_of is None:
+                entities = _entities(kb, payloads)
+            else:
+                key = tuple(payloads)
+                entities = entities_of.get(key)
+                if entities is None:
+                    entities = entities_of[key] = _entities(kb, payloads)
             if entities:
                 self.entities[span] = entities
 
@@ -216,6 +237,12 @@ def kb_mentions(
     return MentionTable(kb, index, tokens).mentions()
 
 
+def _entities(kb: KnowledgeBase, payloads: Iterable[int]) -> list[str]:
+    """The KB entities that ``payloads`` name, in payload order."""
+    nodes = [kb.node_name(p) for p in payloads if kb.has_node_id(p)]
+    return [node for node in nodes if kb.is_entity(node)]
+
+
 class CorpusMentions(NamedTuple):
     """The corpus's distinct questions, each probed once: its summed
     frequency, its ``kb_mentions`` and every span naming a KB entity."""
@@ -228,14 +255,19 @@ class CorpusMentions(NamedTuple):
 def probe_corpus(
     kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, corpus: Iterable[QaPair]
 ) -> CorpusMentions:
-    """One MentionTable per distinct question, kept only while it is read."""
+    """One MentionTable per distinct question, kept only while it is read.
+    Each distinct token is normalized by ``lookup_token`` once, and each
+    distinct payload tuple filtered to KB entities once, for the whole pass."""
     frequency: dict[Tokens, int] = {}
     for pair in corpus:
         frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
+    keys = {token: lookup_token(token) for token in set(chain.from_iterable(frequency))}
+    entities_of: dict[tuple[int, ...], list[str]] = {}
     mentions = {}
     entity_spans = {}
     for question in frequency:
-        table = MentionTable(kb, index, question)
+        table = MentionTable(kb, index, question, tuple(map(keys.__getitem__, question)),
+                             entities_of)
         mentions[question] = table.mentions()
         entity_spans[question] = table.entity_spans()
     return CorpusMentions(frequency, mentions, entity_spans)
@@ -249,6 +281,12 @@ class EntityValueExtractor:
     (``expansion_map`` of the offline expansion) holds a predicate path
     connecting them. Refinement keeps only pairs whose value category (from
     the connecting path's final predicate) matches the question category.
+
+    The expansion holds every object of a path it records for a mentioned
+    entity: its seeds are the mentioned entities, and the name restriction
+    depends on the path alone. So P(v | e, p), the KB's
+    ``value_distribution(e, p)[v]``, is one over the count of the
+    expansion's objects of (e, p), counted here once.
     """
 
     def __init__(
@@ -263,6 +301,7 @@ class EntityValueExtractor:
         self.index = index
         self.predicate_categories = predicate_categories or {}
         self._expansion = expansion
+        self._objects = Counter((e, path) for (e, _), paths in expansion.items() for path in paths)
         # built up front: after construction the only writes are a ProbeMemo
         # index's, and each stores the value any other writer would store
         table: dict[str, list[str]] = {}
@@ -290,6 +329,11 @@ class EntityValueExtractor:
 
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:
         return self._expansion.get((entity, value), [])
+
+    def value_probs(self, entity: str, value: str) -> dict[PredicatePath, float]:
+        """P(value | entity, path) for each path connecting the two."""
+        objects = self._objects
+        return {path: 1.0 / objects[entity, path] for path in self.connecting_paths(entity, value)}
 
     def path_category(self, path: PredicatePath) -> str:
         return self.predicate_categories.get(path[-1], CATEGORY_OTHER)

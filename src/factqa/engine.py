@@ -105,14 +105,13 @@ class AnswerEngine:
     def answer_distribution(
         self,
         tokens: Tokens,
-        mentions: list[tuple[tuple[int, int], str]] | None = None,
+        mentions: list[tuple[tuple[int, int], str]],
         walk: Iterable[SupportedTemplate] | None = None,
     ) -> AnswerDistribution:
-        """P(value | question); ``mentions`` are the question's (a chain
-        step's is its carried answer), probed here if not given; ``walk`` their
-        ``supported_templates`` (``Decomposition.walk``), walked here if not."""
-        if mentions is None:
-            mentions = self.probe(tokens).mentions()
+        """P(value | question); ``mentions`` are the question's, from its
+        mention table (a chain step's is its carried answer); ``walk`` their
+        ``supported_templates`` (``Decomposition.walk``), walked here if not
+        given."""
         if not mentions:
             return AnswerDistribution({}, reason=REASON_NO_ENTITY)
         if walk is None:
@@ -149,13 +148,13 @@ class AnswerEngine:
     def answer_sequence(
         self,
         sequence: list[Tokens],
-        head_mentions: list[tuple[tuple[int, int], str]] | None = None,
+        head_mentions: list[tuple[tuple[int, int], str]],
         head_walk: Iterable[SupportedTemplate] | None = None,
     ) -> SequenceResult:
         """Answer a decomposed question chain by substitution.
 
-        The first element is answered directly, from ``head_mentions`` and
-        ``head_walk`` if given (see ``Decomposition``); each later element
+        The first element is answered directly, from ``head_mentions``, and
+        from ``head_walk`` if given (see ``Decomposition``); each later element
         carries a ``$e`` slot that receives the previous answer's surface form,
         and that answer as its one mention, unprobed, if a worded KB entity.
         Aborts, reporting the failing index, when any step yields nothing.

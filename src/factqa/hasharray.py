@@ -160,9 +160,10 @@ class ProbeMemo:
     """An index's probes, each distinct token and key asked of it once.
 
     Exposes what ``SpanTable`` reads: ``max_words``, ``has_token`` and
-    ``lookup``, the latter's payloads as a tuple so no two callers share a
-    list. The memo grows with every distinct key probed, so it suits one
-    pass over a finite input, such as one offline run over its corpus.
+    ``lookup``, the latter's payloads sorted and unique, as a span table
+    keeps them, and as a tuple so no two callers share a list. The memo
+    grows with every distinct key probed, so it suits one pass over a
+    finite input, such as one offline run over its corpus.
     """
 
     __slots__ = ("index", "max_words", "_tokens", "_keys")
@@ -182,7 +183,8 @@ class ProbeMemo:
     def lookup(self, key: str) -> tuple[int, ...]:
         found = self._keys.get(key)
         if found is None:
-            found = self._keys[key] = tuple(self.index.lookup(key))
+            payloads = self.index.lookup(key)
+            found = self._keys[key] = tuple(sorted(set(payloads))) if payloads else ()
         return found
 
 

@@ -119,20 +119,29 @@ class TrainingSet:
     ) -> "TrainingSet":
         """One observation per (entity, value) extracted from each pair;
         ``mentions`` holds each question's ``kb_mentions``
-        (``CorpusMentions.mentions``). Each distinct answer of a question
-        with mentions is matched to KB values once, each (entity, value)
-        pair to its path row once, and each (question, entity) pair to its
-        template row once."""
+        (``CorpusMentions.mentions``).
+
+        Each distinct answer of a question with mentions is matched to KB
+        values once, and each (entity, value) pair's path row is read from
+        the expansion's object counts (``EntityValueExtractor.value_probs``)
+        once, with no walk of the KB. A template row is derived once per
+        phrasing shape: the words before the entity's span, the words after
+        it and the entity's concept prior, the only inputs of
+        ``question_concepts`` and ``derive_templates``. A question that a
+        concept override names has no shape: its rows are derived once per
+        (question, entity) pair."""
         training = cls()
-        kb = extractor.kb
         values: dict[Tokens, set[str]] = {}
         # P(value | entity, path) over the connecting paths, once per pair
         path_rows: dict[tuple[str, str], int] = {}
-        # P(template | entity, question); the entity's span is its first in
-        # the question's mentions, so it depends on the question alone
-        template_rows: dict[tuple[Tokens, str], int] = {}
+        # P(template | entity, question) once per phrasing shape; the
+        # entity's span is its first in the question's mentions
+        template_rows: dict[tuple, int] = {}
+        priors: dict[str, tuple] = {}
+        overrides = concepts.overrides
         for pair in corpus:
-            found = mentions[pair.question]
+            question = pair.question
+            found = mentions[question]
             if found and pair.answer not in values:
                 values[pair.answer] = extractor.candidate_values(pair.answer)
             # without mentions nothing is extracted, and no value is looked for
@@ -142,24 +151,35 @@ class TrainingSet:
                 continue
             distinct_entities = {e for e, _ in extracted}
             p_e = 1.0 / len(distinct_entities)
-            p_q = stats.p_q(pair.question)
-            mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
+            p_q = stats.p_q(question)
+            mass = (1.0 / len(extracted)) * stats.p_a(question, pair.answer) * p_q
+            # an override is keyed by the whole question, which has no shape
+            overridden = bool(overrides) and " ".join(question) in overrides
+            last = None
             for entity, value in extracted:
-                t_row = template_rows.get((pair.question, entity))
-                if t_row is None:
+                if entity != last:  # extracted is sorted, so grouped by entity
+                    last = entity
                     span = next(span for span, e in found if e == entity)
-                    concept_dist = concepts.question_concepts(pair.question, entity, span)
-                    t_row = template_rows[pair.question, entity] = training.template_row({
-                        t.text: prob
-                        for t, prob in derive_templates(pair.question, span, concept_dist).items()
-                    })
+                    if overridden:
+                        key = (question, entity)
+                    else:
+                        prior = priors.get(entity)
+                        if prior is None:
+                            prior = priors[entity] = tuple(concepts.concept_prior(entity).items())
+                        key = (question[:span[0]], question[span[1]:], prior)
+                    t_row = template_rows.get(key)
+                    if t_row is None:
+                        concept_dist = concepts.question_concepts(question, entity, span)
+                        templates = derive_templates(question, span, concept_dist)
+                        t_row = template_rows[key] = training.template_row(
+                            {t.text: prob for t, prob in templates.items()}
+                        )
                 p_row = path_rows.get((entity, value))
                 if p_row is None:
-                    p_row = path_rows[entity, value] = training.path_row({
-                        path: kb.value_distribution(entity, path).get(value, 0.0)
-                        for path in extractor.connecting_paths(entity, value)
-                    })
-                training.add((pair.question, entity, value, mass), p_q, p_e, t_row, p_row)
+                    p_row = path_rows[entity, value] = training.path_row(
+                        extractor.value_probs(entity, value)
+                    )
+                training.add((question, entity, value, mass), p_q, p_e, t_row, p_row)
         return training
 
 

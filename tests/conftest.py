@@ -10,13 +10,14 @@ import pytest
 from factqa.concepts import ConceptGraph
 from factqa.corpus import (
     EntityValueExtractor,
+    Tokens,
     corpus_stats,
     load_corpus,
     load_predicate_categories,
     probe_corpus,
 )
 from factqa.decompose import Decomposer, PatternIndex
-from factqa.engine import AnswerEngine
+from factqa.engine import AnswerDistribution, AnswerEngine, SequenceResult
 from factqa.hasharray import StaticHashArray
 from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
@@ -103,6 +104,17 @@ def toy_engine(toy_kb, toy_index, toy_concepts, fixture_model):
 def toy_decomposer(toy_engine, toy_probe):
     patterns = PatternIndex.build(toy_probe.frequency, toy_probe.entity_spans)
     return Decomposer(toy_engine, patterns)
+
+
+def answer(engine: AnswerEngine, tokens: Tokens) -> AnswerDistribution:
+    """``engine.answer_distribution`` of a question, its mentions probed first."""
+    return engine.answer_distribution(tokens, engine.probe(tokens).mentions())
+
+
+def answer_chain(engine: AnswerEngine, sequence: list[Tokens]) -> SequenceResult:
+    """``engine.answer_sequence`` of a chain, its head's mentions probed first."""
+    head = engine.probe(sequence[0]).mentions() if sequence else []
+    return engine.answer_sequence(sequence, head)
 
 
 def random_keys(rng: random.Random, count: int, prefix: str = "") -> list[str]:

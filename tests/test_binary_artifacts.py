@@ -1,5 +1,6 @@
 """The three binary artifacts, the entity index, the KB store and the
-concept file: their bytes pinned across commits, and fault injection."""
+concept file: their bytes pinned across commits, and fault injection. The
+toy pipeline's text artifacts are pinned beside them."""
 
 from __future__ import annotations
 
@@ -23,6 +24,17 @@ DIGESTS = {
     "toy.model.concepts": "01e90beb657955c16bc8c0a915d06b8e19fc731ef78df024cc13a69527f18612",
 }
 
+# sha256 of the toy pipeline's text artifacts: the model, the pattern file,
+# the expansion, the report and the observations dump. A change that means
+# to keep every artifact as it was keeps these too.
+TEXT_DIGESTS = {
+    "toy.expansion.tsv": "0ac4fb64475bf0c3f4838c7362eb9dc04892411cd59a3107caf673907913b1a9",
+    "toy.model.patterns.tsv": "41b46dcf3536a297022aa094a0d9623dfec042eeccb51cc2477fb43e68fef841",
+    "toy.model.tsv": "e4d493f396e90a5c8bc87fc6e0f3546d30e5e7643474efa64b2d28b64a82bf6b",
+    "toy.observations.tsv": "f604d8dc53be2f39d00eb9389a0c011c878d4015edac8c835e230c44b06b26bf",
+    "toy.report.json": "ef43ee2a2e91dada7beaebf14aa40b42ff8efe891909704cbc6b4ca4b2a791a1",
+}
+
 LOADERS = {
     "toy.index": StaticHashArray.load,
     "toy.index.kb": load_store,
@@ -32,11 +44,13 @@ LOADERS = {
 
 @pytest.fixture(scope="module")
 def toy_artifacts(tmp_path_factory) -> Path:
-    """The toy pipeline (``tests/data/pipeline.cfg``) run into a fresh directory."""
+    """The toy pipeline (``tests/data/pipeline.cfg``), with its observations
+    dump, run into a fresh directory."""
     out = tmp_path_factory.mktemp("toy")
     run_offline(load_config(DATA / "pipeline.cfg", {
         "index": out / "toy.index", "expansion": out / "toy.expansion.tsv",
         "model": out / "toy.model.tsv", "report": out / "toy.report.json",
+        "observations": out / "toy.observations.tsv",
     }))
     return out
 
@@ -44,6 +58,11 @@ def toy_artifacts(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_binary_artifact_bytes_are_pinned(toy_artifacts, name):
     assert hashlib.sha256((toy_artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
+def test_text_artifact_bytes_are_pinned(toy_artifacts, name):
+    assert hashlib.sha256((toy_artifacts / name).read_bytes()).hexdigest() == TEXT_DIGESTS[name]
 
 
 def variants(blob: bytes):

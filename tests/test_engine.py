@@ -6,6 +6,7 @@ from math import fsum
 
 import pytest
 
+from conftest import answer, answer_chain
 from factqa.concepts import ConceptGraph, derive_templates
 from factqa.corpus import kb_mentions, tokenize
 from factqa.engine import AnswerEngine
@@ -41,7 +42,7 @@ def quadruple_sum_oracle(engine, tokens):
 
 
 def test_answer_distribution_toy_fixture_values(toy_engine):
-    dist = toy_engine.answer_distribution(Q0)
+    dist = answer(toy_engine, Q0)
     assert dist.reason is None
     assert dist.entries["1961"] == pytest.approx(0.79, abs=0.01)
     assert dist.entries["person"] == pytest.approx(0.11, abs=0.01)
@@ -52,17 +53,17 @@ def test_answer_distribution_toy_fixture_values(toy_engine):
 def test_answer_distribution_unnormalized_mass(toy_engine):
     # hand evaluation: 0.64*0.67*1 + 0.36*1*1 = 0.7888 for value 1961,
     # and the three raw masses happen to sum to 1 on this fixture
-    dist = toy_engine.answer_distribution(Q0)
+    dist = answer(toy_engine, Q0)
     assert dist.entries["1961"] == pytest.approx(0.7888, abs=1e-12)
 
 
 def test_answer_distribution_normalized(toy_engine):
-    dist = toy_engine.answer_distribution(Q0)
+    dist = answer(toy_engine, Q0)
     assert abs(sum(dist.entries.values()) - 1.0) < 1e-9
 
 
 def test_answer_argmax_birth_year(toy_engine):
-    dist = toy_engine.answer_distribution(Q0)
+    dist = answer(toy_engine, Q0)
     top = dist.top()
     assert top is not None
     value, prob = top
@@ -79,7 +80,7 @@ def test_single_chain_yields_probability_one(toy_engine):
     engine = AnswerEngine(
         toy_engine.kb, toy_engine.index, toy_engine.concepts, model, toy_engine.surfaces
     )
-    dist = engine.answer_distribution(tokenize("How many people are there in Honolulu?"))
+    dist = answer(engine, tokenize("How many people are there in Honolulu?"))
     assert dist.entries == {"390K": 1.0}
 
 
@@ -88,25 +89,25 @@ def test_answer_tie_breaks_lexicographically(toy_engine):
     engine = AnswerEngine(
         toy_engine.kb, toy_engine.index, toy_engine.concepts, model, toy_engine.surfaces
     )
-    top = engine.answer_distribution(tokenize("who is Barack Obama")).top()
+    top = answer(engine, tokenize("who is Barack Obama")).top()
     # person and politician both at 0.5; the smaller symbol wins
     assert top == ("person", 0.5)
 
 
 def test_no_entity_reason(toy_engine):
-    dist = toy_engine.answer_distribution(tokenize("when was the moon made"))
+    dist = answer(toy_engine, tokenize("when was the moon made"))
     assert dist.entries == {}
     assert dist.reason == "no entity"
 
 
 def test_no_template_reason(toy_engine):
-    dist = toy_engine.answer_distribution(tokenize("is Barack Obama nice"))
+    dist = answer(toy_engine, tokenize("is Barack Obama nice"))
     assert dist.entries == {}
     assert dist.reason == "no template"
 
 
 def test_empty_distribution_answer_absent(toy_engine):
-    dist = toy_engine.answer_distribution(tokenize("when was the moon made"))
+    dist = answer(toy_engine, tokenize("when was the moon made"))
     top = dist.top()
     assert top is None
     assert dist.reason == "no entity"
@@ -120,7 +121,7 @@ def test_matches_bruteforce_quadruple_sum(toy_engine):
         "barack obama's wife",
     ):
         tokens = tokenize(text)
-        got = toy_engine.answer_distribution(tokens).entries
+        got = answer(toy_engine, tokens).entries
         want = quadruple_sum_oracle(toy_engine, tokens)
         assert set(got) == set(want)
         for value in got:
@@ -136,8 +137,8 @@ def test_argmax_invariant_under_positive_scaling(toy_kb, toy_index, fixture_mode
     isa = [("BarackObama", "person", 1.0)]
     engine_a = AnswerEngine(toy_kb, index, ConceptGraph(isa, overrides=base), fixture_model, surfaces)
     engine_b = AnswerEngine(toy_kb, index, ConceptGraph(isa, overrides=scaled), fixture_model, surfaces)
-    top_a = engine_a.answer_distribution(Q0).top()
-    top_b = engine_b.answer_distribution(Q0).top()
+    top_a = answer(engine_a, Q0).top()
+    top_b = answer(engine_b, Q0).top()
     assert top_a is not None and top_b is not None
     assert top_a[0] == top_b[0]
     assert top_a[1] == pytest.approx(top_b[1], abs=1e-12)
@@ -154,7 +155,7 @@ def test_enumeration_counter_linear_in_model_paths():
         concepts = ConceptGraph([("e", "thing", 1.0)])
         model = PredicateModel({"who is $thing": {(f"p{i}",): 1.0 / n for i in range(n)}})
         engine = AnswerEngine(kb, index, concepts, model)
-        dist = engine.answer_distribution(("who", "is", "e"))
+        dist = answer(engine, ("who", "is", "e"))
         counts[n] = dist.enumerations
     assert counts[8] == 2 * counts[4]
 
@@ -165,7 +166,7 @@ def test_enumeration_counter_linear_in_model_paths():
 
 def test_answer_sequence_spouse_chain(toy_engine):
     sequence = [tokenize("barack obama's wife"), ("when", "was", "$e", "born")]
-    result = toy_engine.answer_sequence(sequence)
+    result = answer_chain(toy_engine, sequence)
     assert result.failed_index is None
     assert result.value == "1964"
     assert result.steps[0]["answer"] == "MichelleObama"
@@ -173,27 +174,27 @@ def test_answer_sequence_spouse_chain(toy_engine):
 
 
 def test_answer_sequence_length_one_equals_answer(toy_engine):
-    result = toy_engine.answer_sequence([Q0])
-    top = toy_engine.answer_distribution(Q0).top()
+    result = answer_chain(toy_engine, [Q0])
+    top = answer(toy_engine, Q0).top()
     assert (result.value, result.probability) == top
 
 
 def test_answer_sequence_fails_at_first_index(toy_engine):
-    result = toy_engine.answer_sequence([tokenize("nothing here"), ("when", "was", "$e", "born")])
+    result = answer_chain(toy_engine, [tokenize("nothing here"), ("when", "was", "$e", "born")])
     assert result.value is None
     assert result.failed_index == 0
 
 
 def test_answer_sequence_step_on_a_value_that_is_no_entity(toy_engine):
     """A literal answer is no entity to ask the next step about."""
-    result = toy_engine.answer_sequence([Q0, ("when", "was", "$e", "born")])
+    result = answer_chain(toy_engine, [Q0, ("when", "was", "$e", "born")])
     assert result.steps[0]["answer"] == "1961"
     assert result.steps[1] == {"question": "when was 1961 born", "reason": "no entity"}
     assert result.failed_index == 1
 
 
 def test_answer_sequence_empty(toy_engine):
-    result = toy_engine.answer_sequence([])
+    result = answer_chain(toy_engine, [])
     assert result.value is None
     assert result.failed_index == 0
 

@@ -13,6 +13,15 @@ from math import fsum, isclose, log
 import pytest
 
 import factqa.learn as learn_module
+from factqa.concepts import ConceptGraph
+from factqa.corpus import (
+    EntityValueExtractor,
+    QaPair,
+    corpus_stats,
+    probe_corpus,
+    tokenize,
+)
+from factqa.kb import KnowledgeBase, expand_predicates, expansion_map
 from factqa.learn import (
     Posterior,
     PredicateModel,
@@ -23,6 +32,7 @@ from factqa.learn import (
     log_likelihood,
     m_step,
 )
+from factqa.pipeline import build_entity_index, corpus_seed_entities
 from oracles import (
     TrainingItem,
     counting_baseline,
@@ -35,6 +45,7 @@ from oracles import (
     log_likelihood_by_item,
     m_step_item_by_item,
     posterior_oracle,
+    training_items,
 )
 
 DOB = ("dob",)
@@ -180,24 +191,167 @@ def test_factor_f_zero_when_path_not_connecting(toy_training):
     assert factor_f(toy_training, "BarackObama", (T_PERSON, ("population",))) == 0.0
 
 
-def test_build_reads_value_probabilities_once_per_entity_value_pair(
-    monkeypatch, toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts, toy_items
-):
-    calls = []
-    kb_type = type(toy_extractor.kb)
-    original = kb_type.value_distribution
+# ---------------------------------------------------------------------------
+# TrainingSet.build: template rows by phrasing shape, path rows from the
+# expansion
 
-    def counting(self, entity, path):
-        calls.append((entity, path))
-        return original(self, entity, path)
+SHAPE_CATEGORIES = {"dob": "date", "population": "number", "birthplace": "location",
+                    "name": "person"}
 
-    monkeypatch.setattr(kb_type, "value_distribution", counting)
-    training = TrainingSet.build(
-        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
-    )
-    pairs = {(i.entity, i.value): len(i.value_probs) for i in toy_items}
-    assert len(pairs) < len(training)
-    assert len(calls) == sum(pairs.values())
+
+def shape_world(isa, context_weights=None, overrides=None):
+    """Six people and two cities, each named "person i" or "city j"; every
+    person has a birth year and birthplace, person 3 a second birthplace,
+    and persons 0 and 1 a spouse behind a marriage node."""
+    triples = [("C0", "population", "1000"), ("C1", "population", "2000"),
+               ("M0", "person", "P1"), ("P0", "marriage", "M0"), ("P1", "marriage", "M1"),
+               ("M1", "person", "P0"), ("P3", "birthplace", "C0")]
+    dictionary = [("C0", "city 0"), ("C1", "city 1")]
+    for i in range(6):
+        triples += [(f"P{i}", "dob", str(1950 + i)), (f"P{i}", "birthplace", f"C{i % 2}"),
+                    (f"P{i}", "name", f"person {i}")]
+        dictionary.append((f"P{i}", f"person {i}"))
+    kb = KnowledgeBase(triples)
+    index, _ = build_entity_index(kb, dictionary)
+    return kb, index, ConceptGraph(isa, context_weights, overrides)
+
+
+def build_args(kb, index, concepts, qa: list[tuple[str, str]]):
+    """The arguments of ``TrainingSet.build`` and of its item-by-item
+    oracle for the QA pairs, as the offline flow makes them."""
+    pairs = [QaPair(tokenize(q), tokenize(a)) for q, a in qa]
+    mentions = probe_corpus(kb, index, pairs).mentions
+    paths = expand_predicates(kb, corpus_seed_entities(mentions), 3)
+    extractor = EntityValueExtractor(kb, index, expansion_map(paths),
+                                     predicate_categories=SHAPE_CATEGORIES)
+    return pairs, mentions, extractor, corpus_stats(pairs), concepts
+
+
+SHAPE_ISA = [
+    # persons 0, 3 and 4 share a prior; so do persons 1 and 2, by other weights
+    ("P0", "person", 1.0), ("P0", "politician", 1.0), ("P3", "person", 2.0),
+    ("P3", "politician", 2.0), ("P4", "politician", 1.0), ("P4", "person", 1.0),
+    ("P1", "person", 1.0), ("P2", "person", 3.0),
+    ("P5", "politician", 2.0), ("P5", "person", 1.0),
+    ("C0", "city", 1.0),  # city 1 has no isA edge: the universal concept
+]
+SHAPE_CONTEXT = {("person", "born"): 0.5, ("politician", "birthday"): 1.0,
+                 ("politician", "exactly"): -0.25, ("city", "live"): 0.3}
+SHAPE_OVERRIDES = {"when was person 0 born": {"politician": 0.7, "person": 0.3}}
+SHAPE_CORPUS = [
+    # one phrasing over three entities of one prior, the override's between
+    ("When was person 3 born?", "1953"),
+    ("When was person 0 born?", "1950"),
+    ("When was person 4 born?", "1954"),
+    # the same, but for a word that carries a context weight
+    ("When was person 4 born exactly?", "In 1954."),
+    # equal priors under different phrasings
+    ("When was person 1 born?", "1951"),
+    ("When is the birthday of person 2?", "1952"),
+    ("When is the birthday of person 1?", "It is 1951"),
+    # a possessive mention
+    ("When is person 5's birthday?", "1955"),
+    ("Who is person 0's wife?", "person 1"),
+    ("How many people live in city 0?", "1000"),
+    ("How many people live in city 1?", "2000"),
+    ("Where was person 3 born?", "city 1"),
+]
+
+
+def shape_key(concepts, question, entity, mentions):
+    start, end = next(span for span, e in mentions[question] if e == entity)
+    return question[:start], question[end:], tuple(concepts.concept_prior(entity).items())
+
+
+def test_build_matches_the_item_oracle_on_a_corpus_of_shared_shapes():
+    kb, index, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
+    args = build_args(kb, index, concepts, SHAPE_CORPUS)
+    training, items, mentions = TrainingSet.build(*args), training_items(*args), args[1]
+    assert (training.assignments, training.groups) == grouped(items)
+    assert training.observations == [(i.question, i.entity, i.value, i.weight) for i in items]
+    rows = {(i.question, i.entity): i.template_probs for i in items}
+    # every kind of entry the corpus was built for is there
+    assert rows[tokenize("when was person 0 born"), "P0"] == {
+        "when was $politician born": 0.7, "when was $person born": 0.3}
+    assert rows[tokenize("when was person 3 born"), "P3"] == rows[
+        tokenize("when was person 4 born"), "P4"] != rows[tokenize("when was person 0 born"), "P0"]
+    born = rows[tokenize("when was person 4 born"), "P4"]
+    exactly = rows[tokenize("when was person 4 born exactly"), "P4"]
+    assert exactly["when was $politician born exactly"] < born["when was $politician born"]
+    assert rows[tokenize("when was person 1 born"), "P1"] == {"when was $person born": 1.0}
+    assert rows[tokenize("how many people live in city 1"), "C1"] == {
+        "how many people live in $entity": 1.0}
+    assert rows[tokenize("when is person 5's birthday"), "P5"].keys() == {
+        "when is $person birthday", "when is $politician birthday"}
+    assert ("P0", "person 1") in {(i.entity, i.value) for i in items}  # a three-step path
+    assert {i.value: i.value_probs for i in items if i.entity == "P3"}["C1"] == {
+        ("birthplace",): 0.5}
+    assert shape_key(concepts, tokenize("when was person 1 born"), "P1", mentions)[2] == (
+        shape_key(concepts, tokenize("when is the birthday of person 2"), "P2", mentions)[2])
+
+
+def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(monkeypatch):
+    kb, index, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
+    calls = {"question_concepts": 0, "value_distribution": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ConceptGraph, "question_concepts")
+    counting(KnowledgeBase, "value_distribution")
+    args = build_args(kb, index, concepts, SHAPE_CORPUS)
+    training = TrainingSet.build(*args)
+    monkeypatch.undo()
+    mentions = args[1]
+    # an overridden question's rows are derived once per entity
+    overridden = {(q, e) for q, e, _, _ in training.observations
+                  if " ".join(q) in concepts.overrides}
+    shapes = {shape_key(concepts, q, e, mentions) for q, e, _, _ in training.observations
+              if (q, e) not in overridden}
+    assert len(overridden) == 1 and len(shapes) < len(training) - 1
+    assert calls == {"question_concepts": len(shapes) + len(overridden), "value_distribution": 0}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_matches_the_item_oracle_on_random_corpora(seed):
+    rng = random.Random(seed)
+    concepts = ["person", "politician", "city", "actor"]
+    isa = [(node, rng.choice(concepts), rng.choice([0.5, 1.0, 2.0, 3.0]))
+           for node in [f"P{i}" for i in range(6)] + ["C0", "C1"] for _ in range(rng.randrange(3))]
+    words = ["born", "birthday", "live", "exactly", "was", "when", "of"]
+    context = {(rng.choice(concepts), rng.choice(words)): rng.uniform(-1.5, 1.5)
+               for _ in range(rng.randrange(5))}
+    phrasings = [("when was {} born", "dob"), ("when was {} born exactly", "dob"),
+                 ("when is the birthday of {}", "dob"), ("when is {}'s birthday", "dob"),
+                 ("when were {} and {} born", "dob"), ("how many people live in {}", "population"),
+                 ("where was {} born", "birthplace"), ("who is {}'s wife", "wife"),
+                 ("{} born when", "dob")]
+    truth = {f"P{i}": {"dob": str(1950 + i), "birthplace": f"city {i % 2}"} for i in range(6)}
+    truth["P0"]["wife"], truth["P1"]["wife"] = "person 1", "person 0"
+    truth["C0"], truth["C1"] = {"population": "1000"}, {"population": "2000"}
+    names = {node: node.replace("P", "person ").replace("C", "city ") for node in truth}
+    qa = []
+    for _ in range(60):
+        phrasing, family = rng.choice(phrasings)
+        nodes = rng.sample(sorted(truth), phrasing.count("{}"))
+        answer = truth[nodes[0]].get(family, "no idea")
+        if rng.random() < 0.25:
+            answer = rng.choice(["1951", "it was 1952", "city 1", "person 0", "2000", "no idea"])
+        qa.append((phrasing.format(*map(names.get, nodes)), answer))
+    overrides = {" ".join(tokenize(q)): {rng.choice(concepts): 1.0}
+                 for q, _ in rng.sample(qa, rng.randrange(3))}
+    kb, index, graph = shape_world(isa, context, overrides)
+    args = build_args(kb, index, graph, qa)
+    training, items = TrainingSet.build(*args), training_items(*args)
+    assert len(training) > 10
+    assert (training.assignments, training.groups) == grouped(items)
+    assert training.observations == [(i.question, i.entity, i.value, i.weight) for i in items]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import answer
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
@@ -364,8 +365,8 @@ def test_question_with_two_mention_spans_carries_no_walk(online, monkeypatch):
     assert (decomposition.sequence, decomposition.score) == ([tokens], 0.0)
     assert decomposition.walk is None
     record = online.answer_record("Who is Barack Obama and Michelle Obama?")
-    # as answered with no walk handed in: probed and walked in place
-    dist = online.engine.answer_distribution(tokens)
+    # as answered with no walk handed in: walked in place
+    dist = answer(online.engine, tokens)
     assert dist.entries == pytest.approx({"1961": 1 / 3, "1964": 2 / 3})
     assert (record["answer"], record["probability"]) == dist.top()
     assert record["trace"]["entity"] == dist.traces[record["answer"]].entity

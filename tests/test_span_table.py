@@ -7,9 +7,10 @@ import random
 import pytest
 
 import oracles
+from conftest import answer
 from factqa import hasharray
 from factqa.concepts import ConceptGraph
-from factqa.corpus import MentionTable, tokenize
+from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.hasharray import ProbeMemo, SpanTable, StaticHashArray, find_mentions
@@ -214,7 +215,7 @@ def test_one_span_naming_two_entities_derives_concepts_once_per_mention(
     dist = engine.answer_distribution(tokens, mentions, decomposition.walk)
     assert len(calls) == len(mentions)
     monkeypatch.undo()
-    assert dist.entries == engine.answer_distribution(tokens).entries
+    assert dist.entries == answer(engine, tokens).entries
     assert dist.entries
 
 
@@ -261,3 +262,21 @@ def test_tables_over_a_probe_memo_equal_those_over_its_index(
     monkeypatch.setattr(StaticHashArray, "has_token", _not_from_the_memo)
     assert [tables(memo, tokens) for tokens in sequences] == want
     assert isinstance(memo.lookup("barack obama"), tuple)
+
+
+def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_dir):
+    """One pass over many questions, each distinct token normalized and each
+    distinct payload tuple filtered once, gives each question what the plain
+    loops give it alone; "obama born" names a value node, no entity."""
+    entries = _ambiguous_entries(toy_kb, data_dir)
+    entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
+    index = StaticHashArray.build(entries)
+    keys = [key for key, _ in entries]
+    questions = list(_sequences(77, 300, 12, keys))
+    probed = probe_corpus(toy_kb, ProbeMemo(index), [QaPair(q, ("a",)) for q in questions])
+    assert list(probed.frequency) == list(dict.fromkeys(questions))
+    for question in questions:
+        n = len(question)
+        assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
+        assert probed.entity_spans[question] == oracles.mention_spans(toy_kb, index, question, n)
+    assert sum(map(len, probed.mentions.values())) > 300
