@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .hasharray import ProbeMemo, SpanTable, StaticHashArray
+from .hasharray import ProbeMemo, SpanTable, StaticHashArray, greedy_walk, probe_run
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
@@ -31,6 +31,7 @@ CATEGORIES = frozenset(
 )
 
 _PUNCT = string.punctuation
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def tokenize(text: str) -> Tokens:
@@ -118,9 +119,14 @@ def load_corpus(path: str | Path) -> list[QaPair]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:  # again, for the error text json.loads gives
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
             try:
                 question, answer = record["question"], record["answer"]
                 count = record.get("count", 1)
@@ -184,25 +190,13 @@ class MentionTable(SpanTable):
     payloads name KB entities (payload order): the greedy walk stops on any
     hit and filters to entities afterwards, so a payload that names no
     entity (a fingerprint false positive) still takes its span.
-
-    A pass over many questions may pass ``keys``, the question's
-    ``lookup_tokens``, and ``entities_of``, which it shares between the
-    tables to filter each distinct payload tuple once.
     """
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens,
-                 keys: Tokens | None = None,
-                 entities_of: dict[tuple[int, ...], list[str]] | None = None):
-        super().__init__(index, lookup_tokens(tokens) if keys is None else keys)
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens):
+        super().__init__(index, lookup_tokens(tokens))
         self.entities: dict[tuple[int, int], list[str]] = {}
         for span, payloads in self.payloads.items():
-            if entities_of is None:
-                entities = _entities(kb, payloads)
-            else:
-                key = tuple(payloads)
-                entities = entities_of.get(key)
-                if entities is None:
-                    entities = entities_of[key] = _entities(kb, payloads)
+            entities = _entities(kb, payloads)
             if entities:
                 self.entities[span] = entities
 
@@ -255,22 +249,68 @@ class CorpusMentions(NamedTuple):
 def probe_corpus(
     kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, corpus: Iterable[QaPair]
 ) -> CorpusMentions:
-    """One MentionTable per distinct question, kept only while it is read.
-    Each distinct token is normalized by ``lookup_token`` once, and each
-    distinct payload tuple filtered to KB entities once, for the whole pass."""
+    """What a ``MentionTable`` of each distinct question gives, built from
+    the question's runs of lookup keys that the token filter passes.
+
+    Every hit lies inside one such run (``SpanTable``), so a run's hits,
+    entity spans and greedy mentions depend on its keys alone: each
+    distinct run is probed, filtered to KB entities and walked once for the
+    whole pass, and a question joins its runs' results in order, spans
+    shifted by the run's offset, an entity named in two runs kept at its
+    first span. Each distinct token is normalized and filtered once."""
     frequency: dict[Tokens, int] = {}
     for pair in corpus:
         frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
-    keys = {token: lookup_token(token) for token in set(chain.from_iterable(frequency))}
-    entities_of: dict[tuple[int, ...], list[str]] = {}
+    # each distinct token's lookup key, or None where the filter stops a run
+    keys: dict[str, str | None] = {}
+    for token in set(chain.from_iterable(frequency)):
+        key = lookup_token(token)
+        keys[token] = key if index.has_token(key) else None
+    # each distinct run's walk and entity spans, run-relative
+    runs: dict[Tokens, tuple[list, list]] = {}
     mentions = {}
     entity_spans = {}
     for question in frequency:
-        table = MentionTable(kb, index, question, tuple(map(keys.__getitem__, question)),
-                             entities_of)
-        mentions[question] = table.mentions()
-        entity_spans[question] = table.entity_spans()
+        found: list[tuple[tuple[int, int], str]] = []
+        spans: set[tuple[int, int]] = set()
+        seen: set[str] = set()
+        run_keys = (*map(keys.__getitem__, question), None)
+        start = 0
+        while start < len(run_keys):
+            stop = run_keys.index(None, start)
+            if start < stop:
+                run = run_keys[start:stop]
+                probed = runs.get(run)
+                if probed is None:
+                    probed = runs[run] = _probe_run(kb, index, run)
+                for (i, j), node in probed[0]:
+                    if node not in seen:
+                        seen.add(node)
+                        found.append(((i + start, j + start), node))
+                spans.update([(i + start, j + start) for i, j in probed[1]])
+            start = stop + 1
+        mentions[question] = found
+        entity_spans[question] = spans
     return CorpusMentions(frequency, mentions, entity_spans)
+
+
+def _probe_run(
+    kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, run: Tokens
+) -> tuple[list[tuple[tuple[int, int], str]], list[tuple[int, int]]]:
+    """For one run of lookup keys that all pass the token filter: the
+    entities of each span of its greedy walk, in walk and payload order,
+    and its spans that name a KB entity, both run-relative."""
+    n = len(run)
+    payloads: dict[tuple[int, int], list[int]] = {}
+    ends: list[list[int]] = [[] for _ in range(n)]
+    probe_run(index, run, 0, n, payloads, ends)
+    entities = {}
+    for span, hit in payloads.items():
+        named = _entities(kb, hit)
+        if named:
+            entities[span] = named
+    walk = [(span, node) for span in greedy_walk(ends, 0, n) for node in entities.get(span, ())]
+    return walk, list(entities)
 
 
 class EntityValueExtractor:
@@ -330,10 +370,13 @@ class EntityValueExtractor:
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:
         return self._expansion.get((entity, value), [])
 
-    def value_probs(self, entity: str, value: str) -> dict[PredicatePath, float]:
-        """P(value | entity, path) for each path connecting the two."""
+    def path_counts(self, entity: str, value: str) -> tuple[tuple[PredicatePath, int], ...]:
+        """Each path connecting the two with the count of the expansion's
+        objects of (entity, path), sorted: P(value | entity, path) is one
+        over that count."""
         objects = self._objects
-        return {path: 1.0 / objects[entity, path] for path in self.connecting_paths(entity, value)}
+        return tuple(sorted([(path, objects[entity, path])
+                             for path in self.connecting_paths(entity, value)]))
 
     def path_category(self, path: PredicatePath) -> str:
         return self.predicate_categories.get(path[-1], CATEGORY_OTHER)

@@ -21,7 +21,7 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .kb import SectionReader, StoreFormatError, packed
 
@@ -110,7 +110,11 @@ class StaticHashArray:
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
     def has_token(self, token: str) -> bool:
-        """False only when no key has ``token`` as a ``split(" ")`` piece."""
+        """False only when no key holds ``token``: some ``split(" ")`` piece
+        of it is a piece of no key (a span equal to a key splits into
+        exactly that key's pieces)."""
+        if " " in token:
+            return all(map(self.has_token, token.split(" ")))
         bit = zlib.crc32(token.encode("utf-8")) & self._token_mask
         return self.token_filter[bit >> 3] >> (bit & 7) & 1 == 1
 
@@ -188,6 +192,38 @@ class ProbeMemo:
         return found
 
 
+def probe_run(index: StaticHashArray | ProbeMemo, keys: Sequence[str], start: int, stop: int,
+              payloads: dict[tuple[int, int], list[int]], ends: list[list[int]]) -> None:
+    """Probe every span of ``keys[start:stop]``, a run of tokens that all
+    pass the token filter, up to the longest key: each hit (i, j) goes into
+    ``payloads`` with its sorted unique payloads, and j into ``ends[i]``,
+    longest first, the greedy walk's probe order."""
+    longest, lookup = index.max_words, index.lookup
+    for i in range(start, stop):
+        found = ends[i]
+        for j in range(min(stop, i + longest), i, -1):
+            candidates = lookup(" ".join(keys[i:j]))
+            if candidates:
+                payloads[(i, j)] = sorted(set(candidates))
+                found.append(j)
+
+
+def greedy_walk(ends: list[list[int]], start: int, end: int) -> list[tuple[int, int]]:
+    """Greedy left-to-right longest-match spans inside ``[start, end)``,
+    given each start's hit ends, longest first (``probe_run``)."""
+    out: list[tuple[int, int]] = []
+    i = start
+    while i < end:
+        for j in ends[i]:
+            if j <= end:
+                out.append((i, j))
+                i = j
+                break
+        else:
+            i += 1
+    return out
+
+
 class SpanTable:
     """Every span of a token sequence probed once against an index.
 
@@ -195,8 +231,9 @@ class SpanTable:
     unique payloads. A span that can equal no key is not probed, so only a
     fingerprint false positive is lost: one longer than the longest key (m
     tokens joined by spaces hold m - 1 spaces), or one with a token that
-    has a ``split(" ")`` piece the token filter misses (a span equal to a
-    key splits into exactly that key's tokens).
+    fails ``has_token``. So every hit lies inside one maximal run of tokens
+    that pass, and the greedy walk of the whole sequence is the walks of
+    its runs joined in order.
     Tokens must already carry whatever normalization was applied to the
     indexed keys. The greedy walk works on any ``[start, end)`` window, so
     one table serves every substring of the sequence.
@@ -206,19 +243,16 @@ class SpanTable:
         toks = list(tokens)
         n = len(toks)
         self.payloads: dict[tuple[int, int], list[int]] = {}
-        # hit ends per start, longest first: the greedy walk's probe order
         self._ends: list[list[int]] = [[] for _ in range(n)]
-        longest, has = index.max_words, index.has_token
-        in_keys = [has(tok) if " " not in tok else all(map(has, tok.split(" "))) for tok in toks]
-        for i in range(n):
-            end = i  # extend over the run of tokens the filter hits
-            while end < n and end - i < longest and in_keys[end]:
-                end += 1
-            for j in range(end, i, -1):
-                candidates = index.lookup(" ".join(toks[i:j]))
-                if candidates:
-                    self.payloads[(i, j)] = sorted(set(candidates))
-                    self._ends[i].append(j)
+        has = index.has_token
+        run = 0  # start of the current run of tokens the filter passes
+        for i, tok in enumerate(toks):
+            if not has(tok):
+                if run < i:
+                    probe_run(index, toks, run, i, self.payloads, self._ends)
+                run = i + 1
+        if run < n:
+            probe_run(index, toks, run, n, self.payloads, self._ends)
 
     def greedy(self, start: int = 0, end: int | None = None) -> list[tuple[int, int]]:
         """Greedy left-to-right longest-match spans inside ``[start, end)``.
@@ -226,20 +260,7 @@ class SpanTable:
         Spans are absolute and never overlap; a span stops the walk on any
         payload hit, whatever the payload names.
         """
-        if end is None:
-            end = len(self._ends)
-        ends = self._ends
-        out: list[tuple[int, int]] = []
-        i = start
-        while i < end:
-            for j in ends[i]:
-                if j <= end:
-                    out.append((i, j))
-                    i = j
-                    break
-            else:
-                i += 1
-        return out
+        return greedy_walk(self._ends, start, len(self._ends) if end is None else end)
 
 
 def find_mentions(

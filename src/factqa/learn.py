@@ -122,18 +122,22 @@ class TrainingSet:
         (``CorpusMentions.mentions``).
 
         Each distinct answer of a question with mentions is matched to KB
-        values once, and each (entity, value) pair's path row is read from
-        the expansion's object counts (``EntityValueExtractor.value_probs``)
-        once, with no walk of the KB. A template row is derived once per
-        phrasing shape: the words before the entity's span, the words after
-        it and the entity's concept prior, the only inputs of
-        ``question_concepts`` and ``derive_templates``. A question that a
-        concept override names has no shape: its rows are derived once per
-        (question, entity) pair."""
+        values once. Each (entity, value) pair's connecting paths are read
+        with the expansion's object counts once
+        (``EntityValueExtractor.path_counts``), with no walk of the KB, and
+        its path row is interned once per distinct such counts. A template
+        row is derived once per phrasing shape: the words before the
+        entity's span, the words after it and the entity's concept prior,
+        the only inputs of ``question_concepts`` and ``derive_templates``. A
+        question that a concept override names has no shape: its rows are
+        derived once per (question, entity) pair."""
         training = cls()
         values: dict[Tokens, set[str]] = {}
-        # P(value | entity, path) over the connecting paths, once per pair
+        # P(value | entity, path) over the connecting paths, read once per
+        # (entity, value) pair and interned once per distinct sorted
+        # (path, object count) pairs, which fix the row
         path_rows: dict[tuple[str, str], int] = {}
+        path_row_of: dict[tuple, int] = {}
         # P(template | entity, question) once per phrasing shape; the
         # entity's span is its first in the question's mentions
         template_rows: dict[tuple, int] = {}
@@ -176,9 +180,13 @@ class TrainingSet:
                         )
                 p_row = path_rows.get((entity, value))
                 if p_row is None:
-                    p_row = path_rows[entity, value] = training.path_row(
-                        extractor.value_probs(entity, value)
-                    )
+                    counts = extractor.path_counts(entity, value)
+                    p_row = path_row_of.get(counts)
+                    if p_row is None:
+                        p_row = path_row_of[counts] = training.path_row(
+                            {path: 1.0 / count for path, count in counts}
+                        )
+                    path_rows[entity, value] = p_row
                 training.add((question, entity, value, mass), p_q, p_e, t_row, p_row)
         return training
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -113,6 +114,25 @@ def test_load_corpus_rejects_bad_records(tmp_path):
         line = f'{{"question": "q", "answer": "a", "count": {count}}}\n'
         with pytest.raises(ValueError, match=r"line 1: bad record \(count must be an integer\)"):
             load_corpus_text(tmp_path, line)
+
+
+GOOD_LINE = '{"question": "q", "answer": "a"}'
+
+
+@pytest.mark.parametrize("lines", [
+    [GOOD_LINE, GOOD_LINE + GOOD_LINE],
+    [GOOD_LINE, GOOD_LINE + ","],
+    [GOOD_LINE, GOOD_LINE + " x"],
+    ["\ufeff" + GOOD_LINE],
+])
+def test_load_corpus_refuses_a_line_that_is_not_one_json_value(tmp_path, lines):
+    """Trailing data after a whole value, and a first line that starts with
+    a byte order mark, are refused with the error text of json.loads."""
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(lines[-1])
+    with pytest.raises(ValueError) as got:
+        load_corpus_text(tmp_path, "".join(line + "\n" for line in lines))
+    assert str(got.value) == f"line {len(lines)}: invalid JSON ({want.value})"
 
 
 def test_load_predicate_categories_rejects_unknown_category(tmp_path):

@@ -292,7 +292,7 @@ def test_build_matches_the_item_oracle_on_a_corpus_of_shared_shapes():
 
 def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(monkeypatch):
     kb, index, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
-    calls = {"question_concepts": 0, "value_distribution": 0}
+    calls = {"question_concepts": 0, "value_distribution": 0, "path_row": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -305,6 +305,7 @@ def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(m
 
     counting(ConceptGraph, "question_concepts")
     counting(KnowledgeBase, "value_distribution")
+    counting(TrainingSet, "path_row")
     args = build_args(kb, index, concepts, SHAPE_CORPUS)
     training = TrainingSet.build(*args)
     monkeypatch.undo()
@@ -315,7 +316,12 @@ def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(m
     shapes = {shape_key(concepts, q, e, mentions) for q, e, _, _ in training.observations
               if (q, e) not in overridden}
     assert len(overridden) == 1 and len(shapes) < len(training) - 1
-    assert calls == {"question_concepts": len(shapes) + len(overridden), "value_distribution": 0}
+    # one path row per distinct row, though (entity, value) pairs share rows
+    rows = training._path_rows[1]
+    pairs = {(e, v) for _, e, v, _ in training.observations}
+    assert len(rows) < len(pairs)
+    assert calls == {"question_concepts": len(shapes) + len(overridden), "value_distribution": 0,
+                     "path_row": len(rows)}
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -10,7 +10,7 @@ import oracles
 from conftest import answer
 from factqa import hasharray
 from factqa.concepts import ConceptGraph
-from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
+from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.hasharray import ProbeMemo, SpanTable, StaticHashArray, find_mentions
@@ -264,19 +264,91 @@ def test_tables_over_a_probe_memo_equal_those_over_its_index(
     assert isinstance(memo.lookup("barack obama"), tuple)
 
 
-def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_dir):
-    """One pass over many questions, each distinct token normalized and each
-    distinct payload tuple filtered once, gives each question what the plain
-    loops give it alone; "obama born" names a value node, no entity."""
+# Questions over the ambiguous index and LONG_KEYS whose runs of lookup keys
+# the token filter passes ("when", "was", "who" and "is" it stops) repeat
+# and interact.
+RUN_QUESTIONS = [
+    # one run at different offsets in different questions
+    ("barack", "obama"),
+    ("when", "was", "barack", "obama"),
+    ("who", "is", "when", "barack", "obama", "was"),
+    # one entity named in two runs of the same question
+    ("barack", "obama", "was", "obama"),
+    ("michelle", "obama", "is", "who", "michelle", "obama", "was", "obama"),
+    # a hit naming no entity stops the walk inside a run: "obama born"
+    # names a value node, and so does the whole five-word run
+    ("when", "was", "obama", "born", "in", "honolulu"),
+    ("who", "is", "michelle", "obama", "born", "in", "honolulu"),
+    # a possessive token inside a run
+    ("when", "was", "barack", "obama's", "wife", "born"),
+    ("who", "is", "the", "wife", "of", "barack", "obama's"),
+]
+
+
+def _runs_index(toy_kb, data_dir) -> StaticHashArray:
     entries = _ambiguous_entries(toy_kb, data_dir)
     entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
     index = StaticHashArray.build(entries)
-    keys = [key for key, _ in entries]
-    questions = list(_sequences(77, 300, 12, keys))
-    probed = probe_corpus(toy_kb, ProbeMemo(index), [QaPair(q, ("a",)) for q in questions])
-    assert list(probed.frequency) == list(dict.fromkeys(questions))
-    for question in questions:
-        n = len(question)
-        assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
-        assert probed.entity_spans[question] == oracles.mention_spans(toy_kb, index, question, n)
-    assert sum(map(len, probed.mentions.values())) > 300
+    assert not any(map(index.has_token, ("when", "was", "who", "is")))
+    return index
+
+
+def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_dir):
+    """One pass over many questions, each distinct run of lookup keys probed,
+    filtered and walked once, gives each question what the plain loops give
+    it alone, over the index and over a memo of it; "obama born" names a
+    value node, no entity."""
+    index = _runs_index(toy_kb, data_dir)
+    keys = [key for key, _ in _ambiguous_entries(toy_kb, data_dir)] + [k for k, _ in LONG_KEYS]
+    questions = RUN_QUESTIONS + list(_sequences(77, 300, 12, keys))
+    pairs = [QaPair(q, ("a",)) for q in questions]
+    for probes in (index, ProbeMemo(index)):
+        probed = probe_corpus(toy_kb, probes, pairs)
+        assert list(probed.frequency) == list(dict.fromkeys(questions))
+        for question in questions:
+            n = len(question)
+            assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
+            assert probed.entity_spans[question] == oracles.mention_spans(
+                toy_kb, index, question, n
+            )
+        assert sum(map(len, probed.mentions.values())) > 300
+        # the entity of two runs at its first span; a non-entity hit hides one
+        assert probed.mentions[RUN_QUESTIONS[3]] == [
+            ((0, 2), "BarackObama"), ((3, 4), "MichelleObama")
+        ]
+        assert probed.mentions[RUN_QUESTIONS[5]] == [((5, 6), "Honolulu")]
+        assert probed.entity_spans[RUN_QUESTIONS[5]] == {(2, 3), (5, 6)}
+        assert probed.mentions[RUN_QUESTIONS[6]] == []
+
+
+def test_probe_corpus_probes_each_span_of_each_distinct_run_once(
+    toy_kb, data_dir, monkeypatch
+):
+    index = _runs_index(toy_kb, data_dir)
+    questions = RUN_QUESTIONS + list(_sequences(78, 200, 12))
+    probed: list[str] = []
+    lookup = ProbeMemo.lookup
+
+    def counting(self, key):
+        probed.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(ProbeMemo, "lookup", counting)
+    probe_corpus(toy_kb, ProbeMemo(index), [QaPair(q, ("a",)) for q in questions])
+    monkeypatch.undo()
+    runs: dict[tuple[str, ...], int] = {}  # each maximal run, and how often it occurs
+    for question in dict.fromkeys(questions):
+        passes = [index.has_token(key) for key in lookup_tokens(question)] + [False]
+        start = 0
+        for stop, ok in enumerate(passes):
+            if not ok:
+                if start < stop:
+                    run = lookup_tokens(question[start:stop])
+                    runs[run] = runs.get(run, 0) + 1
+                start = stop + 1
+    spans = {run: [" ".join(run[i:j]) for i in range(len(run))
+                   for j in range(i + 1, min(len(run), i + index.max_words) + 1)]
+             for run in runs}
+    assert sorted(probed) == sorted(key for run in runs for key in spans[run])
+    # runs do repeat, and probing each question alone would ask more
+    assert sum(len(spans[run]) * count for run, count in runs.items()) > len(probed)
