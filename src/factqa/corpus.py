@@ -10,7 +10,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -62,7 +62,7 @@ def lookup_token(token: str) -> str:
 
 
 def lookup_tokens(tokens: Iterable[str]) -> Tokens:
-    return tuple(lookup_token(t) for t in tokens)
+    return tuple(map(lookup_token, tokens))
 
 
 def normalize_text(text: str) -> str:
@@ -182,30 +182,51 @@ def corpus_stats(corpus: Iterable[QaPair]) -> CorpusStats:
 
 
 class MentionTable(SpanTable):
-    """A question's span table, probed once, with the KB entities per span.
+    """A question's span table, probed on read, with the KB entities per span.
 
     Spans are probed with ``lookup_tokens`` normalization, token by token,
     so a substring's span probes the same key as inside the whole question.
     ``payloads`` keeps every raw hit and ``entities`` the hit spans whose
     payloads name KB entities (payload order): the greedy walk stops on any
     hit and filters to entities afterwards, so a payload that names no
-    entity (a fingerprint false positive) still takes its span.
+    entity (a fingerprint false positive) still takes its span. Each hit
+    is filtered once, after the read that probed it.
     """
 
     def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens):
         super().__init__(index, lookup_tokens(tokens))
-        self.entities: dict[tuple[int, int], list[str]] = {}
-        for span, payloads in self.payloads.items():
-            entities = _entities(kb, payloads)
+        self._kb = kb
+        self._entities: dict[tuple[int, int], list[str]] = {}
+        self._named = 0  # hits filtered so far, in probe order
+
+    @property
+    def entities(self) -> dict[tuple[int, int], list[str]]:
+        self.fill()
+        return self._entities
+
+    def fill(self) -> None:
+        if not self._full:
+            super().fill()
+            self._name()
+
+    def _name(self) -> None:
+        """Filter each hit probed since the last call to its KB entities."""
+        payloads = self._payloads
+        for span, hit in islice(payloads.items(), self._named, None):
+            entities = _entities(self._kb, hit)
             if entities:
-                self.entities[span] = entities
+                self._entities[span] = entities
+        self._named = len(payloads)
 
     def mentions(self, start: int = 0, end: int | None = None) -> list[tuple[tuple[int, int], str]]:
         """``kb_mentions`` of the window ``[start, end)``, spans relative to it."""
+        walk = self.greedy(start, end)
+        if not self._full:  # the walk may have probed
+            self._name()
         out: list[tuple[tuple[int, int], str]] = []
         seen: set[str] = set()
-        for i, j in self.greedy(start, end):
-            for node in self.entities.get((i, j), ()):
+        for i, j in walk:
+            for node in self._entities.get((i, j), ()):
                 if node not in seen:
                     seen.add(node)
                     out.append(((i - start, j - start), node))
@@ -300,16 +321,14 @@ def _probe_run(
     """For one run of lookup keys that all pass the token filter: the
     entities of each span of its greedy walk, in walk and payload order,
     and its spans that name a KB entity, both run-relative."""
-    n = len(run)
-    payloads: dict[tuple[int, int], list[int]] = {}
-    ends: list[list[int]] = [[] for _ in range(n)]
-    probe_run(index, run, 0, n, payloads, ends)
+    payloads, ends = probe_run(index, run)
     entities = {}
     for span, hit in payloads.items():
         named = _entities(kb, hit)
         if named:
             entities[span] = named
-    walk = [(span, node) for span in greedy_walk(ends, 0, n) for node in entities.get(span, ())]
+    walk = [(span, node) for span in greedy_walk(ends, 0, len(run))
+            for node in entities.get(span, ())]
     return walk, list(entities)
 
 

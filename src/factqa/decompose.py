@@ -183,47 +183,63 @@ class Decomposer:
         pattern of positive validity reaches from the whole question.
 
         A substring's primitivity is read from one mention table of the
-        question, probed here, so each span is probed once. The length
+        question, which probes a span only when a read needs it, and each
+        span at most once. A primitive question is answered from the walk
+        of the whole question alone; any other fills the table. The length
         limit bounds the search, so a primitive question, which needs none,
-        is never refused.
+        is never refused, and a longer question is refused before its
+        table is filled.
         """
         question = tuple(tokens)
-        spans = self.engine.probe(question)
-        # first_end[i]: the least end of an entity span starting at i or
-        # later; [i, j) holds an entity span iff first_end[i] <= j
         n = len(question)
+        spans = self.engine.probe(question)
+        mentions = spans.mentions(0, n)
+        walk = self._walk(question, mentions)
+        # Every validity is at most 1 (f_v <= f_o), so no chain can
+        # strictly beat a primitive substring's score of 1.
+        if walk:
+            return Decomposition([question], 1.0, walk, mentions)
+        if n > self.max_question_len:  # only the whole question can be longer
+            raise QuestionTooLongError(n, self.max_question_len)
+        # first_end[i]: the least end of an entity span starting at i or
+        # later; shortest[i]: the least length of a window starting at i
+        # that holds an entity span, first_end[i] - i
         first_end = [n + 1] * (n + 1)
         for i, j in spans.entities:
             first_end[i] = min(first_end[i], j)
+        shortest = [0] * n
         for i in range(n - 1, -1, -1):
             first_end[i] = min(first_end[i], first_end[i + 1])
+            shortest[i] = first_end[i] - i
+        validity = self.patterns.validity
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
         walks: dict[Tokens, tuple[list[tuple[tuple[int, int], str]],
-                                  list[SupportedTemplate] | None]] = {}
+                                  list[SupportedTemplate] | None]] = {question: (mentions, walk)}
 
         def solve(start: int, end: int) -> tuple[float, tuple[Tokens, ...]]:
+            """The score and chain of a proper substring."""
             sub = question[start:end]
             if sub in best:
                 return best[sub]
             mentions = spans.mentions(start, end)
             walk = self._walk(sub, mentions)
             walks[sub] = mentions, walk
-            # Every validity is at most 1 (f_v <= f_o), so no chain can
-            # strictly beat a primitive substring's score of 1.
-            if walk:
-                best[sub] = (1.0, (sub,))
-                return best[sub]
+            best[sub] = (1.0, (sub,)) if walk else split(start, end, sub)
+            return best[sub]
+
+        def split(start: int, end: int, sub: Tokens) -> tuple[float, tuple[Tokens, ...]]:
+            """The best chain of a substring that is not primitive, through
+            an inner span, or the substring itself, scoring 0."""
             size = end - start
-            if size > self.max_question_len:  # only the whole question can be longer
-                raise QuestionTooLongError(size, self.max_question_len)
+            least = shortest[start:end]
             score, sequence = 0.0, (sub,)
             for length in range(size - 1, 0, -1):  # longest first, then leftmost
                 for a in range(size - length + 1):
-                    b = a + length
-                    if first_end[start + a] > start + b:  # no entity span: scores 0
+                    if least[a] > length:  # no entity span: scores 0
                         continue
+                    b = a + length
                     pattern = sub[:a] + (SLOT,) + sub[b:]
-                    p_pattern = self.patterns.validity(pattern)[2]
+                    p_pattern = validity(pattern)[2]
                     if p_pattern <= 0:
                         continue
                     inner_score, inner_seq = solve(start + a, start + b)
@@ -231,14 +247,13 @@ class Decomposer:
                     if candidate > score:  # strict, so the span order breaks ties
                         score = candidate
                         sequence = inner_seq + (pattern,)
-            best[sub] = (score, sequence)
-            return best[sub]
+            return score, sequence
 
         try:
-            score, sequence = solve(0, n)
+            score, sequence = split(0, n, question)
         finally:
-            # solve refers to itself; without this, every call leaves a
-            # cycle (and the question's table) for the cyclic collector
-            del solve
+            # solve and split refer to each other; without this, every call
+            # leaves a cycle (and the question's table) for the cyclic collector
+            del solve, split
         mentions, walk = walks[sequence[0]]
         return Decomposition(list(sequence), score, walk, mentions)

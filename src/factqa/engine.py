@@ -85,7 +85,8 @@ class AnswerEngine:
         return self.surfaces.get(node, node)
 
     def probe(self, tokens: Tokens) -> MentionTable:
-        """The question's mention table, each span probed once."""
+        """The question's mention table: a span is probed when a read of
+        the table first needs it, and only then."""
         return MentionTable(self.kb, self.index, tokens)
 
     def supported_templates(

@@ -21,7 +21,7 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .kb import SectionReader, StoreFormatError, packed
 
@@ -192,67 +192,126 @@ class ProbeMemo:
         return found
 
 
-def probe_run(index: StaticHashArray | ProbeMemo, keys: Sequence[str], start: int, stop: int,
-              payloads: dict[tuple[int, int], list[int]], ends: list[list[int]]) -> None:
-    """Probe every span of ``keys[start:stop]``, a run of tokens that all
-    pass the token filter, up to the longest key: each hit (i, j) goes into
-    ``payloads`` with its sorted unique payloads, and j into ``ends[i]``,
-    longest first, the greedy walk's probe order."""
-    longest, lookup = index.max_words, index.lookup
-    for i in range(start, stop):
-        found = ends[i]
-        for j in range(min(stop, i + longest), i, -1):
-            candidates = lookup(" ".join(keys[i:j]))
-            if candidates:
-                payloads[(i, j)] = sorted(set(candidates))
-                found.append(j)
+def probe_spans(lookup: Callable[[str], Sequence[int]], keys: Sequence[str],
+                payloads: dict[tuple[int, int], list[int]],
+                ends: list[list[int] | tuple[()]]) -> None:
+    """Probe with ``lookup`` every span of ``keys`` that ``ends`` marks as
+    not yet probed (see ``SpanTable``): each hit (i, j) goes into
+    ``payloads`` with its sorted unique payloads, and j into ``ends[i]``
+    in place of the mark, so the list stays longest first. A start with
+    nothing to probe may hold an empty tuple."""
+    for i, found in enumerate(ends):
+        if found and found[-1] < 0:
+            for j in range(-found.pop(), i, -1):
+                candidates = lookup(" ".join(keys[i:j]))
+                if candidates:
+                    payloads[(i, j)] = sorted(set(candidates))
+                    found.append(j)
 
 
-def greedy_walk(ends: list[list[int]], start: int, end: int) -> list[tuple[int, int]]:
+def probe_run(index: StaticHashArray | ProbeMemo, keys: Sequence[str]
+              ) -> tuple[dict[tuple[int, int], list[int]], list[list[int]]]:
+    """Every span of ``keys``, a run of tokens that all pass the token
+    filter, up to the longest key, probed: the hits with their sorted unique
+    payloads, and each start's hit ends, longest first, for ``greedy_walk``."""
+    n, longest = len(keys), index.max_words
+    payloads: dict[tuple[int, int], list[int]] = {}
+    # every span marked as not yet probed; an index with no key has none
+    ends = [[-min(n, i + longest)] for i in range(n)] if longest else [[] for _ in keys]
+    probe_spans(index.lookup, keys, payloads, ends)
+    return payloads, ends
+
+
+def greedy_walk(ends: list[list[int] | tuple[()]], start: int, end: int,
+                probe: Callable[[int, int], int] | None = None) -> list[tuple[int, int]]:
     """Greedy left-to-right longest-match spans inside ``[start, end)``,
-    given each start's hit ends, longest first (``probe_run``)."""
+    given each start's hit ends, longest first. A start whose first end
+    within the window is a mark of spans not yet probed is handed to
+    ``probe(i, end)``: the end of its longest hit within the window, or 0
+    for none."""
     out: list[tuple[int, int]] = []
     i = start
     while i < end:
         for j in ends[i]:
             if j <= end:
-                out.append((i, j))
-                i = j
                 break
         else:
             i += 1
+            continue
+        if j < 0 and not (j := probe(i, end)):
+            i += 1
+            continue
+        out.append((i, j))
+        i = j
     return out
 
 
 class SpanTable:
-    """Every span of a token sequence probed once against an index.
+    """A token sequence's spans, each probed at most once against an index,
+    and only when read.
 
     ``payloads`` maps each span (i, j) that hits the index to its sorted
-    unique payloads. A span that can equal no key is not probed, so only a
-    fingerprint false positive is lost: one longer than the longest key (m
-    tokens joined by spaces hold m - 1 spaces), or one with a token that
+    unique payloads. A span that can equal no key is never probed, so only
+    a fingerprint false positive is lost: one longer than the longest key
+    (m tokens joined by spaces hold m - 1 spaces), or one with a token that
     fails ``has_token``. So every hit lies inside one maximal run of tokens
     that pass, and the greedy walk of the whole sequence is the walks of
     its runs joined in order.
+
+    ``_ends[i]`` lists the ends of the hits at i probed so far, longest
+    first. Spans at i are probed longest first, so the ones not yet probed
+    are shorter than every listed hit: while any remain, the list ends
+    with a mark, minus the end of the longest of them. A greedy walk that
+    reaches a mark probes from there down to the first hit it can take,
+    and nothing else; reading ``payloads`` probes every span still marked.
     Tokens must already carry whatever normalization was applied to the
     indexed keys. The greedy walk works on any ``[start, end)`` window, so
     one table serves every substring of the sequence.
     """
 
     def __init__(self, index: StaticHashArray | ProbeMemo, tokens: Iterable[str]):
-        toks = list(tokens)
-        n = len(toks)
-        self.payloads: dict[tuple[int, int], list[int]] = {}
-        self._ends: list[list[int]] = [[] for _ in range(n)]
-        has = index.has_token
-        run = 0  # start of the current run of tokens the filter passes
-        for i, tok in enumerate(toks):
-            if not has(tok):
-                if run < i:
-                    probe_run(index, toks, run, i, self.payloads, self._ends)
-                run = i + 1
-        if run < n:
-            probe_run(index, toks, run, n, self.payloads, self._ends)
+        self._lookup = index.lookup
+        self._keys = keys = tuple(tokens)
+        self._payloads: dict[tuple[int, int], list[int]] = {}
+        self._full = False
+        # a token the filter stops starts no span that can equal a key; any
+        # other starts spans up to the end of its run of tokens that pass,
+        # at most as long as the longest key
+        self._ends: list[list[int] | tuple[()]] = [()] * len(keys)
+        ends = self._ends
+        longest, has = index.max_words, index.has_token
+        stop = len(keys) if longest else 0  # an index with no key: no span
+        for i in range(stop - 1, -1, -1):
+            if has(keys[i]):
+                ends[i] = [-(i + longest if i + longest < stop else stop)]
+            else:
+                stop = i
+
+    @property
+    def payloads(self) -> dict[tuple[int, int], list[int]]:
+        self.fill()
+        return self._payloads
+
+    def fill(self) -> None:
+        """Probe every span not probed yet."""
+        if not self._full:
+            probe_spans(self._lookup, self._keys, self._payloads, self._ends)
+            self._full = True
+
+    def _probe_down(self, i: int, end: int) -> int:
+        """Probe the spans at i not yet probed, longest first, down to the
+        first hit ending by ``end``: its end, or 0 when none does."""
+        keys, found, lookup = self._keys, self._ends[i], self._lookup
+        for j in range(-found.pop(), i, -1):
+            candidates = lookup(" ".join(keys[i:j]))
+            if candidates:
+                self._payloads[(i, j)] = sorted(set(candidates))
+                found.append(j)
+                if j <= end:
+                    if j - 1 > i:
+                        found.append(1 - j)
+                    return j
+        return 0
 
     def greedy(self, start: int = 0, end: int | None = None) -> list[tuple[int, int]]:
         """Greedy left-to-right longest-match spans inside ``[start, end)``.
@@ -260,7 +319,8 @@ class SpanTable:
         Spans are absolute and never overlap; a span stops the walk on any
         payload hit, whatever the payload names.
         """
-        return greedy_walk(self._ends, start, len(self._ends) if end is None else end)
+        return greedy_walk(self._ends, start, len(self._ends) if end is None else end,
+                           self._probe_down)
 
 
 def find_mentions(
@@ -273,4 +333,4 @@ def find_mentions(
     normalization was applied to the indexed keys.
     """
     table = SpanTable(index, tokens)
-    return [(span, table.payloads[span]) for span in table.greedy()]
+    return [(span, table._payloads[span]) for span in table.greedy()]

@@ -19,7 +19,7 @@ from conftest import answer
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, tokenize
-from factqa.decompose import PatternIndex
+from factqa.decompose import PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
 from factqa.learn import PredicateModel, TrainingSet
@@ -306,6 +306,37 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
     assert built == [tokenize("When was Barack Obama's wife born?")]
 
 
+def _record_lookups(monkeypatch) -> list[str]:
+    """The keys the index is asked, from now on."""
+    keys = []
+    lookup = StaticHashArray.lookup
+
+    def counting(self, key):
+        keys.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(StaticHashArray, "lookup", counting)
+    return keys
+
+
+def test_a_primitive_question_probes_only_the_spans_its_walk_reads(online, monkeypatch):
+    keys = _record_lookups(monkeypatch)
+    assert online.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    # the walk stops at the longest hit at "barack"; a full table would also
+    # probe "barack" and "obama"
+    assert keys == ["barack obama"]
+
+
+def test_a_complex_question_probes_each_key_once_across_walk_and_fill(online, monkeypatch):
+    keys = _record_lookups(monkeypatch)
+    record = online.answer_record("When was Barack Obama's wife born?")
+    assert record["answer"] == "1964"
+    assert len(record["steps"]) == 2
+    # the walk of the whole question, then the spans it left, once each;
+    # the second step probes nothing
+    assert keys == ["barack obama", "barack", "obama"]
+
+
 def test_answer_record_walks_each_window_once(online, monkeypatch):
     windows = []
     mentions = MentionTable.mentions
@@ -438,6 +469,21 @@ def test_length_limit_applies_only_to_non_primitive_questions(tmp_path):
     too_long = "question has 6 tokens, limit is 3"
     assert session.answer_record("When was Barack Obama's wife born?")["reason"] == too_long
     assert session.decompose_record("When was Barack Obama's wife born?")["reason"] == too_long
+
+
+def test_too_long_questions_are_probed_no_further_than_their_walk(tmp_path, monkeypatch):
+    config = make_config(tmp_path, max_question_len=3)
+    run_offline(config)
+    session = OnlineSession(config)
+    keys = _record_lookups(monkeypatch)
+    # primitive: answered from the walk of the whole question
+    assert session.answer_record("When was Barack Obama born?")["answer"] == "1961"
+    assert keys == ["barack obama"]
+    keys.clear()
+    # not primitive: refused before the spans the walk left are probed
+    with pytest.raises(QuestionTooLongError, match="6 tokens, limit is 3"):
+        session.decomposer.decompose(tokenize("When was Barack Obama's wife born?"))
+    assert keys == ["barack obama"]
 
 
 # ---------------------------------------------------------------------------

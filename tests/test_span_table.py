@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -138,6 +139,8 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
     table = MentionTable(toy_kb, index, tokens)
+    table.mentions()
+    table.fill()
     # only spans of one or two tokens that hold no token outside every key:
     # barack obama, barack, obama, michelle obama, michelle, obama
     assert len(probed) == 6
@@ -146,6 +149,18 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
     assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, len(tokens))
     assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, len(tokens))
     assert table.entity_spans() == {(2, 4), (5, 7)}
+
+
+def test_an_index_with_no_key_probes_nothing_even_when_its_filter_passes_all():
+    """A loaded index may carry filter bits with no key; no span is probed
+    and no walk loops on an empty mark."""
+    index = StaticHashArray(1, array("Q", [0, 0]), array("Q"), 0, b"\xff")
+    tokens = ("when", "was", "barack", "obama", "born")
+    assert all(map(index.has_token, tokens))
+    table = SpanTable(index, tokens)
+    assert (table.greedy(), table.greedy(1, 4), table.payloads) == ([], [], {})
+    payloads, ends = hasharray.probe_run(index, tokens)
+    assert (payloads, hasharray.greedy_walk(ends, 0, len(tokens))) == ({}, [])
 
 
 # Keys with multi-word, non-ASCII and empty pieces (the double space in
@@ -180,6 +195,7 @@ def test_filtered_probes_equal_probing_every_span(longest, monkeypatch):
         tokens = tuple(rng.choice(FILTER_VOCAB) for _ in range(rng.randrange(0, 11)))
         monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
         table = SpanTable(index, tokens)
+        table.fill()
         monkeypatch.undo()
         n = len(tokens)
         want = oracles.probe_every_span(index, tokens, n)
@@ -262,6 +278,60 @@ def test_tables_over_a_probe_memo_equal_those_over_its_index(
     monkeypatch.setattr(StaticHashArray, "has_token", _not_from_the_memo)
     assert [tables(memo, tokens) for tokens in sequences] == want
     assert isinstance(memo.lookup("barack obama"), tuple)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_read_order_does_not_change_what_a_table_gives(toy_kb, data_dir, collide, monkeypatch):
+    """Each table read three ways: the walk of the whole question first,
+    then every window; every window first, shortest first, so the whole
+    question comes last; and the whole table first. With ``collide``, the
+    absent key "obama barack" hits as "obama born" does, a value node."""
+    entries = _ambiguous_entries(toy_kb, data_dir)
+    entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
+    if collide:
+        key_hash = hasharray.key_hash
+        monkeypatch.setattr(
+            hasharray, "key_hash",
+            lambda key: key_hash("obama born" if key == "obama barack" else key),
+        )
+    index = StaticHashArray.build(entries)
+    keys = [key for key, _ in entries] + ["obama barack"]
+
+    def everything(table, windows):
+        return (table.payloads, table.entities, table.entity_spans(),
+                {window: table.mentions(*window) for window in windows})
+
+    def walk_first(table, windows):
+        table.mentions()
+        return everything(table, windows)
+
+    def windows_first(table, windows):
+        found = {window: table.mentions(*window)
+                 for window in sorted(windows, key=lambda w: (w[1] - w[0], w))}
+        return everything(table, ())[:3] + (found,)
+
+    def table_first(table, windows):
+        table.fill()
+        return everything(table, windows)
+
+    hits = 0
+    for tokens in _sequences(91, 150, 12, keys):
+        n = len(tokens)
+        windows = [(start, end) for start in range(n + 1) for end in range(start, n + 1)]
+        payloads = oracles.probe_every_span(index, lookup_tokens(tokens), n)
+        entities = {}
+        for span, found in payloads.items():
+            named = [toy_kb.node_name(p) for p in found if toy_kb.has_node_id(p)]
+            named = [node for node in named if toy_kb.is_entity(node)]
+            if named:
+                entities[span] = named
+        want = (payloads, entities, oracles.mention_spans(toy_kb, index, tokens, n),
+                {(start, end): oracles.kb_mentions(toy_kb, index, tokens[start:end], n)
+                 for start, end in windows})
+        for read in (walk_first, windows_first, table_first):
+            assert read(MentionTable(toy_kb, index, tokens), windows) == want, (read, tokens)
+        hits += len(payloads)
+    assert hits > 150
 
 
 # Questions over the ambiguous index and LONG_KEYS whose runs of lookup keys
