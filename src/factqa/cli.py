@@ -11,6 +11,7 @@ quietly with 0.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
@@ -106,6 +107,10 @@ def _cmd_decompose(config: PipelineConfig, questions: list[str]) -> int:
 
 def _cmd_repl(config: PipelineConfig) -> int:
     session = OnlineSession(config)
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        # in every locale, as in argv, a byte that is not UTF-8 reaches its
+        # question as a lone surrogate, not as a decoding error
+        sys.stdin.reconfigure(errors="surrogateescape")
     for line in sys.stdin:
         question = line.strip()
         if not question:

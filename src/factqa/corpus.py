@@ -14,7 +14,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .hasharray import ProbeMemo, SpanTable, StaticHashArray, greedy_walk, probe_run
+from .hasharray import ProbeMemo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
@@ -182,10 +182,10 @@ def corpus_stats(corpus: Iterable[QaPair]) -> CorpusStats:
 
 
 class MentionTable(SpanTable):
-    """A question's span table, probed on read, with the KB entities per span.
+    """A span table of a question's lookup keys (``lookup_tokens``), probed
+    on read, with the KB entities per span.
 
-    Spans are probed with ``lookup_tokens`` normalization, token by token,
-    so a substring's span probes the same key as inside the whole question.
+    The keys are not normalized again: ``lookup_token`` is not idempotent.
     ``payloads`` keeps every raw hit and ``entities`` the hit spans whose
     payloads name KB entities (payload order): the greedy walk stops on any
     hit and filters to entities afterwards, so a payload that names no
@@ -193,8 +193,10 @@ class MentionTable(SpanTable):
     is filtered once, after the read that probed it.
     """
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, tokens: Tokens):
-        super().__init__(index, lookup_tokens(tokens))
+    __slots__ = ("_kb", "_entities", "_named")
+
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, keys: Tokens):
+        super().__init__(index, keys)
         self._kb = kb
         self._entities: dict[tuple[int, int], list[str]] = {}
         self._named = 0  # hits filtered so far, in probe order
@@ -232,13 +234,6 @@ class MentionTable(SpanTable):
                     out.append(((i - start, j - start), node))
         return out
 
-    def entity_spans(self, start: int = 0, end: int | None = None) -> set[tuple[int, int]]:
-        """Every span of the window (not just greedy matches) naming a KB
-        entity, relative to the window."""
-        if end is None:
-            end = len(self._ends)
-        return {(i - start, j - start) for i, j in self.entities if start <= i and j <= end}
-
 
 def kb_mentions(
     kb: KnowledgeBase, index: StaticHashArray, tokens: Tokens
@@ -249,7 +244,7 @@ def kb_mentions(
     name a KB entity (possible fingerprint false positives) are dropped.
     Returns one (span, entity) per distinct entity, first span wins.
     """
-    return MentionTable(kb, index, tokens).mentions()
+    return MentionTable(kb, index, lookup_tokens(tokens)).mentions()
 
 
 def _entities(kb: KnowledgeBase, payloads: Iterable[int]) -> list[str]:
@@ -275,10 +270,10 @@ def probe_corpus(
 
     Every hit lies inside one such run (``SpanTable``), so a run's hits,
     entity spans and greedy mentions depend on its keys alone: each
-    distinct run is probed, filtered to KB entities and walked once for the
-    whole pass, and a question joins its runs' results in order, spans
-    shifted by the run's offset, an entity named in two runs kept at its
-    first span. Each distinct token is normalized and filtered once."""
+    distinct run is read through one ``MentionTable`` for the whole pass,
+    and a question joins its runs' results in order, spans shifted by the
+    run's offset, an entity named in two runs kept at its first span. Each
+    distinct token is normalized and filtered once."""
     frequency: dict[Tokens, int] = {}
     for pair in corpus:
         frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
@@ -303,7 +298,11 @@ def probe_corpus(
                 run = run_keys[start:stop]
                 probed = runs.get(run)
                 if probed is None:
-                    probed = runs[run] = _probe_run(kb, index, run)
+                    table = MentionTable(kb, index, run)
+                    entities = table.entities
+                    walk = [(span, node) for span in table.greedy()
+                            for node in entities.get(span, ())]
+                    probed = runs[run] = (walk, list(entities))
                 for (i, j), node in probed[0]:
                     if node not in seen:
                         seen.add(node)
@@ -313,23 +312,6 @@ def probe_corpus(
         mentions[question] = found
         entity_spans[question] = spans
     return CorpusMentions(frequency, mentions, entity_spans)
-
-
-def _probe_run(
-    kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, run: Tokens
-) -> tuple[list[tuple[tuple[int, int], str]], list[tuple[int, int]]]:
-    """For one run of lookup keys that all pass the token filter: the
-    entities of each span of its greedy walk, in walk and payload order,
-    and its spans that name a KB entity, both run-relative."""
-    payloads, ends = probe_run(index, run)
-    entities = {}
-    for span, hit in payloads.items():
-        named = _entities(kb, hit)
-        if named:
-            entities[span] = named
-    walk = [(span, node) for span in greedy_walk(ends, 0, len(run))
-            for node in entities.get(span, ())]
-    return walk, list(entities)
 
 
 class EntityValueExtractor:

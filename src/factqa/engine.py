@@ -13,7 +13,7 @@ from math import fsum
 from typing import Iterable, Iterator, Mapping
 
 from .concepts import ConceptGraph, derive_templates
-from .corpus import MentionTable, Tokens, tokenize
+from .corpus import MentionTable, Tokens, lookup_tokens, tokenize
 from .decompose import SLOT
 from .hasharray import StaticHashArray
 from .kb import KnowledgeBase, PredicatePath
@@ -87,7 +87,7 @@ class AnswerEngine:
     def probe(self, tokens: Tokens) -> MentionTable:
         """The question's mention table: a span is probed when a read of
         the table first needs it, and only then."""
-        return MentionTable(self.kb, self.index, tokens)
+        return MentionTable(self.kb, self.index, lookup_tokens(tokens))
 
     def supported_templates(
         self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]

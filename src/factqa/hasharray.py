@@ -21,7 +21,7 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .kb import SectionReader, StoreFormatError, packed
 
@@ -33,8 +33,12 @@ _DIGEST = struct.Struct("<QQ")
 
 def key_hash(key: str) -> tuple[int, int]:
     """(bucket hash, fingerprint): the low and high 64 bits of the key's
-    128-bit blake2b digest."""
-    return _DIGEST.unpack(hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest())
+    128-bit blake2b digest. A lone surrogate (a byte that was not UTF-8,
+    decoded with ``surrogateescape``) encodes as itself, so it hashes
+    rather than raises, and equals no key read as strict UTF-8."""
+    return _DIGEST.unpack(
+        hashlib.blake2b(key.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+    )
 
 
 class StaticHashArray:
@@ -105,7 +109,7 @@ class StaticHashArray:
         tokens = {token for key, _ in uniq for token in key.split(" ")}
         token_filter = bytearray(1 << max(len(tokens) - 1, 0).bit_length())
         for token in tokens:
-            bit = zlib.crc32(token.encode("utf-8")) & (len(token_filter) * 8 - 1)
+            bit = zlib.crc32(token.encode("utf-8", "surrogatepass")) & (len(token_filter) * 8 - 1)
             token_filter[bit >> 3] |= 1 << (bit & 7)
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
@@ -115,7 +119,7 @@ class StaticHashArray:
         exactly that key's pieces)."""
         if " " in token:
             return all(map(self.has_token, token.split(" ")))
-        bit = zlib.crc32(token.encode("utf-8")) & self._token_mask
+        bit = zlib.crc32(token.encode("utf-8", "surrogatepass")) & self._token_mask
         return self.token_filter[bit >> 3] >> (bit & 7) & 1 == 1
 
     def lookup(self, key: str) -> list[int]:
@@ -160,6 +164,20 @@ class StaticHashArray:
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
 
+class _TokenMemo(dict):
+    """``index.has_token`` of each token asked, computed on its first ask only."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: StaticHashArray):
+        super().__init__()
+        self._index = index
+
+    def __missing__(self, token: str) -> bool:
+        found = self[token] = self._index.has_token(token)
+        return found
+
+
 class ProbeMemo:
     """An index's probes, each distinct token and key asked of it once.
 
@@ -170,19 +188,15 @@ class ProbeMemo:
     finite input, such as one offline run over its corpus.
     """
 
-    __slots__ = ("index", "max_words", "_tokens", "_keys")
+    __slots__ = ("index", "max_words", "has_token", "_keys")
 
     def __init__(self, index: StaticHashArray):
         self.index = index
         self.max_words = index.max_words
-        self._tokens: dict[str, bool] = {}
+        # a dict's own lookup: a token asked before, as every key of a run
+        # that ``probe_corpus`` hands a span table was, costs no Python call
+        self.has_token = _TokenMemo(index).__getitem__
         self._keys: dict[str, tuple[int, ...]] = {}
-
-    def has_token(self, token: str) -> bool:
-        found = self._tokens.get(token)
-        if found is None:
-            found = self._tokens[token] = self.index.has_token(token)
-        return found
 
     def lookup(self, key: str) -> tuple[int, ...]:
         found = self._keys.get(key)
@@ -190,60 +204,6 @@ class ProbeMemo:
             payloads = self.index.lookup(key)
             found = self._keys[key] = tuple(sorted(set(payloads))) if payloads else ()
         return found
-
-
-def probe_spans(lookup: Callable[[str], Sequence[int]], keys: Sequence[str],
-                payloads: dict[tuple[int, int], list[int]],
-                ends: list[list[int] | tuple[()]]) -> None:
-    """Probe with ``lookup`` every span of ``keys`` that ``ends`` marks as
-    not yet probed (see ``SpanTable``): each hit (i, j) goes into
-    ``payloads`` with its sorted unique payloads, and j into ``ends[i]``
-    in place of the mark, so the list stays longest first. A start with
-    nothing to probe may hold an empty tuple."""
-    for i, found in enumerate(ends):
-        if found and found[-1] < 0:
-            for j in range(-found.pop(), i, -1):
-                candidates = lookup(" ".join(keys[i:j]))
-                if candidates:
-                    payloads[(i, j)] = sorted(set(candidates))
-                    found.append(j)
-
-
-def probe_run(index: StaticHashArray | ProbeMemo, keys: Sequence[str]
-              ) -> tuple[dict[tuple[int, int], list[int]], list[list[int]]]:
-    """Every span of ``keys``, a run of tokens that all pass the token
-    filter, up to the longest key, probed: the hits with their sorted unique
-    payloads, and each start's hit ends, longest first, for ``greedy_walk``."""
-    n, longest = len(keys), index.max_words
-    payloads: dict[tuple[int, int], list[int]] = {}
-    # every span marked as not yet probed; an index with no key has none
-    ends = [[-min(n, i + longest)] for i in range(n)] if longest else [[] for _ in keys]
-    probe_spans(index.lookup, keys, payloads, ends)
-    return payloads, ends
-
-
-def greedy_walk(ends: list[list[int] | tuple[()]], start: int, end: int,
-                probe: Callable[[int, int], int] | None = None) -> list[tuple[int, int]]:
-    """Greedy left-to-right longest-match spans inside ``[start, end)``,
-    given each start's hit ends, longest first. A start whose first end
-    within the window is a mark of spans not yet probed is handed to
-    ``probe(i, end)``: the end of its longest hit within the window, or 0
-    for none."""
-    out: list[tuple[int, int]] = []
-    i = start
-    while i < end:
-        for j in ends[i]:
-            if j <= end:
-                break
-        else:
-            i += 1
-            continue
-        if j < 0 and not (j := probe(i, end)):
-            i += 1
-            continue
-        out.append((i, j))
-        i = j
-    return out
 
 
 class SpanTable:
@@ -264,14 +224,16 @@ class SpanTable:
     with a mark, minus the end of the longest of them. A greedy walk that
     reaches a mark probes from there down to the first hit it can take,
     and nothing else; reading ``payloads`` probes every span still marked.
-    Tokens must already carry whatever normalization was applied to the
+    Keys must already carry whatever normalization was applied to the
     indexed keys. The greedy walk works on any ``[start, end)`` window, so
     one table serves every substring of the sequence.
     """
 
-    def __init__(self, index: StaticHashArray | ProbeMemo, tokens: Iterable[str]):
+    __slots__ = ("_lookup", "_keys", "_payloads", "_full", "_ends")
+
+    def __init__(self, index: StaticHashArray | ProbeMemo, keys: Iterable[str]):
         self._lookup = index.lookup
-        self._keys = keys = tuple(tokens)
+        self._keys = keys = tuple(keys)
         self._payloads: dict[tuple[int, int], list[int]] = {}
         self._full = False
         # a token the filter stops starts no span that can equal a key; any
@@ -295,7 +257,14 @@ class SpanTable:
     def fill(self) -> None:
         """Probe every span not probed yet."""
         if not self._full:
-            probe_spans(self._lookup, self._keys, self._payloads, self._ends)
+            keys, payloads, lookup = self._keys, self._payloads, self._lookup
+            for i, found in enumerate(self._ends):
+                if found and found[-1] < 0:
+                    for j in range(-found.pop(), i, -1):
+                        candidates = lookup(" ".join(keys[i:j]))
+                        if candidates:
+                            payloads[(i, j)] = sorted(set(candidates))
+                            found.append(j)
             self._full = True
 
     def _probe_down(self, i: int, end: int) -> int:
@@ -317,10 +286,27 @@ class SpanTable:
         """Greedy left-to-right longest-match spans inside ``[start, end)``.
 
         Spans are absolute and never overlap; a span stops the walk on any
-        payload hit, whatever the payload names.
+        payload hit, whatever the payload names. A start whose first end
+        within the window is a mark is probed down to its longest hit there.
         """
-        return greedy_walk(self._ends, start, len(self._ends) if end is None else end,
-                           self._probe_down)
+        ends = self._ends
+        if end is None:
+            end = len(ends)
+        out: list[tuple[int, int]] = []
+        i = start
+        while i < end:
+            for j in ends[i]:
+                if j <= end:
+                    break
+            else:
+                i += 1
+                continue
+            if j < 0 and not (j := self._probe_down(i, end)):
+                i += 1
+                continue
+            out.append((i, j))
+            i = j
+        return out
 
 
 def find_mentions(

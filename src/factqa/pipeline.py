@@ -154,7 +154,7 @@ def load_config(
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from factqa.corpus import MentionTable, QaPair, probe_corpus, tokenize
+from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
@@ -80,10 +80,10 @@ def test_pattern_index_build_matches_every_span_oracle(vocab, fixed):
 
 def test_mention_spans_enumerates_all_hits(toy_kb, toy_index):
     index, _ = toy_index
-    spans = MentionTable(toy_kb, index, tokenize("when was barack obama born")).entity_spans()
-    assert spans == {(2, 4)}
-    spans = MentionTable(toy_kb, index, tokenize("barack obama's wife")).entity_spans()
-    assert spans == {(0, 2)}
+    table = MentionTable(toy_kb, index, lookup_tokens(tokenize("when was barack obama born")))
+    assert set(table.entities) == {(2, 4)}
+    table = MentionTable(toy_kb, index, lookup_tokens(tokenize("barack obama's wife")))
+    assert set(table.entities) == {(0, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def test_dp_equals_bruteforce_with_few_entity_windows(one_token_decomposer, plac
     spans_per_question = {"first": 1, "last": 1, "one-of-two": 2}[placement]
     chained = 0
     for tokens in _placed_questions(placement):
-        spans = decomposer.engine.probe(tokens).entity_spans()
+        spans = set(decomposer.engine.probe(tokens).entities)
         assert len(spans) == spans_per_question, tokens
         if placement == "first":
             assert spans == {(0, 1)}, tokens

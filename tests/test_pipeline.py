@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import stat
 import struct
@@ -18,7 +19,7 @@ import pytest
 from conftest import answer
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
-from factqa.corpus import MentionTable, tokenize
+from factqa.corpus import MentionTable, lookup_tokens, tokenize
 from factqa.decompose import PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
@@ -296,14 +297,14 @@ def test_answer_record_probes_each_question_once(online, monkeypatch):
 
     monkeypatch.setattr(MentionTable, "__init__", counting)
     assert online.answer_record("When was Barack Obama born?")["answer"] == "1961"
-    assert built == [tokenize("When was Barack Obama born?")]
+    assert built == [lookup_tokens(tokenize("When was Barack Obama born?"))]
     built.clear()
     record = online.answer_record("When was Barack Obama's wife born?")
     assert record["answer"] == "1964"
     assert len(record["steps"]) == 2
     # the head is answered from the question's own table, and the second
     # step from the entity the head answered, with no table of its own
-    assert built == [tokenize("When was Barack Obama's wife born?")]
+    assert built == [lookup_tokens(tokenize("When was Barack Obama's wife born?"))]
 
 
 def _record_lookups(monkeypatch) -> list[str]:
@@ -742,6 +743,51 @@ def test_cli_repl(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(records) == 1
     assert records[0]["answer"] == "1961"
+
+
+@pytest.mark.parametrize("command, code", [("repl", 0), ("answer", 4), ("decompose", 0)])
+def test_cli_question_with_a_byte_that_is_not_utf8_gets_its_record(tmp_path, capsys,
+                                                                    monkeypatch, command, code):
+    """The interpreter decodes argv and stdin with ``surrogateescape``, so
+    such a byte reaches the question as a lone surrogate: it is probed like
+    any other token and names no entity."""
+    import io
+
+    config = make_config(tmp_path)
+    run_offline(config)
+    questions = ["When was Barack Obama born?", "\udcff bad", "when was barack\udcff obama born"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(q + "\n" for q in questions)))
+    args = [] if command == "repl" else questions
+    exit_code, records = run_cli([command, *cli_flags(config), *args], capsys)
+    assert exit_code == code
+    assert [record["question"] for record in records] == questions
+    if command != "decompose":
+        assert [record["answer"] for record in records] == ["1961", None, None]
+        assert [record["reason"] for record in records[1:]] == ["no entity", "no entity"]
+
+
+def test_cli_repl_reads_a_byte_that_is_not_utf8_whatever_the_locale(built_data):
+    """Where the locale would decode stdin strictly, as a UTF-8 locale other
+    than C.UTF-8 does, the repl still reads such a byte as a surrogate."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "factqa", "repl", "--config", str(built_data / "pipeline.cfg")],
+        input=b"When was Barack Obama born?\n\xff bad\nwho is obama\n", capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [record["question"] for record in records] == [
+        "When was Barack Obama born?", "\udcff bad", "who is obama"
+    ]
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"index = x\xff\n")
+    proc = _module_cli("answer", "--config", str(bad), "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert f"cannot read config {bad}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["repl", "answer"])

@@ -20,8 +20,14 @@ from factqa.pipeline import load_entity_dictionary
 VOCAB = [
     "when", "was", "born", "who", "is", "the", "wife", "of", "how", "many",
     "people", "in", "barack", "obama", "obama's", "michelle", "honolulu",
-    "born'",
+    "born'", "obama's's",
 ]
+
+
+def _window_spans(table: MentionTable, start: int, end: int) -> set[tuple[int, int]]:
+    """The table's spans naming a KB entity inside ``[start, end)``,
+    relative to it."""
+    return {(i - start, j - start) for i, j in table.entities if start <= i and j <= end}
 
 
 def _ambiguous_entries(toy_kb, data_dir) -> list[tuple[str, int]]:
@@ -77,7 +83,7 @@ def test_greedy_and_all_span_mentions_match_the_plain_loops(toy_kb, data_dir, lo
     assert index.max_words == longest
     keys = [key for key, _ in entries]
     for tokens in _sequences(31 + longest, 150, 12, keys):
-        table = MentionTable(toy_kb, index, tokens)
+        table = MentionTable(toy_kb, index, lookup_tokens(tokens))
         n = len(tokens)
         for start in range(n + 1):
             for end in range(start, n + 1):
@@ -85,7 +91,7 @@ def test_greedy_and_all_span_mentions_match_the_plain_loops(toy_kb, data_dir, lo
                 assert table.mentions(start, end) == oracles.kb_mentions(
                     toy_kb, index, sub, n
                 ), (tokens, start, end)
-                assert table.entity_spans(start, end) == oracles.mention_spans(
+                assert _window_spans(table, start, end) == oracles.mention_spans(
                     toy_kb, index, sub, n
                 ), (tokens, start, end)
 
@@ -115,7 +121,7 @@ def test_table_primitivity_matches_is_primitive_on_every_substring(
     assert {len(q) for q in questions} == {12}
     primitive_seen = 0
     for question in questions:
-        table = MentionTable(toy_kb, ambiguous_index, question)
+        table = MentionTable(toy_kb, ambiguous_index, lookup_tokens(question))
         for start in range(len(question)):
             for end in range(start + 1, len(question) + 1):
                 sub = question[start:end]
@@ -138,7 +144,7 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
         return lookup(self, key)
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting_lookup)
-    table = MentionTable(toy_kb, index, tokens)
+    table = MentionTable(toy_kb, index, lookup_tokens(tokens))
     table.mentions()
     table.fill()
     # only spans of one or two tokens that hold no token outside every key:
@@ -147,20 +153,20 @@ def test_spans_longer_than_every_key_are_not_probed(toy_kb, toy_index, monkeypat
     assert all(len(key.split(" ")) <= 2 for key in probed)
     monkeypatch.undo()
     assert table.mentions() == oracles.kb_mentions(toy_kb, index, tokens, len(tokens))
-    assert table.entity_spans() == oracles.mention_spans(toy_kb, index, tokens, len(tokens))
-    assert table.entity_spans() == {(2, 4), (5, 7)}
+    assert set(table.entities) == oracles.mention_spans(toy_kb, index, tokens, len(tokens))
+    assert set(table.entities) == {(2, 4), (5, 7)}
 
 
-def test_an_index_with_no_key_probes_nothing_even_when_its_filter_passes_all():
+def test_an_index_with_no_key_probes_nothing_even_when_its_filter_passes_all(toy_kb):
     """A loaded index may carry filter bits with no key; no span is probed
-    and no walk loops on an empty mark."""
+    and no walk loops on an empty mark, also in the corpus pass."""
     index = StaticHashArray(1, array("Q", [0, 0]), array("Q"), 0, b"\xff")
     tokens = ("when", "was", "barack", "obama", "born")
     assert all(map(index.has_token, tokens))
     table = SpanTable(index, tokens)
     assert (table.greedy(), table.greedy(1, 4), table.payloads) == ([], [], {})
-    payloads, ends = hasharray.probe_run(index, tokens)
-    assert (payloads, hasharray.greedy_walk(ends, 0, len(tokens))) == ({}, [])
+    probed = probe_corpus(toy_kb, index, [QaPair(tokens, ("a",))])
+    assert (probed.mentions, probed.entity_spans) == ({tokens: []}, {tokens: set()})
 
 
 # Keys with multi-word, non-ASCII and empty pieces (the double space in
@@ -262,9 +268,9 @@ def test_tables_over_a_probe_memo_equal_those_over_its_index(
 
     def tables(probes, tokens):
         spans = SpanTable(probes, tokens)
-        mentions = MentionTable(toy_kb, probes, tokens)
+        mentions = MentionTable(toy_kb, probes, lookup_tokens(tokens))
         return (spans.payloads, spans.greedy(), find_mentions(probes, tokens),
-                mentions.entities, mentions.mentions(), mentions.entity_spans())
+                mentions.entities, mentions.mentions())
 
     table = MentionTable(toy_kb, memo, ("when", "was", "obama", "barack", "born"))
     if collide:
@@ -298,7 +304,7 @@ def test_read_order_does_not_change_what_a_table_gives(toy_kb, data_dir, collide
     keys = [key for key, _ in entries] + ["obama barack"]
 
     def everything(table, windows):
-        return (table.payloads, table.entities, table.entity_spans(),
+        return (table.payloads, table.entities, set(table.entities),
                 {window: table.mentions(*window) for window in windows})
 
     def walk_first(table, windows):
@@ -329,7 +335,8 @@ def test_read_order_does_not_change_what_a_table_gives(toy_kb, data_dir, collide
                 {(start, end): oracles.kb_mentions(toy_kb, index, tokens[start:end], n)
                  for start, end in windows})
         for read in (walk_first, windows_first, table_first):
-            assert read(MentionTable(toy_kb, index, tokens), windows) == want, (read, tokens)
+            table = MentionTable(toy_kb, index, lookup_tokens(tokens))
+            assert read(table, windows) == want, (read, tokens)
         hits += len(payloads)
     assert hits > 150
 
