@@ -10,11 +10,11 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .hasharray import ProbeMemo, SpanTable, StaticHashArray
+from .hasharray import Memo, ProbeMemo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
@@ -190,45 +190,28 @@ class MentionTable(SpanTable):
     payloads name KB entities (payload order): the greedy walk stops on any
     hit and filters to entities afterwards, so a payload that names no
     entity (a fingerprint false positive) still takes its span. Each hit
-    is filtered once, after the read that probed it.
+    span is named once, on its first read.
     """
 
-    __slots__ = ("_kb", "_entities", "_named")
+    __slots__ = ("_names",)
 
     def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, keys: Tokens):
         super().__init__(index, keys)
-        self._kb = kb
-        self._entities: dict[tuple[int, int], list[str]] = {}
-        self._named = 0  # hits filtered so far, in probe order
+        payloads = self._payloads
+        self._names = Memo(lambda span: _entities(kb, payloads[span]))
 
     @property
     def entities(self) -> dict[tuple[int, int], list[str]]:
-        self.fill()
-        return self._entities
-
-    def fill(self) -> None:
-        if not self._full:
-            super().fill()
-            self._name()
-
-    def _name(self) -> None:
-        """Filter each hit probed since the last call to its KB entities."""
-        payloads = self._payloads
-        for span, hit in islice(payloads.items(), self._named, None):
-            entities = _entities(self._kb, hit)
-            if entities:
-                self._entities[span] = entities
-        self._named = len(payloads)
+        names = self._names
+        return {span: entities for span in self.payloads if (entities := names[span])}
 
     def mentions(self, start: int = 0, end: int | None = None) -> list[tuple[tuple[int, int], str]]:
         """``kb_mentions`` of the window ``[start, end)``, spans relative to it."""
-        walk = self.greedy(start, end)
-        if not self._full:  # the walk may have probed
-            self._name()
+        names = self._names
         out: list[tuple[tuple[int, int], str]] = []
         seen: set[str] = set()
-        for i, j in walk:
-            for node in self._entities.get((i, j), ()):
+        for i, j in self.greedy(start, end):
+            for node in names[(i, j)]:
                 if node not in seen:
                     seen.add(node)
                     out.append(((i - start, j - start), node))
@@ -282,7 +265,7 @@ def probe_corpus(
     for token in set(chain.from_iterable(frequency)):
         key = lookup_token(token)
         keys[token] = key if index.has_token(key) else None
-    # each distinct run's walk and entity spans, run-relative
+    # each distinct run's entity spans and mentions, run-relative
     runs: dict[Tokens, tuple[list, list]] = {}
     mentions = {}
     entity_spans = {}
@@ -299,15 +282,14 @@ def probe_corpus(
                 probed = runs.get(run)
                 if probed is None:
                     table = MentionTable(kb, index, run)
-                    entities = table.entities
-                    walk = [(span, node) for span in table.greedy()
-                            for node in entities.get(span, ())]
-                    probed = runs[run] = (walk, list(entities))
-                for (i, j), node in probed[0]:
+                    # the table read in full first: its walk then probes nothing
+                    probed = runs[run] = (list(table.entities), table.mentions())
+                run_spans, walk = probed
+                for (i, j), node in walk:
                     if node not in seen:
                         seen.add(node)
                         found.append(((i + start, j + start), node))
-                spans.update([(i + start, j + start) for i, j in probed[1]])
+                spans.update([(i + start, j + start) for i, j in run_spans])
             start = stop + 1
         mentions[question] = found
         entity_spans[question] = spans

@@ -2,10 +2,11 @@
 
 Each key is hashed once with blake2b to 128 bits: the low 64 bits select a
 bucket, the high 64 bits are stored as a full-width fingerprint next to the
-payload. Construction goes through an ordinary chained table which is then
-flattened into one contiguous item array plus a prefix-sum offset array, so
-lookups touch two cache-friendly slabs and the structure serializes as a
-flat file.
+payload. Construction sorts the distinct (bucket, fingerprint, payload)
+cells into one contiguous item array plus a prefix-sum offset array, so
+lookups touch two cache-friendly slabs, return their payloads sorted and
+unique, and the structure serializes as a flat file whose bytes depend only
+on the set of entries.
 
 Lookups never miss an inserted key; distinct keys can collide on both
 halves, so a lookup may return extra payloads, which callers filter by
@@ -20,13 +21,14 @@ import hashlib
 import struct
 import zlib
 from array import array
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .kb import SectionReader, StoreFormatError, packed
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct("<7sIQQQQ")
 _DIGEST = struct.Struct("<QQ")
 
@@ -46,7 +48,7 @@ class StaticHashArray:
 
     ``offsets`` has bucket_count + 1 entries in prefix-sum form;
     ``items`` interleaves (fingerprint, payload) pairs. Items of one
-    bucket are adjacent, in insertion order. ``max_words`` is the largest
+    bucket are adjacent, sorted and unique. ``max_words`` is the largest
     ``key.count(" ") + 1`` over the keys, 0 when there are none.
     ``token_filter`` is a bitset of a power-of-two byte count, at least the
     number of distinct key tokens: 8 to 16 bits per token.
@@ -73,40 +75,34 @@ class StaticHashArray:
         """Build from (key, payload) pairs.
 
         Duplicate (key, payload) pairs collapse to one; the same key may
-        keep several distinct payloads. Keys must be non-empty.
+        keep several distinct payloads. Keys must be non-empty. The result,
+        its bytes included, depends only on the set of pairs, not on their
+        order.
         """
-        seen: set[tuple[str, int]] = set()
-        uniq: list[tuple[str, int]] = []
+        pairs: set[tuple[str, int]] = set()
         for key, payload in entries:
             if not key:
                 raise ValueError("empty key")
             if not 0 <= payload < 1 << 64:
                 raise ValueError(f"payload out of u64 range: {payload}")
-            pair = (key, payload)
-            if pair not in seen:
-                seen.add(pair)
-                uniq.append(pair)
+            pairs.add((key, payload))
         bucket_count = 1
-        while bucket_count < len(uniq):
+        while bucket_count < len(pairs):
             bucket_count <<= 1
         mask = bucket_count - 1
-        # Intermediate dynamic chained table, then flatten.
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(bucket_count)]
-        for key, payload in uniq:
+        cells = set()
+        for key, payload in pairs:
             bucket_hash, fingerprint = key_hash(key)
-            buckets[bucket_hash & mask].append((fingerprint, payload))
-        offsets = array("Q", [0] * (bucket_count + 1))
+            cells.add((bucket_hash & mask, fingerprint, payload))
+        sizes = [0] * (bucket_count + 1)
         items = array("Q")
-        pos = 0
-        for b, bucket in enumerate(buckets):
-            offsets[b] = pos
-            for fingerprint, payload in bucket:
-                items.append(fingerprint)
-                items.append(payload)
-            pos += len(bucket)
-        offsets[bucket_count] = pos
-        max_words = max((key.count(" ") + 1 for key, _ in uniq), default=0)
-        tokens = {token for key, _ in uniq for token in key.split(" ")}
+        for bucket, fingerprint, payload in sorted(cells):
+            sizes[bucket + 1] += 1
+            items.append(fingerprint)
+            items.append(payload)
+        offsets = array("Q", accumulate(sizes))
+        max_words = max((key.count(" ") + 1 for key, _ in pairs), default=0)
+        tokens = {token for key, _ in pairs for token in key.split(" ")}
         token_filter = bytearray(1 << max(len(tokens) - 1, 0).bit_length())
         for token in tokens:
             bit = zlib.crc32(token.encode("utf-8", "surrogatepass")) & (len(token_filter) * 8 - 1)
@@ -123,7 +119,8 @@ class StaticHashArray:
         return self.token_filter[bit >> 3] >> (bit & 7) & 1 == 1
 
     def lookup(self, key: str) -> list[int]:
-        """Payloads stored under fingerprints matching this key.
+        """Payloads stored under fingerprints matching this key, sorted
+        and unique.
 
         Never misses an inserted key; may include false positives when a
         different key shares both halves of the hash.
@@ -164,17 +161,17 @@ class StaticHashArray:
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
 
-class _TokenMemo(dict):
-    """``index.has_token`` of each token asked, computed on its first ask only."""
+class Memo(dict):
+    """``compute(key)`` of each key asked, computed on its first ask only."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("_compute",)
 
-    def __init__(self, index: StaticHashArray):
+    def __init__(self, compute: Callable):
         super().__init__()
-        self._index = index
+        self._compute = compute
 
-    def __missing__(self, token: str) -> bool:
-        found = self[token] = self._index.has_token(token)
+    def __missing__(self, key):
+        found = self[key] = self._compute(key)
         return found
 
 
@@ -182,8 +179,8 @@ class ProbeMemo:
     """An index's probes, each distinct token and key asked of it once.
 
     Exposes what ``SpanTable`` reads: ``max_words``, ``has_token`` and
-    ``lookup``, the latter's payloads sorted and unique, as a span table
-    keeps them, and as a tuple so no two callers share a list. The memo
+    ``lookup``, the latter's payloads as the index gives them, sorted and
+    unique, but as a tuple so no two callers share a list. The memo
     grows with every distinct key probed, so it suits one pass over a
     finite input, such as one offline run over its corpus.
     """
@@ -195,14 +192,13 @@ class ProbeMemo:
         self.max_words = index.max_words
         # a dict's own lookup: a token asked before, as every key of a run
         # that ``probe_corpus`` hands a span table was, costs no Python call
-        self.has_token = _TokenMemo(index).__getitem__
+        self.has_token = Memo(index.has_token).__getitem__
         self._keys: dict[str, tuple[int, ...]] = {}
 
     def lookup(self, key: str) -> tuple[int, ...]:
         found = self._keys.get(key)
         if found is None:
-            payloads = self.index.lookup(key)
-            found = self._keys[key] = tuple(sorted(set(payloads))) if payloads else ()
+            found = self._keys[key] = tuple(self.index.lookup(key))
         return found
 
 
@@ -210,9 +206,10 @@ class SpanTable:
     """A token sequence's spans, each probed at most once against an index,
     and only when read.
 
-    ``payloads`` maps each span (i, j) that hits the index to its sorted
-    unique payloads. A span that can equal no key is never probed, so only
-    a fingerprint false positive is lost: one longer than the longest key
+    ``payloads`` maps each span (i, j) that hits the index to its payloads
+    as the index gives them (sorted and unique), in a list of the table's
+    own. A span that can equal no key is never probed, so only a
+    fingerprint false positive is lost: one longer than the longest key
     (m tokens joined by spaces hold m - 1 spaces), or one with a token that
     fails ``has_token``. So every hit lies inside one maximal run of tokens
     that pass, and the greedy walk of the whole sequence is the walks of
@@ -263,7 +260,7 @@ class SpanTable:
                     for j in range(-found.pop(), i, -1):
                         candidates = lookup(" ".join(keys[i:j]))
                         if candidates:
-                            payloads[(i, j)] = sorted(set(candidates))
+                            payloads[(i, j)] = list(candidates)
                             found.append(j)
             self._full = True
 
@@ -274,7 +271,7 @@ class SpanTable:
         for j in range(-found.pop(), i, -1):
             candidates = lookup(" ".join(keys[i:j]))
             if candidates:
-                self._payloads[(i, j)] = sorted(set(candidates))
+                self._payloads[(i, j)] = list(candidates)
                 found.append(j)
                 if j <= end:
                     if j - 1 > i:

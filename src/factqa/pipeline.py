@@ -246,15 +246,17 @@ _BESIDE = {
 }
 
 
-def _refuse_shared_files(config: PipelineConfig, *artifacts: str,
-                         config_file: Path | None = None) -> None:
+def _refuse_artifact_paths(config: PipelineConfig, *artifacts: str,
+                           config_file: Path | None = None, written: bool = False) -> None:
     """Refuse two of the files that the ``artifacts`` settings name, the
     files beside them included, that resolve to one path, and any of them
     that resolves to a configured input file or to the ``config_file`` the
     settings were read from: one would overwrite the other. Paths are
     compared made absolute and normalized, with no file system call
     (``Path.resolve`` makes one per path component, which online start-up
-    would pay), so two that meet only through a symlink pass."""
+    would pay), so two that meet only through a symlink pass. Files to be
+    ``written`` are refused too where they name an existing directory,
+    which no artifact can be renamed onto once its stage has run."""
     seen = {os.path.abspath(getattr(config, n)): n for n in _INPUT_FIELDS if getattr(config, n)}
     if config_file is not None:
         seen.setdefault(os.path.abspath(config_file), "the config file")
@@ -267,6 +269,8 @@ def _refuse_shared_files(config: PipelineConfig, *artifacts: str,
             other = seen.setdefault(os.path.abspath(file), label)
             if other != label:
                 raise ConfigError(f"{other} and {label} resolve to one file: {file}")
+            if written and os.path.isdir(file):
+                raise ConfigError(f"{label} names a directory: {file}")
 
 
 def _read(load, *paths: Path | None, advice: str = ""):
@@ -427,7 +431,7 @@ def run_build_index(config: PipelineConfig, config_file: Path | None = None) -> 
     """The load and build-index stages; artifacts written atomically. No
     artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "index")
-    _refuse_shared_files(config, "index", config_file=config_file)
+    _refuse_artifact_paths(config, "index", config_file=config_file, written=True)
     with _Staged() as run:
         index = _index_stage(run, config, load_inputs(config, corpus=False, concepts=False))
     return {"index": str(config.index), "items": len(index)}
@@ -437,7 +441,7 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
     """The load, build-index and expand stages; artifacts written atomically.
     No artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "corpus", "expansion")
-    _refuse_shared_files(config, "index", "expansion", config_file=config_file)
+    _refuse_artifact_paths(config, "index", "expansion", config_file=config_file, written=True)
     with _Staged() as run:
         inputs = load_inputs(config, concepts=False)
         probes = ProbeMemo(_index_stage(run, config, inputs))
@@ -449,8 +453,8 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
     """Index build, expansion, extraction, learning; atomic artifact writes.
     No artifact may overwrite ``config_file``, the settings' file."""
     config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report")
-    _refuse_shared_files(config, "index", "expansion", "model", "report", "observations",
-                         config_file=config_file)
+    _refuse_artifact_paths(config, "index", "expansion", "model", "report", "observations",
+                           config_file=config_file, written=True)
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
@@ -485,7 +489,7 @@ class OnlineSession:
 
     def __init__(self, config: PipelineConfig):
         config.require("index", "model")
-        _refuse_shared_files(config, "index", "model")
+        _refuse_artifact_paths(config, "index", "model")
         store_file = store_path(config.index)
         patterns_file, concepts_file = patterns_path(config.model), concepts_path(config.model)
         missing = [str(p) for p in (config.index, store_file, config.model, patterns_file,

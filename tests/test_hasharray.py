@@ -105,19 +105,28 @@ def test_offsets_invariants_on_random_builds():
         assert all(a <= b for a, b in zip(offsets, offsets[1:]))
 
 
-def test_items_within_bucket_keep_insertion_order():
-    # reconstruct expected bucket contents from the hashes and check the
-    # flattened array lists each bucket's payloads in insertion order
+def test_buckets_hold_sorted_unique_pairs_whatever_the_entry_order():
+    # keys carry several payloads from a small shared pool, some put twice;
+    # the same entries shuffled or reversed build the same bytes
     rng = random.Random(8)
-    keys = random_keys(rng, 200)
-    idx = StaticHashArray.build((k, i) for i, k in enumerate(keys))
-    mask = idx.bucket_count - 1
-    by_bucket: dict[int, list[int]] = {}
-    for i, k in enumerate(keys):
-        by_bucket.setdefault(key_hash(k)[0] & mask, []).append(i)
-    flat = list(idx.items[1::2])
-    expected = [i for b in range(idx.bucket_count) for i in by_bucket.get(b, [])]
-    assert flat == expected
+    pool = [rng.getrandbits(64) for _ in range(4)]
+    for n in (1, 7, 64, 300):
+        entries = [(k, rng.choice(pool)) for k in random_keys(rng, n)
+                   for _ in range(rng.randint(1, 4))]
+        idx = StaticHashArray.build(entries)
+        pairs = list(zip(idx.items[::2], idx.items[1::2]))
+        offsets = list(idx.offsets)
+        for a, b in zip(offsets, offsets[1:]):
+            assert all(x < y for x, y in zip(pairs[a:b], pairs[a + 1:b]))
+        put: dict[str, set[int]] = {}
+        for key, payload in entries:
+            put.setdefault(key, set()).add(payload)
+        for key, payloads in put.items():
+            assert idx.lookup(key) == sorted(payloads)
+        shuffled = entries[:]
+        rng.shuffle(shuffled)
+        for order in (shuffled, entries[::-1]):
+            assert StaticHashArray.build(order).to_bytes() == idx.to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +192,7 @@ def test_version_1_header_names_the_version(tmp_path):
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(StoreFormatError, match="index format version 1, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 1, expected 5"):
         load_blob(tmp_path, blob)
 
 
@@ -192,7 +201,7 @@ def test_version_2_header_names_the_version(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 2, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 2, expected 5"):
         load_blob(tmp_path, blob)
 
 
@@ -201,8 +210,17 @@ def test_version_3_header_names_the_version(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 3, expected 4"):
+    with pytest.raises(StoreFormatError, match="index format version 3, expected 5"):
         load_blob(tmp_path, blob)
+
+
+def test_version_4_header_names_the_version(tmp_path):
+    # the layout written before each bucket's pairs were sorted: the same
+    # sections, buckets in insertion order
+    blob = bytearray(StaticHashArray.build([("alpha", 7)]).to_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 4)
+    with pytest.raises(StoreFormatError, match="index format version 4, expected 5"):
+        load_blob(tmp_path, bytes(blob))
 
 
 def test_max_words_round_trips(tmp_path):

@@ -692,13 +692,44 @@ def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message)
 )
 def test_cli_shared_artifact_path_exits_2_before_any_stage(built_data, command, flags,
                                                            message):
-    before = {path: path.read_bytes() for path in built_data.rglob("*") if path.is_file()}
-    flags = [flag if flag.startswith("--") else str(built_data / flag) for flag in flags]
-    proc = _cli_with_input(command, "--config", str(built_data / "pipeline.cfg"), *flags)
+    _assert_refused_before_any_stage(built_data, command, flags, message)
+
+
+@pytest.mark.parametrize(
+    "command, flags, directory, message",
+    [
+        ("pipeline", ["--report", "out"], "out", "report names a directory"),
+        ("build-index", ["--index", "out"], "out", "index names a directory"),
+        ("expand", ["--expansion", "out"], "out", "expansion names a directory"),
+        ("pipeline", ["--observations", "out/obs"], "out/obs",
+         "observations names a directory"),
+        ("build-index", ["--index", "out/i"], "out/i.kb",
+         "the KB store of index names a directory"),
+        ("pipeline", ["--model", "out/m.tsv"], "out/m.patterns.tsv",
+         "the pattern file of model names a directory"),
+        ("pipeline", ["--model", "out/m.tsv"], "out/m.concepts",
+         "the concept file of model names a directory"),
+    ],
+    ids=["report", "index", "expansion", "observations", "kb-store", "pattern-file",
+         "concept-file"],
+)
+def test_cli_artifact_path_naming_a_directory_exits_2_before_any_stage(
+    built_data, command, flags, directory, message
+):
+    (built_data / directory).mkdir(exist_ok=True)
+    _assert_refused_before_any_stage(built_data, command, flags, message)
+
+
+def _assert_refused_before_any_stage(data: Path, command: str, flags: list[str],
+                                     message: str) -> None:
+    """The command exits 2 with ``message`` and changes no file under ``data``."""
+    before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
+    flags = [flag if flag.startswith("--") else str(data / flag) for flag in flags]
+    proc = _cli_with_input(command, "--config", str(data / "pipeline.cfg"), *flags)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
-    after = {path: path.read_bytes() for path in built_data.rglob("*") if path.is_file()}
+    after = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
     assert after == before
 
 
@@ -864,7 +895,7 @@ def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(index) in proc.stderr
-    assert "index format version 1, expected 4: rerun the offline flow" in proc.stderr
+    assert "index format version 1, expected 5: rerun the offline flow" in proc.stderr
 
 
 def test_kb_edit_after_training_keeps_the_trained_answer(built_data):
@@ -1134,13 +1165,20 @@ def _v3_layout(blob: bytes) -> bytes:
     )
 
 
+def _v4_layout(blob: bytes) -> bytes:
+    # the layout written before each bucket's pairs were sorted: the same
+    # sections under version 4
+    return blob[:7] + struct.pack("<I", 4) + blob[7 + 4:]
+
+
 @pytest.mark.parametrize(
     "rewrite, message",
     [
         (_zero_max_words, "corrupt header: longest key of 0 words for 3 items"),
         (lambda blob: blob + b"garbage!", "trailing bytes after the token filter"),
-        (_v2_layout, "index format version 2, expected 4"),
-        (_v3_layout, "index format version 3, expected 4"),
+        (_v2_layout, "index format version 2, expected 5"),
+        (_v3_layout, "index format version 3, expected 5"),
+        (_v4_layout, "index format version 4, expected 5"),
         (_filter_bytes(0), "corrupt token filter: 0 bytes, not a power of two"),
         (_filter_bytes(3), "corrupt token filter: 3 bytes, not a power of two"),
         (lambda blob: blob[:-1], "truncated token filter"),
@@ -1151,10 +1189,10 @@ def _v3_layout(blob: bytes) -> bytes:
         (_u64_at(_OFFSETS + 8, 1 << 40), _NOT_MONOTONE),
         (_last_offset_past_the_items, _NOT_MONOTONE),
     ],
-    ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "zero-filter-bytes",
-         "filter-bytes-not-a-power-of-two", "truncated-filter", "huge-bucket-count",
-         "huge-item-count", "huge-filter-bytes", "bucket-count-not-a-power-of-two",
-         "offsets-fall", "offsets-end-past-the-items"],
+    ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "version-4",
+         "zero-filter-bytes", "filter-bytes-not-a-power-of-two", "truncated-filter",
+         "huge-bucket-count", "huge-item-count", "huge-filter-bytes",
+         "bucket-count-not-a-power-of-two", "offsets-fall", "offsets-end-past-the-items"],
 )
 def test_cli_refused_index_exits_2(built_data, rewrite, message):
     index = built_data / "out" / "toy.index"
