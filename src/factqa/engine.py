@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, Iterator, Mapping
 
-from .concepts import ConceptGraph, derive_templates
+from .concepts import ConceptGraph
 from .corpus import MentionTable, Tokens, lookup_tokens, tokenize
 from .decompose import SLOT
 from .hasharray import StaticHashArray
@@ -93,14 +93,23 @@ class AnswerEngine:
         self, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]
     ) -> Iterator[SupportedTemplate]:
         """(entity, template text, P(template), model row) for each template
-        derived from a mention that the model has a row for; per mention,
-        in template text order."""
+        that ``derive_templates`` gives a mention and the model has a row
+        for; per mention, in template text order.
+
+        A mention's shape, the words before and after its span, is looked
+        up in the model's ``by_shape`` index: a shape that no template has
+        yields nothing and asks for no concepts, and any other takes the
+        entries whose concept ``question_concepts`` weights positively."""
+        tokens = tuple(tokens)
+        by_shape = self.model.by_shape
         for span, entity in mentions:
+            entries = by_shape.get((tokens[:span[0]], tokens[span[1]:]))
+            if entries is None:
+                continue
             concept_dist = self.concepts.question_concepts(tokens, entity, span)
-            templates = derive_templates(tokens, span, concept_dist)
-            for text, p_template in sorted((t.text, p) for t, p in templates.items()):
-                row = self.model.row(text)
-                if row:  # derive_templates keeps only positive P(template)
+            for text, concept, row in entries:
+                p_template = concept_dist.get(concept, 0.0)
+                if not p_template <= 0:  # as derive_templates, which keeps nan
                     yield entity, text, p_template, row
 
     def answer_distribution(

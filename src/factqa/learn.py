@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping
 
-from .concepts import ConceptGraph, derive_templates
+from .concepts import PLACEHOLDER_MARK, ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, QaPair, Tokens
 from .kb import PredicatePath, convert_last, read_tsv
 
@@ -206,8 +206,16 @@ def write_observations(observations: Iterable[Observation], fp: IO[str]) -> None
         fp.write(f"{' '.join(question)}\t{entity}\t{value}\t{weight!r}\n")
 
 
+# A template of the model by the words around its slot: (text, concept, row).
+ShapeEntry = tuple[str, str, Mapping[PredicatePath, float]]
+
+
 class PredicateModel:
-    """Sparse conditional table P(path | template), rows summing to one."""
+    """Sparse conditional table P(path | template), rows summing to one.
+
+    ``by_shape`` indexes the templates with a row by the words around their
+    slot; it is built on first use, so the models EM makes step by step
+    never build it."""
 
     def __init__(self, rows: dict[str, dict[PredicatePath, float]] | None = None):
         self._rows: dict[str, dict[PredicatePath, float]] = {
@@ -226,6 +234,31 @@ class PredicateModel:
     def row(self, template: str) -> Mapping[PredicatePath, float]:
         """A read-only view of the template's row; empty if it has none."""
         return MappingProxyType(self._rows.get(template, {}))
+
+    @cached_property
+    def by_shape(self) -> dict[tuple[Tokens, Tokens], list[ShapeEntry]]:
+        """(the words before the slot, the words after it) -> (template
+        text, concept, row) for each template with a non-empty row, in text
+        order.
+
+        A concept name may hold a space, so a slot ``$c`` may span several
+        words: each template is filed under every split that starts at a
+        word beginning with ``$`` and ends at any later word boundary. For
+        tokens that hold no space, the words around a mention's span and a
+        concept then name an entry exactly when ``derive_templates`` gives
+        that entry's text for them."""
+        shapes: dict[tuple[Tokens, Tokens], list[ShapeEntry]] = {}
+        for text in sorted(self._rows):
+            if not self._rows[text]:
+                continue
+            row = self.row(text)
+            words = tuple(text.split(" "))
+            for i, word in enumerate(words):
+                if word.startswith(PLACEHOLDER_MARK):
+                    for j in range(i + 1, len(words) + 1):
+                        concept = " ".join(words[i:j])[len(PLACEHOLDER_MARK):]
+                        shapes.setdefault((words[:i], words[j:]), []).append((text, concept, row))
+        return shapes
 
     def prob(self, template: str, path: PredicatePath) -> float:
         return self._rows.get(template, {}).get(path, 0.0)

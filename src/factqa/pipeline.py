@@ -256,7 +256,9 @@ def _refuse_artifact_paths(config: PipelineConfig, *artifacts: str,
     (``Path.resolve`` makes one per path component, which online start-up
     would pay), so two that meet only through a symlink pass. Files to be
     ``written`` are refused too where they name an existing directory,
-    which no artifact can be renamed onto once its stage has run."""
+    which no artifact can be renamed onto once its stage has run, or where
+    the nearest existing directory above them is another kind of file,
+    under which no temp file can be staged."""
     seen = {os.path.abspath(getattr(config, n)): n for n in _INPUT_FIELDS if getattr(config, n)}
     if config_file is not None:
         seen.setdefault(os.path.abspath(config_file), "the config file")
@@ -269,8 +271,15 @@ def _refuse_artifact_paths(config: PipelineConfig, *artifacts: str,
             other = seen.setdefault(os.path.abspath(file), label)
             if other != label:
                 raise ConfigError(f"{other} and {label} resolve to one file: {file}")
-            if written and os.path.isdir(file):
+            if not written:
+                continue
+            if os.path.isdir(file):
                 raise ConfigError(f"{label} names a directory: {file}")
+            parent = os.path.dirname(os.path.abspath(file))
+            while not os.path.lexists(parent):
+                parent = os.path.dirname(parent)
+            if not os.path.isdir(parent):
+                raise ConfigError(f"{label} lies under a file that is not a directory: {parent}")
 
 
 def _read(load, *paths: Path | None, advice: str = ""):
@@ -312,7 +321,8 @@ class _Staged:
     """One offline run's artifacts, each written to a temp file and renamed
     into place only when every stage has succeeded. A failure in the
     ``with`` block that is not already a StageError becomes one naming the
-    current ``stage``."""
+    current ``stage``; a failed rename is one of stage "write", and leaves
+    the artifacts renamed before it in place and no temp file."""
 
     def __init__(self) -> None:
         self.pending: list[tuple[Path, Path]] = []
@@ -338,8 +348,13 @@ class _Staged:
 
     def __exit__(self, kind, exc, tb) -> None:
         if exc is None:
-            for tmp, final in self.pending:
-                os.replace(tmp, final)
+            for done, (tmp, final) in enumerate(self.pending):
+                try:
+                    os.replace(tmp, final)
+                except OSError as error:
+                    for left, _ in self.pending[done:]:
+                        left.unlink(missing_ok=True)
+                    raise StageError("write", f"cannot write {final}: {error}") from error
             return
         for tmp, _ in self.pending:
             tmp.unlink(missing_ok=True)

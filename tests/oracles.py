@@ -11,6 +11,9 @@
 - Concept priors and conceptualization as they stood before each
   entity's prior was cached: the isA edges scanned, the prior normalized
   and the token loop run on every call.
+- The online template walk as it stood before the model's templates were
+  indexed by shape: each mention's templates derived from its concept
+  distribution, sorted by text, and kept where the model has a row.
 - The training set item by item, as it stood before observations were
   folded into candidate groups as they were extracted: one
   ``TrainingItem`` per observation with its template and path
@@ -40,6 +43,7 @@ from factqa.corpus import (
     CorpusStats, EntityValueExtractor, QaPair, Tokens, lookup_tokens, normalize_text,
 )
 from factqa.decompose import SLOT, Decomposer, Decomposition, QuestionTooLongError
+from factqa.engine import AnswerEngine, SupportedTemplate
 from factqa.hasharray import StaticHashArray
 from factqa.kb import NAME_PREDICATE, KnowledgeBase, PredicatePath
 from factqa.learn import (
@@ -244,6 +248,22 @@ def question_concepts(
     if override:
         return dict(override)
     return conceptualize(edges, context_weights, tokens, entity, mention) or {"entity": 1.0}
+
+
+def supported_templates(
+    engine: AnswerEngine, tokens: Tokens, mentions: list[tuple[tuple[int, int], str]]
+) -> list[SupportedTemplate]:
+    """Per mention, every template ``derive_templates`` gives it, in text
+    order, that the model has a row for."""
+    out: list[SupportedTemplate] = []
+    for span, entity in mentions:
+        concept_dist = engine.concepts.question_concepts(tokens, entity, span)
+        templates = derive_templates(tokens, span, concept_dist)
+        for text, p_template in sorted((t.text, p) for t, p in templates.items()):
+            row = engine.model.row(text)
+            if row:
+                out.append((entity, text, p_template, row))
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from math import fsum
 
 import pytest
 
 from conftest import answer, answer_chain
-from factqa.concepts import ConceptGraph, derive_templates
+from factqa.concepts import FALLBACK_CONCEPT, ConceptGraph, derive_templates
 from factqa.corpus import kb_mentions, tokenize
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase
 from factqa.learn import PredicateModel
+from oracles import supported_templates as supported_templates_oracle
 
 Q0 = tokenize("When was Barack Obama born?")
 
@@ -39,6 +41,69 @@ def quadruple_sum_oracle(engine, tokens):
     if total <= 0:
         return {}
     return {v: m / total for v, m in raw.items() if m > 0}
+
+
+def test_supported_templates_equal_the_derive_and_filter_walk(toy_kb, toy_index):
+    """On random graphs, models and tokenized questions, with repeated
+    words, concept names that hold a space or equal a question word, empty
+    prefixes and suffixes, override questions and the fallback concept."""
+    rng = random.Random(0x7E3)
+    words = ["who", "is", "the", "of", "x", "born", "head"]
+    names = ["person", "city", "head of state", "of x", "x", "is the"]
+    entities = ["e0", "e1", "e2", "bare"]  # bare has no isA edge: the fallback
+    yielded: set[str] = set()
+    overridden = 0
+    for _ in range(200):
+        edges = [(e, rng.choice(names), rng.uniform(0.1, 2.0))
+                 for e in entities[:3] for _ in range(rng.randint(1, 3))]
+        questions = [tuple(rng.choices(words, k=rng.randint(1, 6))) for _ in range(4)]
+        overrides = {" ".join(questions[0]): {c: rng.choice([0.0, 0.5, 1.0])
+                                              for c in rng.sample(names, 3)}}
+        context = {(c, w): rng.uniform(-1.5, 1.0) for c in names for w in rng.sample(words, 2)}
+        graph = ConceptGraph(edges, context if rng.random() < 0.5 else None, overrides)
+        texts = set()
+        for q in questions:  # templates of the questions' own shapes
+            i = rng.randrange(len(q))
+            j = rng.randint(i + 1, len(q))
+            concepts = rng.sample(names, 3) + [FALLBACK_CONCEPT]
+            texts.update(" ".join(q[:i] + ("$" + c,) + q[j:]) for c in concepts)
+        for _ in range(4):  # and texts with stray or several slot words
+            texts.add(" ".join(rng.choices(words + ["$x", "$of", "$person"], k=rng.randint(1, 4))))
+        model = PredicateModel({t: {("dob",): 1.0} if rng.random() < 0.9 else {} for t in texts})
+        engine = AnswerEngine(toy_kb, toy_index[0], graph, model)
+        for q in questions:
+            spans = [(i, j) for i in range(len(q)) for j in range(i + 1, len(q) + 1)]
+            mentions = [(rng.choice(spans), rng.choice(entities)) for _ in range(rng.randint(1, 3))]
+            got = list(engine.supported_templates(q, mentions))
+            assert got == supported_templates_oracle(engine, q, mentions), (q, mentions)
+            yielded.update(text for _, text, _, _ in got)
+            overridden += bool(got) and " ".join(q) in overrides
+    # the draws reach every case the docstring names ("$entity" only by the
+    # fallback), with empty prefixes and empty suffixes
+    for slot in ("$head of state", "$of x", "$is the", "$entity"):
+        assert any(slot in text for text in yielded), slot
+    assert any(text.startswith("$") for text in yielded)
+    assert any(text.split(" ")[-1].startswith("$") for text in yielded)
+    assert overridden
+
+
+def test_mention_of_an_unknown_shape_asks_for_no_concepts(toy_engine, monkeypatch):
+    calls = []
+    original = ConceptGraph.question_concepts
+
+    def counting(self, tokens, *args, **kwargs):
+        calls.append(tuple(tokens))
+        return original(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(ConceptGraph, "question_concepts", counting)
+    unknown = tokenize("is Barack Obama nice")
+    mentions = toy_engine.probe(unknown).mentions()
+    assert mentions
+    assert list(toy_engine.supported_templates(unknown, mentions)) == []
+    assert calls == []
+    mentions = toy_engine.probe(Q0).mentions()
+    assert list(toy_engine.supported_templates(Q0, mentions))
+    assert calls == [Q0] * len(mentions)
 
 
 def test_answer_distribution_toy_fixture_values(toy_engine):

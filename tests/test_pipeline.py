@@ -124,6 +124,25 @@ def test_concurrent_staged_runs_keep_their_own_temp_files(tmp_path):
     assert stat.S_IMODE(final.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+def test_failed_rename_is_a_stage_error_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    config = make_config(tmp_path)
+    renamed = []
+    replace = os.replace
+
+    def failing_second(src, dst):
+        if len(renamed) == 1:
+            raise IsADirectoryError(21, "Is a directory", str(dst))
+        replace(src, dst)
+        renamed.append(Path(dst))
+
+    monkeypatch.setattr(os, "replace", failing_second)
+    with pytest.raises(StageError, match="stage 'write' failed: cannot write .*toy.index.kb"):
+        run_offline(config)
+    # the artifact renamed before the failure stays; no later one arrives
+    assert renamed == [config.index]
+    assert sorted(p.name for p in config.index.parent.iterdir()) == ["toy.index"]
+
+
 def test_run_offline_is_deterministic(tmp_path):
     config_a = make_config(tmp_path / "a")
     config_b = make_config(tmp_path / "b")
@@ -685,10 +704,17 @@ def test_cli_knob_out_of_range_exits_2_before_any_stage(tmp_path, flag, message)
         ("expand", ["--expansion", "pipeline.cfg"],
          "the config file and expansion resolve to one file"),
         ("build-index", ["--index", "pipeline.cfg"], "the config file and index resolve to one file"),
+        ("pipeline", ["--report", "pipeline.cfg/x"],
+         "report lies under a file that is not a directory"),
+        ("build-index", ["--index", "toy_kb.tsv/idx"],
+         "index lies under a file that is not a directory"),
+        ("expand", ["--expansion", "pipeline.cfg/a/b.tsv"],
+         "expansion lies under a file that is not a directory"),
     ],
     ids=["expansion-is-report", "index-is-model", "report-is-corpus", "index-is-concepts",
          "index-is-kb", "online-index-is-model", "report-is-config", "model-is-config",
-         "expansion-is-config", "index-is-config"],
+         "expansion-is-config", "index-is-config", "report-under-config", "index-under-kb",
+         "expansion-two-below-config"],
 )
 def test_cli_shared_artifact_path_exits_2_before_any_stage(built_data, command, flags,
                                                            message):
