@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Machine-readable records go to stdout as JSON lines; logging goes to
-stderr. Exit codes: 0 success, 2 configuration error (online, also an
-artifact that cannot be read: the online commands read no input file), 3
-stage failure (offline, also an input that cannot be read), 4 unanswerable
-question in batch mode. A stdout closed by its reader ends the command
+stderr. Exit codes: 0 success, 2 configuration error (also an input file
+that a command reads and that is missing, before any stage runs, and online
+an artifact that cannot be read: the online commands read no input file), 3
+stage failure (offline, also an input file that exists but cannot be read
+or parsed), 4 unanswerable question in batch mode. A stdout closed by its reader ends the command
 quietly with 0.
 """
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import fsum, inf, isfinite
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .corpus import normalize_text
 from .kb import (
@@ -58,11 +58,20 @@ class Template:
         return " ".join(self.tokens)
 
 
-def _positive_weight(text: str) -> float:
-    weight = float(text)
-    if not weight > 0:
-        raise ValueError(f"isA edge weight must be positive, got {text}")
-    return weight
+def _number(rule: str, holds: Callable[[float], bool]) -> Callable[[str], float]:
+    """A TSV field reader: the field's float, a ValueError stating ``rule``
+    when it does not hold (NaN holds none of the rules below)."""
+    def read(text: str) -> float:
+        value = float(text)
+        if not holds(value):
+            raise ValueError(f"{rule}, got {text}")
+        return value
+    return read
+
+
+_positive_weight = _number("isA edge weight must be positive", lambda w: w > 0)
+_context_weight = _number("context weight must be finite", isfinite)
+_probability = _number("override probability must be in [0, 1]", lambda p: 0 <= p <= 1)
 
 
 class ConceptGraph:
@@ -76,10 +85,10 @@ class ConceptGraph:
     from edges offline, or read back from the concept file
     (``load_concepts``) online; the two are equal in every accessor.
 
-    ``context_weights`` maps (concept, token) to a non-negative boost used
-    by :meth:`conceptualize`. ``overrides`` pins an exact concept
-    distribution to a full question string and wins over any computation,
-    which keeps worked examples reproducible bit for bit.
+    ``context_weights`` maps (concept, token) to a finite boost, possibly
+    negative, used by :meth:`conceptualize`. ``overrides`` pins an exact
+    concept distribution to a full question string and wins over any
+    computation, which keeps worked examples reproducible bit for bit.
     """
 
     def __init__(
@@ -132,12 +141,12 @@ class ConceptGraph:
         edges = read_tsv(isa_path, 3, convert_last(_positive_weight))
         weights = None
         if context_weights_path is not None:
-            rows = read_tsv(context_weights_path, 3, convert_last(float))
+            rows = read_tsv(context_weights_path, 3, convert_last(_context_weight))
             weights = {(c, tok): w for c, tok, w in rows}
         overrides: dict[str, dict[str, float]] | None = None
         if overrides_path is not None:
             overrides = {}
-            for question, concept, prob in read_tsv(overrides_path, 3, convert_last(float)):
+            for question, concept, prob in read_tsv(overrides_path, 3, convert_last(_probability)):
                 # keys are stored in tokenized form so any surface spelling
                 # of the question matches at lookup time
                 overrides.setdefault(normalize_text(question), {})[concept] = prob
@@ -173,27 +182,32 @@ class ConceptGraph:
         P(c | q, e) is proportional to P(c | e) * (1 + sum of the
         context weights of tokens outside the mention span), a factor
         clamped at 0, since a context weight may be negative. Empty when
-        every factor is 0, as for an entity without isA edges. With no
-        context weights every factor is exactly 1, so the token loop is
-        skipped and this is the prior divided by its fsum.
+        every factor is 0, as for an entity without isA edges, and when a
+        factor or their sum is not finite. With no context weights every
+        factor is exactly 1, so the token loop is skipped and this is the
+        prior divided by its fsum.
         """
         prior = self.concept_prior(entity)
         if not prior:
             return {}
         weights = self.context_weights
         scores = prior
-        if weights:
-            toks = list(tokens)
-            if mention is not None:
-                start, end = mention
-                toks = toks[:start] + toks[end:]
-            scores = {
-                c: p * max(0.0, 1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks))
-                for c, p in prior.items()
-            }
-        # the prior's fsum need not be exactly 1, so divide even without weights
-        total = fsum(scores.values())
-        if total <= 0:
+        try:
+            if weights:
+                toks = list(tokens)
+                if mention is not None:
+                    start, end = mention
+                    toks = toks[:start] + toks[end:]
+                # a NaN factor stays NaN: max keeps its first argument
+                scores = {
+                    c: p * max(1.0 + fsum(weights.get((c, tok), 0.0) for tok in toks), 0.0)
+                    for c, p in prior.items()
+                }
+            # the prior's fsum need not be exactly 1, so divide even without weights
+            total = fsum(scores.values())
+        except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
+            return {}
+        if not 0 < total < inf:  # NaN fails too
             return {}
         return {c: s / total for c, s in scores.items()}
 
@@ -295,6 +309,10 @@ def load_concepts(source: str | Path) -> ConceptGraph:
         if "" in table:
             raise StoreFormatError(f"corrupt {name}: an empty name")
     check_ascending(list(zip(context_concepts, tokens)), "context weights")
+    if not all(map(isfinite, context_weights)):
+        raise StoreFormatError("corrupt context weights: not all finite")
+    if not all(0 <= p <= 1 for p in probabilities):  # NaN fails too
+        raise StoreFormatError("corrupt override probabilities: not all in [0, 1]")
     if any(map(operator.gt, questions, questions[1:])):
         raise StoreFormatError("corrupt override questions: not in ascending order")
     overrides: dict[str, dict[str, float]] = {}

@@ -180,26 +180,18 @@ class ProbeMemo:
 
     Exposes what ``SpanTable`` reads: ``max_words``, ``has_token`` and
     ``lookup``, the latter's payloads as the index gives them, sorted and
-    unique, but as a tuple so no two callers share a list. The memo
-    grows with every distinct key probed, so it suits one pass over a
-    finite input, such as one offline run over its corpus.
+    unique, but as a tuple so no two callers share a list. Both are a
+    dict's own lookup, so a token or key asked before costs no Python
+    call. The memo grows with every distinct key probed, so it suits one
+    pass over a finite input, such as one offline run over its corpus.
     """
 
-    __slots__ = ("index", "max_words", "has_token", "_keys")
+    __slots__ = ("max_words", "has_token", "lookup")
 
     def __init__(self, index: StaticHashArray):
-        self.index = index
         self.max_words = index.max_words
-        # a dict's own lookup: a token asked before, as every key of a run
-        # that ``probe_corpus`` hands a span table was, costs no Python call
         self.has_token = Memo(index.has_token).__getitem__
-        self._keys: dict[str, tuple[int, ...]] = {}
-
-    def lookup(self, key: str) -> tuple[int, ...]:
-        found = self._keys.get(key)
-        if found is None:
-            found = self._keys[key] = tuple(self.index.lookup(key))
-        return found
+        self.lookup = Memo(lambda key: tuple(index.lookup(key))).__getitem__
 
 
 class SpanTable:
@@ -226,13 +218,12 @@ class SpanTable:
     one table serves every substring of the sequence.
     """
 
-    __slots__ = ("_lookup", "_keys", "_payloads", "_full", "_ends")
+    __slots__ = ("_lookup", "_keys", "_payloads", "_ends")
 
     def __init__(self, index: StaticHashArray | ProbeMemo, keys: Iterable[str]):
         self._lookup = index.lookup
         self._keys = keys = tuple(keys)
         self._payloads: dict[tuple[int, int], list[int]] = {}
-        self._full = False
         # a token the filter stops starts no span that can equal a key; any
         # other starts spans up to the end of its run of tokens that pass,
         # at most as long as the longest key
@@ -252,17 +243,11 @@ class SpanTable:
         return self._payloads
 
     def fill(self) -> None:
-        """Probe every span not probed yet."""
-        if not self._full:
-            keys, payloads, lookup = self._keys, self._payloads, self._lookup
-            for i, found in enumerate(self._ends):
-                if found and found[-1] < 0:
-                    for j in range(-found.pop(), i, -1):
-                        candidates = lookup(" ".join(keys[i:j]))
-                        if candidates:
-                            payloads[(i, j)] = list(candidates)
-                            found.append(j)
-            self._full = True
+        """Probe every span not probed yet: no span at i ends by i, so
+        probing down to one probes all of them and leaves no mark."""
+        for i, found in enumerate(self._ends):
+            if found and found[-1] < 0:
+                self._probe_down(i, i)
 
     def _probe_down(self, i: int, end: int) -> int:
         """Probe the spans at i not yet probed, longest first, down to the

@@ -85,9 +85,10 @@ class PipelineConfig:
     em_epsilon: float = 1e-6
     max_question_len: int = DEFAULT_MAX_QUESTION_LEN
 
-    def require(self, *names: str) -> None:
-        """Check the knob ranges, then that ``names`` are set and, for
-        inputs, readable files."""
+    def require(self, *names: str, reads: tuple[str, ...] = ()) -> None:
+        """Check the knob ranges, then that ``names`` are set, and that the
+        inputs among them and the set inputs among ``reads`` (the optional
+        ones a command reads) are readable files."""
         for knob in _INT_FIELDS:
             if getattr(self, knob) < 1:
                 raise ConfigError(f"{knob} must be >= 1, got {getattr(self, knob)}")
@@ -99,9 +100,9 @@ class PipelineConfig:
         if missing:
             raise ConfigError("missing required settings: " + ", ".join(sorted(missing)))
         unreadable = [
-            str(getattr(self, n))
-            for n in names
-            if n in _INPUT_FIELDS and not Path(getattr(self, n)).is_file()
+            str(path)
+            for n in names + reads
+            if n in _INPUT_FIELDS and (path := getattr(self, n)) and not Path(path).is_file()
         ]
         if unreadable:
             raise ConfigError("unreadable input files: " + ", ".join(unreadable))
@@ -301,19 +302,24 @@ class Inputs(NamedTuple):
     dictionary: list[tuple[str, str]]
     pairs: list[QaPair]
     concepts: ConceptGraph | None
+    categories: dict[str, str]
 
 
-def load_inputs(config: PipelineConfig, corpus: bool = True, concepts: bool = True) -> Inputs:
-    """The load stage: the KB and entity dictionary, plus the QA corpus and
-    the isA taxonomy (with its context weights and overrides) unless told
-    otherwise. A file that cannot be read or parsed is a ConfigError."""
+def load_inputs(config: PipelineConfig, corpus: bool = True, learn: bool = True) -> Inputs:
+    """The load stage: the KB and entity dictionary, plus the QA corpus, and
+    the inputs only extraction and learning read (the isA taxonomy with its
+    context weights and overrides, and the predicate categories), unless
+    told otherwise. A file that cannot be read or parsed is a ConfigError."""
     return Inputs(
         _read(load_kb, config.kb),
         _read(load_entity_dictionary, config.entities),
         _read(corpus_mod.load_corpus, config.corpus) if corpus else [],
         _read(ConceptGraph.load, config.isa, config.context_weights, config.fixture_overrides)
-        if concepts
+        if learn
         else None,
+        _read(corpus_mod.load_predicate_categories, config.predicate_categories)
+        if learn and config.predicate_categories
+        else {},
     )
 
 
@@ -404,16 +410,11 @@ def _extract_stage(
     """Extract the weighted observations, refined to the question category
     when predicate categories are supplied; write them when configured."""
     run.stage = "extract"
-    categories = (
-        _read(corpus_mod.load_predicate_categories, config.predicate_categories)
-        if config.predicate_categories
-        else {}
-    )
     extractor = EntityValueExtractor(
         inputs.kb,
         index,
         expansion_map(paths),
-        predicate_categories=categories,
+        predicate_categories=inputs.categories,
     )
     training = TrainingSet.build(
         inputs.pairs, mentions, extractor, corpus_stats(inputs.pairs), inputs.concepts,
@@ -448,7 +449,7 @@ def run_build_index(config: PipelineConfig, config_file: Path | None = None) -> 
     config.require("kb", "entities", "index")
     _refuse_artifact_paths(config, "index", config_file=config_file, written=True)
     with _Staged() as run:
-        index = _index_stage(run, config, load_inputs(config, corpus=False, concepts=False))
+        index = _index_stage(run, config, load_inputs(config, corpus=False, learn=False))
     return {"index": str(config.index), "items": len(index)}
 
 
@@ -458,7 +459,7 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
     config.require("kb", "entities", "corpus", "expansion")
     _refuse_artifact_paths(config, "index", "expansion", config_file=config_file, written=True)
     with _Staged() as run:
-        inputs = load_inputs(config, concepts=False)
+        inputs = load_inputs(config, learn=False)
         probes = ProbeMemo(_index_stage(run, config, inputs))
         _, seeds, paths = _expand_stage(run, config, inputs, probes)
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
@@ -467,7 +468,8 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
 def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict:
     """Index build, expansion, extraction, learning; atomic artifact writes.
     No artifact may overwrite ``config_file``, the settings' file."""
-    config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report")
+    config.require("kb", "entities", "isa", "corpus", "index", "expansion", "model", "report",
+                   reads=("predicate_categories", "context_weights", "fixture_overrides"))
     _refuse_artifact_paths(config, "index", "expansion", "model", "report", "observations",
                            config_file=config_file, written=True)
     with _Staged() as run:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -15,7 +16,7 @@ from factqa.concepts import (
     derive_templates,
     load_concepts,
 )
-from factqa.kb import StoreFormatError, convert_last, read_tsv
+from factqa.kb import StoreFormatError, TsvParseError, convert_last, read_tsv
 from oracles import concept_prior as concept_prior_oracle
 from oracles import conceptualize as conceptualize_oracle
 from oracles import question_concepts as question_concepts_oracle
@@ -301,18 +302,78 @@ def test_concept_file_refuses_what_no_tsv_gives(tmp_path, graph, rewrite, messag
         load_concepts(path)
 
 
-def test_concept_file_takes_any_context_weight_or_override_value(tmp_path):
-    """``float`` accepts NaN, infinities and negative numbers in the
-    context-weight and override TSVs, so the concept file does too."""
-    values = [math.nan, math.inf, -math.inf, -2.5, 0.0]
-    graph = ConceptGraph(
-        context_weights={("c", f"w{i}"): v for i, v in enumerate(values)},
-        overrides={"who is x": {f"c{i}": v for i, v in enumerate(values)}},
-    )
-    back = round_trip(graph, tmp_path / "any.concepts")
-    assert list(map(repr, back.context_weights.values())) == list(map(repr, values))
-    assert list(map(repr, back.overrides["who is x"].values())) == list(map(repr, values))
-    assert list(back.overrides["who is x"]) == [f"c{i}" for i in range(len(values))]
+# values a context-weight or override file may hold: the readers take a
+# context weight that is finite and an override probability in [0, 1]
+EDGE_VALUES = ["nan", "inf", "-0.5", "1.5", "1e308"]
+
+
+def _reader_takes(kind: str, value: float) -> bool:
+    return math.isfinite(value) if kind == "context" else 0 <= value <= 1
+
+
+@pytest.mark.parametrize("text", EDGE_VALUES)
+def test_readers_refuse_a_context_weight_not_finite_and_an_override_outside_0_1(
+    tmp_path, data_dir, text
+):
+    weights, overrides = tmp_path / "weights.tsv", tmp_path / "overrides.tsv"
+    weights.write_text(f"# a comment\nperson\tborn\t{text}\n")
+    overrides.write_text(f"who is x\tperson\t{text}\n")
+    value = float(text)
+    if _reader_takes("context", value):
+        graph = ConceptGraph.load(data_dir / "isa.tsv", weights)
+        assert graph.context_weights == {("person", "born"): value}
+    else:
+        with pytest.raises(TsvParseError, match=f"line 2: context weight must be finite, "
+                                                f"got {text}"):
+            ConceptGraph.load(data_dir / "isa.tsv", weights)
+    assert not _reader_takes("override", value)
+    with pytest.raises(TsvParseError, match=re.escape(
+        f"line 1: override probability must be in [0, 1], got {text}"
+    )):
+        ConceptGraph.load(data_dir / "isa.tsv", overrides_path=overrides)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, 0.0, 1.0, 1.5, 1e308])
+@pytest.mark.parametrize("kind", ["context", "override"])
+def test_concept_file_takes_the_context_weights_and_overrides_the_readers_take(
+    tmp_path, kind, value
+):
+    """Any other value is refused, as a file the readers could not have
+    given."""
+    if kind == "context":
+        graph = ConceptGraph(context_weights={("c", "w"): value, ("c", "x"): 0.5})
+    else:
+        graph = ConceptGraph(overrides={"who is x": {"c": 0.5, "d": value}})
+    path = tmp_path / "edge.concepts"
+    if _reader_takes(kind, value):
+        back = round_trip(graph, path)
+        assert (back.context_weights, back.overrides) == (graph.context_weights, graph.overrides)
+        return
+    path.write_bytes(concepts_bytes(graph))
+    message = ("corrupt context weights: not all finite" if kind == "context"
+               else re.escape("corrupt override probabilities: not all in [0, 1]"))
+    with pytest.raises(StoreFormatError, match=message):
+        load_concepts(path)
+
+
+@pytest.mark.parametrize("born, was", [(float(t), float(t)) for t in EDGE_VALUES]
+                         + [(math.inf, -math.inf)],
+                         ids=EDGE_VALUES + ["inf-minus-inf"])
+def test_conceptualize_falls_back_when_a_factor_or_their_sum_is_not_finite(born, was):
+    """Two finite weights of 1e308 overflow their sum: the question falls
+    back to the universal concept rather than answer with NaN or raise."""
+    graph = ConceptGraph([("e", "person", 1.0), ("e", "politician", 1.0)],
+                         context_weights={("person", "born"): born, ("person", "was"): was})
+    tokens, mention = ("when", "was", "e", "born"), (2, 3)
+    dist = graph.question_concepts(tokens, "e", mention)
+    assert all(math.isfinite(p) and 0 <= p <= 1 for p in dist.values())
+    factor = 1 + born + was
+    if not math.isfinite(factor):  # inf - inf is NaN
+        assert graph.conceptualize(tokens, "e", mention) == {}
+        assert dist == {"entity": 1.0}
+    else:
+        person = max(factor, 0.0) / (max(factor, 0.0) + 1)
+        assert dist == pytest.approx({"person": person, "politician": 1 - person})
 
 
 # ---------------------------------------------------------------------------

@@ -1148,6 +1148,30 @@ def test_cli_refused_concept_file_exits_2(built_with_context_weights, tmp_path, 
         assert f"{message}: rerun the offline flow" in proc.stderr
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.5, 1e308])
+@pytest.mark.parametrize("section", ["context weights", "override probabilities"])
+def test_cli_concept_file_value_no_reader_gives_exits_2(built_with_context_weights, tmp_path,
+                                                         section, value):
+    """A context weight that is not finite, or an override probability
+    outside [0, 1], which the readers refuse; a finite context weight is
+    taken, as the reader takes it."""
+    data = tmp_path / "data"
+    shutil.copytree(built_with_context_weights, data)
+    concepts = data / "out" / "toy.model.concepts"
+    rewrite = _packed_at(section, 0, value, "<d", _concept_sections)
+    concepts.write_bytes(rewrite(concepts.read_bytes()))
+    proc = _module_cli("answer", "--config", str(data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert "Traceback" not in proc.stderr
+    if section == "context weights" and math.isfinite(value):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert _strict_json(proc.stdout)["answer"] == "1961"
+        return
+    assert proc.returncode == 2
+    what = "not all finite" if section == "context weights" else "not all in [0, 1]"
+    assert f"{concepts}: corrupt {section}: {what}: rerun the offline flow" in proc.stderr
+
+
 def _zero_max_words(blob: bytes) -> bytes:
     return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", 0) + blob[7 + 4 + 8 * 3:]
 
@@ -1341,6 +1365,72 @@ def test_cli_malformed_field_names_file_and_line(built_data, name, row, message,
             assert f"{path}: line {line}: {message}" in proc.stderr, (command, proc.stderr)
         else:
             assert (proc.stdout, proc.stderr) == (before.stdout, ""), command
+
+
+def _strict_json(line: str) -> dict:
+    """The record of one JSON line; ``NaN`` and ``Infinity`` are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-0.5", "1.5", "1e308"])
+@pytest.mark.parametrize("name", ["context_weights.tsv", "fixture_overrides.tsv"])
+def test_cli_concept_inputs_never_make_a_probability_nan_or_a_traceback(tmp_path, name, text):
+    """A context weight that is not finite, or an override probability
+    outside [0, 1], exits 3 naming its file and line. Whatever the readers
+    take, every answer is strict JSON: two context weights of 1e308
+    overflow their sum, and the question falls back to the universal
+    concept."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    with open(data / "corpus.jsonl", "a", encoding="utf-8") as fp:
+        fp.write('{"question": "When was Michelle Obama born?", "answer": "In 1964."}\n')
+    rows = {
+        "context_weights.tsv": f"person\tborn\t{text}\nperson\twas\t{text}\n",
+        "fixture_overrides.tsv": f"when was barack obama born\tperson\t{text}\n",
+    }
+    path = data / name
+    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fp:
+        fp.write(rows[name])
+    config = data / "pipeline.cfg"
+    with open(config, "a", encoding="utf-8") as fp:
+        fp.write("context-weights = context_weights.tsv\n")
+    proc = _module_cli("pipeline", "--config", str(config))
+    assert "Traceback" not in proc.stderr
+    value = float(text)
+    if not (math.isfinite(value) if name == "context_weights.tsv" else 0 <= value <= 1):
+        assert proc.returncode == 3, proc.stderr
+        assert f"stage 'load' failed: cannot load {path}: line {line}: " in proc.stderr
+        assert not (data / "out").exists()
+        return
+    assert proc.returncode == 0, proc.stderr
+    questions = ["When was Barack Obama born?", "When was Michelle Obama born?"]
+    answered = _module_cli("answer", "--config", str(config), *questions)
+    repl = subprocess.run([sys.executable, "-m", "factqa", "repl", "--config", str(config)],
+                          input="".join(q + "\n" for q in questions), capture_output=True,
+                          text=True)
+    for proc in (answered, repl):
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        records = list(map(_strict_json, proc.stdout.splitlines()))
+        assert [r["answer"] for r in records] == ["1961", "1964"]
+        assert all(0 < r["probability"] <= 1 for r in records)
+
+
+@pytest.mark.parametrize("flag", ["--predicate-categories", "--context-weights",
+                                  "--fixture-overrides"])
+def test_cli_missing_optional_input_exits_2_before_any_stage(tmp_path, flag):
+    """As a missing required input does: no stage runs, no file is written."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    missing = tmp_path / "missing.tsv"
+    proc = _module_cli("pipeline", "--config", str(data / "pipeline.cfg"), flag, str(missing))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"unreadable input files: {missing}" in proc.stderr
+    assert "stage" not in proc.stderr
+    assert not (data / "out").exists()
 
 
 def test_online_commands_do_not_read_the_corpus(built_data):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -341,6 +342,65 @@ def test_read_order_does_not_change_what_a_table_gives(toy_kb, data_dir, collide
     assert hits > 150
 
 
+class _CountingIndex:
+    """An index that records every key its ``lookup`` is asked."""
+
+    def __init__(self, index: StaticHashArray):
+        self.max_words, self.has_token = index.max_words, index.has_token
+        self._index = index
+        self.asked: list[str] = []
+
+    def lookup(self, key: str) -> list[int]:
+        self.asked.append(key)
+        return self._index.lookup(key)
+
+
+def test_a_table_probes_each_span_at_most_once_whatever_the_read_order(toy_kb, data_dir):
+    """Read the walk first, every window first, ``fill`` first, or ``fill``
+    twice, then ``fill``: each span that can equal a key (inside a run of
+    tokens the filter passes, no longer than the longest key) is probed
+    exactly once, and no other span is."""
+    entries = _ambiguous_entries(toy_kb, data_dir)
+    entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
+    index = StaticHashArray.build(entries)
+    keys = [key for key, _ in entries]
+
+    def walk_first(table, n):
+        table.greedy()
+
+    def windows_first(table, n):
+        for start in range(n + 1):
+            for end in range(start, n + 1):
+                table.greedy(start, end)
+
+    def fill_first(table, n):
+        table.fill()
+
+    def fill_twice(table, n):
+        table.fill()
+        asked = list(counting.asked)
+        table.fill()
+        assert counting.asked == asked
+
+    probed = 0
+    for tokens in _sequences(92, 150, 12, keys):
+        n = len(tokens)
+        passes = list(map(index.has_token, tokens)) + [False]
+        want = Counter(
+            " ".join(tokens[i:j]) for i in range(n)
+            for j in range(i + 1, min(passes.index(False, i), i + index.max_words) + 1)
+        )
+        for read in (walk_first, windows_first, fill_first, fill_twice):
+            counting = _CountingIndex(index)
+            table = SpanTable(counting, tokens)
+            read(table, n)
+            assert Counter(counting.asked) <= want, (read, tokens)
+            table.fill()
+            assert Counter(counting.asked) == want, (read, tokens)
+        probed += sum(want.values())
+    assert probed > 300
+
+
 # Questions over the ambiguous index and LONG_KEYS whose runs of lookup keys
 # the token filter passes ("when", "was", "who" and "is" it stops) repeat
 # and interact.
@@ -398,21 +458,19 @@ def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_d
         assert probed.mentions[RUN_QUESTIONS[6]] == []
 
 
-def test_probe_corpus_probes_each_span_of_each_distinct_run_once(
-    toy_kb, data_dir, monkeypatch
-):
+def test_probe_corpus_probes_each_span_of_each_distinct_run_once(toy_kb, data_dir):
     index = _runs_index(toy_kb, data_dir)
     questions = RUN_QUESTIONS + list(_sequences(78, 200, 12))
     probed: list[str] = []
-    lookup = ProbeMemo.lookup
+    memo = ProbeMemo(index)
+    lookup = memo.lookup
 
-    def counting(self, key):
+    def counting(key):
         probed.append(key)
-        return lookup(self, key)
+        return lookup(key)
 
-    monkeypatch.setattr(ProbeMemo, "lookup", counting)
-    probe_corpus(toy_kb, ProbeMemo(index), [QaPair(q, ("a",)) for q in questions])
-    monkeypatch.undo()
+    memo.lookup = counting
+    probe_corpus(toy_kb, memo, [QaPair(q, ("a",)) for q in questions])
     runs: dict[tuple[str, ...], int] = {}  # each maximal run, and how often it occurs
     for question in dict.fromkeys(questions):
         passes = [index.has_token(key) for key in lookup_tokens(question)] + [False]
