@@ -74,6 +74,24 @@ _context_weight = _number("context weight must be finite", isfinite)
 _probability = _number("override probability must be in [0, 1]", lambda p: 0 <= p <= 1)
 
 
+def _finite_sum(values: Iterable[float]) -> bool:
+    try:
+        return isfinite(fsum(values))
+    except OverflowError:  # fsum's intermediate overflow
+        return False
+
+
+def _overflowing_entity(entities: list[str], offsets: array, weights: array) -> str | None:
+    """The first entity whose isA weights' ``fsum``, the total that
+    ``concept_prior`` divides by, is not finite; None when there is none.
+    The weights are positive, so when all of them sum to a finite number,
+    so does every entity's."""
+    if _finite_sum(weights):
+        return None
+    return next((entity for entity, start, end in zip(entities, offsets, offsets[1:])
+                 if not _finite_sum(weights[start:end])), None)
+
+
 class ConceptGraph:
     """Weighted entity -> concept edges as a CSR, plus optional context
     machinery.
@@ -111,11 +129,15 @@ class ConceptGraph:
         concepts = sorted({c for row in table.values() for c in row})
         ids = dict(zip(concepts, range(len(concepts))))
         rows = [sorted(table[e].items()) for e in entities]
+        offsets = array(U32, accumulate(map(len, rows), initial=0))
+        weights = array("d", [w for row in rows for _, w in row])
+        overflows = _overflowing_entity(entities, offsets, weights)
+        if overflows is not None:
+            raise ValueError(f"the isA weights of {overflows} must sum to a finite number")
         self._adopt(
-            entities, concepts, array(U32, accumulate(map(len, rows), initial=0)),
-            array(U32, [ids[c] for row in rows for c, _ in row]),
-            array("d", [w for row in rows for _, w in row]),
-            dict(context_weights or {}), {q: dict(d) for q, d in (overrides or {}).items()},
+            entities, concepts, offsets, array(U32, [ids[c] for row in rows for c, _ in row]),
+            weights, dict(context_weights or {}),
+            {q: dict(d) for q, d in (overrides or {}).items()},
         )
 
     def _adopt(self, entities: list[str], concepts: list[str], offsets: array,
@@ -137,8 +159,20 @@ class ConceptGraph:
         context_weights_path: str | Path | None = None,
         overrides_path: str | Path | None = None,
     ) -> "ConceptGraph":
-        """The graph of the isA, context-weight and override TSVs."""
-        edges = read_tsv(isa_path, 3, convert_last(_positive_weight))
+        """The graph of the isA, context-weight and override TSVs. An isA
+        line whose weight takes its entity's running total past the float
+        range is refused by its line."""
+        totals: dict[str, float] = {}
+
+        def edge(fields: tuple[str, ...]) -> tuple[str, str, float]:
+            entity, concept, text = fields
+            weight = _positive_weight(text)
+            total = totals[entity] = totals.get(entity, 0.0) + weight
+            if total == inf:
+                raise ValueError(f"the isA weights of {entity} must sum to a finite number")
+            return entity, concept, weight
+
+        edges = read_tsv(isa_path, 3, edge)
         weights = None
         if context_weights_path is not None:
             rows = read_tsv(context_weights_path, 3, convert_last(_context_weight))
@@ -302,8 +336,16 @@ def load_concepts(source: str | Path) -> ConceptGraph:
     repeats = compress(range(1, edge_count), map(operator.le, concept_ids[1:], concept_ids))
     if not set(repeats).issubset(offsets):
         raise StoreFormatError("corrupt concept ids: not ascending within an entity")
-    if not (all(map(isfinite, weights)) and min(weights, default=1.0) > 0):
-        raise StoreFormatError("corrupt isA weights: not all positive and finite")
+    # positive weights whose sum is finite are each finite, and a NaN that
+    # min skips makes the sum NaN: so the common case takes two passes
+    if not (min(weights, default=1.0) > 0 and _finite_sum(weights)):
+        if not (all(map(isfinite, weights)) and min(weights, default=1.0) > 0):
+            raise StoreFormatError("corrupt isA weights: not all positive and finite")
+        overflows = _overflowing_entity(entities, offsets, weights)
+        if overflows is not None:
+            raise StoreFormatError(
+                f"corrupt isA weights: those of {overflows} sum past the float range"
+            )
     for table, name in ((context_concepts, "context concepts"), (tokens, "context tokens"),
                         (override_concepts, "override concepts")):
         if "" in table:

@@ -11,8 +11,9 @@ on the set of entries.
 Lookups never miss an inserted key; distinct keys can collide on both
 halves, so a lookup may return extra payloads, which callers filter by
 membership checks downstream. The index also records its longest key in
-words and a crc32 bitset over its key tokens (crc32, unlike ``hash()``, is
-the same in every process), so span probing can skip spans that equal no key.
+words and a two-bit filter over its key tokens, both bits taken from one
+crc32 (which, unlike ``hash()``, is the same in every process), so span
+probing can skip spans that equal no key.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Iterable
 from .kb import SectionReader, StoreFormatError, packed
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 5
+VERSION = 6
 _HEADER = struct.Struct("<7sIQQQQ")
 _DIGEST = struct.Struct("<QQ")
 
@@ -43,6 +44,15 @@ def key_hash(key: str) -> tuple[int, int]:
     )
 
 
+def token_bits(token: str, mask: int) -> tuple[int, int]:
+    """The two filter bits a token sets, of a filter of ``mask + 1`` bits:
+    its crc32 masked, and its crc32 rotated by 16 bits and masked. Up to
+    2**16 bits the two come from disjoint halves of the crc; above, they
+    overlap. A lone surrogate encodes as itself, as in ``key_hash``."""
+    crc = zlib.crc32(token.encode("utf-8", "surrogatepass"))
+    return crc & mask, (crc >> 16 | crc << 16) & mask
+
+
 class StaticHashArray:
     """Read-only mapping from string keys to u64 payloads.
 
@@ -50,8 +60,9 @@ class StaticHashArray:
     ``items`` interleaves (fingerprint, payload) pairs. Items of one
     bucket are adjacent, sorted and unique. ``max_words`` is the largest
     ``key.count(" ") + 1`` over the keys, 0 when there are none.
-    ``token_filter`` is a bitset of a power-of-two byte count, at least the
-    number of distinct key tokens: 8 to 16 bits per token.
+    ``token_filter`` is a bitset of a power-of-two byte count, at least four
+    times the number of distinct key tokens: 32 to 64 bits per token. Each
+    token sets two bits of it (``token_bits``).
     """
 
     __slots__ = ("bucket_count", "_mask", "offsets", "items", "max_words", "token_filter",
@@ -103,20 +114,26 @@ class StaticHashArray:
         offsets = array("Q", accumulate(sizes))
         max_words = max((key.count(" ") + 1 for key, _ in pairs), default=0)
         tokens = {token for key, _ in pairs for token in key.split(" ")}
-        token_filter = bytearray(1 << max(len(tokens) - 1, 0).bit_length())
+        token_filter = bytearray(1 << max(4 * len(tokens) - 1, 0).bit_length())
         for token in tokens:
-            bit = zlib.crc32(token.encode("utf-8", "surrogatepass")) & (len(token_filter) * 8 - 1)
-            token_filter[bit >> 3] |= 1 << (bit & 7)
+            for bit in token_bits(token, len(token_filter) * 8 - 1):
+                token_filter[bit >> 3] |= 1 << (bit & 7)
         return cls(bucket_count, offsets, items, max_words, token_filter)
 
     def has_token(self, token: str) -> bool:
         """False only when no key holds ``token``: some ``split(" ")`` piece
         of it is a piece of no key (a span equal to a key splits into
-        exactly that key's pieces)."""
+        exactly that key's pieces). Tests both of a piece's ``token_bits``,
+        written out here since the online path calls this per token."""
         if " " in token:
             return all(map(self.has_token, token.split(" ")))
-        bit = zlib.crc32(token.encode("utf-8", "surrogatepass")) & self._token_mask
-        return self.token_filter[bit >> 3] >> (bit & 7) & 1 == 1
+        crc = zlib.crc32(token.encode("utf-8", "surrogatepass"))
+        mask, bits = self._token_mask, self.token_filter
+        bit = crc & mask
+        if not bits[bit >> 3] >> (bit & 7) & 1:  # most absent tokens stop here
+            return False
+        bit = (crc >> 16 | crc << 16) & mask
+        return bits[bit >> 3] >> (bit & 7) & 1 == 1
 
     def lookup(self, key: str) -> list[int]:
         """Payloads stored under fingerprints matching this key, sorted

@@ -19,7 +19,7 @@ DATA = Path(__file__).parent / "data"
 # sha256 of the toy pipeline's binary artifacts. A change to one of the
 # formats bumps its version and updates its digest here in the same change.
 DIGESTS = {
-    "toy.index": "e923e661fd6edd73add9510542b121cfb0b7da11fe0bf177ab8aaed4b4f9f9b0",
+    "toy.index": "e6499d65b82075dabf7515725e7b24cf6ffb029922568f958ca6bbe9ddef2746",
     "toy.index.kb": "6175958f1bd25851cc39a14384b72f6d27815d0300dc617a9c0c22831762ebcd",
     "toy.model.concepts": "01e90beb657955c16bc8c0a915d06b8e19fc731ef78df024cc13a69527f18612",
 }

@@ -49,6 +49,31 @@ def test_weight_or_pair_sum_that_is_not_finite_rejected(weights):
         ConceptGraph([("x", "thing", w) for w in weights])
 
 
+def test_entity_whose_weights_sum_past_the_float_range_rejected():
+    # each pair's weight is finite, but the prior's fsum over them is not
+    with pytest.raises(ValueError, match="the isA weights of x must sum to a finite number"):
+        ConceptGraph([("x", "thing", 1e308), ("x", "other", 1e308), ("y", "thing", 1.0)])
+
+
+def test_entities_whose_weights_overflow_only_together_are_taken(tmp_path):
+    graph = ConceptGraph([("x", "thing", 1e308), ("y", "thing", 1e308), ("y", "other", 1.0)])
+    assert graph.concept_prior("x") == {"thing": 1.0}
+    assert graph.concept_prior("y") == {"other": 1.0 / 1e308, "thing": 1.0}
+    reloaded = round_trip(graph, tmp_path / "graph.concepts")
+    assert [reloaded.concept_prior(e) for e in "xy"] == [graph.concept_prior(e) for e in "xy"]
+
+
+def test_isa_reader_names_the_line_whose_weight_overflows_its_entity(tmp_path):
+    isa = tmp_path / "isa.tsv"
+    isa.write_text("x\tthing\t1e308\n# a comment\ny\tthing\t1e308\nx\tother\t1e308\n",
+                   encoding="utf-8")
+    with pytest.raises(TsvParseError) as caught:
+        ConceptGraph.load(isa)
+    assert str(caught.value) == (
+        f"{isa}: line 4: the isA weights of x must sum to a finite number"
+    )
+
+
 def test_conceptualize_reduces_to_prior_without_weights(data_dir):
     tokens = ("who", "is", "barack", "obama")
     dist = ConceptGraph.load(data_dir / "isa.tsv").conceptualize(tokens, "BarackObama")

@@ -20,6 +20,7 @@ from factqa.hasharray import (
     StaticHashArray,
     find_mentions,
     key_hash,
+    token_bits,
 )
 from factqa.kb import StoreFormatError
 
@@ -161,7 +162,7 @@ def test_truncated_items_section(tmp_path):
     idx = StaticHashArray.build([("alpha", 7), ("beta", 8)])
     blob = idx.to_bytes()
     with pytest.raises(StoreFormatError, match="truncated items section"):
-        load_blob(tmp_path, blob[:-8])
+        load_blob(tmp_path, blob[:-len(idx.token_filter) - 8])
 
 
 def test_truncated_offsets_section(tmp_path):
@@ -192,7 +193,7 @@ def test_version_1_header_names_the_version(tmp_path):
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(StoreFormatError, match="index format version 1, expected 5"):
+    with pytest.raises(StoreFormatError, match="index format version 1, expected 6"):
         load_blob(tmp_path, blob)
 
 
@@ -201,7 +202,7 @@ def test_version_2_header_names_the_version(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 2, expected 5"):
+    with pytest.raises(StoreFormatError, match="index format version 2, expected 6"):
         load_blob(tmp_path, blob)
 
 
@@ -210,7 +211,7 @@ def test_version_3_header_names_the_version(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
     blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 3, expected 5"):
+    with pytest.raises(StoreFormatError, match="index format version 3, expected 6"):
         load_blob(tmp_path, blob)
 
 
@@ -219,7 +220,16 @@ def test_version_4_header_names_the_version(tmp_path):
     # sections, buckets in insertion order
     blob = bytearray(StaticHashArray.build([("alpha", 7)]).to_bytes())
     struct.pack_into("<I", blob, len(MAGIC), 4)
-    with pytest.raises(StoreFormatError, match="index format version 4, expected 5"):
+    with pytest.raises(StoreFormatError, match="index format version 4, expected 6"):
+        load_blob(tmp_path, bytes(blob))
+
+
+def test_version_5_index_is_refused(tmp_path):
+    # the layout written before the two-bit token filter: the same
+    # sections, a filter of one bit per token
+    blob = bytearray(StaticHashArray.build([("alpha", 7)]).to_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 5)
+    with pytest.raises(StoreFormatError, match="index format version 5, expected 6"):
         load_blob(tmp_path, bytes(blob))
 
 
@@ -242,16 +252,18 @@ def test_corrupt_max_words_refused(tmp_path, entries, max_words):
         load_blob(tmp_path, blob)
 
 
-def test_token_filter_sets_each_key_token_bit_by_crc32(tmp_path):
+def test_token_filter_sets_two_bits_of_each_key_token_by_crc32(tmp_path):
     keys = ["barack obama", "new york city", "zürich", "x  y", "東京", "obama"]
     idx = StaticHashArray.build((key, i) for i, key in enumerate(keys))
     tokens = {token for key in keys for token in key.split(" ")}
     assert len(tokens) == 10  # the double space gives an empty token
-    assert len(idx.token_filter) == 16  # the smallest power of two >= 10
-    expected = bytearray(16)
+    assert len(idx.token_filter) == 64  # the smallest power of two >= 4 * 10
+    expected = bytearray(64)
     for token in tokens:
-        bit = zlib.crc32(token.encode("utf-8")) & (16 * 8 - 1)
-        expected[bit >> 3] |= 1 << (bit & 7)
+        crc = zlib.crc32(token.encode("utf-8"))
+        rotated = (crc >> 16 | crc << 16) & 0xFFFFFFFF
+        for bit in (crc % 512, rotated % 512):
+            expected[bit >> 3] |= 1 << (bit & 7)
     assert idx.token_filter == bytes(expected)
     assert all(idx.has_token(token) for token in tokens)
     reloaded = load_blob(tmp_path, idx.to_bytes())
@@ -259,17 +271,62 @@ def test_token_filter_sets_each_key_token_bit_by_crc32(tmp_path):
     assert all(reloaded.has_token(token) for token in tokens)
 
 
-@pytest.mark.parametrize("keys, size", [([], 1), (["a"], 1), (["a b c d e f g h"], 8),
-                                        (["a b c d", "e f g h i"], 16)])
-def test_token_filter_size_is_the_smallest_power_of_two_at_least_the_tokens(keys, size):
+def test_token_filter_tests_both_bits():
+    # absent tokens with exactly one of their two bits set, the first or the
+    # second, are stopped
+    idx = StaticHashArray.build([("alpha", 7)])
+    mask = len(idx.token_filter) * 8 - 1
+    set_bits = set(token_bits("alpha", mask))
+    assert len(set_bits) == 2
+    one_bit_set = {}
+    for token in (f"t{i}" for i in range(100_000)):
+        first, second = (bit in set_bits for bit in token_bits(token, mask))
+        if first != second:
+            one_bit_set.setdefault(first, token)
+        if len(one_bit_set) == 2:
+            break
+    assert len(one_bit_set) == 2
+    assert not any(map(idx.has_token, one_bit_set.values()))
+
+
+@pytest.mark.parametrize("keys, size", [([], 1), (["a"], 4), (["a b"], 8), (["a b c"], 16),
+                                        (["a b c d e f g h"], 32),
+                                        (["a b c d", "e f g h i"], 64)])
+def test_token_filter_size_is_the_smallest_power_of_two_at_least_four_per_token(keys, size):
     assert len(StaticHashArray.build((key, 0) for key in keys).token_filter) == size
 
 
-def test_token_filter_misses_most_absent_tokens():
+def _random_token(rng: random.Random) -> str:
+    """A token of 1 to 6 characters: ASCII, Latin-1, CJK, an emoji, or a
+    lone surrogate (a byte that was not UTF-8, decoded with
+    ``surrogateescape``)."""
+    alphabet = "abcxyz019'-" "éüßñ" "東京大阪" "\U0001F600" "\udcff\udc80"
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+
+
+@pytest.mark.parametrize("key_count", [1, 7, 100, 2_000, 40_000])
+def test_has_token_passes_every_key_token_at_every_filter_size(tmp_path, key_count):
+    """Keys of 1 to 3 random tokens joined by one space or two (two give an
+    empty token). Past 2,048 distinct tokens the filter holds more than
+    2**16 bits, so its two crc windows overlap."""
+    rng = random.Random(key_count)
+    keys = {rng.choice([" ", "  "]).join(_random_token(rng) for _ in range(rng.randint(1, 3)))
+            for _ in range(key_count)}
+    idx = StaticHashArray.build((key, i) for i, key in enumerate(sorted(keys)))
+    tokens = {token for key in keys for token in key.split(" ")}
+    assert len(idx.token_filter) >= 4 * len(tokens)
+    assert (len(idx.token_filter) * 8 > 1 << 16) == (key_count >= 2_000)
+    reloaded = load_blob(tmp_path, idx.to_bytes())
+    for index in (idx, reloaded):
+        assert all(map(index.has_token, tokens))
+        assert all(map(index.has_token, keys))
+
+
+def test_token_filter_misses_almost_all_absent_tokens():
     rng = random.Random(31)
     idx = StaticHashArray.build((key, i) for i, key in enumerate(random_keys(rng, 10_000)))
     absent = random_keys(random.Random(32), 10_000, prefix="out:")
-    assert sum(map(idx.has_token, absent)) < 0.15 * len(absent)
+    assert sum(map(idx.has_token, absent)) <= 0.01 * len(absent)
 
 
 def test_index_bytes_do_not_depend_on_the_hash_seed():

@@ -921,7 +921,7 @@ def test_cli_version_1_index_exits_2_naming_the_version(built_data):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(index) in proc.stderr
-    assert "index format version 1, expected 5: rerun the offline flow" in proc.stderr
+    assert "index format version 1, expected 6: rerun the offline flow" in proc.stderr
 
 
 def test_kb_edit_after_training_keeps_the_trained_answer(built_data):
@@ -1112,6 +1112,10 @@ def built_with_context_weights(tmp_path_factory) -> Path:
         *[(_packed_at("isA weights", 1, weight, "<d", _concept_sections),
            "corrupt isA weights: not all positive and finite")
           for weight in (0.0, -5.0, math.nan, math.inf)],
+        # BarackObama's two weights, each finite, sum past the float range
+        (lambda blob: _packed_at("isA weights", 0, 1e308, "<d", _concept_sections)(
+            _packed_at("isA weights", 1, 1e308, "<d", _concept_sections)(blob)),
+         "corrupt isA weights: those of BarackObama sum past the float range"),
         (_concepts_table("entity table", b"Honolulu\nBarackObama\nMichelleObama\n"),
          "corrupt entity table: not strictly ascending"),
         (_concepts_table("concept table", b"city\ncity\npolitician\n"),
@@ -1126,7 +1130,8 @@ def built_with_context_weights(tmp_path_factory) -> Path:
     ids=["bad-magic", "version-2", "truncated-header",
          *[f"truncated-{name.replace(' ', '-')}" for name in _CONCEPT_SECTIONS],
          "trailing-byte", "concept-id-out-of-range", "offsets-not-monotone", "weight-zero",
-         "weight-negative", "weight-nan", "weight-inf", "entities-unsorted",
+         "weight-negative", "weight-nan", "weight-inf", "weights-overflow-an-entity",
+         "entities-unsorted",
          "concepts-repeated", "concepts-utf8", "override-concepts-repeated", "missing"],
 )
 def test_cli_refused_concept_file_exits_2(built_with_context_weights, tmp_path, rewrite,
@@ -1215,10 +1220,12 @@ def _v3_layout(blob: bytes) -> bytes:
     )
 
 
-def _v4_layout(blob: bytes) -> bytes:
-    # the layout written before each bucket's pairs were sorted: the same
-    # sections under version 4
-    return blob[:7] + struct.pack("<I", 4) + blob[7 + 4:]
+def _same_sections_as(version: int):
+    # the layouts written before each bucket's pairs were sorted (version
+    # 4) and before the two-bit token filter (version 5): the same sections
+    def rewrite(blob: bytes) -> bytes:
+        return blob[:7] + struct.pack("<I", version) + blob[7 + 4:]
+    return rewrite
 
 
 @pytest.mark.parametrize(
@@ -1226,9 +1233,10 @@ def _v4_layout(blob: bytes) -> bytes:
     [
         (_zero_max_words, "corrupt header: longest key of 0 words for 3 items"),
         (lambda blob: blob + b"garbage!", "trailing bytes after the token filter"),
-        (_v2_layout, "index format version 2, expected 5"),
-        (_v3_layout, "index format version 3, expected 5"),
-        (_v4_layout, "index format version 4, expected 5"),
+        (_v2_layout, "index format version 2, expected 6"),
+        (_v3_layout, "index format version 3, expected 6"),
+        (_same_sections_as(4), "index format version 4, expected 6"),
+        (_same_sections_as(5), "index format version 5, expected 6"),
         (_filter_bytes(0), "corrupt token filter: 0 bytes, not a power of two"),
         (_filter_bytes(3), "corrupt token filter: 3 bytes, not a power of two"),
         (lambda blob: blob[:-1], "truncated token filter"),
@@ -1239,7 +1247,7 @@ def _v4_layout(blob: bytes) -> bytes:
         (_u64_at(_OFFSETS + 8, 1 << 40), _NOT_MONOTONE),
         (_last_offset_past_the_items, _NOT_MONOTONE),
     ],
-    ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "version-4",
+    ids=["zero-max-words", "trailing-bytes", "version-2", "version-3", "version-4", "version-5",
          "zero-filter-bytes", "filter-bytes-not-a-power-of-two", "truncated-filter",
          "huge-bucket-count", "huge-item-count", "huge-filter-bytes",
          "bucket-count-not-a-power-of-two", "offsets-fall", "offsets-end-past-the-items"],
@@ -1372,6 +1380,24 @@ def _strict_json(line: str) -> dict:
     def refuse(constant):
         raise ValueError(f"not strict JSON: {constant}")
     return json.loads(line, parse_constant=refuse)
+
+
+def test_cli_isa_weights_that_overflow_an_entity_exit_3_naming_the_line(tmp_path):
+    """Two isA weights of 1e308 overflow the sum Michelle Obama's prior
+    divides by, and she is in no corpus question, so training would never
+    reach her: the pipeline refuses the line that overflows her total."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    isa = data / "isa.tsv"
+    line = len(isa.read_text(encoding="utf-8").splitlines()) + 2
+    with open(isa, "a", encoding="utf-8") as fp:
+        fp.write("MichelleObama\tperson\t1e308\nMichelleObama\tpolitician\t1e308\n")
+    proc = _module_cli("pipeline", "--config", str(data / "pipeline.cfg"))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert (f"stage 'load' failed: cannot load {isa}: line {line}: "
+            "the isA weights of MichelleObama must sum to a finite number") in proc.stderr
+    assert not (data / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-0.5", "1.5", "1e308"])
