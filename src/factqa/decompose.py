@@ -14,10 +14,12 @@ replaces the best so far, so that order breaks ties. Only substrings behind
 a pattern of positive validity are ever scored, and each distinct substring
 is scored once.
 
-An inner span is tried only if it holds an entity span of the question.
-This is exact: a window with no entity span has no mention, so neither it
-nor any window inside it is primitive, it scores 0, and the candidate
-validity times 0 never strictly improves on the best so far.
+The search asks the pattern index what can frame a substring: the patterns
+are held split at each slot token, so a substring's inner spans are found
+by looking up its prefixes of a stored length, then the suffixes each of
+those holds, one dict lookup each. A framed span that holds no entity
+mention scores 0 through its own walk, and 0 never strictly improves on the
+best so far.
 
 A substring with one mention span lists its supported templates once: it is
 primitive iff the list is non-empty, and answering reuses the head's list.
@@ -26,6 +28,7 @@ primitive iff the list is non-empty, and answering reuses the head's list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -69,6 +72,10 @@ class Decomposition:
         return [" ".join(part) for part in self.sequence]
 
 
+# A stored prefix's (suffix lengths, ascending; suffix -> (pattern, validity)).
+Frame = tuple[list[int], dict[Tokens, tuple[Tokens, float]]]
+
+
 class PatternIndex:
     """Validity counts of the corpus patterns with f_v > 0.
 
@@ -77,6 +84,9 @@ class PatternIndex:
     generating the pattern is an entity mention; f_o counts those where any
     span does. Only patterns with f_v > 0 are kept, each with both counts:
     the decomposer skips every pattern whose validity f_v / f_o is zero.
+
+    ``frames`` and ``prefix_lengths`` index the patterns for the decomposer;
+    they are built on first use, so the offline pass never builds them.
     """
 
     def __init__(self, counts: dict[Tokens, tuple[int, int]]):
@@ -104,11 +114,7 @@ class PatternIndex:
             valid = {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}
             for pattern in valid:
                 f_v[pattern] = f_v.get(pattern, 0) + frequency[question]
-        ends: dict[Tokens, list[tuple[Tokens, Tokens]]] = {}  # prefix -> (suffix, pattern)
-        for pattern in f_v:
-            for k, token in enumerate(pattern):
-                if token == SLOT:
-                    ends.setdefault(pattern[:k], []).append((pattern[k + 1:], pattern))
+        ends = _split_at_slots(f_v)
         prefix_lengths = sorted({len(prefix) for prefix in ends})
         f_o = dict.fromkeys(f_v, 0)
         for question, n in frequency.items():
@@ -117,10 +123,12 @@ class PatternIndex:
             for length in prefix_lengths:
                 if length >= size:
                     break
-                for suffix, pattern in ends.get(question[:length], ()):
-                    rest = size - len(suffix)
-                    if rest > length and question[rest:] == suffix:
-                        found.add(pattern)
+                by_suffix = ends.get(question[:length])
+                if by_suffix:
+                    for suffix, pattern in by_suffix.items():
+                        rest = size - len(suffix)
+                        if rest > length and question[rest:] == suffix:
+                            found.add(pattern)
             for pattern in found:
                 f_o[pattern] += n
         return cls({pattern: (f_v[pattern], f_o[pattern]) for pattern in f_v})
@@ -135,12 +143,41 @@ class PatternIndex:
     @classmethod
     def load(cls, path: str | Path) -> "PatternIndex":
         return cls({tuple(text.split(" ")): (f_v, f_o)
-                    for text, f_v, f_o in read_tsv(path, 3, _pattern_row)})
+                    for text, f_v, f_o in read_tsv(path, 3, _pattern_row, key_fields=1)})
 
     def validity(self, pattern: Tokens) -> tuple[int, int, float]:
         """(f_v, f_o, f_v / f_o); all zero for a pattern of no positive validity."""
         f_v, f_o = self.counts.get(pattern, (0, 0))
         return f_v, f_o, (f_v / f_o if f_o else 0.0)
+
+    @cached_property
+    def frames(self) -> dict[Tokens, Frame]:
+        """Each pattern of positive validity split at each of its slot
+        tokens: prefix -> (the lengths of the suffixes it holds, ascending;
+        suffix -> (pattern, validity))."""
+        frames: dict[Tokens, Frame] = {}
+        for prefix, by_suffix in _split_at_slots(self.counts).items():
+            framed = {suffix: (pattern, p) for suffix, pattern in by_suffix.items()
+                      if (p := self.validity(pattern)[2]) > 0}
+            if framed:
+                frames[prefix] = sorted({len(suffix) for suffix in framed}), framed
+        return frames
+
+    @cached_property
+    def prefix_lengths(self) -> list[int]:
+        """The lengths of the prefixes in ``frames``, ascending."""
+        return sorted({len(prefix) for prefix in self.frames})
+
+
+def _split_at_slots(patterns: Iterable[Tokens]) -> dict[Tokens, dict[Tokens, Tokens]]:
+    """prefix -> {suffix: pattern}, each pattern split at each of its slot
+    tokens, so that ``prefix + (SLOT,) + suffix == pattern``."""
+    ends: dict[Tokens, dict[Tokens, Tokens]] = {}
+    for pattern in patterns:
+        for k, token in enumerate(pattern):
+            if token == SLOT:
+                ends.setdefault(pattern[:k], {})[pattern[k + 1:]] = pattern
+    return ends
 
 
 def _pattern_row(fields: tuple[str, ...]) -> tuple[str, int, int]:
@@ -183,12 +220,12 @@ class Decomposer:
         pattern of positive validity reaches from the whole question.
 
         A substring's primitivity is read from one mention table of the
-        question, which probes a span only when a read needs it, and each
+        question, which probes a span only when a walk reads it, and each
         span at most once. A primitive question is answered from the walk
-        of the whole question alone; any other fills the table. The length
-        limit bounds the search, so a primitive question, which needs none,
-        is never refused, and a longer question is refused before its
-        table is filled.
+        of the whole question alone; any other walks each substring it
+        scores. The length limit bounds the search, so a primitive question,
+        which needs none, is never refused, and a longer question is refused
+        before the search.
         """
         question = tuple(tokens)
         n = len(question)
@@ -201,17 +238,7 @@ class Decomposer:
             return Decomposition([question], 1.0, walk, mentions)
         if n > self.max_question_len:  # only the whole question can be longer
             raise QuestionTooLongError(n, self.max_question_len)
-        # first_end[i]: the least end of an entity span starting at i or
-        # later; shortest[i]: the least length of a window starting at i
-        # that holds an entity span, first_end[i] - i
-        first_end = [n + 1] * (n + 1)
-        for i, j in spans.entities:
-            first_end[i] = min(first_end[i], j)
-        shortest = [0] * n
-        for i in range(n - 1, -1, -1):
-            first_end[i] = min(first_end[i], first_end[i + 1])
-            shortest[i] = first_end[i] - i
-        validity = self.patterns.validity
+        frames, prefix_lengths = self.patterns.frames, self.patterns.prefix_lengths
         best: dict[Tokens, tuple[float, tuple[Tokens, ...]]] = {}
         walks: dict[Tokens, tuple[list[tuple[tuple[int, int], str]],
                                   list[SupportedTemplate] | None]] = {question: (mentions, walk)}
@@ -231,22 +258,31 @@ class Decomposer:
             """The best chain of a substring that is not primitive, through
             an inner span, or the substring itself, scoring 0."""
             size = end - start
-            least = shortest[start:end]
+            # (-length, a, b, pattern, validity) of each inner span [a, b)
+            # that a pattern frames
+            framed = []
+            for a in prefix_lengths:
+                if a >= size:
+                    break
+                frame = frames.get(sub[:a])
+                if frame is None:
+                    continue
+                suffix_lengths, by_suffix = frame
+                for length in suffix_lengths:
+                    b = size - length
+                    if b <= a:  # the suffixes left are longer still
+                        break
+                    # a proper inner span only, so a bare slot frames none
+                    if b - a < size and (hit := by_suffix.get(sub[b:])):
+                        framed.append((a - b, a, b) + hit)
+            framed.sort()  # longest first, then leftmost
             score, sequence = 0.0, (sub,)
-            for length in range(size - 1, 0, -1):  # longest first, then leftmost
-                for a in range(size - length + 1):
-                    if least[a] > length:  # no entity span: scores 0
-                        continue
-                    b = a + length
-                    pattern = sub[:a] + (SLOT,) + sub[b:]
-                    p_pattern = validity(pattern)[2]
-                    if p_pattern <= 0:
-                        continue
-                    inner_score, inner_seq = solve(start + a, start + b)
-                    candidate = p_pattern * inner_score
-                    if candidate > score:  # strict, so the span order breaks ties
-                        score = candidate
-                        sequence = inner_seq + (pattern,)
+            for _, a, b, pattern, p_pattern in framed:
+                inner_score, inner_seq = solve(start + a, start + b)
+                candidate = p_pattern * inner_score
+                if candidate > score:  # strict, so the span order breaks ties
+                    score = candidate
+                    sequence = inner_seq + (pattern,)
             return score, sequence
 
         try:

@@ -55,16 +55,19 @@ RowConverter = Callable[[tuple[str, ...]], tuple[Any, ...]]
 
 
 def read_tsv(path: str | Path, n_fields: int,
-             convert: RowConverter | None = None) -> list[tuple[Any, ...]]:
+             convert: RowConverter | None = None, *, key_fields: int = 0) -> list[tuple[Any, ...]]:
     """Rows of the tab-separated file at ``path``.
 
     Line ends (``\\n``, ``\\r``) are stripped, and blank lines and lines
     starting with ``#`` are skipped. Every other line must hold exactly
     ``n_fields`` non-empty fields. ``convert``, if given, maps each row's
     fields to the row returned (``convert_last`` makes the common one); a
-    ValueError it raises names the line.
+    ValueError it raises names the line. Then no two lines may hold the
+    same first ``key_fields`` fields: the later one is refused, naming the
+    earlier.
     """
     rows = []
+    first_line: dict[tuple[str, ...], int] = {}  # key -> the line that holds it
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
             line = raw.rstrip("\r\n")
@@ -77,12 +80,18 @@ def read_tsv(path: str | Path, n_fields: int,
                 )
             if not all(fields):
                 raise TsvParseError(lineno, "empty field", path)
+            row = fields
             if convert is not None:
                 try:
-                    fields = convert(fields)
+                    row = convert(fields)
                 except ValueError as exc:
                     raise TsvParseError(lineno, str(exc), path) from None
-            rows.append(fields)
+            if key_fields:
+                key = fields[:key_fields]
+                first = first_line.setdefault(key, lineno)
+                if first != lineno:
+                    raise TsvParseError(lineno, f"same key as line {first}: {key!r}", path)
+            rows.append(row)
     return rows
 
 

@@ -290,7 +290,8 @@ class PredicateModel:
     @classmethod
     def load(cls, path: str | Path) -> "PredicateModel":
         rows: dict[str, dict[PredicatePath, float]] = {}
-        for template, path_text, prob in read_tsv(path, 3, convert_last(_probability)):
+        for template, path_text, prob in read_tsv(path, 3, convert_last(_probability),
+                                                  key_fields=2):
             rows.setdefault(template, {})[tuple(path_text.split("|"))] = prob
         return cls(rows)
 

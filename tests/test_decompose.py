@@ -5,9 +5,13 @@ from __future__ import annotations
 import gc
 import random
 import re
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
@@ -309,7 +313,7 @@ def test_dp_equals_bruteforce_on_nested_valid_patterns(rich_decomposer, data_dir
 
 
 # ---------------------------------------------------------------------------
-# Only windows that hold an entity span are tried
+# Only windows that a stored pattern frames are tried
 
 ONE_TOKEN_CORPUS = [
     "when was obama born",
@@ -388,11 +392,47 @@ def test_dp_equals_bruteforce_with_few_entity_windows(one_token_decomposer, plac
     assert chained >= 1
 
 
-def test_validity_is_asked_only_about_windows_holding_an_entity(one_token_decomposer,
-                                                                monkeypatch):
+def _framed_in(patterns, outer, inner):
+    """Whether a pattern of positive validity frames ``inner`` as a proper
+    inner span of ``outer``."""
+    return len(inner) < len(outer) and any(
+        outer[a : a + len(inner)] == inner
+        and patterns.validity(outer[:a] + (SLOT,) + outer[a + len(inner) :])[2] > 0
+        for a in range(len(outer) - len(inner) + 1)
+    )
+
+
+def test_the_dp_enters_only_windows_a_stored_pattern_frames(one_token_decomposer,
+                                                            monkeypatch):
     # With one entity token and no other token equal to it, an inner window
-    # holds the entity span exactly when its pattern has no entity token left.
+    # holds the entity span exactly when it holds an entity token.
     decomposer = one_token_decomposer
+    walked: list[tuple[str, ...]] = []
+    walk = Decomposer._walk
+
+    def recording_walk(self, tokens, mentions):
+        walked.append(tokens)
+        return walk(self, tokens, mentions)
+
+    monkeypatch.setattr(Decomposer, "_walk", recording_walk)
+    # "obama's wife in $e" frames "the wife", which holds no entity
+    questions = _placed_questions("first") + _placed_questions("last")
+    questions.append(tokenize("obama's wife in the wife"))
+    entity_tokens = {"obama", "obama's", "honolulu"}
+    without_entity = 0
+    for tokens in questions:
+        walked.clear()
+        decomposer.decompose(tokens)
+        assert walked[0] == tokens
+        # each later walk is of a window that a pattern frames inside a
+        # substring walked before it, and no window is walked twice
+        for k, sub in enumerate(walked[1:], 1):
+            assert any(_framed_in(decomposer.patterns, outer, sub) for outer in walked[:k]), sub
+        assert len(set(walked)) == len(walked)
+        without_entity += sum(not entity_tokens & set(sub) for sub in walked)
+    # a framed window that holds no entity is entered too
+    assert without_entity
+    # the exhaustive oracle asks about every window, entity windows among them
     asked: list[tuple[str, ...]] = []
     validity = decomposer.patterns.validity
 
@@ -401,17 +441,91 @@ def test_validity_is_asked_only_about_windows_holding_an_entity(one_token_decomp
         return validity(pattern)
 
     monkeypatch.setattr(decomposer.patterns, "validity", counting_validity)
-    questions = _placed_questions("first") + _placed_questions("last")
-    for tokens in questions:
-        decomposer.decompose(tokens)
-    entity_tokens = {"obama", "obama's", "honolulu"}
-    assert asked
-    assert not [p for p in asked if entity_tokens & set(p)]
-    # the exhaustive oracle tries every window, so it does ask about those
-    asked.clear()
     for tokens in questions:
         decompose_bruteforce(decomposer, tokens)
     assert [p for p in asked if entity_tokens & set(p)]
+
+
+# Tokens of random pattern sets: the one-token entities and their
+# possessive, a few filler words, and the slot itself, which a question
+# may hold too.
+PATTERN_VOCAB = ["obama", "obama's", "honolulu", "wife", "the", "of", "when", "was", "born",
+                 "in", SLOT]
+_words = st.lists(st.sampled_from(PATTERN_VOCAB), max_size=3).map(tuple)
+_counts = st.integers(1, 3).flatmap(lambda f_v: st.tuples(st.just(f_v), st.integers(f_v, 4)))
+
+
+@st.composite
+def pattern_sets(draw):
+    """A pattern set holding a bare slot row, a two-slot row, a pattern with
+    an empty prefix and one with an empty suffix, several patterns sharing
+    one prefix, and two patterns whose words hold an entity, so that they
+    frame windows that hold none, and frame the two entities of "obama's
+    wife in honolulu" as windows of one length; each with counts
+    1 <= f_v <= f_o, so that ties are common."""
+    shared = draw(_words)
+    patterns = {
+        (SLOT,),
+        draw(_words) + (SLOT,) + draw(_words) + (SLOT,) + draw(_words),
+        (SLOT,) + draw(_words.filter(bool)),
+        draw(_words.filter(bool)) + (SLOT,),
+        ("obama's", "wife", "in", SLOT),
+        (SLOT, "wife", "in", "honolulu"),
+    }
+    patterns |= {shared + (SLOT,) + suffix
+                 for suffix in draw(st.lists(_words, min_size=3, max_size=6, unique=True))}
+    patterns |= {prefix + (SLOT,) + suffix
+                 for prefix, suffix in draw(st.lists(st.tuples(_words, _words), max_size=8))}
+    return {pattern: draw(_counts) for pattern in sorted(patterns)}
+
+
+@st.composite
+def nested_questions(draw, patterns):
+    """Questions of at most 8 tokens: an entity surface, a question with
+    one or two entities or random words, wrapped at a random slot of up to
+    three random patterns of the set."""
+    inner = draw(st.sampled_from([("obama",), ("honolulu",), ("obama's", "wife"),
+                                  ("when", "was", "obama", "born"),
+                                  ("obama's", "wife", "in", "honolulu")])
+                 | st.lists(st.sampled_from(PATTERN_VOCAB), min_size=1, max_size=4).map(tuple))
+    for pattern in draw(st.lists(st.sampled_from(sorted(patterns)), max_size=3)):
+        slot = draw(st.sampled_from([k for k, token in enumerate(pattern) if token == SLOT]))
+        wrapped = pattern[:slot] + inner + pattern[slot + 1:]
+        if len(wrapped) > 8:
+            break
+        inner = wrapped
+    return inner
+
+
+@pytest.fixture(scope="module")
+def bare_entity_engine(one_token_decomposer):
+    """``one_token_decomposer``'s engine, with rows for the bare templates
+    ``$person`` and ``$city`` too, so that an entity token alone is primitive
+    and a window of one token can start a chain."""
+    engine = one_token_decomposer.engine
+    rows = {text: dict(engine.model.row(text)) for text in engine.model.templates()}
+    rows.update({"$person": {("dob",): 1.0}, "$city": {("population",): 1.0}})
+    return AnswerEngine(engine.kb, engine.index, engine.concepts, PredicateModel(rows))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_dp_equals_bruteforce_on_random_pattern_sets(bare_entity_engine, data):
+    counts = data.draw(pattern_sets())
+    built = PatternIndex(counts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "patterns.tsv"
+        built.save(path)
+        loaded = PatternIndex.load(path)
+    assert loaded.counts == counts
+    questions = data.draw(st.lists(nested_questions(counts), min_size=1, max_size=6))
+    for patterns in (built, loaded):
+        decomposer = Decomposer(bare_entity_engine, patterns)
+        for tokens in questions:
+            dp = decomposer.decompose(tokens)
+            brute = decompose_bruteforce(decomposer, tokens)
+            assert dp.score == brute.score, tokens
+            assert dp.sequence == brute.sequence, tokens
 
 
 @pytest.mark.parametrize(
@@ -426,4 +540,13 @@ def test_pattern_file_rejects_bad_counts(tmp_path, row, message):
     path = tmp_path / "patterns.tsv"
     path.write_text(f"when was $e born\t2\t2\n{row}\n", encoding="utf-8")
     with pytest.raises(TsvParseError, match=r"line 2: .*" + re.escape(message)):
+        PatternIndex.load(path)
+
+
+def test_pattern_file_refuses_a_repeated_pattern(tmp_path):
+    path = tmp_path / "patterns.tsv"
+    path.write_text("when was $e born\t2\t2\n$e wife\t1\t1\n\nwhen was $e born\t1\t3\n",
+                    encoding="utf-8")
+    with pytest.raises(TsvParseError, match=re.escape(
+            f"{path}: line 4: same key as line 1: ('when was $e born',)")):
         PatternIndex.load(path)

@@ -86,4 +86,4 @@ def test_probe_work_of_the_ci_world_is_pinned(ci_world, monkeypatch):
         for question in questions:
             session.answer_record(question.text)
         counts.append(len(keys))
-    assert counts == [40, 132]
+    assert counts == [40, 52]

@@ -104,6 +104,18 @@ def test_empty_field_rejected(tmp_path):
         load_kb_text(tmp_path, "a\t\tb\n")
 
 
+def test_read_tsv_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\t1\n# a\tb\t1\na\tc\t1\nb\tb\t1\n", encoding="utf-8")
+    # comments are no rows, and keys differ in any of their fields
+    assert len(read_tsv(path, 3, key_fields=2)) == 3
+    with pytest.raises(TsvParseError, match="line 3: same key as line 1: \\('a',\\)") as exc:
+        read_tsv(path, 3, key_fields=1)
+    assert exc.value.line_number == 3
+    # without key fields a repeated row is read as it stands
+    assert len(read_tsv(path, 3)) == 3
+
+
 def test_comments_and_blank_lines_skipped(tmp_path):
     kb = load_kb_text(tmp_path, "# header\n\na\tp\tb\n")
     assert len(kb) == 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
+import re
 import sys
 from types import ModuleType
 from math import fsum, isclose, log
@@ -21,7 +22,7 @@ from factqa.corpus import (
     probe_corpus,
     tokenize,
 )
-from factqa.kb import KnowledgeBase, expand_predicates, expansion_map
+from factqa.kb import KnowledgeBase, TsvParseError, expand_predicates, expansion_map
 from factqa.learn import (
     Posterior,
     PredicateModel,
@@ -856,6 +857,18 @@ def test_model_save_load_roundtrip(tmp_path, toy_training):
     # sorted by template then probability descending
     lines = target.read_text().splitlines()
     assert lines == sorted(lines, key=lambda l: (l.split("\t")[0], -float(l.split("\t")[2])))
+
+
+def test_model_file_refuses_a_repeated_template_and_path(tmp_path):
+    target = tmp_path / "model.tsv"
+    target.write_text("t\tdob\t0.5\nt\tplace_of_birth\t0.5\nu\tdob\t1.0\nt\tdob\t0.25\n",
+                      encoding="utf-8")
+    with pytest.raises(TsvParseError, match=re.escape(
+            f"{target}: line 4: same key as line 1: ('t', 'dob')")):
+        PredicateModel.load(target)
+    # a template may hold several paths, and a path several templates
+    target.write_text("t\tdob\t0.5\nt\tplace_of_birth\t0.5\nu\tdob\t1.0\n", encoding="utf-8")
+    assert len(PredicateModel.load(target)) == 2
 
 
 def test_model_items_deterministic(fixture_model, tmp_path):

@@ -347,14 +347,26 @@ def test_a_primitive_question_probes_only_the_spans_its_walk_reads(online, monke
     assert keys == ["barack obama"]
 
 
-def test_a_complex_question_probes_each_key_once_across_walk_and_fill(online, monkeypatch):
+def test_a_complex_question_probes_each_key_once_across_walk(online, monkeypatch):
     keys = _record_lookups(monkeypatch)
     record = online.answer_record("When was Barack Obama's wife born?")
     assert record["answer"] == "1964"
     assert len(record["steps"]) == 2
-    # the walk of the whole question, then the spans it left, once each;
-    # the second step probes nothing
-    assert keys == ["barack obama", "barack", "obama"]
+    # the walk of the whole question probes its one key; the walk of the
+    # window "when was $e born" frames reads the same hit, and the second
+    # step probes nothing
+    assert keys == ["barack obama"]
+
+
+def test_the_pattern_frames_are_built_once_on_the_first_search(online):
+    # neither set-up nor a primitive question pays for them
+    patterns = online.decomposer.patterns
+    online.answer_record("When was Barack Obama born?")
+    assert "frames" not in vars(patterns)
+    online.answer_record("When was Barack Obama's wife born?")
+    frames = vars(patterns)["frames"]
+    online.answer_record("When was Barack Obama's wife born?")
+    assert vars(patterns)["frames"] is frames
 
 
 def test_answer_record_walks_each_window_once(online, monkeypatch):
@@ -1276,6 +1288,25 @@ def test_cli_model_probability_outside_0_1_exits_2(built_data, prob):
     assert "Traceback" not in proc.stderr
     assert f"{model}: line 1: probability must be a finite number in [0, 1]" in proc.stderr
     assert "NaN" not in proc.stdout
+
+
+@pytest.mark.parametrize("name, repeat", [
+    ("toy.model.tsv", lambda fields: fields[:2] + ["0.25"]),
+    ("toy.model.patterns.tsv", lambda fields: fields[:1] + ["1", "1"]),
+], ids=["model", "patterns"])
+def test_cli_repeated_tsv_artifact_key_exits_2(built_data, name, repeat):
+    """A row with the key of an earlier one, the model's template and path or
+    the pattern file's pattern, is refused even with other numbers."""
+    artifact = built_data / "out" / name
+    rows = artifact.read_text().splitlines(keepends=True)
+    rows.append("\t".join(repeat(rows[0].rstrip("\n").split("\t"))) + "\n")
+    artifact.write_text("".join(rows))
+    proc = _module_cli("answer", "--config", str(built_data / "pipeline.cfg"),
+                       "When was Barack Obama born?")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{artifact}: line {len(rows)}: same key as line 1" in proc.stderr
+    assert "rerun the offline flow" in proc.stderr
 
 
 def test_online_unparseable_model_is_a_config_error(tmp_path):
