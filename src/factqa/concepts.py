@@ -161,7 +161,9 @@ class ConceptGraph:
     ) -> "ConceptGraph":
         """The graph of the isA, context-weight and override TSVs. An isA
         line whose weight takes its entity's running total past the float
-        range is refused by its line."""
+        range is refused by its line, and so is a context-weight line that
+        repeats a (concept, token) or an override line that repeats a
+        (tokenized question, concept)."""
         totals: dict[str, float] = {}
 
         def edge(fields: tuple[str, ...]) -> tuple[str, str, float]:
@@ -175,15 +177,18 @@ class ConceptGraph:
         edges = read_tsv(isa_path, 3, edge)
         weights = None
         if context_weights_path is not None:
-            rows = read_tsv(context_weights_path, 3, convert_last(_context_weight))
+            rows = read_tsv(context_weights_path, 3, convert_last(_context_weight), key_fields=2)
             weights = {(c, tok): w for c, tok, w in rows}
         overrides: dict[str, dict[str, float]] | None = None
         if overrides_path is not None:
             overrides = {}
-            for question, concept, prob in read_tsv(overrides_path, 3, convert_last(_probability)):
-                # keys are stored in tokenized form so any surface spelling
-                # of the question matches at lookup time
-                overrides.setdefault(normalize_text(question), {})[concept] = prob
+            # keyed by the tokenized question: any spelling of it matches at
+            # lookup time, and two spellings of it are one key
+            for question, concept, prob in read_tsv(
+                overrides_path, 3, lambda f: (normalize_text(f[0]), f[1], _probability(f[2])),
+                key_fields=2,
+            ):
+                overrides.setdefault(question, {})[concept] = prob
         return cls(edges, weights, overrides)
 
     def concept_prior(self, entity: str) -> dict[str, float]:

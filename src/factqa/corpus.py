@@ -1,7 +1,9 @@
 """QA corpus ingestion and the distributions grounded in it.
 
 Covers tokenization, corpus statistics, and joint entity and value
-extraction with category refinement.
+extraction with category refinement. Question mentions are probed in the
+entity index; answer values are looked up in one table of node and
+dictionary texts, never in the index.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .hasharray import Memo, ProbeMemo, SpanTable, StaticHashArray
+from .hasharray import Memo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
 Tokens = tuple[str, ...]
@@ -86,8 +88,9 @@ def question_category(tokens: Tokens) -> str:
 
 
 def load_predicate_categories(path: str | Path) -> dict[str, str]:
-    """TSV ``predicate<TAB>category``; unknown category names are rejected."""
-    return dict(read_tsv(path, 2, convert_last(_category)))
+    """TSV ``predicate<TAB>category``; unknown category names and a second
+    row for one predicate are rejected."""
+    return dict(read_tsv(path, 2, convert_last(_category), key_fields=1))
 
 
 def _category(name: str) -> str:
@@ -195,7 +198,7 @@ class MentionTable(SpanTable):
 
     __slots__ = ("_names",)
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, keys: Tokens):
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, keys: Tokens):
         super().__init__(index, keys)
         payloads = self._payloads
         self._names = Memo(lambda span: _entities(kb, payloads[span]))
@@ -246,7 +249,7 @@ class CorpusMentions(NamedTuple):
 
 
 def probe_corpus(
-    kb: KnowledgeBase, index: StaticHashArray | ProbeMemo, corpus: Iterable[QaPair]
+    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair]
 ) -> CorpusMentions:
     """What a ``MentionTable`` of each distinct question gives, built from
     the question's runs of lookup keys that the token filter passes.
@@ -256,7 +259,8 @@ def probe_corpus(
     distinct run is read through one ``MentionTable`` for the whole pass,
     and a question joins its runs' results in order, spans shifted by the
     run's offset, an entity named in two runs kept at its first span. Each
-    distinct token is normalized and filtered once."""
+    distinct token is normalized and filtered once to split the runs, and
+    each distinct run's table filters its keys again."""
     frequency: dict[Tokens, int] = {}
     for pair in corpus:
         frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
@@ -297,13 +301,18 @@ def probe_corpus(
 
 
 class EntityValueExtractor:
-    """Joint entity and value extraction against a KB and entity index.
+    """Joint entity and value extraction against a KB and its entity
+    dictionary.
 
     A pair (e, v) is extracted when e is mentioned in the question, v is a
     token span of the answer naming a KB node, and the expansion map
     (``expansion_map`` of the offline expansion) holds a predicate path
     connecting them. Refinement keeps only pairs whose value category (from
     the connecting path's final predicate) matches the question category.
+
+    An answer span names a node when it equals the node's normalized id or
+    a surface of it that ``build_entity_index`` indexes; one table maps
+    each such text to its nodes.
 
     The expansion holds every object of a path it records for a mentioned
     entity: its seeds are the mentioned entities, and the name restriction
@@ -315,39 +324,34 @@ class EntityValueExtractor:
     def __init__(
         self,
         kb: KnowledgeBase,
-        index: StaticHashArray | ProbeMemo,
+        dictionary: Iterable[tuple[str, str]],
         expansion: dict[tuple[str, str], list[PredicatePath]],
         *,
         predicate_categories: dict[str, str] | None = None,
     ):
         self.kb = kb
-        self.index = index
         self.predicate_categories = predicate_categories or {}
         self._expansion = expansion
         self._objects = Counter((e, path) for (e, _), paths in expansion.items() for path in paths)
-        # built up front: after construction the only writes are a ProbeMemo
-        # index's, and each stores the value any other writer would store
-        table: dict[str, list[str]] = {}
+        table: dict[str, set[str]] = {}
         for node in kb.nodes:
-            table.setdefault(normalize_text(node), []).append(node)
+            table.setdefault(normalize_text(node), set()).add(node)
+        for node, surface in dictionary:
+            if node in kb.nodes and (text := normalize_text(surface)):
+                table.setdefault(text, set()).add(node)
         self._nodes_by_text = {text: tuple(sorted(ns)) for text, ns in table.items()}
-        # no answer span of more words can equal a node text
+        # no answer span of more words can equal a text of the table
         self._longest_text = max((text.count(" ") + 1 for text in table), default=0)
 
     def candidate_values(self, answer: Tokens) -> set[str]:
-        """KB nodes named by some contiguous answer span.
-
-        A span matches a node either by normalized node text or through
-        the answer's ``SpanTable`` (so multi-word entity values resolve too).
-        """
+        """KB nodes named by some contiguous answer span: one table lookup
+        per span, up to the longest text."""
         by_text = self._nodes_by_text
         found: set[str] = set()
         n = len(answer)
         for i in range(n):
             for j in range(i + 1, min(n, i + self._longest_text) + 1):
                 found.update(by_text.get(" ".join(answer[i:j]), ()))
-        for payloads in SpanTable(self.index, answer).payloads.values():
-            found.update(self.kb.node_name(p) for p in payloads if self.kb.has_node_id(p))
         return found
 
     def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:

@@ -192,25 +192,6 @@ class Memo(dict):
         return found
 
 
-class ProbeMemo:
-    """An index's probes, each distinct token and key asked of it once.
-
-    Exposes what ``SpanTable`` reads: ``max_words``, ``has_token`` and
-    ``lookup``, the latter's payloads as the index gives them, sorted and
-    unique, but as a tuple so no two callers share a list. Both are a
-    dict's own lookup, so a token or key asked before costs no Python
-    call. The memo grows with every distinct key probed, so it suits one
-    pass over a finite input, such as one offline run over its corpus.
-    """
-
-    __slots__ = ("max_words", "has_token", "lookup")
-
-    def __init__(self, index: StaticHashArray):
-        self.max_words = index.max_words
-        self.has_token = Memo(index.has_token).__getitem__
-        self.lookup = Memo(lambda key: tuple(index.lookup(key))).__getitem__
-
-
 class SpanTable:
     """A token sequence's spans, each probed at most once against an index,
     and only when read.
@@ -237,7 +218,7 @@ class SpanTable:
 
     __slots__ = ("_lookup", "_keys", "_payloads", "_ends")
 
-    def __init__(self, index: StaticHashArray | ProbeMemo, keys: Iterable[str]):
+    def __init__(self, index: StaticHashArray, keys: Iterable[str]):
         self._lookup = index.lookup
         self._keys = keys = tuple(keys)
         self._payloads: dict[tuple[int, int], list[int]] = {}

@@ -62,9 +62,9 @@ def read_tsv(path: str | Path, n_fields: int,
     starting with ``#`` are skipped. Every other line must hold exactly
     ``n_fields`` non-empty fields. ``convert``, if given, maps each row's
     fields to the row returned (``convert_last`` makes the common one); a
-    ValueError it raises names the line. Then no two lines may hold the
-    same first ``key_fields`` fields: the later one is refused, naming the
-    earlier.
+    ValueError it raises names the line. Then no two rows returned may hold
+    the same first ``key_fields`` fields: the later line is refused, naming
+    the earlier.
     """
     rows = []
     first_line: dict[tuple[str, ...], int] = {}  # key -> the line that holds it
@@ -87,7 +87,7 @@ def read_tsv(path: str | Path, n_fields: int,
                 except ValueError as exc:
                     raise TsvParseError(lineno, str(exc), path) from None
             if key_fields:
-                key = fields[:key_fields]
+                key = row[:key_fields]
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:
                     raise TsvParseError(lineno, f"same key as line {first}: {key!r}", path)

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .decompose import DEFAULT_MAX_QUESTION_LEN, Decomposer, PatternIndex, QuestionTooLongError
 from .engine import AnswerEngine
-from .hasharray import ProbeMemo, StaticHashArray
+from .hasharray import StaticHashArray
 from .kb import (
     KnowledgeBase,
     SpoPath,
@@ -383,7 +383,7 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 
 def _expand_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: ProbeMemo
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
 ) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
     """Probe each distinct corpus question once; expand predicate paths from
     the entities it mentions and write them."""
@@ -404,7 +404,7 @@ def _expand_stage(
 
 
 def _extract_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: ProbeMemo,
+    run: _Staged, config: PipelineConfig, inputs: Inputs,
     paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
     """Extract the weighted observations, refined to the question category
@@ -412,7 +412,7 @@ def _extract_stage(
     run.stage = "extract"
     extractor = EntityValueExtractor(
         inputs.kb,
-        index,
+        inputs.dictionary,
         expansion_map(paths),
         predicate_categories=inputs.categories,
     )
@@ -460,8 +460,8 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
     _refuse_artifact_paths(config, "index", "expansion", config_file=config_file, written=True)
     with _Staged() as run:
         inputs = load_inputs(config, learn=False)
-        probes = ProbeMemo(_index_stage(run, config, inputs))
-        _, seeds, paths = _expand_stage(run, config, inputs, probes)
+        index = _index_stage(run, config, inputs)
+        _, seeds, paths = _expand_stage(run, config, inputs, index)
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
@@ -475,13 +475,10 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
-        # one memo for the run's probes: the corpus questions and answers
-        # repeat a few phrasings, so each distinct key is asked once
-        probes = ProbeMemo(index)
-        probed, _, paths = _expand_stage(run, config, inputs, probes)
+        probed, _, paths = _expand_stage(run, config, inputs, index)
         patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
-        training = _extract_stage(run, config, inputs, probes, paths, probed.mentions)
-        del probed, probes  # EM needs none of it
+        training = _extract_stage(run, config, inputs, paths, probed.mentions)
+        del probed  # EM needs none of it
         result = _learn_stage(run, config, training, patterns, inputs.concepts)
         report = {
             "triples": len(inputs.kb),

@@ -38,8 +38,13 @@ def toy_kb():
 
 
 @pytest.fixture(scope="session")
-def toy_index(toy_kb):
-    return build_entity_index(toy_kb, load_entity_dictionary(DATA / "entities.tsv"))
+def toy_dictionary():
+    return load_entity_dictionary(DATA / "entities.tsv")
+
+
+@pytest.fixture(scope="session")
+def toy_index(toy_kb, toy_dictionary):
+    return build_entity_index(toy_kb, toy_dictionary)
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +65,10 @@ def toy_stats(toy_corpus):
 
 
 @pytest.fixture(scope="session")
-def toy_extractor(toy_kb, toy_index):
+def toy_extractor(toy_kb, toy_dictionary):
     return EntityValueExtractor(
         toy_kb,
-        toy_index[0],
+        toy_dictionary,
         expansion_map(expand_predicates(toy_kb, toy_kb.entities, 3)),
         predicate_categories=load_predicate_categories(DATA / "predicate_categories.tsv"),
     )

@@ -3,8 +3,9 @@
 - The mention loops as they stood before every question's spans were
   probed once into a table: a lazy greedy walk that probes the index span
   by span, and an all-span loop that probes every span again. Neither
-  skips a span for its length or its tokens, and neither does the answer
-  span loop of value extraction.
+  skips a span for its length or its tokens.
+- Value extraction's answer span loop: every span, of any length, against
+  every node's text and every dictionary row, with no table.
 - A KB's triples read off its CSR; a depth-first path finder between two
   nodes over them, next to the expansion's breadth-first walk, and a value
   walk over the raw triples, next to the CSR walk.
@@ -92,19 +93,19 @@ def probe_every_span(
     return out
 
 
-def candidate_values(extractor: EntityValueExtractor, answer: Tokens) -> set[str]:
-    """KB nodes named by an answer span, by normalized node text or by an
-    index probe of that span."""
-    kb = extractor.kb
+def candidate_values(
+    kb: KnowledgeBase, dictionary: list[tuple[str, str]], answer: Tokens
+) -> set[str]:
+    """KB nodes named by an answer span, by normalized node text or by a
+    dictionary row whose surface has a word and normalizes to the span."""
     found: set[str] = set()
     n = len(answer)
     for i in range(n):
         for j in range(i + 1, n + 1):
             text = " ".join(answer[i:j])
             found.update(node for node in kb.nodes if normalize_text(node) == text)
-            for payload in extractor.index.lookup(text):
-                if kb.has_node_id(payload):
-                    found.add(kb.node_name(payload))
+            found.update(node for node, surface in dictionary
+                         if text and normalize_text(surface) == text)
     return {v for v in found if v in kb.nodes}
 
 

@@ -69,12 +69,12 @@ def test_criterion_2_corpus_statistics(toy_corpus):
 
 
 @criterion(3, "entity-value extraction, unrefined and refined")
-def test_criterion_3_extraction(toy_extractor):
+def test_criterion_3_extraction(toy_extractor, toy_index):
     pair = QaPair(
         tokenize("When was Barack Obama born?"),
         tokenize("The politician was born in 1961."),
     )
-    mentions = kb_mentions(toy_extractor.kb, toy_extractor.index, pair.question)
+    mentions = kb_mentions(toy_extractor.kb, toy_index[0], pair.question)
     values = toy_extractor.candidate_values(pair.answer)
     assert toy_extractor.extract(pair, mentions, values, refine=False) == {
         ("BarackObama", "1961"),

@@ -20,9 +20,11 @@ from factqa.corpus import (
     question_category,
     tokenize,
 )
+from factqa import hasharray
 from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase
 from factqa.learn import TrainingSet, write_observations
+from factqa.pipeline import build_entity_index
 from oracles import candidate_values, predicates_between
 
 Q1 = tokenize("When was Barack Obama born?")
@@ -32,10 +34,12 @@ A2 = tokenize("He was born in 1961.")
 A3 = tokenize("It's 390K.")
 
 
-def extract(extractor: EntityValueExtractor, pair: QaPair, refine: bool = True) -> set:
-    """``extractor.extract`` given the question's ``kb_mentions`` and the
-    answer's ``candidate_values``, as the offline flow gives them."""
-    mentions = kb_mentions(extractor.kb, extractor.index, pair.question)
+def extract(extractor: EntityValueExtractor, index: StaticHashArray, pair: QaPair,
+            refine: bool = True) -> set:
+    """``extractor.extract`` given the question's ``kb_mentions`` in
+    ``index`` and the answer's ``candidate_values``, as the offline flow
+    gives them."""
+    mentions = kb_mentions(extractor.kb, index, pair.question)
     return extractor.extract(pair, mentions, extractor.candidate_values(pair.answer), refine)
 
 
@@ -135,6 +139,15 @@ def test_load_corpus_refuses_a_line_that_is_not_one_json_value(tmp_path, lines):
     assert str(got.value) == f"line {len(lines)}: invalid JSON ({want.value})"
 
 
+def test_load_predicate_categories_refuses_a_second_row_for_a_predicate(tmp_path):
+    from factqa.corpus import load_predicate_categories
+
+    path = tmp_path / "cats.tsv"
+    path.write_text("dob\tdate\npopulation\tnumber\ndob\tnumber\n")
+    with pytest.raises(ValueError, match="line 3: same key as line 1: \\('dob',\\)"):
+        load_predicate_categories(path)
+
+
 def test_load_predicate_categories_rejects_unknown_category(tmp_path):
     from factqa.corpus import load_predicate_categories
 
@@ -185,56 +198,59 @@ def test_corpus_stats_normalized(toy_stats):
 # extraction
 
 
-def test_extract_unrefined_obama_pair(toy_extractor):
+def test_extract_unrefined_obama_pair(toy_extractor, toy_index):
     pair = QaPair(Q1, A1)
-    assert extract(toy_extractor, pair, refine=False) == {
+    assert extract(toy_extractor, toy_index[0], pair, refine=False) == {
         ("BarackObama", "1961"),
         ("BarackObama", "politician"),
     }
 
 
-def test_extract_refined_obama_pair(toy_extractor):
-    assert extract(toy_extractor, QaPair(Q1, A1), refine=True) == {("BarackObama", "1961")}
+def test_extract_refined_obama_pair(toy_extractor, toy_index):
+    found = extract(toy_extractor, toy_index[0], QaPair(Q1, A1), refine=True)
+    assert found == {("BarackObama", "1961")}
 
 
-def test_extract_honolulu_pair(toy_extractor):
-    assert extract(toy_extractor, QaPair(Q3, A3), refine=True) == {("Honolulu", "390K")}
+def test_extract_honolulu_pair(toy_extractor, toy_index):
+    found = extract(toy_extractor, toy_index[0], QaPair(Q3, A3), refine=True)
+    assert found == {("Honolulu", "390K")}
 
 
-def test_extract_disconnected_answer_is_empty(toy_extractor):
+def test_extract_disconnected_answer_is_empty(toy_extractor, toy_index):
     pair = QaPair(Q1, tokenize("No idea, sorry."))
-    assert extract(toy_extractor, pair) == set()
+    assert extract(toy_extractor, toy_index[0], pair) == set()
 
 
-def test_extract_refined_subset_of_unrefined(toy_extractor, toy_corpus):
+def test_extract_refined_subset_of_unrefined(toy_extractor, toy_index, toy_corpus):
     for pair in toy_corpus:
-        refined = extract(toy_extractor, pair, refine=True)
-        unrefined = extract(toy_extractor, pair, refine=False)
+        refined = extract(toy_extractor, toy_index[0], pair, refine=True)
+        unrefined = extract(toy_extractor, toy_index[0], pair, refine=False)
         assert refined <= unrefined
 
 
-def test_extract_invariant_under_answer_permutation(toy_extractor):
+def test_extract_invariant_under_answer_permutation(toy_extractor, toy_index):
     # value matching is content-based on spans, so shuffling the other
     # answer tokens around the value must not change the result
     rng = random.Random(2)
-    base = extract(toy_extractor, QaPair(Q1, A1), refine=False)
+    base = extract(toy_extractor, toy_index[0], QaPair(Q1, A1), refine=False)
     others = [t for t in A1 if t != "1961" and t != "politician"]
     for _ in range(5):
         rng.shuffle(others)
         cut = rng.randrange(len(others) + 1)
         answer = tuple(others[:cut]) + ("politician", "1961") + tuple(others[cut:])
-        assert extract(toy_extractor, QaPair(Q1, answer), refine=False) == base
+        assert extract(toy_extractor, toy_index[0], QaPair(Q1, answer), refine=False) == base
 
 
 def test_extract_multiword_entity_value(toy_kb, toy_index, toy_extractor):
-    # an answer naming an entity through its surface resolves via the index
+    # an answer naming an entity through a dictionary surface resolves too
     pair = QaPair(tokenize("Who is Barack Obama's wife?"), tokenize("She is Michelle Obama."))
-    assert ("BarackObama", "MichelleObama") in extract(toy_extractor, pair, refine=False)
+    found = extract(toy_extractor, toy_index[0], pair, refine=False)
+    assert ("BarackObama", "MichelleObama") in found
 
 
-def test_observations_are_kb_connected(toy_extractor, toy_corpus):
+def test_observations_are_kb_connected(toy_extractor, toy_index, toy_corpus):
     for pair in toy_corpus:
-        for entity, value in extract(toy_extractor, pair, refine=False):
+        for entity, value in extract(toy_extractor, toy_index[0], pair, refine=False):
             paths = predicates_between(toy_extractor.kb, entity, value, 3, name_restriction=True)
             assert paths, (entity, value)
 
@@ -258,24 +274,26 @@ def test_build_observations_fixture_weights(toy_training):
     assert honolulu[0][1] == pytest.approx(1 / 3, abs=1e-15)
 
 
-def test_build_observations_empty_extraction(toy_extractor, toy_concepts):
+def test_build_observations_empty_extraction(toy_extractor, toy_index, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
-    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, [pair]).mentions
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], [pair]).mentions
     training = TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts)
     assert training.observations == [] and training.groups == []
 
 
-def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_concepts, toy_training):
+def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_index, toy_concepts,
+                                             toy_training):
     doubled = [QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus]
-    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, doubled).mentions
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], doubled).mentions
     scaled = TrainingSet.build(
         doubled, mentions, toy_extractor, corpus_stats(doubled), toy_concepts
     )
     assert scaled.observations == toy_training.observations
 
 
-def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, monkeypatch):
+def test_build_matches_each_distinct_answer_once(toy_extractor, toy_index, toy_concepts,
+                                                monkeypatch):
     # A2 under two questions and twice under Q1; A3 also under a question
     # that mentions no entity, whose answers are never matched
     unmentioned = tokenize("gibberish question")
@@ -285,7 +303,7 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, mo
         QaPair(unmentioned, tokenize("nothing here")),
     ]
     stats = corpus_stats(pairs)
-    mentions = probe_corpus(toy_extractor.kb, toy_extractor.index, pairs).mentions
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], pairs).mentions
     # one build per pair matches each pair's answer anew
     one_by_one = [
         item
@@ -308,7 +326,9 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_concepts, mo
     assert len(training) == 5
 
 
-def test_candidate_values_equal_probing_every_answer_span(toy_extractor, toy_corpus):
+def test_candidate_values_equal_probing_every_answer_span(
+    toy_kb, toy_dictionary, toy_extractor, toy_corpus
+):
     answers = [pair.answer for pair in toy_corpus]
     vocab = ["the", "was", "born", "in", "1961", "1964", "390k", "barack", "obama", "michelle",
              "obama's", "honolulu", "politician", "person", "marriage1", "wife", "he", "", "é"]
@@ -316,7 +336,7 @@ def test_candidate_values_equal_probing_every_answer_span(toy_extractor, toy_cor
     answers += [tuple(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(300)]
     found = 0
     for answer in answers:
-        want = candidate_values(toy_extractor, answer)
+        want = candidate_values(toy_kb, toy_dictionary, answer)
         assert toy_extractor.candidate_values(answer) == want, answer
         found += len(want)
     assert found > 300
@@ -324,15 +344,15 @@ def test_candidate_values_equal_probing_every_answer_span(toy_extractor, toy_cor
 
 def test_candidate_values_reach_the_longest_node_text():
     """Answer spans are matched against node texts up to the longest one,
-    here three words, and against index keys up to the longest key."""
+    here three words, and against dictionary surfaces up to the longest
+    one."""
     kb = KnowledgeBase([
         ("Ada", "dob", "10 December 1815"),
         ("Ada", "spouse", "William King"),
         ("Ada", "title", "Countess"),
     ])
-    index = StaticHashArray.build([("william king", kb.node_id("William King"))])
-    extractor = EntityValueExtractor(kb, index, {})
-    assert index.max_words == 2
+    dictionary = [("William King", "william king")]
+    extractor = EntityValueExtractor(kb, dictionary, {})
     vocab = ["born", "10", "december", "1815", "william", "king", "countess", "ada", "of"]
     rng = random.Random(91)
     answers = [tokenize("She was born on 10 December 1815."), tokenize("William King")]
@@ -340,7 +360,59 @@ def test_candidate_values_reach_the_longest_node_text():
     assert extractor.candidate_values(answers[0]) == {"10 December 1815"}
     assert extractor.candidate_values(answers[1]) == {"William King"}
     for answer in answers:
-        assert extractor.candidate_values(answer) == candidate_values(extractor, answer), answer
+        assert extractor.candidate_values(answer) == candidate_values(kb, dictionary, answer), answer
+
+
+def test_candidate_values_take_the_rows_the_index_takes():
+    """A dictionary row naming no KB node, or whose surface has no word,
+    names no value, as neither is indexed; a surface is matched in its
+    normalized form, and a node's surfaces add to its own text."""
+    kb = KnowledgeBase([("Ada", "spouse", "William King"), ("Ada", "title", "Countess")])
+    dictionary = [("William King", "Lord King!"), ("Ghost", "countess"), ("Ada", "..."),
+                  ("Ada", "the countess")]
+    extractor = EntityValueExtractor(kb, dictionary, {})
+    assert extractor.candidate_values(tokenize("Lord King, and William King")) == {"William King"}
+    assert extractor.candidate_values(tokenize("the Countess")) == {"Ada", "Countess"}
+    assert extractor.candidate_values(("ghost",)) == set()
+    assert extractor.candidate_values(("",)) == set()
+
+
+def _no_index(*args):
+    raise AssertionError("the entity index was asked")
+
+
+def test_candidate_values_ask_the_index_nothing(
+    toy_kb, toy_dictionary, toy_extractor, toy_corpus, monkeypatch
+):
+    monkeypatch.setattr(StaticHashArray, "lookup", _no_index)
+    monkeypatch.setattr(StaticHashArray, "has_token", _no_index)
+    assert not hasattr(toy_extractor, "index")
+    found = 0
+    for pair in toy_corpus:
+        want = candidate_values(toy_kb, toy_dictionary, pair.answer)
+        assert toy_extractor.candidate_values(pair.answer) == want
+        found += len(want)
+    assert found
+
+
+def test_a_fingerprint_collision_adds_no_value(monkeypatch):
+    """The span "king william" shares both hash halves with the indexed key
+    "william king", so the index returns William King for it; its tokens
+    are key tokens, so the token filter passes it too. No answer text is
+    either key's node's, so no value is found."""
+    kb = KnowledgeBase([("Ada", "spouse", "William King"), ("Ada", "title", "Countess")])
+    dictionary = [("William King", "william king")]
+    key_hash = hasharray.key_hash
+    monkeypatch.setattr(
+        hasharray, "key_hash",
+        lambda key: key_hash("william king" if key == "king william" else key),
+    )
+    index, _ = build_entity_index(kb, dictionary)
+    assert index.lookup("king william") == [kb.node_id("William King")]
+    assert index.has_token("king william")
+    extractor = EntityValueExtractor(kb, dictionary, {})
+    assert extractor.candidate_values(("king", "william")) == set()
+    assert extractor.candidate_values(("king", "william", "king")) == {"William King"}
 
 
 def test_write_observations_format(toy_training):

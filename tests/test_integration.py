@@ -161,12 +161,12 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
 
     config, _, _ = world
     kb = load_kb(config.kb)
-    index, _ = build_entity_index(kb, load_entity_dictionary(config.entities))
+    dictionary = load_entity_dictionary(config.entities)
     pairs = load_corpus(config.corpus)
-    mentions = probe_corpus(kb, index, pairs).mentions
+    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0], pairs).mentions
     extractor = EntityValueExtractor(
         kb,
-        index,
+        dictionary,
         expansion=expansion_map(expand_predicates(kb, corpus_seed_entities(mentions), 3)),
         predicate_categories=load_predicate_categories(config.predicate_categories),
     )

@@ -114,6 +114,11 @@ def test_read_tsv_refuses_a_repeated_key(tmp_path):
     assert exc.value.line_number == 3
     # without key fields a repeated row is read as it stands
     assert len(read_tsv(path, 3)) == 3
+    # the key is read off the converted row: here "A" and "a" are one key
+    path.write_text("a\tb\t1\nA\tb\t2\n", encoding="utf-8")
+    assert len(read_tsv(path, 3, key_fields=2)) == 2
+    with pytest.raises(TsvParseError, match="line 2: same key as line 1: \\('a', 'b'\\)"):
+        read_tsv(path, 3, lambda row: (row[0].lower(), *row[1:]), key_fields=2)
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):

@@ -212,18 +212,16 @@ def shape_world(isa, context_weights=None, overrides=None):
         triples += [(f"P{i}", "dob", str(1950 + i)), (f"P{i}", "birthplace", f"C{i % 2}"),
                     (f"P{i}", "name", f"person {i}")]
         dictionary.append((f"P{i}", f"person {i}"))
-    kb = KnowledgeBase(triples)
-    index, _ = build_entity_index(kb, dictionary)
-    return kb, index, ConceptGraph(isa, context_weights, overrides)
+    return KnowledgeBase(triples), dictionary, ConceptGraph(isa, context_weights, overrides)
 
 
-def build_args(kb, index, concepts, qa: list[tuple[str, str]]):
+def build_args(kb, dictionary, concepts, qa: list[tuple[str, str]]):
     """The arguments of ``TrainingSet.build`` and of its item-by-item
     oracle for the QA pairs, as the offline flow makes them."""
     pairs = [QaPair(tokenize(q), tokenize(a)) for q, a in qa]
-    mentions = probe_corpus(kb, index, pairs).mentions
+    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0], pairs).mentions
     paths = expand_predicates(kb, corpus_seed_entities(mentions), 3)
-    extractor = EntityValueExtractor(kb, index, expansion_map(paths),
+    extractor = EntityValueExtractor(kb, dictionary, expansion_map(paths),
                                      predicate_categories=SHAPE_CATEGORIES)
     return pairs, mentions, extractor, corpus_stats(pairs), concepts
 
@@ -265,8 +263,8 @@ def shape_key(concepts, question, entity, mentions):
 
 
 def test_build_matches_the_item_oracle_on_a_corpus_of_shared_shapes():
-    kb, index, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
-    args = build_args(kb, index, concepts, SHAPE_CORPUS)
+    kb, dictionary, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
+    args = build_args(kb, dictionary, concepts, SHAPE_CORPUS)
     training, items, mentions = TrainingSet.build(*args), training_items(*args), args[1]
     assert (training.assignments, training.groups) == grouped(items)
     assert training.observations == [(i.question, i.entity, i.value, i.weight) for i in items]
@@ -292,7 +290,7 @@ def test_build_matches_the_item_oracle_on_a_corpus_of_shared_shapes():
 
 
 def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(monkeypatch):
-    kb, index, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
+    kb, dictionary, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
     calls = {"question_concepts": 0, "value_distribution": 0, "path_row": 0}
 
     def counting(owner, name):
@@ -307,7 +305,7 @@ def test_build_derives_concepts_once_per_shape_and_walks_no_value_distribution(m
     counting(ConceptGraph, "question_concepts")
     counting(KnowledgeBase, "value_distribution")
     counting(TrainingSet, "path_row")
-    args = build_args(kb, index, concepts, SHAPE_CORPUS)
+    args = build_args(kb, dictionary, concepts, SHAPE_CORPUS)
     training = TrainingSet.build(*args)
     monkeypatch.undo()
     mentions = args[1]
@@ -353,8 +351,8 @@ def test_build_matches_the_item_oracle_on_random_corpora(seed):
         qa.append((phrasing.format(*map(names.get, nodes)), answer))
     overrides = {" ".join(tokenize(q)): {rng.choice(concepts): 1.0}
                  for q, _ in rng.sample(qa, rng.randrange(3))}
-    kb, index, graph = shape_world(isa, context, overrides)
-    args = build_args(kb, index, graph, qa)
+    kb, dictionary, graph = shape_world(isa, context, overrides)
+    args = build_args(kb, dictionary, graph, qa)
     training, items = TrainingSet.build(*args), training_items(*args)
     assert len(training) > 10
     assert (training.assignments, training.groups) == grouped(items)

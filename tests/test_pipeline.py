@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -178,7 +179,7 @@ def test_observations_dump(tmp_path):
     assert len(lines) == 3
 
 
-def test_run_offline_asks_each_key_token_and_template_once(tmp_path, monkeypatch, toy_items):
+def test_run_offline_asks_each_key_and_template_once(tmp_path, monkeypatch, toy_items):
     calls: dict[str, list] = {}
     for owner, name in ((StaticHashArray, "lookup"), (StaticHashArray, "has_token"),
                         (ConceptGraph, "question_concepts")):
@@ -200,6 +201,10 @@ def test_run_offline_asks_each_key_token_and_template_once(tmp_path, monkeypatch
     config = make_config(tmp_path, observations=tmp_path / "artifacts" / "obs.tsv")
     run_offline(config)
     monkeypatch.undo()
+    # each distinct token is filtered once, and again by the one table of
+    # each distinct run of passing keys: "barack obama" and "honolulu"
+    tokens = Counter(calls.pop("has_token"))
+    assert tokens - Counter(set(tokens)) == Counter([("barack",), ("obama",), ("honolulu",)])
     for name, args in calls.items():
         assert args and len(args) == len(set(args)), name
     (training,) = built
@@ -1431,6 +1436,34 @@ def test_cli_isa_weights_that_overflow_an_entity_exit_3_naming_the_line(tmp_path
     assert not (data / "out").exists()
 
 
+@pytest.mark.parametrize("name, row, key", [
+    ("context_weights.tsv", "person\tborn\t-2\n", "('person', 'born')"),
+    # another spelling of the first row's question tokenizes to the same key
+    ("fixture_overrides.tsv", "When was Barack Obama born?\tperson\t0.5\n",
+     "('when was barack obama born', 'person')"),
+])
+def test_cli_repeated_concept_input_row_exits_3_naming_both_lines(tmp_path, name, row, key):
+    """A context-weight row that repeats a (concept, token), or an override
+    row that repeats a (tokenized question, concept), says one thing twice:
+    the pipeline refuses it by file and both lines, and writes nothing."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    path = data / name
+    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fp:
+        fp.write(row)
+    config = data / "pipeline.cfg"
+    with open(config, "a", encoding="utf-8") as fp:
+        fp.write("context-weights = context_weights.tsv\n")
+    proc = _module_cli("pipeline", "--config", str(config))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert (f"stage 'load' failed: cannot load {path}: line {line}: "
+            f"same key as line 1: {key}") in proc.stderr
+    assert not (data / "out").exists()
+    assert not list(data.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-0.5", "1.5", "1e308"])
 @pytest.mark.parametrize("name", ["context_weights.tsv", "fixture_overrides.tsv"])
 def test_cli_concept_inputs_never_make_a_probability_nan_or_a_traceback(tmp_path, name, text):
@@ -1448,9 +1481,11 @@ def test_cli_concept_inputs_never_make_a_probability_nan_or_a_traceback(tmp_path
         "fixture_overrides.tsv": f"when was barack obama born\tperson\t{text}\n",
     }
     path = data / name
-    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as fp:
-        fp.write(rows[name])
+    # the context weights restate the file's one (concept, token) row, and a
+    # repeated one is refused, so they replace the file
+    kept = "" if name == "context_weights.tsv" else path.read_text(encoding="utf-8")
+    path.write_text(kept + rows[name], encoding="utf-8")
+    line = len(kept.splitlines()) + 1
     config = data / "pipeline.cfg"
     with open(config, "a", encoding="utf-8") as fp:
         fp.write("context-weights = context_weights.tsv\n")

@@ -15,7 +15,7 @@ from factqa.concepts import ConceptGraph
 from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
-from factqa.hasharray import ProbeMemo, SpanTable, StaticHashArray, find_mentions
+from factqa.hasharray import SpanTable, StaticHashArray, find_mentions
 from factqa.pipeline import load_entity_dictionary
 
 VOCAB = [
@@ -242,18 +242,11 @@ def test_one_span_naming_two_entities_derives_concepts_once_per_mention(
     assert dist.entries
 
 
-def _not_from_the_memo(*args):
-    raise AssertionError("probe not served from the memo")
-
-
 @pytest.mark.parametrize("collide", [False, True])
-def test_tables_over_a_probe_memo_equal_those_over_its_index(
-    toy_kb, data_dir, collide, monkeypatch
-):
-    """Also on a second pass, served from the memo alone. With ``collide``,
-    the absent key "obama barack" shares both hash halves with "obama born",
-    so its lookup returns that key's payload, a node that is no entity: the
-    false positive still takes its span."""
+def test_a_fingerprint_false_positive_takes_its_span(toy_kb, data_dir, collide, monkeypatch):
+    """With ``collide``, the absent key "obama barack" shares both hash
+    halves with "obama born", so its lookup returns that key's payload, a
+    node that is no entity: the false positive still takes its span."""
     entries = _ambiguous_entries(toy_kb, data_dir)
     entries += [(key, toy_kb.node_id(node)) for key, node in LONG_KEYS]
     if collide:
@@ -263,28 +256,12 @@ def test_tables_over_a_probe_memo_equal_those_over_its_index(
             lambda key: key_hash("obama born" if key == "obama barack" else key),
         )
     index = StaticHashArray.build(entries)
-    memo = ProbeMemo(index)
-    keys = [key for key, _ in entries] + ["obama barack"]
-    sequences = list(_sequences(53, 150, 12, keys))
-
-    def tables(probes, tokens):
-        spans = SpanTable(probes, tokens)
-        mentions = MentionTable(toy_kb, probes, lookup_tokens(tokens))
-        return (spans.payloads, spans.greedy(), find_mentions(probes, tokens),
-                mentions.entities, mentions.mentions())
-
-    table = MentionTable(toy_kb, memo, ("when", "was", "obama", "barack", "born"))
+    table = MentionTable(toy_kb, index, ("when", "was", "obama", "barack", "born"))
     if collide:
-        assert memo.lookup("obama barack") == (toy_kb.node_id("1961"),)
+        assert index.lookup("obama barack") == [toy_kb.node_id("1961")]
         assert (table.greedy(), table.mentions()) == ([(2, 4)], [])
     else:
         assert table.greedy() == [(2, 3)]
-    want = [tables(index, tokens) for tokens in sequences]
-    assert [tables(memo, tokens) for tokens in sequences] == want
-    monkeypatch.setattr(StaticHashArray, "lookup", _not_from_the_memo)
-    monkeypatch.setattr(StaticHashArray, "has_token", _not_from_the_memo)
-    assert [tables(memo, tokens) for tokens in sequences] == want
-    assert isinstance(memo.lookup("barack obama"), tuple)
 
 
 @pytest.mark.parametrize("collide", [False, True])
@@ -433,44 +410,39 @@ def _runs_index(toy_kb, data_dir) -> StaticHashArray:
 def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_dir):
     """One pass over many questions, each distinct run of lookup keys probed,
     filtered and walked once, gives each question what the plain loops give
-    it alone, over the index and over a memo of it; "obama born" names a
-    value node, no entity."""
+    it alone; "obama born" names a value node, no entity."""
     index = _runs_index(toy_kb, data_dir)
     keys = [key for key, _ in _ambiguous_entries(toy_kb, data_dir)] + [k for k, _ in LONG_KEYS]
     questions = RUN_QUESTIONS + list(_sequences(77, 300, 12, keys))
-    pairs = [QaPair(q, ("a",)) for q in questions]
-    for probes in (index, ProbeMemo(index)):
-        probed = probe_corpus(toy_kb, probes, pairs)
-        assert list(probed.frequency) == list(dict.fromkeys(questions))
-        for question in questions:
-            n = len(question)
-            assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
-            assert probed.entity_spans[question] == oracles.mention_spans(
-                toy_kb, index, question, n
-            )
-        assert sum(map(len, probed.mentions.values())) > 300
-        # the entity of two runs at its first span; a non-entity hit hides one
-        assert probed.mentions[RUN_QUESTIONS[3]] == [
-            ((0, 2), "BarackObama"), ((3, 4), "MichelleObama")
-        ]
-        assert probed.mentions[RUN_QUESTIONS[5]] == [((5, 6), "Honolulu")]
-        assert probed.entity_spans[RUN_QUESTIONS[5]] == {(2, 3), (5, 6)}
-        assert probed.mentions[RUN_QUESTIONS[6]] == []
+    probed = probe_corpus(toy_kb, index, [QaPair(q, ("a",)) for q in questions])
+    assert list(probed.frequency) == list(dict.fromkeys(questions))
+    for question in questions:
+        n = len(question)
+        assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
+        assert probed.entity_spans[question] == oracles.mention_spans(toy_kb, index, question, n)
+    assert sum(map(len, probed.mentions.values())) > 300
+    # the entity of two runs at its first span; a non-entity hit hides one
+    assert probed.mentions[RUN_QUESTIONS[3]] == [
+        ((0, 2), "BarackObama"), ((3, 4), "MichelleObama")
+    ]
+    assert probed.mentions[RUN_QUESTIONS[5]] == [((5, 6), "Honolulu")]
+    assert probed.entity_spans[RUN_QUESTIONS[5]] == {(2, 3), (5, 6)}
+    assert probed.mentions[RUN_QUESTIONS[6]] == []
 
 
-def test_probe_corpus_probes_each_span_of_each_distinct_run_once(toy_kb, data_dir):
+def test_probe_corpus_probes_each_span_of_each_distinct_run_once(toy_kb, data_dir, monkeypatch):
     index = _runs_index(toy_kb, data_dir)
     questions = RUN_QUESTIONS + list(_sequences(78, 200, 12))
     probed: list[str] = []
-    memo = ProbeMemo(index)
-    lookup = memo.lookup
+    lookup = StaticHashArray.lookup
 
-    def counting(key):
+    def counting(self, key):
         probed.append(key)
-        return lookup(key)
+        return lookup(self, key)
 
-    memo.lookup = counting
-    probe_corpus(toy_kb, memo, [QaPair(q, ("a",)) for q in questions])
+    monkeypatch.setattr(StaticHashArray, "lookup", counting)
+    probe_corpus(toy_kb, index, [QaPair(q, ("a",)) for q in questions])
+    monkeypatch.undo()
     runs: dict[tuple[str, ...], int] = {}  # each maximal run, and how often it occurs
     for question in dict.fromkeys(questions):
         passes = [index.has_token(key) for key in lookup_tokens(question)] + [False]
