@@ -1,8 +1,10 @@
 """QA corpus ingestion and the distributions grounded in it.
 
-Covers tokenization, corpus statistics, and joint entity and value
-extraction with category refinement. Question mentions are probed in the
-entity index; answer values are looked up in one table of node and
+Covers tokenization, the corpus grouped by question, and joint entity and
+value extraction with category refinement. ``corpus_stats`` is the one
+grouping: its counts give P(q) and P(a|q), and the probe, the pattern
+counts and the training set read its groups. Question mentions are probed
+in the entity index; answer values are looked up in one table of node and
 dictionary texts, never in the index.
 """
 
@@ -99,8 +101,7 @@ def _category(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class QaPair:
+class QaPair(NamedTuple):
     question: Tokens
     answer: Tokens
     frequency: int = 1
@@ -156,32 +157,34 @@ def load_corpus(path: str | Path) -> list[QaPair]:
 
 @dataclass
 class CorpusStats:
-    """P(q) over distinct questions and P(a|q) per pair, from frequencies."""
+    """The corpus grouped by question: each distinct question's answers
+    with their counts, in order of first occurrence, each question's
+    total count and the corpus total. P(q) and P(a|q) are ratios of those
+    counts."""
 
-    question_probs: dict[Tokens, float]
-    answer_probs: dict[tuple[Tokens, Tokens], float]
+    answer_counts: dict[Tokens, dict[Tokens, int]]
+    question_counts: dict[Tokens, int]
+    total: int
 
     def p_q(self, question: Tokens) -> float:
-        return self.question_probs.get(question, 0.0)
+        return self.question_counts.get(question, 0) / self.total
 
     def p_a(self, question: Tokens, answer: Tokens) -> float:
-        return self.answer_probs.get((question, answer), 0.0)
+        answers = self.answer_counts.get(question)
+        return answers.get(answer, 0) / self.question_counts[question] if answers else 0.0
 
 
 def corpus_stats(corpus: Iterable[QaPair]) -> CorpusStats:
-    pairs = list(corpus)
-    if not pairs:
+    """The one grouping of the corpus by question; an empty corpus raises."""
+    answer_counts: dict[Tokens, dict[Tokens, int]] = {}
+    question_counts: dict[Tokens, int] = {}
+    for pair in corpus:
+        answers = answer_counts.setdefault(pair.question, {})
+        answers[pair.answer] = answers.get(pair.answer, 0) + pair.frequency
+        question_counts[pair.question] = question_counts.get(pair.question, 0) + pair.frequency
+    if not answer_counts:
         raise ValueError("empty corpus")
-    per_question: dict[Tokens, int] = {}
-    per_pair: dict[tuple[Tokens, Tokens], int] = {}
-    for pair in pairs:
-        per_question[pair.question] = per_question.get(pair.question, 0) + pair.frequency
-        key = (pair.question, pair.answer)
-        per_pair[key] = per_pair.get(key, 0) + pair.frequency
-    total = sum(per_question.values())
-    question_probs = {q: n / total for q, n in per_question.items()}
-    answer_probs = {(q, a): n / per_question[q] for (q, a), n in per_pair.items()}
-    return CorpusStats(question_probs, answer_probs)
+    return CorpusStats(answer_counts, question_counts, sum(question_counts.values()))
 
 
 class MentionTable(SpanTable):
@@ -240,16 +243,15 @@ def _entities(kb: KnowledgeBase, payloads: Iterable[int]) -> list[str]:
 
 
 class CorpusMentions(NamedTuple):
-    """The corpus's distinct questions, each probed once: its summed
-    frequency, its ``kb_mentions`` and every span naming a KB entity."""
+    """The corpus's distinct questions, each probed once: its
+    ``kb_mentions`` and every span naming a KB entity."""
 
-    frequency: dict[Tokens, int]
     mentions: dict[Tokens, list[tuple[tuple[int, int], str]]]
     entity_spans: dict[Tokens, set[tuple[int, int]]]
 
 
 def probe_corpus(
-    kb: KnowledgeBase, index: StaticHashArray, corpus: Iterable[QaPair]
+    kb: KnowledgeBase, index: StaticHashArray, questions: Iterable[Tokens]
 ) -> CorpusMentions:
     """What a ``MentionTable`` of each distinct question gives, built from
     the question's runs of lookup keys that the token filter passes.
@@ -261,19 +263,17 @@ def probe_corpus(
     run's offset, an entity named in two runs kept at its first span. Each
     distinct token is normalized and filtered once to split the runs, and
     each distinct run's table filters its keys again."""
-    frequency: dict[Tokens, int] = {}
-    for pair in corpus:
-        frequency[pair.question] = frequency.get(pair.question, 0) + pair.frequency
+    questions = dict.fromkeys(questions)
     # each distinct token's lookup key, or None where the filter stops a run
     keys: dict[str, str | None] = {}
-    for token in set(chain.from_iterable(frequency)):
+    for token in set(chain.from_iterable(questions)):
         key = lookup_token(token)
         keys[token] = key if index.has_token(key) else None
     # each distinct run's entity spans and mentions, run-relative
     runs: dict[Tokens, tuple[list, list]] = {}
     mentions = {}
     entity_spans = {}
-    for question in frequency:
+    for question in questions:
         found: list[tuple[tuple[int, int], str]] = []
         spans: set[tuple[int, int]] = set()
         seen: set[str] = set()
@@ -297,7 +297,7 @@ def probe_corpus(
             start = stop + 1
         mentions[question] = found
         entity_spans[question] = spans
-    return CorpusMentions(frequency, mentions, entity_spans)
+    return CorpusMentions(mentions, entity_spans)
 
 
 class EntityValueExtractor:

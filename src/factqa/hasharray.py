@@ -197,8 +197,9 @@ class SpanTable:
     and only when read.
 
     ``payloads`` maps each span (i, j) that hits the index to its payloads
-    as the index gives them (sorted and unique), in a list of the table's
-    own. A span that can equal no key is never probed, so only a
+    as the index gives them (sorted and unique), in the list its lookup
+    returned: ``lookup`` makes a new one on every call, so the table owns
+    it. A span that can equal no key is never probed, so only a
     fingerprint false positive is lost: one longer than the longest key
     (m tokens joined by spaces hold m - 1 spaces), or one with a token that
     fails ``has_token``. So every hit lies inside one maximal run of tokens
@@ -254,7 +255,7 @@ class SpanTable:
         for j in range(-found.pop(), i, -1):
             candidates = lookup(" ".join(keys[i:j]))
             if candidates:
-                self._payloads[(i, j)] = list(candidates)
+                self._payloads[(i, j)] = candidates
                 found.append(j)
                 if j <= end:
                     if j - 1 > i:

@@ -1,12 +1,14 @@
 """Offline estimation of the predicate-given-template table.
 
 The training unit is a (question, entity, value) observation with a corpus
-mass. For each observation the latent assignment z = (template, path) has a
-fixed factor f(x, z) = P(q) P(e|q) P(t|e,q) P(v|e,p). Observations with
-equal candidates (the same assignments with the same factors) are folded
-into one candidate group as they are extracted, and expectation-maximization
-works per group: it alternates responsibilities and row renormalization,
-accelerated by SQUAREM, until a plain EM step stops moving the table.
+mass, extracted question by question from the corpus grouped by question
+(``corpus_stats``). For each observation the latent assignment z =
+(template, path) has a fixed factor f(x, z) = P(q) P(e|q) P(t|e,q)
+P(v|e,p). Observations with equal candidates (the same assignments with the
+same factors) are folded into one candidate group as they are extracted,
+and expectation-maximization works per group: it alternates
+responsibilities and row renormalization, accelerated by SQUAREM, until a
+plain EM step stops moving the table.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import IO, Iterable, Mapping
 
 from .concepts import PLACEHOLDER_MARK, ConceptGraph, derive_templates
 from .corpus import CorpusStats, EntityValueExtractor, QaPair, Tokens
+from .hasharray import Memo
 from .kb import PredicatePath, convert_last, read_tsv
 
 logger = logging.getLogger("factqa")
@@ -110,20 +113,21 @@ class TrainingSet:
     @classmethod
     def build(
         cls,
-        corpus: Iterable[QaPair],
+        corpus: CorpusStats,
         mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
         extractor: EntityValueExtractor,
-        stats: CorpusStats,
         concepts: ConceptGraph,
         refine: bool = True,
     ) -> "TrainingSet":
-        """One observation per (entity, value) extracted from each pair;
-        ``mentions`` holds each question's ``kb_mentions``
-        (``CorpusMentions.mentions``).
+        """One observation per (entity, value) extracted from each pair of
+        the grouped corpus, question by question, each question's answers
+        in order of first occurrence; ``mentions`` holds each question's
+        ``kb_mentions`` (``CorpusMentions.mentions``).
 
-        Each distinct answer of a question with mentions is matched to KB
-        values once. Each (entity, value) pair's connecting paths are read
-        with the expansion's object counts once
+        A question with no mentions is skipped, and no value is looked for
+        in its answers. Each distinct answer of a question with mentions is
+        matched to KB values once. Each (entity, value) pair's connecting
+        paths are read with the expansion's object counts once
         (``EntityValueExtractor.path_counts``), with no walk of the KB, and
         its path row is interned once per distinct such counts. A template
         row is derived once per phrasing shape: the words before the
@@ -132,62 +136,48 @@ class TrainingSet:
         question that a concept override names has no shape: its rows are
         derived once per (question, entity) pair."""
         training = cls()
-        values: dict[Tokens, set[str]] = {}
+        values = Memo(extractor.candidate_values)
         # P(value | entity, path) over the connecting paths, read once per
         # (entity, value) pair and interned once per distinct sorted
         # (path, object count) pairs, which fix the row
-        path_rows: dict[tuple[str, str], int] = {}
-        path_row_of: dict[tuple, int] = {}
+        path_row_of = Memo(lambda counts: training.path_row({p: 1.0 / n for p, n in counts}))
+        path_rows = Memo(lambda pair: path_row_of[extractor.path_counts(*pair)])
         # P(template | entity, question) once per phrasing shape; the
         # entity's span is its first in the question's mentions
         template_rows: dict[tuple, int] = {}
-        priors: dict[str, tuple] = {}
+        priors = Memo(lambda entity: tuple(concepts.concept_prior(entity).items()))
         overrides = concepts.overrides
-        for pair in corpus:
-            question = pair.question
+        for question, answers in corpus.answer_counts.items():
             found = mentions[question]
-            if found and pair.answer not in values:
-                values[pair.answer] = extractor.candidate_values(pair.answer)
-            # without mentions nothing is extracted, and no value is looked for
-            answer_values = values.get(pair.answer, set())
-            extracted = sorted(extractor.extract(pair, found, answer_values, refine))
-            if not extracted:
+            if not found:
                 continue
-            distinct_entities = {e for e, _ in extracted}
-            p_e = 1.0 / len(distinct_entities)
-            p_q = stats.p_q(question)
-            mass = (1.0 / len(extracted)) * stats.p_a(question, pair.answer) * p_q
+            p_q = corpus.p_q(question)
+            total = corpus.question_counts[question]
             # an override is keyed by the whole question, which has no shape
             overridden = bool(overrides) and " ".join(question) in overrides
-            last = None
-            for entity, value in extracted:
-                if entity != last:  # extracted is sorted, so grouped by entity
-                    last = entity
-                    span = next(span for span, e in found if e == entity)
-                    if overridden:
-                        key = (question, entity)
-                    else:
-                        prior = priors.get(entity)
-                        if prior is None:
-                            prior = priors[entity] = tuple(concepts.concept_prior(entity).items())
-                        key = (question[:span[0]], question[span[1]:], prior)
-                    t_row = template_rows.get(key)
-                    if t_row is None:
-                        concept_dist = concepts.question_concepts(question, entity, span)
-                        templates = derive_templates(question, span, concept_dist)
-                        t_row = template_rows[key] = training.template_row(
-                            {t.text: prob for t, prob in templates.items()}
-                        )
-                p_row = path_rows.get((entity, value))
-                if p_row is None:
-                    counts = extractor.path_counts(entity, value)
-                    p_row = path_row_of.get(counts)
-                    if p_row is None:
-                        p_row = path_row_of[counts] = training.path_row(
-                            {path: 1.0 / count for path, count in counts}
-                        )
-                    path_rows[entity, value] = p_row
-                training.add((question, entity, value, mass), p_q, p_e, t_row, p_row)
+            for answer, count in answers.items():
+                pair = QaPair(question, answer, count)
+                extracted = sorted(extractor.extract(pair, found, values[answer], refine))
+                if not extracted:
+                    continue
+                p_e = 1.0 / len({e for e, _ in extracted})
+                mass = (1.0 / len(extracted)) * (count / total) * p_q
+                last = None
+                for entity, value in extracted:
+                    if entity != last:  # extracted is sorted, so grouped by entity
+                        last = entity
+                        span = next(span for span, e in found if e == entity)
+                        key = ((question, entity) if overridden else
+                               (question[:span[0]], question[span[1]:], priors[entity]))
+                        t_row = template_rows.get(key)
+                        if t_row is None:
+                            concept_dist = concepts.question_concepts(question, entity, span)
+                            templates = derive_templates(question, span, concept_dist)
+                            t_row = template_rows[key] = training.template_row(
+                                {t.text: prob for t, prob in templates.items()}
+                            )
+                    training.add((question, entity, value, mass), p_q, p_e, t_row,
+                                 path_rows[entity, value])
         return training
 
 

@@ -1,14 +1,14 @@
 """Offline and online orchestration over flat-file artifacts.
 
-The offline flow builds the entity index, probes each distinct corpus
-question once, expands predicate paths from the entities mentioned,
-extracts observations, runs the learner and counts pattern validity; all
-artifacts are staged to temporary files and renamed into place only when
-every stage has succeeded, so a failed stage leaves nothing behind. The
-online flow loads those artifacts alone, the KB store written beside the
-index and the concept file written beside the model among them, and reads
-no input file; it answers questions, decomposing the ones that are not
-directly answerable.
+The offline flow builds the entity index, groups the corpus by question
+once, probes each distinct question once, expands predicate paths from the
+entities mentioned, extracts observations, runs the learner and counts
+pattern validity; all artifacts are staged to temporary files and renamed
+into place only when every stage has succeeded, so a failed stage leaves
+nothing behind. The online flow loads those artifacts alone, the KB store
+written beside the index and the concept file written beside the model
+among them, and reads no input file; it answers questions, decomposing the
+ones that are not directly answerable.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, get_args, get_type_hints
+from typing import Iterable, Mapping, NamedTuple, get_args, get_type_hints
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph, concepts_bytes, load_concepts
 from .corpus import (
     CorpusMentions,
+    CorpusStats,
     EntityValueExtractor,
     QaPair,
     Tokens,
@@ -383,12 +384,13 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 
 def _expand_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
+    questions: Iterable[Tokens],
 ) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
     """Probe each distinct corpus question once; expand predicate paths from
     the entities it mentions and write them."""
     run.stage = "expand"
-    probed = probe_corpus(inputs.kb, index, inputs.pairs)
+    probed = probe_corpus(inputs.kb, index, questions)
     seeds = corpus_seed_entities(probed.mentions)
     paths = expand_predicates(
         inputs.kb,
@@ -404,7 +406,7 @@ def _expand_stage(
 
 
 def _extract_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs,
+    run: _Staged, config: PipelineConfig, inputs: Inputs, corpus: CorpusStats,
     paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
     """Extract the weighted observations, refined to the question category
@@ -417,8 +419,7 @@ def _extract_stage(
         predicate_categories=inputs.categories,
     )
     training = TrainingSet.build(
-        inputs.pairs, mentions, extractor, corpus_stats(inputs.pairs), inputs.concepts,
-        config.predicate_categories is not None,
+        corpus, mentions, extractor, inputs.concepts, config.predicate_categories is not None
     )
     if not len(training):
         raise StageError("extract", "no observations extracted")
@@ -461,7 +462,8 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
     with _Staged() as run:
         inputs = load_inputs(config, learn=False)
         index = _index_stage(run, config, inputs)
-        _, seeds, paths = _expand_stage(run, config, inputs, index)
+        questions = (pair.question for pair in inputs.pairs)
+        _, seeds, paths = _expand_stage(run, config, inputs, index, questions)
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
@@ -475,9 +477,11 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
-        probed, _, paths = _expand_stage(run, config, inputs, index)
-        patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
-        training = _extract_stage(run, config, inputs, paths, probed.mentions)
+        run.stage = "expand"  # an empty corpus fails here
+        corpus = corpus_stats(inputs.pairs)
+        probed, _, paths = _expand_stage(run, config, inputs, index, corpus.question_counts)
+        patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
+        training = _extract_stage(run, config, inputs, corpus, paths, probed.mentions)
         del probed  # EM needs none of it
         result = _learn_stage(run, config, training, patterns, inputs.concepts)
         report = {

@@ -75,22 +75,22 @@ def toy_extractor(toy_kb, toy_dictionary):
 
 
 @pytest.fixture(scope="session")
-def toy_probe(toy_kb, toy_index, toy_corpus):
-    return probe_corpus(toy_kb, toy_index[0], toy_corpus)
+def toy_probe(toy_kb, toy_index, toy_stats):
+    return probe_corpus(toy_kb, toy_index[0], toy_stats.question_counts)
 
 
 @pytest.fixture(scope="session")
-def toy_training(toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts):
+def toy_training(toy_probe, toy_extractor, toy_stats, toy_concepts):
     return TrainingSet.build(
-        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
+        toy_stats, toy_probe.mentions, toy_extractor, toy_concepts, refine=True
     )
 
 
 @pytest.fixture(scope="session")
-def toy_items(toy_corpus, toy_probe, toy_extractor, toy_stats, toy_concepts):
+def toy_items(toy_probe, toy_extractor, toy_stats, toy_concepts):
     """The observations of ``toy_training`` item by item (``oracles``)."""
     return training_items(
-        toy_corpus, toy_probe.mentions, toy_extractor, toy_stats, toy_concepts, refine=True
+        toy_stats, toy_probe.mentions, toy_extractor, toy_concepts, refine=True
     )
 
 
@@ -106,8 +106,8 @@ def toy_engine(toy_kb, toy_index, toy_concepts, fixture_model):
 
 
 @pytest.fixture(scope="session")
-def toy_decomposer(toy_engine, toy_probe):
-    patterns = PatternIndex.build(toy_probe.frequency, toy_probe.entity_spans)
+def toy_decomposer(toy_engine, toy_stats, toy_probe):
+    patterns = PatternIndex.build(toy_stats.question_counts, toy_probe.entity_spans)
     return Decomposer(toy_engine, patterns)
 
 

@@ -298,40 +298,42 @@ class TrainingItem:
 
 
 def training_items(
-    corpus: Iterable[QaPair],
+    corpus: CorpusStats,
     mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
     extractor: EntityValueExtractor,
-    stats: CorpusStats,
     concepts: ConceptGraph,
     refine: bool = True,
 ) -> list[TrainingItem]:
-    """``TrainingSet.build`` item by item: every pair's answer matched, and
-    every item's templates and path probabilities derived, afresh."""
+    """``TrainingSet.build`` item by item: the grouped corpus read question
+    by question, every pair's answer matched, and every item's templates
+    and path probabilities derived, afresh."""
     kb = extractor.kb
     items = []
-    for pair in corpus:
-        found = mentions[pair.question]
-        values = extractor.candidate_values(pair.answer) if found else set()
-        extracted = sorted(extractor.extract(pair, found, values, refine))
-        if not extracted:
-            continue
-        p_e = 1.0 / len({e for e, _ in extracted})
-        p_q = stats.p_q(pair.question)
-        mass = (1.0 / len(extracted)) * stats.p_a(pair.question, pair.answer) * p_q
-        for entity, value in extracted:
-            span = next(span for span, e in found if e == entity)
-            concept_dist = concepts.question_concepts(pair.question, entity, span)
-            template_probs = {
-                t.text: prob
-                for t, prob in derive_templates(pair.question, span, concept_dist).items()
-            }
-            value_probs = {
-                path: kb.value_distribution(entity, path).get(value, 0.0)
-                for path in extractor.connecting_paths(entity, value)
-            }
-            items.append(TrainingItem(
-                pair.question, entity, value, mass, p_q, p_e, template_probs, value_probs
-            ))
+    for question, answers in corpus.answer_counts.items():
+        for answer, count in answers.items():
+            pair = QaPair(question, answer, count)
+            found = mentions[question]
+            values = extractor.candidate_values(answer) if found else set()
+            extracted = sorted(extractor.extract(pair, found, values, refine))
+            if not extracted:
+                continue
+            p_e = 1.0 / len({e for e, _ in extracted})
+            p_q = corpus.p_q(question)
+            mass = (1.0 / len(extracted)) * corpus.p_a(question, answer) * p_q
+            for entity, value in extracted:
+                span = next(span for span, e in found if e == entity)
+                concept_dist = concepts.question_concepts(question, entity, span)
+                template_probs = {
+                    t.text: prob
+                    for t, prob in derive_templates(question, span, concept_dist).items()
+                }
+                value_probs = {
+                    path: kb.value_distribution(entity, path).get(value, 0.0)
+                    for path in extractor.connecting_paths(entity, value)
+                }
+                items.append(TrainingItem(
+                    question, entity, value, mass, p_q, p_e, template_probs, value_probs
+                ))
     return items
 
 

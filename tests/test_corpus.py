@@ -5,9 +5,13 @@ from __future__ import annotations
 import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factqa.corpus import (
     EntityValueExtractor,
@@ -25,7 +29,7 @@ from factqa.hasharray import StaticHashArray
 from factqa.kb import KnowledgeBase
 from factqa.learn import TrainingSet, write_observations
 from factqa.pipeline import build_entity_index
-from oracles import candidate_values, predicates_between
+from oracles import candidate_values, predicates_between, training_items
 
 Q1 = tokenize("When was Barack Obama born?")
 Q3 = tokenize("How many people are there in Honolulu?")
@@ -177,8 +181,7 @@ def test_corpus_stats_single_pair():
 def test_corpus_stats_frequency_equals_repetition():
     merged = corpus_stats([QaPair(("q",), ("a",), 5), QaPair(("r",), ("b",), 1)])
     repeated = corpus_stats([QaPair(("q",), ("a",))] * 5 + [QaPair(("r",), ("b",))])
-    assert merged.question_probs == repeated.question_probs
-    assert merged.answer_probs == repeated.answer_probs
+    assert merged == repeated
 
 
 def test_corpus_stats_empty_corpus_raises():
@@ -187,11 +190,77 @@ def test_corpus_stats_empty_corpus_raises():
 
 
 def test_corpus_stats_normalized(toy_stats):
-    assert abs(sum(toy_stats.question_probs.values()) - 1.0) < 1e-12
+    questions = toy_stats.answer_counts
+    assert abs(sum(map(toy_stats.p_q, questions)) - 1.0) < 1e-12
+    for q, answers in questions.items():
+        assert abs(sum(toy_stats.p_a(q, a) for a in answers) - 1.0) < 1e-12
+
+
+# texts that repeat, that tokenize alike though they differ, and that are not ASCII
+CORPUS_TEXTS = ["When was Ada born?", "when was ada born", "Où est Zoë ?", "日本 の 首都",
+                "It's 1815.", "1815", "ÆØÅ!", "?"]
+RECORDS = st.lists(st.tuples(st.sampled_from(CORPUS_TEXTS), st.sampled_from(CORPUS_TEXTS),
+                             st.one_of(st.none(), st.integers(1, 6))), min_size=1, max_size=25)
+
+
+def corpus_line(question: str, answer: str, count: int | None, ascii_only: bool) -> str:
+    record = {"question": question, "answer": answer}
+    if count is not None:
+        record["count"] = count
+    return json.dumps(record, ensure_ascii=ascii_only)
+
+
+def stats_of_lines(lines: list[str]):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return corpus_stats(load_corpus(path))
+
+
+def probabilities(stats) -> tuple[dict, dict]:
+    return ({q: stats.p_q(q) for q in stats.answer_counts},
+            {(q, a): stats.p_a(q, a) for q, answers in stats.answer_counts.items()
+             for a in answers})
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(records=RECORDS, data=st.data())
+def test_corpus_stats_of_a_written_corpus_are_exact_ratios(records, data):
+    lines = [corpus_line(*record, data.draw(st.booleans())) for record in records]
+    for _ in range(data.draw(st.integers(0, 4))):  # blank and white lines anywhere
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(
+            ["", "   ", "\t"])))
+    stats = stats_of_lines(lines)
+    # the oracle: every line read by json.loads, counts summed as integers
     per_question: dict = {}
-    for (q, _), p in toy_stats.answer_probs.items():
-        per_question[q] = per_question.get(q, 0.0) + p
-    assert all(abs(total - 1.0) < 1e-12 for total in per_question.values())
+    per_pair: dict = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        q, a = tokenize(record["question"]), tokenize(record["answer"])
+        n = record.get("count", 1)
+        per_question[q] = per_question.get(q, 0) + n
+        per_pair.setdefault(q, {})[a] = per_pair.get(q, {}).get(a, 0) + n
+    total = sum(per_question.values())
+    assert list(stats.answer_counts) == list(per_question)
+    assert {q: list(answers) for q, answers in stats.answer_counts.items()} == {
+        q: list(answers) for q, answers in per_pair.items()}
+    p_q, p_a = probabilities(stats)
+    assert p_q == {q: float(Fraction(n, total)) for q, n in per_question.items()}
+    assert p_a == {(q, a): float(Fraction(n, per_question[q]))
+                   for q, answers in per_pair.items() for a, n in answers.items()}
+    # neither the line order nor a count split over two lines changes them
+    shuffled = data.draw(st.permutations(lines))
+    assert probabilities(stats_of_lines(shuffled)) == (p_q, p_a)
+    i = data.draw(st.integers(0, len(records) - 1))
+    question, answer, count = records[i]
+    if (count or 1) > 1:
+        k = data.draw(st.integers(1, count - 1))
+        split = [corpus_line(question, answer, k, True), corpus_line(question, answer,
+                                                                     count - k, False)]
+        rest = [corpus_line(*record, True) for record in records[:i] + records[i + 1:]]
+        assert probabilities(stats_of_lines(split + rest)) == (p_q, p_a)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +346,16 @@ def test_build_observations_fixture_weights(toy_training):
 def test_build_observations_empty_extraction(toy_extractor, toy_index, toy_concepts):
     pair = QaPair(tokenize("gibberish question"), tokenize("gibberish answer"))
     stats = corpus_stats([pair])
-    mentions = probe_corpus(toy_extractor.kb, toy_index[0], [pair]).mentions
-    training = TrainingSet.build([pair], mentions, toy_extractor, stats, toy_concepts)
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], stats.question_counts).mentions
+    training = TrainingSet.build(stats, mentions, toy_extractor, toy_concepts)
     assert training.observations == [] and training.groups == []
 
 
 def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_index, toy_concepts,
                                              toy_training):
-    doubled = [QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus]
-    mentions = probe_corpus(toy_extractor.kb, toy_index[0], doubled).mentions
-    scaled = TrainingSet.build(
-        doubled, mentions, toy_extractor, corpus_stats(doubled), toy_concepts
-    )
+    doubled = corpus_stats(QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus)
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], doubled.question_counts).mentions
+    scaled = TrainingSet.build(doubled, mentions, toy_extractor, toy_concepts)
     assert scaled.observations == toy_training.observations
 
 
@@ -303,15 +370,10 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_index, toy_c
         QaPair(unmentioned, tokenize("nothing here")),
     ]
     stats = corpus_stats(pairs)
-    mentions = probe_corpus(toy_extractor.kb, toy_index[0], pairs).mentions
-    # one build per pair matches each pair's answer anew
-    one_by_one = [
-        item
-        for pair in pairs
-        for item in TrainingSet.build(
-            [pair], mentions, toy_extractor, stats, toy_concepts
-        ).observations
-    ]
+    mentions = probe_corpus(toy_extractor.kb, toy_index[0], stats.question_counts).mentions
+    # the item oracle matches each pair's answer anew
+    one_by_one = [(i.question, i.entity, i.value, i.weight)
+                  for i in training_items(stats, mentions, toy_extractor, toy_concepts)]
     calls = []
     original = EntityValueExtractor.candidate_values
 
@@ -320,10 +382,11 @@ def test_build_matches_each_distinct_answer_once(toy_extractor, toy_index, toy_c
         return original(self, answer)
 
     monkeypatch.setattr(EntityValueExtractor, "candidate_values", counting)
-    training = TrainingSet.build(pairs, mentions, toy_extractor, stats, toy_concepts)
+    training = TrainingSet.build(stats, mentions, toy_extractor, toy_concepts)
     assert sorted(calls) == sorted([A1, A2, A3])
     assert training.observations == one_by_one
-    assert len(training) == 5
+    # the repeated (Q1, A2) pair is one observation of the summed count
+    assert len(training) == 4
 
 
 def test_candidate_values_equal_probing_every_answer_span(

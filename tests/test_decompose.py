@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
+from factqa.corpus import (
+    MentionTable, QaPair, corpus_stats, lookup_tokens, probe_corpus, tokenize,
+)
 from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
@@ -223,10 +225,10 @@ def rich_decomposer(data_dir):
     from factqa.concepts import ConceptGraph
 
     concepts = ConceptGraph.load(data_dir / "isa.tsv")
-    corpus = [QaPair(tokenize(q), tokenize(a), n) for q, a, n in RICH_CORPUS]
+    corpus = corpus_stats(QaPair(tokenize(q), tokenize(a), n) for q, a, n in RICH_CORPUS)
     model = PredicateModel.load(data_dir / "model_fixture.tsv")
-    probed = probe_corpus(kb, index, corpus)
-    patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
+    probed = probe_corpus(kb, index, corpus.question_counts)
+    patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
     return Decomposer(AnswerEngine(kb, index, concepts, model), patterns)
 
 
@@ -342,8 +344,9 @@ def one_token_decomposer(data_dir):
         "when was $person born": {("dob",): 1.0},
         "how many people live in $city": {("population",): 1.0},
     })
-    probed = probe_corpus(kb, index, [QaPair(tokenize(q), ("a",)) for q in ONE_TOKEN_CORPUS])
-    patterns = PatternIndex.build(probed.frequency, probed.entity_spans)
+    corpus = corpus_stats(QaPair(tokenize(q), ("a",)) for q in ONE_TOKEN_CORPUS)
+    probed = probe_corpus(kb, index, corpus.question_counts)
+    patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
     return Decomposer(AnswerEngine(kb, index, ConceptGraph.load(data_dir / "isa.tsv"), model),
                       patterns)
 

@@ -162,15 +162,16 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
     config, _, _ = world
     kb = load_kb(config.kb)
     dictionary = load_entity_dictionary(config.entities)
-    pairs = load_corpus(config.corpus)
-    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0], pairs).mentions
+    stats = corpus_stats(load_corpus(config.corpus))
+    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0],
+                            stats.question_counts).mentions
     extractor = EntityValueExtractor(
         kb,
         dictionary,
         expansion=expansion_map(expand_predicates(kb, corpus_seed_entities(mentions), 3)),
         predicate_categories=load_predicate_categories(config.predicate_categories),
     )
-    args = (pairs, mentions, extractor, corpus_stats(pairs), ConceptGraph.load(config.isa))
+    args = (stats, mentions, extractor, ConceptGraph.load(config.isa))
     training = TrainingSet.build(*args)
     items = training_items(*args)
     assert (training.assignments, training.groups) == grouped(items)

@@ -218,12 +218,13 @@ def shape_world(isa, context_weights=None, overrides=None):
 def build_args(kb, dictionary, concepts, qa: list[tuple[str, str]]):
     """The arguments of ``TrainingSet.build`` and of its item-by-item
     oracle for the QA pairs, as the offline flow makes them."""
-    pairs = [QaPair(tokenize(q), tokenize(a)) for q, a in qa]
-    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0], pairs).mentions
+    stats = corpus_stats(QaPair(tokenize(q), tokenize(a)) for q, a in qa)
+    mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0],
+                            stats.question_counts).mentions
     paths = expand_predicates(kb, corpus_seed_entities(mentions), 3)
     extractor = EntityValueExtractor(kb, dictionary, expansion_map(paths),
                                      predicate_categories=SHAPE_CATEGORIES)
-    return pairs, mentions, extractor, corpus_stats(pairs), concepts
+    return stats, mentions, extractor, concepts
 
 
 SHAPE_ISA = [
@@ -357,6 +358,29 @@ def test_build_matches_the_item_oracle_on_random_corpora(seed):
     assert len(training) > 10
     assert (training.assignments, training.groups) == grouped(items)
     assert training.observations == [(i.question, i.entity, i.value, i.weight) for i in items]
+
+
+def test_build_groups_the_answers_of_a_question_that_lie_apart():
+    """Two questions whose answers lie apart in the corpus, one pair of them
+    twice: the observations come out question by question, each question's
+    answers in order of first occurrence, and EM on them gives exactly the
+    model of EM on the item oracle's observations."""
+    kb, dictionary, concepts = shape_world(SHAPE_ISA, SHAPE_CONTEXT, SHAPE_OVERRIDES)
+    qa = [("When was person 1 born?", "1951"), ("Where was person 3 born?", "city 1"),
+          ("When is the birthday of person 2?", "1952"), ("When was person 1 born?", "It is 1951"),
+          ("Where was person 3 born?", "city 0"), ("When was person 1 born?", "1951")]
+    args = build_args(kb, dictionary, concepts, qa)
+    training, items = TrainingSet.build(*args), training_items(*args)
+    assert [(q, v) for q, _, v, _ in training.observations] == [
+        (tokenize(q), v) for q, v in [
+            ("When was person 1 born?", "1951"), ("When was person 1 born?", "1951"),
+            ("Where was person 3 born?", "C1"), ("Where was person 3 born?", "C0"),
+            ("When is the birthday of person 2?", "1952")]]
+    assert training.observations == [(i.question, i.entity, i.value, i.weight) for i in items]
+    got, want = learn(training), learn(fold(items))
+    assert got.ll_history == want.ll_history
+    assert {t: dict(got.model.row(t)) for t in got.model.templates()} == {
+        t: dict(want.model.row(t)) for t in want.model.templates()}
 
 
 # ---------------------------------------------------------------------------

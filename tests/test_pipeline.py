@@ -20,7 +20,8 @@ import pytest
 from conftest import answer
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
-from factqa.corpus import MentionTable, lookup_tokens, tokenize
+from factqa import pipeline
+from factqa.corpus import MentionTable, corpus_stats, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
@@ -102,6 +103,42 @@ def test_run_offline_empty_corpus_fails_cleanly(tmp_path):
     assert not list(config.index.parent.glob("*.tmp"))
 
 
+def test_run_offline_groups_the_corpus_once(tmp_path, monkeypatch, toy_corpus):
+    """One offline run groups the corpus once: the probe gets each distinct
+    question once, and the pattern counts and the training set read the
+    groups of that one ``corpus_stats`` call."""
+    grouped, probed, read = [], [], {}
+
+    def counting_stats(pairs):
+        grouped.append(corpus_stats(pairs))
+        return grouped[-1]
+
+    def recording_probe(kb, index, questions):
+        probed.append(list(questions))
+        return probe_corpus(kb, index, probed[-1])
+
+    build, count = TrainingSet.build.__func__, PatternIndex.build.__func__
+
+    def keeping_build(cls, corpus, *args):
+        read["training"] = corpus
+        return build(cls, corpus, *args)
+
+    def keeping_count(cls, frequency, entity_spans):
+        read["patterns"] = frequency
+        return count(cls, frequency, entity_spans)
+
+    monkeypatch.setattr(pipeline, "corpus_stats", counting_stats)
+    monkeypatch.setattr(pipeline, "probe_corpus", recording_probe)
+    monkeypatch.setattr(TrainingSet, "build", classmethod(keeping_build))
+    monkeypatch.setattr(PatternIndex, "build", classmethod(keeping_count))
+    run_offline(make_config(tmp_path))
+    (stats,) = grouped
+    questions = [pair.question for pair in toy_corpus]
+    assert len(questions) > len(set(questions))
+    assert probed == [list(dict.fromkeys(questions))]
+    assert read["training"] is stats and read["patterns"] is stats.question_counts
+
+
 def test_concurrent_staged_runs_keep_their_own_temp_files(tmp_path):
     final = tmp_path / "out" / "toy.model.tsv"
     with _Staged() as kept:
@@ -156,11 +193,11 @@ def test_run_offline_is_deterministic(tmp_path):
     assert patterns_path(config_a.model).read_bytes() == patterns_path(config_b.model).read_bytes()
 
 
-def test_run_offline_pattern_file_matches_every_span_oracle(tmp_path, toy_probe):
+def test_run_offline_pattern_file_matches_every_span_oracle(tmp_path, toy_stats, toy_probe):
     config = make_config(tmp_path)
     run_offline(config)
     oracle = tmp_path / "oracle.patterns.tsv"
-    PatternIndex(pattern_counts(toy_probe.frequency, toy_probe.entity_spans)).save(oracle)
+    PatternIndex(pattern_counts(toy_stats.question_counts, toy_probe.entity_spans)).save(oracle)
     written = patterns_path(config.model).read_bytes()
     assert written == oracle.read_bytes()
     assert written == b"how many people are there in $e\t1\t1\nwhen was $e born\t2\t2\n"
@@ -782,6 +819,23 @@ def test_cli_stage_failure_exit_code(tmp_path, capsys):
     config = make_config(tmp_path, corpus=empty)
     code, _ = run_cli(["pipeline", *cli_flags(config)], capsys)
     assert code == 3
+
+
+def test_cli_empty_corpus_expands_nothing_and_fails_the_pipeline(tmp_path, capsys, caplog):
+    """A corpus of no line: ``expand`` probes no question and writes an
+    empty expansion, while the whole pipeline, which needs the corpus
+    counts, fails in its expand stage and leaves no file behind."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    config = make_config(tmp_path, corpus=empty)
+    code, records = run_cli(["expand", *cli_flags(config)], capsys)
+    assert (code, records[0]["seeds"], records[0]["paths"]) == (0, 0, 0)
+    assert config.expansion.read_text() == ""
+    shutil.rmtree(config.index.parent)
+    code, records = run_cli(["pipeline", *cli_flags(config)], capsys)
+    assert (code, records) == (3, [])
+    assert "stage 'expand' failed: empty corpus" in caplog.text
+    assert not list(config.index.parent.iterdir())
 
 
 def test_cli_decompose(tmp_path, capsys):

@@ -12,7 +12,7 @@ import oracles
 from conftest import answer
 from factqa import hasharray
 from factqa.concepts import ConceptGraph
-from factqa.corpus import MentionTable, QaPair, lookup_tokens, probe_corpus, tokenize
+from factqa.corpus import MentionTable, lookup_tokens, probe_corpus, tokenize
 from factqa.decompose import Decomposer, PatternIndex
 from factqa.engine import AnswerEngine
 from factqa.hasharray import SpanTable, StaticHashArray, find_mentions
@@ -166,7 +166,7 @@ def test_an_index_with_no_key_probes_nothing_even_when_its_filter_passes_all(toy
     assert all(map(index.has_token, tokens))
     table = SpanTable(index, tokens)
     assert (table.greedy(), table.greedy(1, 4), table.payloads) == ([], [], {})
-    probed = probe_corpus(toy_kb, index, [QaPair(tokens, ("a",))])
+    probed = probe_corpus(toy_kb, index, [tokens])
     assert (probed.mentions, probed.entity_spans) == ({tokens: []}, {tokens: set()})
 
 
@@ -414,8 +414,8 @@ def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_d
     index = _runs_index(toy_kb, data_dir)
     keys = [key for key, _ in _ambiguous_entries(toy_kb, data_dir)] + [k for k, _ in LONG_KEYS]
     questions = RUN_QUESTIONS + list(_sequences(77, 300, 12, keys))
-    probed = probe_corpus(toy_kb, index, [QaPair(q, ("a",)) for q in questions])
-    assert list(probed.frequency) == list(dict.fromkeys(questions))
+    probed = probe_corpus(toy_kb, index, questions)
+    assert list(probed.mentions) == list(dict.fromkeys(questions))
     for question in questions:
         n = len(question)
         assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
@@ -441,7 +441,7 @@ def test_probe_corpus_probes_each_span_of_each_distinct_run_once(toy_kb, data_di
         return lookup(self, key)
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting)
-    probe_corpus(toy_kb, index, [QaPair(q, ("a",)) for q in questions])
+    probe_corpus(toy_kb, index, questions)
     monkeypatch.undo()
     runs: dict[tuple[str, ...], int] = {}  # each maximal run, and how often it occurs
     for question in dict.fromkeys(questions):
