@@ -1,11 +1,12 @@
 """QA corpus ingestion and the distributions grounded in it.
 
-Covers tokenization, the corpus grouped by question, and joint entity and
-value extraction with category refinement. ``corpus_stats`` is the one
-grouping: its counts give P(q) and P(a|q), and the probe, the pattern
-counts and the training set read its groups. Question mentions are probed
-in the entity index; answer values are looked up in one table of node and
-dictionary texts, never in the index.
+Covers tokenization, the corpus grouped by question as it is read, and
+joint entity and value extraction with category refinement.
+``corpus_stats`` is the one grouping: its counts give P(q) and P(a|q), and
+the probe (which counts f_v as it goes), the pattern counts and the
+training set read its groups. Question mentions are probed in the entity
+index; answer values are looked up in one table of node and dictionary
+texts, never in the index.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
+from .decompose import count_valid_patterns
 from .hasharray import Memo, SpanTable, StaticHashArray
 from .kb import KnowledgeBase, PredicatePath, convert_last, read_tsv
 
@@ -107,15 +109,16 @@ class QaPair(NamedTuple):
     frequency: int = 1
 
 
-def load_corpus(path: str | Path) -> list[QaPair]:
+def load_corpus(path: str | Path) -> CorpusStats:
     """The JSON-lines corpus at ``path``: {"question": ..., "answer": ...,
-    "count": n}.
+    "count": n}, grouped by question as it is read (``corpus_stats``); an
+    empty file gives an empty corpus. Each distinct string is tokenized
+    once, and its lines share that one token tuple."""
+    return corpus_stats(_records(path))
 
-    Identical (question, answer) pairs merge, summing counts; order of
-    first occurrence is preserved. Each distinct string is tokenized once,
-    and its lines share that one token tuple.
-    """
-    counts: dict[tuple[Tokens, Tokens], int] = {}
+
+def _records(path: str | Path) -> Iterator[tuple[Tokens, Tokens, int]]:
+    """Each line's (question, answer, count); a bad line raises, naming it."""
     tokenized: dict[str, Tokens] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
@@ -150,9 +153,7 @@ def load_corpus(path: str | Path) -> list[QaPair]:
             a = tokenized.get(answer)
             if a is None:
                 a = tokenized[answer] = tokenize(answer)
-            key = (q, a)
-            counts[key] = counts.get(key, 0) + count
-    return [QaPair(q, a, n) for (q, a), n in counts.items()]
+            yield q, a, count
 
 
 @dataclass
@@ -166,6 +167,11 @@ class CorpusStats:
     question_counts: dict[Tokens, int]
     total: int
 
+    @property
+    def pairs(self) -> int:
+        """The number of distinct (question, answer) pairs."""
+        return sum(map(len, self.answer_counts.values()))
+
     def p_q(self, question: Tokens) -> float:
         return self.question_counts.get(question, 0) / self.total
 
@@ -174,16 +180,17 @@ class CorpusStats:
         return answers.get(answer, 0) / self.question_counts[question] if answers else 0.0
 
 
-def corpus_stats(corpus: Iterable[QaPair]) -> CorpusStats:
-    """The one grouping of the corpus by question; an empty corpus raises."""
+def corpus_stats(pairs: Iterable[tuple[Tokens, Tokens, int]]) -> CorpusStats:
+    """The one grouping of (question, answer, count) pairs, ``QaPair``s
+    among them, by question: equal pairs merge, summing their counts."""
     answer_counts: dict[Tokens, dict[Tokens, int]] = {}
-    question_counts: dict[Tokens, int] = {}
-    for pair in corpus:
-        answers = answer_counts.setdefault(pair.question, {})
-        answers[pair.answer] = answers.get(pair.answer, 0) + pair.frequency
-        question_counts[pair.question] = question_counts.get(pair.question, 0) + pair.frequency
-    if not answer_counts:
-        raise ValueError("empty corpus")
+    for question, answer, count in pairs:
+        answers = answer_counts.get(question)
+        if answers is None:
+            answers = answer_counts[question] = {}
+        answers[answer] = answers.get(answer, 0) + count
+    question_counts = {question: sum(answers.values())
+                       for question, answers in answer_counts.items()}
     return CorpusStats(answer_counts, question_counts, sum(question_counts.values()))
 
 
@@ -243,18 +250,19 @@ def _entities(kb: KnowledgeBase, payloads: Iterable[int]) -> list[str]:
 
 
 class CorpusMentions(NamedTuple):
-    """The corpus's distinct questions, each probed once: its
-    ``kb_mentions`` and every span naming a KB entity."""
+    """Each distinct question's ``kb_mentions``, and f_v of each pattern its
+    entity spans generate (``decompose.count_valid_patterns``)."""
 
     mentions: dict[Tokens, list[tuple[tuple[int, int], str]]]
-    entity_spans: dict[Tokens, set[tuple[int, int]]]
+    f_v: dict[Tokens, int]
 
 
 def probe_corpus(
-    kb: KnowledgeBase, index: StaticHashArray, questions: Iterable[Tokens]
+    kb: KnowledgeBase, index: StaticHashArray, frequency: Mapping[Tokens, int]
 ) -> CorpusMentions:
-    """What a ``MentionTable`` of each distinct question gives, built from
-    the question's runs of lookup keys that the token filter passes.
+    """What a ``MentionTable`` of each distinct question of ``frequency``
+    gives, built from the question's runs of lookup keys that the token
+    filter passes.
 
     Every hit lies inside one such run (``SpanTable``), so a run's hits,
     entity spans and greedy mentions depend on its keys alone: each
@@ -262,20 +270,20 @@ def probe_corpus(
     and a question joins its runs' results in order, spans shifted by the
     run's offset, an entity named in two runs kept at its first span. Each
     distinct token is normalized and filtered once to split the runs, and
-    each distinct run's table filters its keys again."""
-    questions = dict.fromkeys(questions)
+    each distinct run's table filters its keys again. A question's entity
+    spans are counted into f_v as it is joined, and not kept."""
     # each distinct token's lookup key, or None where the filter stops a run
     keys: dict[str, str | None] = {}
-    for token in set(chain.from_iterable(questions)):
+    for token in set(chain.from_iterable(frequency)):
         key = lookup_token(token)
         keys[token] = key if index.has_token(key) else None
     # each distinct run's entity spans and mentions, run-relative
     runs: dict[Tokens, tuple[list, list]] = {}
     mentions = {}
-    entity_spans = {}
-    for question in questions:
+    f_v: dict[Tokens, int] = {}
+    for question, n in frequency.items():
         found: list[tuple[tuple[int, int], str]] = []
-        spans: set[tuple[int, int]] = set()
+        spans: list[tuple[int, int]] = []
         seen: set[str] = set()
         run_keys = (*map(keys.__getitem__, question), None)
         start = 0
@@ -293,11 +301,11 @@ def probe_corpus(
                     if node not in seen:
                         seen.add(node)
                         found.append(((i + start, j + start), node))
-                spans.update([(i + start, j + start) for i, j in run_spans])
+                spans += [(i + start, j + start) for i, j in run_spans]
             start = stop + 1
         mentions[question] = found
-        entity_spans[question] = spans
-    return CorpusMentions(mentions, entity_spans)
+        count_valid_patterns(f_v, question, spans, n)
+    return CorpusMentions(mentions, f_v)
 
 
 class EntityValueExtractor:
@@ -354,37 +362,30 @@ class EntityValueExtractor:
                 found.update(by_text.get(" ".join(answer[i:j]), ()))
         return found
 
-    def connecting_paths(self, entity: str, value: str) -> list[PredicatePath]:
-        return self._expansion.get((entity, value), [])
+    def link(self, pair: tuple[str, str]) -> tuple[frozenset[str], tuple] | None:
+        """The categories of the paths connecting (entity, value), and each
+        path with the count of the expansion's objects of (entity, path),
+        sorted: P(value | entity, path) is one over it. None if none does."""
+        paths = self._expansion.get(pair)
+        if not paths:
+            return None
+        entity, objects, categories = pair[0], self._objects, self.predicate_categories
+        return (frozenset([categories.get(path[-1], CATEGORY_OTHER) for path in paths]),
+                tuple(sorted([(path, objects[entity, path]) for path in paths])))
 
-    def path_counts(self, entity: str, value: str) -> tuple[tuple[PredicatePath, int], ...]:
-        """Each path connecting the two with the count of the expansion's
-        objects of (entity, path), sorted: P(value | entity, path) is one
-        over that count."""
-        objects = self._objects
-        return tuple(sorted([(path, objects[entity, path])
-                             for path in self.connecting_paths(entity, value)]))
-
-    def path_category(self, path: PredicatePath) -> str:
-        return self.predicate_categories.get(path[-1], CATEGORY_OTHER)
-
-    def extract(
-        self,
-        pair: QaPair,
-        mentions: list[tuple[tuple[int, int], str]],
-        values: set[str],
-        refine: bool = True,
-    ) -> set[tuple[str, str]]:
+    def extract(self, pair: QaPair, mentions: list[tuple[tuple[int, int], str]],
+                values: Collection[str], refine: bool = True) -> set[tuple[str, str]]:
         """Candidate (entity, value) pairs for one QA pair, given the
         question's ``kb_mentions`` and the answer's ``candidate_values``."""
-        pairs: set[tuple[str, str]] = set()
-        qcat = question_category(pair.question)
-        for _, entity in mentions:
-            for value in values:
-                paths = self.connecting_paths(entity, value)
-                if not paths:
-                    continue
-                if refine and not any(self.path_category(p) == qcat for p in paths):
-                    continue
-                pairs.add((entity, value))
-        return pairs
+        category = question_category(pair.question) if refine else None
+        return {(entity, value) for _, entity, value, _ in
+                linked(mentions, values, category, Memo(self.link))}
+
+
+def linked(mentions: Iterable[tuple[tuple[int, int], str]], values: Collection[str],
+           category: str | None, links: Mapping[tuple[str, str], tuple | None]) -> list[tuple]:
+    """Each (span, entity, value, link) of the (span, entity) ``mentions``,
+    then the ``values``, whose link (``EntityValueExtractor.link``) exists
+    and, unless ``category`` is None, names that category."""
+    return [(span, entity, value, link) for span, entity in mentions for value in values
+            if (link := links[entity, value]) and (category is None or category in link[0])]

@@ -4,7 +4,8 @@ A complex question is split into a chain of answerable one-entity
 questions: the head carries the entity, every later element carries a
 ``$e`` slot for the previous answer. Pattern validity is estimated
 offline from the QA corpus (how often a pattern arises from replacing a
-true entity mention versus any span at all) and loaded online.
+true entity mention, f_v, counted as the corpus is probed, versus any span
+at all, f_o) and loaded online.
 
 The optimal chain is found by memoized recursion from the whole question.
 A primitive substring scores 1; any other scores the best, over its inner
@@ -32,11 +33,14 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .corpus import Tokens
 from .kb import read_tsv
 
-if TYPE_CHECKING:  # the engine imports SLOT from here
+if TYPE_CHECKING:  # the corpus and the engine import from here
+    from .corpus import Tokens
     from .engine import AnswerEngine, SupportedTemplate
+
+    # A stored prefix's (suffix lengths, ascending; suffix -> (pattern, validity)).
+    Frame = tuple[list[int], dict[Tokens, tuple[Tokens, float]]]
 
 SLOT = "$e"
 
@@ -72,10 +76,6 @@ class Decomposition:
         return [" ".join(part) for part in self.sequence]
 
 
-# A stored prefix's (suffix lengths, ascending; suffix -> (pattern, validity)).
-Frame = tuple[list[int], dict[Tokens, tuple[Tokens, float]]]
-
-
 class PatternIndex:
     """Validity counts of the corpus patterns with f_v > 0.
 
@@ -93,27 +93,14 @@ class PatternIndex:
         self.counts = counts
 
     @classmethod
-    def build(
-        cls,
-        frequency: Mapping[Tokens, int],
-        entity_spans: Mapping[Tokens, Iterable[tuple[int, int]]],
-    ) -> "PatternIndex":
-        """From each distinct question's frequency and entity spans (see
-        ``corpus.probe_corpus``).
-
-        f_o is counted for the kept patterns only. Any span of a question
-        generates the pattern ``prefix $e suffix`` iff the question starts
-        with the prefix, ends with the suffix, and leaves at least one token
-        between them; each question counts once per pattern. A pattern is
-        split at each of its slot tokens, so this holds for any tokens.
-        """
-        f_v: dict[Tokens, int] = {}
-        for question, spans in entity_spans.items():
-            size = len(question)
-            # a bare slot is not a pattern
-            valid = {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}
-            for pattern in valid:
-                f_v[pattern] = f_v.get(pattern, 0) + frequency[question]
+    def build(cls, frequency: Mapping[Tokens, int], f_v: Mapping[Tokens, int]) -> "PatternIndex":
+        """From each distinct question's frequency and the f_v > 0 of each
+        pattern (``count_valid_patterns``); f_o is counted for those only.
+        Any span of a question generates the pattern ``prefix $e suffix``
+        iff the question starts with the prefix, ends with the suffix, and
+        leaves at least one token between them; each question counts once
+        per pattern. A pattern is split at each of its slot tokens, so this
+        holds for any tokens."""
         ends = _split_at_slots(f_v)
         prefix_lengths = sorted({len(prefix) for prefix in ends})
         f_o = dict.fromkeys(f_v, 0)
@@ -167,6 +154,16 @@ class PatternIndex:
     def prefix_lengths(self) -> list[int]:
         """The lengths of the prefixes in ``frames``, ascending."""
         return sorted({len(prefix) for prefix in self.frames})
+
+
+def count_valid_patterns(
+    f_v: dict[Tokens, int], question: Tokens, spans: Iterable[tuple[int, int]], frequency: int
+) -> None:
+    """Add ``frequency`` to f_v of each pattern, once, that replacing one of
+    the question's entity ``spans`` by the slot gives; a bare slot is none."""
+    size = len(question)
+    for pattern in {question[:i] + (SLOT,) + question[j:] for i, j in spans if j - i < size}:
+        f_v[pattern] = f_v.get(pattern, 0) + frequency
 
 
 def _split_at_slots(patterns: Iterable[Tokens]) -> dict[Tokens, dict[Tokens, Tokens]]:

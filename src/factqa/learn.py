@@ -2,13 +2,13 @@
 
 The training unit is a (question, entity, value) observation with a corpus
 mass, extracted question by question from the corpus grouped by question
-(``corpus_stats``). For each observation the latent assignment z =
-(template, path) has a fixed factor f(x, z) = P(q) P(e|q) P(t|e,q)
-P(v|e,p). Observations with equal candidates (the same assignments with the
-same factors) are folded into one candidate group as they are extracted,
-and expectation-maximization works per group: it alternates
-responsibilities and row renormalization, accelerated by SQUAREM, until a
-plain EM step stops moving the table.
+(``corpus_stats``), each (entity, value) link read once. For each
+observation the latent assignment z = (template, path) has a fixed factor
+f(x, z) = P(q) P(e|q) P(t|e,q) P(v|e,p). Observations with equal
+candidates (the same assignments with the same factors) are folded into
+one candidate group as they are extracted, and expectation-maximization
+works per group: it alternates responsibilities and row renormalization,
+accelerated by SQUAREM, until a plain EM step stops moving the table.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum, log, sqrt
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping
 
 from .concepts import PLACEHOLDER_MARK, ConceptGraph, derive_templates
-from .corpus import CorpusStats, EntityValueExtractor, QaPair, Tokens
+from .corpus import CorpusStats, EntityValueExtractor, Tokens, linked, question_category
 from .hasharray import Memo
 from .kb import PredicatePath, convert_last, read_tsv
 
@@ -121,29 +122,28 @@ class TrainingSet:
     ) -> "TrainingSet":
         """One observation per (entity, value) extracted from each pair of
         the grouped corpus, question by question, each question's answers
-        in order of first occurrence; ``mentions`` holds each question's
-        ``kb_mentions`` (``CorpusMentions.mentions``).
+        in order of first occurrence, its pairs sorted; ``mentions`` holds
+        each question's ``kb_mentions`` (``CorpusMentions.mentions``).
 
         A question with no mentions is skipped, and no value is looked for
-        in its answers. Each distinct answer of a question with mentions is
-        matched to KB values once. Each (entity, value) pair's connecting
-        paths are read with the expansion's object counts once
-        (``EntityValueExtractor.path_counts``), with no walk of the KB, and
-        its path row is interned once per distinct such counts. A template
-        row is derived once per phrasing shape: the words before the
-        entity's span, the words after it and the entity's concept prior,
-        the only inputs of ``question_concepts`` and ``derive_templates``. A
-        question that a concept override names has no shape: its rows are
-        derived once per (question, entity) pair."""
+        in its answers; any other has its category found once. Each
+        distinct answer is matched to KB values once, and its pairs are
+        those ``corpus.linked`` gives, as ``extract``'s are. Each (entity,
+        value) link is read once, with no walk of the KB, and its path row
+        interned once per distinct path counts. A template row is looked up
+        once per (question, entity) and derived once per phrasing shape:
+        the words before the entity's span, the words after it and the
+        entity's concept prior, the only inputs of ``question_concepts`` and
+        ``derive_templates``. A question that a concept override names has
+        no shape: its rows are derived once per (question, entity) pair."""
         training = cls()
-        values = Memo(extractor.candidate_values)
-        # P(value | entity, path) over the connecting paths, read once per
-        # (entity, value) pair and interned once per distinct sorted
-        # (path, object count) pairs, which fix the row
+        values = Memo(lambda answer: sorted(extractor.candidate_values(answer)))
+        # P(value | entity, path) over the connecting paths, interned once
+        # per distinct sorted (path, object count) pairs, which fix the row
         path_row_of = Memo(lambda counts: training.path_row({p: 1.0 / n for p, n in counts}))
-        path_rows = Memo(lambda pair: path_row_of[extractor.path_counts(*pair)])
-        # P(template | entity, question) once per phrasing shape; the
-        # entity's span is its first in the question's mentions
+        links = Memo(lambda pair: (link := extractor.link(pair)) and
+                     (link[0], path_row_of[link[1]]))
+        # P(template | entity, question) once per phrasing shape
         template_rows: dict[tuple, int] = {}
         priors = Memo(lambda entity: tuple(concepts.concept_prior(entity).items()))
         overrides = concepts.overrides
@@ -151,22 +151,22 @@ class TrainingSet:
             found = mentions[question]
             if not found:
                 continue
-            p_q = corpus.p_q(question)
+            found = sorted(found, key=itemgetter(1))  # so the pairs come sorted
+            category = question_category(question) if refine else None
             total = corpus.question_counts[question]
+            p_q = total / corpus.total
             # an override is keyed by the whole question, which has no shape
             overridden = bool(overrides) and " ".join(question) in overrides
+            rows: dict[str, int] = {}  # each entity's template row
             for answer, count in answers.items():
-                pair = QaPair(question, answer, count)
-                extracted = sorted(extractor.extract(pair, found, values[answer], refine))
+                extracted = linked(found, values[answer], category, links)
                 if not extracted:
                     continue
-                p_e = 1.0 / len({e for e, _ in extracted})
+                p_e = 1.0 / len(set(map(itemgetter(1), extracted)))
                 mass = (1.0 / len(extracted)) * (count / total) * p_q
-                last = None
-                for entity, value in extracted:
-                    if entity != last:  # extracted is sorted, so grouped by entity
-                        last = entity
-                        span = next(span for span, e in found if e == entity)
+                for span, entity, value, (_, path_row) in extracted:
+                    t_row = rows.get(entity)
+                    if t_row is None:
                         key = ((question, entity) if overridden else
                                (question[:span[0]], question[span[1]:], priors[entity]))
                         t_row = template_rows.get(key)
@@ -176,8 +176,8 @@ class TrainingSet:
                             t_row = template_rows[key] = training.template_row(
                                 {t.text: prob for t, prob in templates.items()}
                             )
-                    training.add((question, entity, value, mass), p_q, p_e, t_row,
-                                 path_rows[entity, value])
+                        rows[entity] = t_row
+                    training.add((question, entity, value, mass), p_q, p_e, t_row, path_row)
         return training
 
 

@@ -1,14 +1,16 @@
 """Offline and online orchestration over flat-file artifacts.
 
-The offline flow builds the entity index, groups the corpus by question
-once, probes each distinct question once, expands predicate paths from the
-entities mentioned, extracts observations, runs the learner and counts
-pattern validity; all artifacts are staged to temporary files and renamed
-into place only when every stage has succeeded, so a failed stage leaves
-nothing behind. The online flow loads those artifacts alone, the KB store
-written beside the index and the concept file written beside the model
-among them, and reads no input file; it answers questions, decomposing the
-ones that are not directly answerable.
+The offline flow builds the entity index, reads the corpus grouped by
+question, probes each distinct question once, counting the patterns its
+entity spans generate as it goes, expands predicate paths from the entities
+mentioned, extracts observations question by question, runs the learner
+and counts how often any span generates those patterns; all artifacts are
+staged to temporary files and renamed into place only when every stage has
+succeeded, so a failed stage leaves nothing behind. The online flow loads
+those artifacts alone, the KB store written beside the index and the
+concept file written beside the model among them, and reads no input file;
+it answers questions, decomposing the ones that are not directly
+answerable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, get_args, get_type_hints
+from typing import Mapping, NamedTuple, get_args, get_type_hints
 
 from . import corpus as corpus_mod
 from .concepts import ConceptGraph, concepts_bytes, load_concepts
@@ -26,7 +28,6 @@ from .corpus import (
     CorpusMentions,
     CorpusStats,
     EntityValueExtractor,
-    QaPair,
     Tokens,
     corpus_stats,
     normalize_text,
@@ -301,20 +302,21 @@ class Inputs(NamedTuple):
 
     kb: KnowledgeBase
     dictionary: list[tuple[str, str]]
-    pairs: list[QaPair]
+    corpus: CorpusStats
     concepts: ConceptGraph | None
     categories: dict[str, str]
 
 
 def load_inputs(config: PipelineConfig, corpus: bool = True, learn: bool = True) -> Inputs:
-    """The load stage: the KB and entity dictionary, plus the QA corpus, and
-    the inputs only extraction and learning read (the isA taxonomy with its
+    """The load stage: the KB and entity dictionary, plus the QA corpus
+    grouped by question (empty when not read), and the inputs only
+    extraction and learning read (the isA taxonomy with its
     context weights and overrides, and the predicate categories), unless
     told otherwise. A file that cannot be read or parsed is a ConfigError."""
     return Inputs(
         _read(load_kb, config.kb),
         _read(load_entity_dictionary, config.entities),
-        _read(corpus_mod.load_corpus, config.corpus) if corpus else [],
+        _read(corpus_mod.load_corpus, config.corpus) if corpus else corpus_stats(()),
         _read(ConceptGraph.load, config.isa, config.context_weights, config.fixture_overrides)
         if learn
         else None,
@@ -384,13 +386,12 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 
 def _expand_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray,
-    questions: Iterable[Tokens],
+    run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
 ) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
     """Probe each distinct corpus question once; expand predicate paths from
     the entities it mentions and write them."""
     run.stage = "expand"
-    probed = probe_corpus(inputs.kb, index, questions)
+    probed = probe_corpus(inputs.kb, index, inputs.corpus.question_counts)
     seeds = corpus_seed_entities(probed.mentions)
     paths = expand_predicates(
         inputs.kb,
@@ -406,8 +407,8 @@ def _expand_stage(
 
 
 def _extract_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, corpus: CorpusStats,
-    paths: set[SpoPath], mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
+    run: _Staged, config: PipelineConfig, inputs: Inputs, paths: set[SpoPath],
+    mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
     """Extract the weighted observations, refined to the question category
     when predicate categories are supplied; write them when configured."""
@@ -419,14 +420,14 @@ def _extract_stage(
         predicate_categories=inputs.categories,
     )
     training = TrainingSet.build(
-        corpus, mentions, extractor, inputs.concepts, config.predicate_categories is not None
+        inputs.corpus, mentions, extractor, inputs.concepts, config.predicate_categories is not None
     )
     if not len(training):
         raise StageError("extract", "no observations extracted")
     if config.observations:
         with open(run.path_for(config.observations), "w", encoding="utf-8") as fp:
             write_observations(training.observations, fp)
-    log.info("extracted %d observations from %d pairs", len(training), len(inputs.pairs))
+    log.info("extracted %d observations from %d pairs", len(training), inputs.corpus.pairs)
     return training
 
 
@@ -462,8 +463,7 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
     with _Staged() as run:
         inputs = load_inputs(config, learn=False)
         index = _index_stage(run, config, inputs)
-        questions = (pair.question for pair in inputs.pairs)
-        _, seeds, paths = _expand_stage(run, config, inputs, index, questions)
+        _, seeds, paths = _expand_stage(run, config, inputs, index)
     return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
 
 
@@ -477,11 +477,11 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
     with _Staged() as run:
         inputs = load_inputs(config)
         index = _index_stage(run, config, inputs)
-        run.stage = "expand"  # an empty corpus fails here
-        corpus = corpus_stats(inputs.pairs)
-        probed, _, paths = _expand_stage(run, config, inputs, index, corpus.question_counts)
-        patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
-        training = _extract_stage(run, config, inputs, corpus, paths, probed.mentions)
+        if not inputs.corpus.total:  # the expand command runs on one; P(q) needs a pair
+            raise StageError("expand", "empty corpus")
+        probed, _, paths = _expand_stage(run, config, inputs, index)
+        patterns = PatternIndex.build(inputs.corpus.question_counts, probed.f_v)
+        training = _extract_stage(run, config, inputs, paths, probed.mentions)
         del probed  # EM needs none of it
         result = _learn_stage(run, config, training, patterns, inputs.concepts)
         report = {
@@ -489,7 +489,7 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
             "entities": len(inputs.kb.entities),
             "index_items": len(index),
             "expansion_paths": len(paths),
-            "qa_pairs": len(inputs.pairs),
+            "qa_pairs": inputs.corpus.pairs,
             "observations": len(training),
             "templates": len(result.model),
             "iterations": result.iterations,

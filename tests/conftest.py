@@ -11,7 +11,6 @@ from factqa.concepts import ConceptGraph
 from factqa.corpus import (
     EntityValueExtractor,
     Tokens,
-    corpus_stats,
     load_corpus,
     load_predicate_categories,
     probe_corpus,
@@ -22,7 +21,7 @@ from factqa.hasharray import StaticHashArray
 from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
 from factqa.pipeline import build_entity_index, load_entity_dictionary
-from oracles import training_items
+from oracles import pairs_of, training_items
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,13 +54,14 @@ def toy_concepts():
 
 
 @pytest.fixture(scope="session")
-def toy_corpus():
+def toy_stats():
     return load_corpus(DATA / "corpus.jsonl")
 
 
 @pytest.fixture(scope="session")
-def toy_stats(toy_corpus):
-    return corpus_stats(toy_corpus)
+def toy_corpus(toy_stats):
+    """The toy corpus's distinct pairs, each with its summed count."""
+    return pairs_of(toy_stats)
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +107,7 @@ def toy_engine(toy_kb, toy_index, toy_concepts, fixture_model):
 
 @pytest.fixture(scope="session")
 def toy_decomposer(toy_engine, toy_stats, toy_probe):
-    patterns = PatternIndex.build(toy_stats.question_counts, toy_probe.entity_spans)
+    patterns = PatternIndex.build(toy_stats.question_counts, toy_probe.f_v)
     return Decomposer(toy_engine, patterns)
 
 

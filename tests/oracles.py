@@ -1,9 +1,12 @@
 """Plain reference implementations the program is checked against.
 
+- The corpus as it stood before it was grouped as it was read: its
+  distinct pairs, one ``QaPair`` each.
 - The mention loops as they stood before every question's spans were
   probed once into a table: a lazy greedy walk that probes the index span
-  by span, and an all-span loop that probes every span again. Neither
-  skips a span for its length or its tokens.
+  by span, and an all-span loop that probes every span again, for each
+  question of a corpus too. Neither skips a span for its length or its
+  tokens.
 - Value extraction's answer span loop: every span, of any length, against
   every node's text and every dictionary row, with no table.
 - A KB's triples read off its CSR; a depth-first path finder between two
@@ -140,6 +143,21 @@ def mention_spans(
                     spans.add((i, j))
                     break
     return spans
+
+
+def entity_spans(
+    kb: KnowledgeBase, index: StaticHashArray, questions: Iterable[Tokens]
+) -> dict[Tokens, set[tuple[int, int]]]:
+    """``mention_spans`` of each question, with no bound on a span's length."""
+    return {question: mention_spans(kb, index, question, len(question)) for question in questions}
+
+
+def pairs_of(corpus: CorpusStats) -> list[QaPair]:
+    """Each distinct (question, answer) pair of a grouped corpus with its
+    count, question by question."""
+    return [QaPair(question, answer, count)
+            for question, answers in corpus.answer_counts.items()
+            for answer, count in answers.items()]
 
 
 def triples_of(kb: KnowledgeBase) -> list[tuple[str, str, str]]:
@@ -329,7 +347,7 @@ def training_items(
                 }
                 value_probs = {
                     path: kb.value_distribution(entity, path).get(value, 0.0)
-                    for path in extractor.connecting_paths(entity, value)
+                    for path, _ in extractor.link((entity, value))[1]
                 }
                 items.append(TrainingItem(
                     question, entity, value, mass, p_q, p_e, template_probs, value_probs

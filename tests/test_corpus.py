@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factqa.corpus import (
+    CorpusStats,
     EntityValueExtractor,
     QaPair,
     corpus_stats,
@@ -92,7 +93,7 @@ def test_question_category_rules(text, category):
 # corpus loading and statistics
 
 
-def load_corpus_text(tmp_path, text: str) -> list:
+def load_corpus_text(tmp_path, text: str):
     path = tmp_path / "corpus.jsonl"
     path.write_text(text, encoding="utf-8")
     return load_corpus(path)
@@ -105,10 +106,8 @@ def test_load_corpus_merges_duplicates(tmp_path):
         '{"question": "q one", "answer": "a one"}\n'
         '{"question": "q two", "answer": "a two", "count": 3}\n',
     )
-    assert [(p.question, p.frequency) for p in corpus] == [
-        (("q", "one"), 2),
-        (("q", "two"), 3),
-    ]
+    assert corpus.answer_counts == {("q", "one"): {("a", "one"): 2},
+                                    ("q", "two"): {("a", "two"): 3}}
 
 
 def test_load_corpus_rejects_bad_records(tmp_path):
@@ -184,9 +183,10 @@ def test_corpus_stats_frequency_equals_repetition():
     assert merged == repeated
 
 
-def test_corpus_stats_empty_corpus_raises():
-    with pytest.raises(ValueError):
-        corpus_stats([])
+def test_corpus_stats_of_an_empty_corpus_are_empty(tmp_path):
+    # the offline run refuses an empty corpus at its expand stage
+    # (test_pipeline), where the expand command reads one
+    assert corpus_stats([]) == load_corpus_text(tmp_path, "\n \n") == CorpusStats({}, {}, 0)
 
 
 def test_corpus_stats_normalized(toy_stats):
@@ -214,7 +214,7 @@ def stats_of_lines(lines: list[str]):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        return corpus_stats(load_corpus(path))
+        return load_corpus(path)
 
 
 def probabilities(stats) -> tuple[dict, dict]:
@@ -353,7 +353,7 @@ def test_build_observations_empty_extraction(toy_extractor, toy_index, toy_conce
 
 def test_build_observations_scale_invariance(toy_corpus, toy_extractor, toy_index, toy_concepts,
                                              toy_training):
-    doubled = corpus_stats(QaPair(p.question, p.answer, p.frequency * 2) for p in toy_corpus)
+    doubled = corpus_stats((q, a, n * 2) for q, a, n in toy_corpus)
     mentions = probe_corpus(toy_extractor.kb, toy_index[0], doubled.question_counts).mentions
     scaled = TrainingSet.build(doubled, mentions, toy_extractor, toy_concepts)
     assert scaled.observations == toy_training.observations

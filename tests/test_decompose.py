@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from factqa.corpus import (
     MentionTable, QaPair, corpus_stats, lookup_tokens, probe_corpus, tokenize,
 )
-from factqa.decompose import SLOT, Decomposer, PatternIndex, QuestionTooLongError
+from factqa.decompose import (
+    SLOT, Decomposer, PatternIndex, QuestionTooLongError, count_valid_patterns,
+)
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
 from factqa.kb import TsvParseError, load_kb
@@ -77,7 +79,10 @@ def test_pattern_index_build_matches_every_span_oracle(vocab, fixed):
     kept = shared = 0
     for _ in range(150):
         frequency, entity_spans = _random_corpus(rng, vocab, fixed)
-        counts = PatternIndex.build(frequency, entity_spans).counts
+        f_v: dict = {}
+        for question, spans in entity_spans.items():
+            count_valid_patterns(f_v, question, spans, frequency[question])
+        counts = PatternIndex.build(frequency, f_v).counts
         assert counts == pattern_counts(frequency, entity_spans)
         kept += len(counts)
         shared += sum(f_v < f_o for f_v, f_o in counts.values())
@@ -228,7 +233,7 @@ def rich_decomposer(data_dir):
     corpus = corpus_stats(QaPair(tokenize(q), tokenize(a), n) for q, a, n in RICH_CORPUS)
     model = PredicateModel.load(data_dir / "model_fixture.tsv")
     probed = probe_corpus(kb, index, corpus.question_counts)
-    patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
+    patterns = PatternIndex.build(corpus.question_counts, probed.f_v)
     return Decomposer(AnswerEngine(kb, index, concepts, model), patterns)
 
 
@@ -346,7 +351,7 @@ def one_token_decomposer(data_dir):
     })
     corpus = corpus_stats(QaPair(tokenize(q), ("a",)) for q in ONE_TOKEN_CORPUS)
     probed = probe_corpus(kb, index, corpus.question_counts)
-    patterns = PatternIndex.build(corpus.question_counts, probed.entity_spans)
+    patterns = PatternIndex.build(corpus.question_counts, probed.f_v)
     return Decomposer(AnswerEngine(kb, index, ConceptGraph.load(data_dir / "isa.tsv"), model),
                       patterns)
 

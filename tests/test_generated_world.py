@@ -22,6 +22,7 @@ import pytest
 from factqa import corpus
 from factqa.hasharray import StaticHashArray
 from factqa.pipeline import OnlineSession, load_config, run_offline
+from test_pipeline import assert_duplicate_lines_merge, assert_probe_counts_every_entity_span
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -87,3 +88,11 @@ def test_probe_work_of_the_ci_world_is_pinned(ci_world, monkeypatch):
             session.answer_record(question.text)
         counts.append(len(keys))
     assert counts == [40, 52]
+
+
+def test_the_probe_of_the_ci_world_counts_the_patterns_of_every_entity_span(ci_world):
+    assert_probe_counts_every_entity_span(ci_world[0])
+
+
+def test_duplicate_lines_of_the_ci_world_merge_into_the_same_artifacts(ci_world, tmp_path):
+    assert_duplicate_lines_merge(ci_world[0], tmp_path)

@@ -150,7 +150,6 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
     from factqa.concepts import ConceptGraph
     from factqa.corpus import (
         EntityValueExtractor,
-        corpus_stats,
         load_corpus,
         load_predicate_categories,
         probe_corpus,
@@ -162,7 +161,7 @@ def test_em_sharpens_where_counting_keeps_ambiguity(world):
     config, _, _ = world
     kb = load_kb(config.kb)
     dictionary = load_entity_dictionary(config.entities)
-    stats = corpus_stats(load_corpus(config.corpus))
+    stats = load_corpus(config.corpus)
     mentions = probe_corpus(kb, build_entity_index(kb, dictionary)[0],
                             stats.question_counts).mentions
     extractor = EntityValueExtractor(

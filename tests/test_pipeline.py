@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +21,13 @@ from conftest import answer
 from factqa.cli import build_parser, main
 from factqa.concepts import ConceptGraph
 from factqa import pipeline
-from factqa.corpus import MentionTable, corpus_stats, lookup_tokens, probe_corpus, tokenize
-from factqa.decompose import PatternIndex, QuestionTooLongError
+from factqa import corpus as corpus_mod
+from factqa import learn as learn_mod
+from factqa.corpus import (
+    CorpusMentions, EntityValueExtractor, MentionTable, QaPair, corpus_stats, lookup_tokens,
+    probe_corpus, question_category, tokenize,
+)
+from factqa.decompose import SLOT, PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
 from factqa.hasharray import StaticHashArray
 from factqa.learn import PredicateModel, TrainingSet
@@ -39,9 +44,15 @@ from factqa.pipeline import (
     run_offline,
     store_path,
 )
-from oracles import counting_baseline, item_candidates, pattern_counts
+from oracles import counting_baseline, entity_spans, item_candidates, pattern_counts
 
 DATA = Path(__file__).parent / "data"
+Q1 = tokenize("When was Barack Obama born?")
+Q3 = tokenize("How many people are there in Honolulu?")
+A1 = tokenize("The politician was born in 1961.")
+A2 = tokenize("He was born in 1961.")
+# the KB values each answer of the toy corpus names
+TOY_VALUES = {A1: {"politician", "1961"}, A2: {"1961"}, tokenize("It's 390K."): {"390K"}}
 
 
 def make_config(tmp_path: Path, **overrides) -> PipelineConfig:
@@ -60,6 +71,60 @@ def make_config(tmp_path: Path, **overrides) -> PipelineConfig:
     )
     values.update(overrides)
     return PipelineConfig(**values)
+
+
+def corpus_written_three_ways(corpus: Path, out: Path) -> list[Path]:
+    """The corpus as it is; every line written twice, the whole file over
+    again; and one line's count split over two lines, in that corpus of
+    doubled counts: every other line once with its count doubled, and the
+    first line written again as the last."""
+    text = corpus.read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    twice, split = out / "twice.jsonl", out / "split.jsonl"
+    twice.write_text(text + text, encoding="utf-8")
+    doubled = [dict(record, count=2 * record.get("count", 1)) for record in records[1:]]
+    split.write_text("".join(json.dumps(record) + "\n"
+                             for record in [records[0], *doubled, records[0]]), encoding="utf-8")
+    return [corpus, twice, split]
+
+
+def artifact_bytes(config: PipelineConfig) -> dict[str, bytes]:
+    """Every file an offline run with an observations dump writes."""
+    files = [getattr(config, name) for name in ("index", "expansion", "model", "report",
+                                                 "observations")]
+    files += [store_path(config.index), patterns_path(config.model), concepts_path(config.model)]
+    return {file.name: file.read_bytes() for file in files}
+
+
+def assert_duplicate_lines_merge(config: PipelineConfig, tmp_path: Path) -> None:
+    """A corpus written three ways gives byte-identical artifacts and
+    report, but for the pattern file: its f_v and f_o count corpus lines,
+    so the corpus written twice doubles each, and no validity moves."""
+    written = []
+    for k, corpus in enumerate(corpus_written_three_ways(Path(config.corpus), tmp_path)):
+        out = tmp_path / f"run{k}"
+        run = replace(config, corpus=corpus, index=out / "w.index",
+                      expansion=out / "w.expansion.tsv", model=out / "w.model.tsv",
+                      report=out / "w.report.json", observations=out / "w.observations.tsv")
+        run_offline(run)
+        written.append(artifact_bytes(run))
+    first, twice, split = written
+    assert first["w.observations.tsv"] and split == twice
+    rows = [line.split("\t") for line in first.pop("w.model.patterns.tsv").decode().splitlines()]
+    assert rows and twice.pop("w.model.patterns.tsv") == "".join(
+        f"{text}\t{2 * int(f_v)}\t{2 * int(f_o)}\n" for text, f_v, f_o in rows).encode()
+    assert twice == first
+
+
+def assert_probe_counts_every_entity_span(config: PipelineConfig) -> None:
+    """The probe's f_v counts equal the pattern oracle's over every entity
+    span of every question of the corpus."""
+    inputs = pipeline.load_inputs(config, learn=False)
+    index, _ = pipeline.build_entity_index(inputs.kb, inputs.dictionary)
+    frequency = inputs.corpus.question_counts
+    f_v = probe_corpus(inputs.kb, index, frequency).f_v
+    counts = pattern_counts(frequency, entity_spans(inputs.kb, index, frequency))
+    assert f_v and f_v == {pattern: n for pattern, (n, _) in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +168,24 @@ def test_run_offline_empty_corpus_fails_cleanly(tmp_path):
     assert not list(config.index.parent.glob("*.tmp"))
 
 
-def test_run_offline_groups_the_corpus_once(tmp_path, monkeypatch, toy_corpus):
-    """One offline run groups the corpus once: the probe gets each distinct
-    question once, and the pattern counts and the training set read the
-    groups of that one ``corpus_stats`` call."""
-    grouped, probed, read = [], [], {}
+def test_run_offline_does_each_piece_of_work_once(tmp_path, monkeypatch):
+    """One offline run reads the corpus grouped as it is read and builds no
+    ``QaPair``; the probe gets each distinct question once and keeps no
+    span of it; each question with a mention has its category found once,
+    and each (entity, value) pair its link read once."""
+    corpus = tmp_path / "corpus.jsonl"
+    lines = (DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    unmentioned = '{"question": "when was nobody born?", "answer": "1961"}'
+    corpus.write_text("\n".join(lines + [unmentioned, lines[0]]) + "\n", encoding="utf-8")
+    grouped, probes, read, categories, links = [], [], {}, [], []
 
     def counting_stats(pairs):
         grouped.append(corpus_stats(pairs))
         return grouped[-1]
 
-    def recording_probe(kb, index, questions):
-        probed.append(list(questions))
-        return probe_corpus(kb, index, probed[-1])
+    def recording_probe(kb, index, frequency):
+        probes.append((frequency, probe_corpus(kb, index, frequency)))
+        return probes[-1][1]
 
     build, count = TrainingSet.build.__func__, PatternIndex.build.__func__
 
@@ -123,20 +193,55 @@ def test_run_offline_groups_the_corpus_once(tmp_path, monkeypatch, toy_corpus):
         read["training"] = corpus
         return build(cls, corpus, *args)
 
-    def keeping_count(cls, frequency, entity_spans):
-        read["patterns"] = frequency
-        return count(cls, frequency, entity_spans)
+    def keeping_count(cls, frequency, f_v):
+        read["patterns"] = frequency, f_v
+        return count(cls, frequency, f_v)
 
-    monkeypatch.setattr(pipeline, "corpus_stats", counting_stats)
+    def counting_category(tokens):
+        categories.append(tokens)
+        return question_category(tokens)
+
+    link = EntityValueExtractor.link
+
+    def counting_link(self, pair):
+        links.append(pair)
+        return link(self, pair)
+
+    def no_pair(cls, *args, **kwargs):
+        raise AssertionError("a QaPair was built")
+
+    monkeypatch.setattr(corpus_mod, "corpus_stats", counting_stats)
     monkeypatch.setattr(pipeline, "probe_corpus", recording_probe)
     monkeypatch.setattr(TrainingSet, "build", classmethod(keeping_build))
     monkeypatch.setattr(PatternIndex, "build", classmethod(keeping_count))
-    run_offline(make_config(tmp_path))
+    monkeypatch.setattr(learn_mod, "question_category", counting_category)
+    monkeypatch.setattr(corpus_mod, "question_category", counting_category)
+    monkeypatch.setattr(EntityValueExtractor, "link", counting_link)
+    monkeypatch.setattr(QaPair, "__new__", no_pair)
+    run_offline(make_config(tmp_path, corpus=corpus))
+    monkeypatch.undo()
     (stats,) = grouped
-    questions = [pair.question for pair in toy_corpus]
-    assert len(questions) > len(set(questions))
-    assert probed == [list(dict.fromkeys(questions))]
-    assert read["training"] is stats and read["patterns"] is stats.question_counts
+    assert list(stats.answer_counts) == [Q1, Q3, tokenize("when was nobody born?")]
+    assert stats.answer_counts[Q1] == {A1: 2, A2: 1}
+    ((frequency, probed),) = probes
+    assert frequency is stats.question_counts
+    assert read["training"] is stats and read["patterns"] == (frequency, probed.f_v)
+    # the probe keeps each question's mentions and the pattern counts alone
+    assert CorpusMentions._fields == ("mentions", "f_v")
+    assert all(SLOT in pattern and type(n) is int for pattern, n in probed.f_v.items())
+    assert categories == [q for q, found in probed.mentions.items() if found] == [Q1, Q3]
+    assert links and len(links) == len(set(links))
+    assert set(links) == {(entity, value) for question, found in probed.mentions.items()
+                          for _, entity in found for answer in stats.answer_counts[question]
+                          for value in TOY_VALUES[answer]}
+
+
+def test_duplicate_lines_merge_into_the_same_artifacts(tmp_path):
+    assert_duplicate_lines_merge(make_config(tmp_path), tmp_path)
+
+
+def test_the_probe_counts_the_patterns_of_every_entity_span(tmp_path):
+    assert_probe_counts_every_entity_span(make_config(tmp_path))
 
 
 def test_concurrent_staged_runs_keep_their_own_temp_files(tmp_path):
@@ -193,11 +298,14 @@ def test_run_offline_is_deterministic(tmp_path):
     assert patterns_path(config_a.model).read_bytes() == patterns_path(config_b.model).read_bytes()
 
 
-def test_run_offline_pattern_file_matches_every_span_oracle(tmp_path, toy_stats, toy_probe):
+def test_run_offline_pattern_file_matches_every_span_oracle(tmp_path, toy_kb, toy_index,
+                                                            toy_stats):
     config = make_config(tmp_path)
     run_offline(config)
     oracle = tmp_path / "oracle.patterns.tsv"
-    PatternIndex(pattern_counts(toy_stats.question_counts, toy_probe.entity_spans)).save(oracle)
+    frequency = toy_stats.question_counts
+    spans = entity_spans(toy_kb, toy_index[0], frequency)
+    PatternIndex(pattern_counts(frequency, spans)).save(oracle)
     written = patterns_path(config.model).read_bytes()
     assert written == oracle.read_bytes()
     assert written == b"how many people are there in $e\t1\t1\nwhen was $e born\t2\t2\n"
@@ -1516,6 +1624,26 @@ def test_cli_repeated_concept_input_row_exits_3_naming_both_lines(tmp_path, name
             f"same key as line 1: {key}") in proc.stderr
     assert not (data / "out").exists()
     assert not list(data.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["expand", "pipeline"])
+@pytest.mark.parametrize("bad, message", [
+    ("not json", "invalid JSON"),
+    ('{"question": "q", "answer": "a", "count": 0}', "count must be >= 1"),
+])
+def test_cli_bad_corpus_line_fails_the_load_naming_its_line(tmp_path, command, bad, message):
+    """The corpus is grouped as it is read, and a bad line still fails the
+    load stage before anything is written, naming its file and line."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("out"))
+    corpus = data / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    corpus.write_text("\n".join(lines[:2] + [bad] + lines[2:]) + "\n", encoding="utf-8")
+    proc = _module_cli(command, "--config", str(data / "pipeline.cfg"))
+    assert proc.returncode == 3, proc.stderr
+    assert f"stage 'load' failed: cannot load {corpus}: line 3: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (data / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-0.5", "1.5", "1e308"])

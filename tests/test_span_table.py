@@ -166,8 +166,8 @@ def test_an_index_with_no_key_probes_nothing_even_when_its_filter_passes_all(toy
     assert all(map(index.has_token, tokens))
     table = SpanTable(index, tokens)
     assert (table.greedy(), table.greedy(1, 4), table.payloads) == ([], [], {})
-    probed = probe_corpus(toy_kb, index, [tokens])
-    assert (probed.mentions, probed.entity_spans) == ({tokens: []}, {tokens: set()})
+    probed = probe_corpus(toy_kb, index, {tokens: 1})
+    assert probed == ({tokens: []}, {})
 
 
 # Keys with multi-word, non-ASCII and empty pieces (the double space in
@@ -414,19 +414,22 @@ def test_probe_corpus_equals_the_plain_loops_question_by_question(toy_kb, data_d
     index = _runs_index(toy_kb, data_dir)
     keys = [key for key, _ in _ambiguous_entries(toy_kb, data_dir)] + [k for k, _ in LONG_KEYS]
     questions = RUN_QUESTIONS + list(_sequences(77, 300, 12, keys))
-    probed = probe_corpus(toy_kb, index, questions)
+    frequency = dict(Counter(questions))
+    probed = probe_corpus(toy_kb, index, frequency)
     assert list(probed.mentions) == list(dict.fromkeys(questions))
     for question in questions:
         n = len(question)
         assert probed.mentions[question] == oracles.kb_mentions(toy_kb, index, question, n)
-        assert probed.entity_spans[question] == oracles.mention_spans(toy_kb, index, question, n)
+    spans = oracles.entity_spans(toy_kb, index, frequency)
+    assert probed.f_v == {pattern: f_v for pattern, (f_v, _)
+                          in oracles.pattern_counts(frequency, spans).items()}
     assert sum(map(len, probed.mentions.values())) > 300
     # the entity of two runs at its first span; a non-entity hit hides one
     assert probed.mentions[RUN_QUESTIONS[3]] == [
         ((0, 2), "BarackObama"), ((3, 4), "MichelleObama")
     ]
     assert probed.mentions[RUN_QUESTIONS[5]] == [((5, 6), "Honolulu")]
-    assert probed.entity_spans[RUN_QUESTIONS[5]] == {(2, 3), (5, 6)}
+    assert spans[RUN_QUESTIONS[5]] == {(2, 3), (5, 6)}
     assert probed.mentions[RUN_QUESTIONS[6]] == []
 
 
@@ -441,7 +444,7 @@ def test_probe_corpus_probes_each_span_of_each_distinct_run_once(toy_kb, data_di
         return lookup(self, key)
 
     monkeypatch.setattr(StaticHashArray, "lookup", counting)
-    probe_corpus(toy_kb, index, questions)
+    probe_corpus(toy_kb, index, dict(Counter(questions)))
     monkeypatch.undo()
     runs: dict[tuple[str, ...], int] = {}  # each maximal run, and how often it occurs
     for question in dict.fromkeys(questions):
