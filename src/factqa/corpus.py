@@ -40,15 +40,23 @@ _PUNCT = string.punctuation
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def tokenize(text: str) -> Tokens:
+def tokenize(text: str, words: dict[str, str] | None = None) -> Tokens:
     """Lowercase, split on whitespace, strip leading/trailing ASCII punctuation.
 
     Digits and interior punctuation (e.g. the apostrophe in a possessive)
-    survive; tokens that were pure punctuation are dropped.
+    survive; tokens that were pure punctuation are dropped. ``words``, when
+    given, maps each lowercased word seen to its token ('' for one of pure
+    punctuation), and each token to itself, and grows as words are read: a
+    word is stripped once, and every token equal to one already seen is
+    that one str object.
     """
     out = []
     for raw in text.lower().split():
-        tok = raw.strip(_PUNCT)
+        tok = None if words is None else words.get(raw)
+        if tok is None:
+            tok = raw.strip(_PUNCT)
+            if words is not None:
+                tok = words[raw] = words.setdefault(tok, tok)
         if tok:
             out.append(tok)
     return tuple(out)
@@ -113,13 +121,15 @@ def load_corpus(path: str | Path) -> CorpusStats:
     """The JSON-lines corpus at ``path``: {"question": ..., "answer": ...,
     "count": n}, grouped by question as it is read (``corpus_stats``); an
     empty file gives an empty corpus. Each distinct string is tokenized
-    once, and its lines share that one token tuple."""
+    once, and its lines share that one token tuple; each distinct token is
+    one str object."""
     return corpus_stats(_records(path))
 
 
 def _records(path: str | Path) -> Iterator[tuple[Tokens, Tokens, int]]:
     """Each line's (question, answer, count); a bad line raises, naming it."""
     tokenized: dict[str, Tokens] = {}
+    words: dict[str, str] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
             line = raw.strip()
@@ -149,10 +159,10 @@ def _records(path: str | Path) -> Iterator[tuple[Tokens, Tokens, int]]:
                 raise ValueError(f"line {lineno}: count must be >= 1")
             q = tokenized.get(question)
             if q is None:
-                q = tokenized[question] = tokenize(question)
+                q = tokenized[question] = tokenize(question, words)
             a = tokenized.get(answer)
             if a is None:
-                a = tokenized[answer] = tokenize(answer)
+                a = tokenized[answer] = tokenize(answer, words)
             yield q, a, count
 
 
@@ -208,8 +218,9 @@ class MentionTable(SpanTable):
 
     __slots__ = ("_names",)
 
-    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, keys: Tokens):
-        super().__init__(index, keys)
+    def __init__(self, kb: KnowledgeBase, index: StaticHashArray, keys: Tokens,
+                 passed: bool = False):
+        super().__init__(index, keys, passed)
         payloads = self._payloads
         self._names = Memo(lambda span: _entities(kb, payloads[span]))
 
@@ -269,9 +280,9 @@ def probe_corpus(
     distinct run is read through one ``MentionTable`` for the whole pass,
     and a question joins its runs' results in order, spans shifted by the
     run's offset, an entity named in two runs kept at its first span. Each
-    distinct token is normalized and filtered once to split the runs, and
-    each distinct run's table filters its keys again. A question's entity
-    spans are counted into f_v as it is joined, and not kept."""
+    distinct token is normalized and filtered once, to split the runs, and
+    no run's table filters its keys again. A question's entity spans are
+    counted into f_v as it is joined, and not kept."""
     # each distinct token's lookup key, or None where the filter stops a run
     keys: dict[str, str | None] = {}
     for token in set(chain.from_iterable(frequency)):
@@ -293,7 +304,7 @@ def probe_corpus(
                 run = run_keys[start:stop]
                 probed = runs.get(run)
                 if probed is None:
-                    table = MentionTable(kb, index, run)
+                    table = MentionTable(kb, index, run, passed=True)
                     # the table read in full first: its walk then probes nothing
                     probed = runs[run] = (list(table.entities), table.mentions())
                 run_spans, walk = probed

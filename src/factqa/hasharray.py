@@ -66,7 +66,7 @@ class StaticHashArray:
     """
 
     __slots__ = ("bucket_count", "_mask", "offsets", "items", "max_words", "token_filter",
-                 "_token_mask")
+                 "_token_mask", "_wide")
 
     def __init__(self, bucket_count: int, offsets: array, items: array, max_words: int,
                  token_filter: bytes):
@@ -77,6 +77,7 @@ class StaticHashArray:
         self.max_words = max_words
         self.token_filter = bytes(token_filter)
         self._token_mask = len(token_filter) * 8 - 1
+        self._wide = self._token_mask >> 16 > 0
 
     def __len__(self) -> int:
         return len(self.items) // 2
@@ -132,7 +133,9 @@ class StaticHashArray:
         bit = crc & mask
         if not bits[bit >> 3] >> (bit & 7) & 1:  # most absent tokens stop here
             return False
-        bit = (crc >> 16 | crc << 16) & mask
+        # up to 2**16 bits the masked rotation is the crc's high half masked,
+        # an int of one CPython digit
+        bit = (crc >> 16 | crc << 16) & mask if self._wide else crc >> 16 & mask
         return bits[bit >> 3] >> (bit & 7) & 1 == 1
 
     def lookup(self, key: str) -> list[int]:
@@ -213,13 +216,14 @@ class SpanTable:
     reaches a mark probes from there down to the first hit it can take,
     and nothing else; reading ``payloads`` probes every span still marked.
     Keys must already carry whatever normalization was applied to the
-    indexed keys. The greedy walk works on any ``[start, end)`` window, so
-    one table serves every substring of the sequence.
+    indexed keys; with ``passed``, every key is known to pass ``has_token``,
+    which is then not asked. The greedy walk works on any ``[start, end)``
+    window, so one table serves every substring of the sequence.
     """
 
     __slots__ = ("_lookup", "_keys", "_payloads", "_ends")
 
-    def __init__(self, index: StaticHashArray, keys: Iterable[str]):
+    def __init__(self, index: StaticHashArray, keys: Iterable[str], passed: bool = False):
         self._lookup = index.lookup
         self._keys = keys = tuple(keys)
         self._payloads: dict[tuple[int, int], list[int]] = {}
@@ -231,7 +235,7 @@ class SpanTable:
         longest, has = index.max_words, index.has_token
         stop = len(keys) if longest else 0  # an index with no key: no span
         for i in range(stop - 1, -1, -1):
-            if has(keys[i]):
+            if passed or has(keys[i]):
                 ends[i] = [-(i + longest if i + longest < stop else stop)]
             else:
                 stop = i

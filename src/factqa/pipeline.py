@@ -39,6 +39,7 @@ from .engine import AnswerEngine
 from .hasharray import StaticHashArray
 from .kb import (
     KnowledgeBase,
+    PredicatePath,
     SpoPath,
     expand_predicates,
     expansion_map,
@@ -387,9 +388,10 @@ def _index_stage(run: _Staged, config: PipelineConfig, inputs: Inputs) -> Static
 
 def _expand_stage(
     run: _Staged, config: PipelineConfig, inputs: Inputs, index: StaticHashArray
-) -> tuple[CorpusMentions, set[str], set[SpoPath]]:
+) -> tuple[CorpusMentions, int, set[SpoPath]]:
     """Probe each distinct corpus question once; expand predicate paths from
-    the entities it mentions and write them."""
+    the entities it mentions and write them. Gives the probe, the number of
+    those seed entities and the paths."""
     run.stage = "expand"
     probed = probe_corpus(inputs.kb, index, inputs.corpus.question_counts)
     seeds = corpus_seed_entities(probed.mentions)
@@ -403,20 +405,22 @@ def _expand_stage(
     with open(run.path_for(config.expansion), "w", encoding="utf-8") as fp:
         write_expansion(paths, fp)
     log.info("expanded %d seed entities into %d paths", len(seeds), len(paths))
-    return probed, seeds, paths
+    return probed, len(seeds), paths
 
 
 def _extract_stage(
-    run: _Staged, config: PipelineConfig, inputs: Inputs, paths: set[SpoPath],
+    run: _Staged, config: PipelineConfig, inputs: Inputs,
+    expansion: dict[tuple[str, str], list[PredicatePath]],
     mentions: Mapping[Tokens, list[tuple[tuple[int, int], str]]],
 ) -> TrainingSet:
-    """Extract the weighted observations, refined to the question category
-    when predicate categories are supplied; write them when configured."""
+    """Extract the weighted observations from the ``expansion_map``,
+    refined to the question category when predicate categories are
+    supplied; write them when configured."""
     run.stage = "extract"
     extractor = EntityValueExtractor(
         inputs.kb,
         inputs.dictionary,
-        expansion_map(paths),
+        expansion,
         predicate_categories=inputs.categories,
     )
     training = TrainingSet.build(
@@ -464,7 +468,7 @@ def run_expand(config: PipelineConfig, config_file: Path | None = None) -> dict:
         inputs = load_inputs(config, learn=False)
         index = _index_stage(run, config, inputs)
         _, seeds, paths = _expand_stage(run, config, inputs, index)
-    return {"expansion": str(config.expansion), "seeds": len(seeds), "paths": len(paths)}
+    return {"expansion": str(config.expansion), "seeds": seeds, "paths": len(paths)}
 
 
 def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict:
@@ -480,15 +484,17 @@ def run_offline(config: PipelineConfig, config_file: Path | None = None) -> dict
         if not inputs.corpus.total:  # the expand command runs on one; P(q) needs a pair
             raise StageError("expand", "empty corpus")
         probed, _, paths = _expand_stage(run, config, inputs, index)
+        expansion_paths, expansion = len(paths), expansion_map(paths)
+        del paths  # the map holds every path extraction reads
         patterns = PatternIndex.build(inputs.corpus.question_counts, probed.f_v)
-        training = _extract_stage(run, config, inputs, paths, probed.mentions)
-        del probed  # EM needs none of it
+        training = _extract_stage(run, config, inputs, expansion, probed.mentions)
+        del probed, expansion  # EM needs none of them
         result = _learn_stage(run, config, training, patterns, inputs.concepts)
         report = {
             "triples": len(inputs.kb),
             "entities": len(inputs.kb.entities),
             "index_items": len(index),
-            "expansion_paths": len(paths),
+            "expansion_paths": expansion_paths,
             "qa_pairs": inputs.corpus.pairs,
             "observations": len(training),
             "templates": len(result.model),

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import random
+import string
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -261,6 +263,63 @@ def test_corpus_stats_of_a_written_corpus_are_exact_ratios(records, data):
                                                                      count - k, False)]
         rest = [corpus_line(*record, True) for record in records[:i] + records[i + 1:]]
         assert probabilities(stats_of_lines(split + rest)) == (p_q, p_a)
+
+
+def assert_corpus_tokenized(path: Path) -> None:
+    """``load_corpus`` of ``path`` groups each line's question and answer
+    as ``tokenize`` gives them, and holds each distinct token as one str
+    object."""
+    stats = load_corpus(path)
+    expected: dict = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            record = json.loads(line)
+            answers = expected.setdefault(tokenize(record["question"]), set())
+            answers.add(tokenize(record["answer"]))
+    assert {q: set(answers) for q, answers in stats.answer_counts.items()} == expected
+    tokens = [token for question, answers in stats.answer_counts.items()
+              for tokens in (question, *answers) for token in tokens]
+    assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
+PUNCTUATION = st.text(string.punctuation, max_size=3)
+WORDS = st.one_of(
+    st.sampled_from(["ada", "Ada", "ADA", "born", "BORN", "où", "Où", "zoë", "ZOË", "æøå", "ÆØÅ",
+                     "日本", "1815", "it's", "It's", "obama's", "OBAMA'S", "x"]),
+    st.text("aAzZéÉß日'-1", min_size=1, max_size=4),
+    st.text(string.punctuation, min_size=1, max_size=3),  # a word of punctuation only
+)
+TEXTS = st.lists(st.tuples(PUNCTUATION, WORDS, PUNCTUATION).map("".join), max_size=6).flatmap(
+    lambda words: st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"]),
+                           min_size=len(words), max_size=len(words)).map(
+        lambda gaps: "".join(word + gap for word, gap in zip(words, gaps))))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(texts=st.lists(TEXTS, min_size=1, max_size=8), data=st.data())
+def test_load_corpus_tokenizes_every_string_as_tokenize_does_and_shares_its_tokens(texts, data):
+    """Mixed case, words of punctuation only, punctuation at a word's ends,
+    non-ASCII text and lines repeated: the loaded tuples are ``tokenize``
+    of each string, and equal tokens, of any string, are one object."""
+    pick = st.sampled_from(texts)
+    records = data.draw(st.lists(st.tuples(pick, pick, st.one_of(st.none(), st.integers(1, 3))),
+                                 min_size=1, max_size=12))
+    lines = [corpus_line(*record, data.draw(st.booleans())) for record in records]
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=4))  # repeated lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert_corpus_tokenized(path)
+
+
+def test_tokenize_with_a_word_table_gives_the_table_s_one_object_per_token():
+    words: dict[str, str] = {}
+    first = tokenize("Ada, born in 1815?", words)
+    second = tokenize("ADA (born) IN '1815'", words)
+    assert first == second == tokenize("ada born in 1815") == ("ada", "born", "in", "1815")
+    assert all(map(operator.is_, first, second))
+    assert tokenize("?! ...", words) == ()
+    assert words["?!"] == words["..."] == ""
 
 
 # ---------------------------------------------------------------------------

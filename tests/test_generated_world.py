@@ -22,6 +22,7 @@ import pytest
 from factqa import corpus
 from factqa.hasharray import StaticHashArray
 from factqa.pipeline import OnlineSession, load_config, run_offline
+from test_corpus import assert_corpus_tokenized
 from test_pipeline import assert_duplicate_lines_merge, assert_probe_counts_every_entity_span
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -37,9 +38,9 @@ def ci_world(tmp_path_factory):
     runs = []
 
     class CountedTable(corpus.MentionTable):
-        def __init__(self, kb, index, keys):
+        def __init__(self, kb, index, keys, **passed):
             runs.append(keys)
-            super().__init__(kb, index, keys)
+            super().__init__(kb, index, keys, **passed)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "dont_write_bytecode", True)
@@ -96,3 +97,7 @@ def test_the_probe_of_the_ci_world_counts_the_patterns_of_every_entity_span(ci_w
 
 def test_duplicate_lines_of_the_ci_world_merge_into_the_same_artifacts(ci_world, tmp_path):
     assert_duplicate_lines_merge(ci_world[0], tmp_path)
+
+
+def test_the_corpus_of_the_ci_world_is_tokenized_as_tokenize_does_with_shared_tokens(ci_world):
+    assert_corpus_tokenized(ci_world[0].corpus)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,24 @@ def test_has_token_passes_every_key_token_at_every_filter_size(tmp_path, key_cou
     for index in (idx, reloaded):
         assert all(map(index.has_token, tokens))
         assert all(map(index.has_token, keys))
+
+
+@pytest.mark.parametrize("bits", [1 << k for k in range(4, 21)])
+def test_has_token_tests_the_two_token_bits_at_every_filter_size(bits):
+    """``has_token`` writes ``token_bits`` out, with a shortcut for filters
+    of at most 2**16 bits: at every size from 2**4 to 2**20 bits it passes
+    exactly the tokens both of whose bits are set, here in a filter with
+    about half its bits set."""
+    rng = random.Random(bits)
+    token_filter = rng.randbytes(bits // 8)
+    idx = StaticHashArray(1, array("Q", [0, 0]), array("Q"), 0, token_filter)
+    passed = {}
+    for token in {_random_token(rng) for _ in range(2_000)}:
+        expected = all(token_filter[bit >> 3] >> (bit & 7) & 1
+                       for bit in token_bits(token, bits - 1))
+        assert idx.has_token(token) == expected, token
+        passed[expected] = token
+    assert set(passed) == {False, True}
 
 
 def test_token_filter_misses_almost_all_absent_tokens():

@@ -11,8 +11,8 @@ import struct
 import subprocess
 import sys
 import time
-from collections import Counter
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -24,8 +24,8 @@ from factqa import pipeline
 from factqa import corpus as corpus_mod
 from factqa import learn as learn_mod
 from factqa.corpus import (
-    CorpusMentions, EntityValueExtractor, MentionTable, QaPair, corpus_stats, lookup_tokens,
-    probe_corpus, question_category, tokenize,
+    CorpusMentions, EntityValueExtractor, MentionTable, QaPair, corpus_stats, lookup_token,
+    lookup_tokens, probe_corpus, question_category, tokenize,
 )
 from factqa.decompose import SLOT, PatternIndex, QuestionTooLongError
 from factqa.engine import AnswerEngine
@@ -324,7 +324,8 @@ def test_observations_dump(tmp_path):
     assert len(lines) == 3
 
 
-def test_run_offline_asks_each_key_and_template_once(tmp_path, monkeypatch, toy_items):
+def test_run_offline_asks_each_key_and_template_once(tmp_path, monkeypatch, toy_items,
+                                                      toy_stats):
     calls: dict[str, list] = {}
     for owner, name in ((StaticHashArray, "lookup"), (StaticHashArray, "has_token"),
                         (ConceptGraph, "question_concepts")):
@@ -346,10 +347,10 @@ def test_run_offline_asks_each_key_and_template_once(tmp_path, monkeypatch, toy_
     config = make_config(tmp_path, observations=tmp_path / "artifacts" / "obs.tsv")
     run_offline(config)
     monkeypatch.undo()
-    # each distinct token is filtered once, and again by the one table of
-    # each distinct run of passing keys: "barack obama" and "honolulu"
-    tokens = Counter(calls.pop("has_token"))
-    assert tokens - Counter(set(tokens)) == Counter([("barack",), ("obama",), ("honolulu",)])
+    # each distinct question token's lookup key is filtered once, and no
+    # table of a run of passing keys filters it again
+    assert sorted(calls["has_token"]) == sorted(
+        (lookup_token(token),) for token in set(chain.from_iterable(toy_stats.question_counts)))
     for name, args in calls.items():
         assert args and len(args) == len(set(args)), name
     (training,) = built
