@@ -7,38 +7,28 @@ context-weight and override TSVs.
 
 from __future__ import annotations
 
-import operator
 import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import fsum, inf, isfinite
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import normalize_text
-from .kb import (
-    U32,
-    SectionReader,
-    StoreFormatError,
-    check_ascending,
-    convert_last,
-    name_table,
-    packed,
-    read_tsv,
-)
+from .kb import U32, SectionReader, convert_last, name_table, packed, read_tsv, sealed
 
 PLACEHOLDER_MARK = "$"
 FALLBACK_CONCEPT = "entity"
 
 CONCEPTS_MAGIC = b"FQACON\x00"
-CONCEPTS_VERSION = 1
-# magic, version, then the counts of entities, concepts, isA edges, context
+CONCEPTS_VERSION = 2
+# after the head: the counts of entities, concepts, isA edges, context
 # weights and override rows, and the byte lengths of the entity, concept,
 # context concept, context token, override question and override concept
 # tables
-_HEADER = struct.Struct("<7sI11Q")
+_HEADER = struct.Struct("<11Q")
 
 
 @dataclass(frozen=True)
@@ -81,17 +71,6 @@ def _finite_sum(values: Iterable[float]) -> bool:
         return False
 
 
-def _overflowing_entity(entities: list[str], offsets: array, weights: array) -> str | None:
-    """The first entity whose isA weights' ``fsum``, the total that
-    ``concept_prior`` divides by, is not finite; None when there is none.
-    The weights are positive, so when all of them sum to a finite number,
-    so does every entity's."""
-    if _finite_sum(weights):
-        return None
-    return next((entity for entity, start, end in zip(entities, offsets, offsets[1:])
-                 if not _finite_sum(weights[start:end])), None)
-
-
 class ConceptGraph:
     """Weighted entity -> concept edges as a CSR, plus optional context
     machinery.
@@ -129,14 +108,17 @@ class ConceptGraph:
         concepts = sorted({c for row in table.values() for c in row})
         ids = dict(zip(concepts, range(len(concepts))))
         rows = [sorted(table[e].items()) for e in entities]
-        offsets = array(U32, accumulate(map(len, rows), initial=0))
         weights = array("d", [w for row in rows for _, w in row])
-        overflows = _overflowing_entity(entities, offsets, weights)
-        if overflows is not None:
-            raise ValueError(f"the isA weights of {overflows} must sum to a finite number")
+        # each entity's total is what concept_prior divides by; when all the
+        # (positive) weights sum to a finite number, so does each entity's
+        if not _finite_sum(weights):
+            for entity, row in zip(entities, rows):
+                if not _finite_sum(w for _, w in row):
+                    raise ValueError(f"the isA weights of {entity} must sum to a finite number")
         self._adopt(
-            entities, concepts, offsets, array(U32, [ids[c] for row in rows for c, _ in row]),
-            weights, dict(context_weights or {}),
+            entities, concepts, array(U32, accumulate(map(len, rows), initial=0)),
+            array(U32, [ids[c] for row in rows for c, _ in row]), weights,
+            dict(context_weights or {}),
             {q: dict(d) for q, d in (overrides or {}).items()},
         )
 
@@ -301,10 +283,9 @@ def concepts_bytes(graph: ConceptGraph) -> bytes:
         name_table([q for q, _, _ in overrides], "override question"),
         name_table([c for _, c, _ in overrides], "override concept"),
     ]
-    header = _HEADER.pack(CONCEPTS_MAGIC, CONCEPTS_VERSION, len(graph._entities),
-                          len(graph._concepts), len(graph._concept_ids), len(context),
-                          len(overrides), *map(len, tables))
-    return b"".join([
+    header = _HEADER.pack(len(graph._entities), len(graph._concepts), len(graph._concept_ids),
+                          len(context), len(overrides), *map(len, tables))
+    return sealed(CONCEPTS_MAGIC, CONCEPTS_VERSION, [
         header, tables[0], tables[1], packed(U32, graph._offsets),
         packed(U32, graph._concept_ids), packed("d", graph._weights),
         tables[2], tables[3], packed("d", [w for _, w in context]),
@@ -313,62 +294,27 @@ def concepts_bytes(graph: ConceptGraph) -> bytes:
 
 
 def load_concepts(source: str | Path) -> ConceptGraph:
-    """The graph of a concept file. A file that does not decode, whose ids,
-    offsets or isA weights are out of range, or whose context weights or
-    overrides the TSV readers could not have given, raises
-    StoreFormatError."""
+    """The graph of a concept file; one that is not a sealed concept file
+    of this version raises StoreFormatError."""
     with open(source, "rb") as fp:
         read = SectionReader(fp.read(), _HEADER, CONCEPTS_MAGIC, CONCEPTS_VERSION,
                              "concept file")
-    (entity_count, concept_count, edge_count, context_count, override_count, entity_bytes,
-     concept_bytes, context_concept_bytes, token_bytes, question_bytes,
-     override_concept_bytes) = read.fields
-    entities = read.names(entity_bytes, entity_count, "entity table")
-    concepts = read.names(concept_bytes, concept_count, "concept table")
-    offsets = read.offsets(entity_count + 1, edge_count)
-    concept_ids = read.ids(edge_count, concept_count, "concept ids")
-    weights = read.packed("d", edge_count, "isA weights")
-    context_concepts = read.names(context_concept_bytes, context_count, "context concepts")
-    tokens = read.names(token_bytes, context_count, "context tokens")
-    context_weights = read.packed("d", context_count, "context weights")
-    questions = read.names(question_bytes, override_count, "override questions")
-    override_concepts = read.names(override_concept_bytes, override_count, "override concepts")
-    probabilities = read.packed("d", override_count, "override probabilities")
-    read.end("override probabilities")
-    check_ascending(entities, "entity table")
-    check_ascending(concepts, "concept table")
-    # an id no greater than the one before it may only start an entity's slice
-    repeats = compress(range(1, edge_count), map(operator.le, concept_ids[1:], concept_ids))
-    if not set(repeats).issubset(offsets):
-        raise StoreFormatError("corrupt concept ids: not ascending within an entity")
-    # positive weights whose sum is finite are each finite, and a NaN that
-    # min skips makes the sum NaN: so the common case takes two passes
-    if not (min(weights, default=1.0) > 0 and _finite_sum(weights)):
-        if not (all(map(isfinite, weights)) and min(weights, default=1.0) > 0):
-            raise StoreFormatError("corrupt isA weights: not all positive and finite")
-        overflows = _overflowing_entity(entities, offsets, weights)
-        if overflows is not None:
-            raise StoreFormatError(
-                f"corrupt isA weights: those of {overflows} sum past the float range"
-            )
-    for table, name in ((context_concepts, "context concepts"), (tokens, "context tokens"),
-                        (override_concepts, "override concepts")):
-        if "" in table:
-            raise StoreFormatError(f"corrupt {name}: an empty name")
-    check_ascending(list(zip(context_concepts, tokens)), "context weights")
-    if not all(map(isfinite, context_weights)):
-        raise StoreFormatError("corrupt context weights: not all finite")
-    if not all(0 <= p <= 1 for p in probabilities):  # NaN fails too
-        raise StoreFormatError("corrupt override probabilities: not all in [0, 1]")
-    if any(map(operator.gt, questions, questions[1:])):
-        raise StoreFormatError("corrupt override questions: not in ascending order")
+    (entity_count, _, edge_count, context_count, override_count, entity_bytes, concept_bytes,
+     context_concept_bytes, token_bytes, question_bytes, override_concept_bytes) = read.fields
+    entities = read.names(entity_bytes)
+    concepts = read.names(concept_bytes)
+    offsets = read.packed(U32, entity_count + 1)
+    concept_ids = read.packed(U32, edge_count)
+    weights = read.packed("d", edge_count)
+    context_concepts = read.names(context_concept_bytes)
+    tokens = read.names(token_bytes)
+    context_weights = read.packed("d", context_count)
+    questions = read.names(question_bytes)
+    override_concepts = read.names(override_concept_bytes)
+    probabilities = read.packed("d", override_count)
     overrides: dict[str, dict[str, float]] = {}
     for question, concept, prob in zip(questions, override_concepts, probabilities):
         overrides.setdefault(question, {})[concept] = prob
-    if sum(map(len, overrides.values())) != override_count:
-        raise StoreFormatError("corrupt override concepts: repeated within a question")
-    if any(normalize_text(q) != q for q in overrides):
-        raise StoreFormatError("corrupt override questions: not in tokenized form")
     graph = ConceptGraph.__new__(ConceptGraph)
     graph._adopt(entities, concepts, offsets, concept_ids, weights,
                  dict(zip(zip(context_concepts, tokens), context_weights)), overrides)

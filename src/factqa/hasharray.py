@@ -26,11 +26,13 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .kb import SectionReader, StoreFormatError, packed
+from .kb import SectionReader, packed, sealed
 
 MAGIC = b"SHA1DX\x00"
-VERSION = 6
-_HEADER = struct.Struct("<7sIQQQQ")
+VERSION = 7
+# after the head: the bucket count, the item count, the longest key in
+# words and the byte length of the token filter
+_HEADER = struct.Struct("<QQQQ")
 _DIGEST = struct.Struct("<QQ")
 
 
@@ -155,30 +157,20 @@ class StaticHashArray:
         return out
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(MAGIC, VERSION, self.bucket_count, len(self), self.max_words,
+        header = _HEADER.pack(self.bucket_count, len(self), self.max_words,
                               len(self.token_filter))
-        return b"".join([header, packed("Q", self.offsets), packed("Q", self.items),
-                         self.token_filter])
+        return sealed(MAGIC, VERSION, [header, packed("Q", self.offsets), packed("Q", self.items),
+                                       self.token_filter])
 
     @classmethod
     def load(cls, path: str | Path) -> "StaticHashArray":
-        """The index of the file at ``path``; one that does not decode, or
-        whose header or offsets are out of range, raises StoreFormatError."""
+        """The index of the file at ``path``; one that is not a sealed index
+        of this version raises StoreFormatError."""
         read = SectionReader(Path(path).read_bytes(), _HEADER, MAGIC, VERSION, "index")
         bucket_count, item_count, max_words, filter_bytes = read.fields
-        if bucket_count <= 0 or bucket_count & (bucket_count - 1):
-            raise StoreFormatError("corrupt header: bad bucket count")
-        if filter_bytes <= 0 or filter_bytes & (filter_bytes - 1):
-            raise StoreFormatError(f"corrupt token filter: {filter_bytes} bytes, not a power of two")
-        if (max_words == 0) != (item_count == 0):
-            raise StoreFormatError(
-                f"corrupt header: longest key of {max_words} words for {item_count} items"
-            )
-        offsets = read.offsets(bucket_count + 1, item_count, "Q", "offsets section", "item")
-        items = read.packed("Q", item_count * 2, "items section")
-        token_filter = read.section(filter_bytes, "token filter")
-        read.end("token filter")
-        return cls(bucket_count, offsets, items, max_words, token_filter)
+        offsets = read.packed("Q", bucket_count + 1)
+        items = read.packed("Q", item_count * 2)
+        return cls(bucket_count, offsets, items, max_words, read.section(filter_bytes))
 
 
 class Memo(dict):

@@ -6,14 +6,17 @@ as a subject. The store is immutable after construction, holds no lazily
 built cache and is safe for concurrent readers. The offline flow saves
 it, with the canonical surface of each node, as one binary KB store file
 that online start-up reads in place of the KB and dictionary TSVs. The
-store's checked section reader and its name-table and packed-array
+store's sealing writer, section reader and name-table and packed-array
 writers serve the concept file and the entity index too: this module
-knows the binary layout all three artifacts share.
+knows the binary layout all three artifacts share. Each begins with its
+magic, its format version and its seal, the sha256 of every byte after
+the seal; a file whose seal does not match is refused before any section
+is read, so the sections themselves are not re-checked.
 """
 
 from __future__ import annotations
 
-import operator
+import hashlib
 import struct
 import sys
 from array import array
@@ -27,10 +30,10 @@ PredicatePath = tuple[str, ...]
 NAME_PREDICATE = "name"
 
 STORE_MAGIC = b"FQAKBS\x00"
-STORE_VERSION = 1
-# magic, version, then the counts of nodes, predicates, edges and surfaces
-# and the byte lengths of the node, predicate and surface tables
-_STORE_HEADER = struct.Struct("<7sIQQQQQQQ")
+STORE_VERSION = 2
+# after the head: the counts of nodes, predicates, edges and surfaces and
+# the byte lengths of the node, predicate and surface tables
+_STORE_HEADER = struct.Struct("<QQQQQQQ")
 U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
@@ -213,76 +216,64 @@ def packed(code: str, values: Iterable[Any]) -> bytes:
     return arr.tobytes()
 
 
-def check_ascending(values: Sequence[Any], name: str) -> None:
-    """Refuse ``values`` unless each is less than the next."""
-    if not all(map(operator.lt, values, values[1:])):
-        raise StoreFormatError(f"corrupt {name}: not strictly ascending")
+# the head of each binary artifact: its magic, its format version, and its
+# seal, the sha256 of every byte that follows
+_HEAD = struct.Struct("<7sI32s")
+
+
+def sealed(magic: bytes, version: int, parts: Iterable[bytes]) -> bytes:
+    """A binary artifact: ``magic``, ``version`` and the seal of the
+    ``parts`` joined, then the parts."""
+    body = b"".join(parts)
+    return _HEAD.pack(magic, version, hashlib.sha256(body).digest()) + body
 
 
 class SectionReader:
-    """A binary artifact read front to back: a header of magic, version
-    and the fields of ``header`` after them, then sections in order, each
-    refused with StoreFormatError unless it is all there."""
+    """A sealed binary artifact read front to back: after its head, the
+    fields of ``header``, then sections in order.
+
+    The file is refused with StoreFormatError unless it holds a whole head,
+    then unless its magic and version are ``magic`` and ``version``, then
+    unless its seal is the sha256 of the rest. A file that passes holds
+    the bytes its writer wrote, so nothing after is checked.
+    """
 
     def __init__(self, data: bytes, header: struct.Struct, magic: bytes, version: int,
                  kind: str):
-        if len(data) < header.size:
+        if len(data) < _HEAD.size:
             raise StoreFormatError("truncated header")
-        found_magic, found_version, *self.fields = header.unpack_from(data)
+        found_magic, found_version, seal = _HEAD.unpack_from(data)
         if found_magic != magic:
             raise StoreFormatError("bad magic")
         if found_version != version:
             raise StoreFormatError(
                 f"unsupported version: {kind} format version {found_version}, expected {version}"
             )
-        self._view = memoryview(data)
+        self._view = memoryview(data)[_HEAD.size:]
+        if hashlib.sha256(self._view).digest() != seal:
+            raise StoreFormatError(
+                f"sha256 seal mismatch: the {kind} was changed or cut after it was written"
+            )
+        self.fields = header.unpack_from(self._view)
         self._pos = header.size
 
-    def section(self, size: int, name: str) -> memoryview:
-        if len(self._view) - self._pos < size:
-            raise StoreFormatError(f"truncated {name}")
+    def section(self, size: int) -> memoryview:
         self._pos += size
         return self._view[self._pos - size:self._pos]
 
-    def names(self, size: int, count: int, name: str) -> list[str]:
-        """A ``name_table`` of ``size`` bytes holding ``count`` names."""
-        try:
-            out = str(self.section(size, name), "utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"corrupt {name}: {exc}") from None
-        if len(out) != count + 1 or out.pop():
-            raise StoreFormatError(f"corrupt {name}: not {count} names")
+    def names(self, size: int) -> list[str]:
+        """A ``name_table`` of ``size`` bytes."""
+        out = str(self.section(size), "utf-8").split("\n")
+        out.pop()
         return out
 
-    def packed(self, code: str, count: int, name: str) -> array:
+    def packed(self, code: str, count: int) -> array:
         """A ``packed`` array of ``count`` items of type ``code``."""
         arr = array(code)
-        arr.frombytes(self.section(count * arr.itemsize, name))
+        arr.frombytes(self.section(count * arr.itemsize))
         if sys.byteorder != "little":
             arr.byteswap()
         return arr
-
-    def ids(self, count: int, limit: int, name: str) -> array:
-        """A ``packed`` ``uint32`` array of ``count`` ids, each below ``limit``."""
-        arr = self.packed(U32, count, name)
-        if arr and max(arr) >= limit:
-            raise StoreFormatError(f"corrupt {name}: id {max(arr)} out of range 0..{limit - 1}")
-        return arr
-
-    def offsets(self, count: int, total: int, code: str = U32, name: str = "offsets",
-                of: str = "edge") -> array:
-        """``count`` CSR offsets of the ``array`` type ``code``, rising from 0
-        to ``total``, the count of what they index (``of``)."""
-        arr = self.packed(code, count, name)
-        bounds = arr.tolist()
-        if bounds[0] != 0 or bounds[-1] != total or bounds != sorted(bounds):
-            raise StoreFormatError(f"corrupt {name}: not monotone from 0 to the {of} count")
-        return arr
-
-    def end(self, last: str) -> None:
-        """Refuse any bytes after the ``last`` section."""
-        if self._pos != len(self._view):
-            raise StoreFormatError(f"trailing bytes after the {last}")
 
 
 def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
@@ -294,33 +285,28 @@ def store_bytes(kb: KnowledgeBase, surfaces: Mapping[str, str]) -> bytes:
         name_table(kb.predicates, "predicate"),
         name_table([surfaces[kb.node_name(i)] for i in surface_ids], "surface"),
     ]
-    header = _STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(kb._node_list),
-                                len(kb.predicates), len(kb), len(surface_ids),
-                                *map(len, tables))
-    return b"".join([header, tables[0], tables[1], packed(U32, kb._offsets),
-                     packed(U32, kb._edge_predicates), packed(U32, kb._edge_objects),
-                     packed(U32, surface_ids), tables[2]])
+    header = _STORE_HEADER.pack(len(kb._node_list), len(kb.predicates), len(kb),
+                                len(surface_ids), *map(len, tables))
+    return sealed(STORE_MAGIC, STORE_VERSION, [
+        header, tables[0], tables[1], packed(U32, kb._offsets), packed(U32, kb._edge_predicates),
+        packed(U32, kb._edge_objects), packed(U32, surface_ids), tables[2],
+    ])
 
 
 def load_store(source: str | Path) -> tuple[KnowledgeBase, dict[str, str]]:
-    """The KB and canonical surfaces of a KB store file; a store that does
-    not decode, or whose ids or offsets are out of range, raises
-    StoreFormatError."""
+    """The KB and canonical surfaces of a KB store file; one that is not a
+    sealed store of this version raises StoreFormatError."""
     with open(source, "rb") as fp:
         read = SectionReader(fp.read(), _STORE_HEADER, STORE_MAGIC, STORE_VERSION, "KB store")
-    (node_count, predicate_count, edge_count, surface_count, node_bytes, predicate_bytes,
-     surface_bytes) = read.fields
-    nodes = read.names(node_bytes, node_count, "node table")
-    predicates = read.names(predicate_bytes, predicate_count, "predicate table")
-    offsets = read.offsets(node_count + 1, edge_count)
-    edge_predicates = read.ids(edge_count, predicate_count, "edge predicates")
-    edge_objects = read.ids(edge_count, node_count, "edge objects")
-    surface_ids = read.ids(surface_count, node_count, "surface ids")
-    surfaces = read.names(surface_bytes, surface_count, "surface table")
-    read.end("surface table")
-    check_ascending(nodes, "node table")
-    check_ascending(predicates, "predicate table")
-    check_ascending(surface_ids, "surface ids")
+    node_count, _, edge_count, surface_count, node_bytes, predicate_bytes, surface_bytes = (
+        read.fields)
+    nodes = read.names(node_bytes)
+    predicates = read.names(predicate_bytes)
+    offsets = read.packed(U32, node_count + 1)
+    edge_predicates = read.packed(U32, edge_count)
+    edge_objects = read.packed(U32, edge_count)
+    surface_ids = read.packed(U32, surface_count)
+    surfaces = read.names(surface_bytes)
     kb = KnowledgeBase.__new__(KnowledgeBase)
     kb._adopt(nodes, predicates, offsets, edge_predicates, edge_objects)
     return kb, dict(zip(map(nodes.__getitem__, surface_ids), surfaces))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from factqa import corpus
 from factqa.concepts import ConceptGraph
 from factqa.corpus import (
     EntityValueExtractor,
@@ -20,10 +22,11 @@ from factqa.engine import AnswerDistribution, AnswerEngine, SequenceResult
 from factqa.hasharray import StaticHashArray
 from factqa.kb import expand_predicates, expansion_map, load_kb
 from factqa.learn import PredicateModel, TrainingSet
-from factqa.pipeline import build_entity_index, load_entity_dictionary
+from factqa.pipeline import build_entity_index, load_config, load_entity_dictionary, run_offline
 from oracles import pairs_of, training_items
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -143,3 +146,31 @@ def million_key_index():
     keys = random_keys(rng, 1_000_000, prefix="in:")
     index = StaticHashArray.build((key, i) for i, key in enumerate(keys))
     return keys, index
+
+
+@pytest.fixture(scope="session")
+def ci_world(tmp_path_factory):
+    """The generated world the CI workflow checks: 60 people from the
+    benchmark's generator (``bench/world.py``, imported read-only). Its
+    config, its simple and its complex questions, trained, and the key
+    runs ``probe_corpus`` read a ``MentionTable`` of in the offline run."""
+    runs = []
+
+    class CountedTable(corpus.MentionTable):
+        def __init__(self, kb, index, keys, **passed):
+            runs.append(keys)
+            super().__init__(kb, index, keys, **passed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.syspath_prepend(str(BENCH))
+        import world
+
+        generated = world.generate(1, 0.06)
+        simple = world.simple_questions(generated, 1, 4)
+        complex_ = world.complex_questions(generated, 1, 4)
+        config_file = generated.write(tmp_path_factory.mktemp("ci") / "world")
+        config = load_config(config_file)
+        patch.setattr(corpus, "MentionTable", CountedTable)
+        run_offline(config, config_file)
+    return config, simple, complex_, runs

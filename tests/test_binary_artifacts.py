@@ -1,27 +1,30 @@
 """The three binary artifacts, the entity index, the KB store and the
-concept file: their bytes pinned across commits, and fault injection. The
-toy pipeline's text artifacts are pinned beside them."""
+concept file: their bytes pinned across commits, and fault injection: each
+is sealed with the sha256 of its bytes, so no cut and no changed byte
+loads. The toy pipeline's text artifacts are pinned beside them."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 from factqa.concepts import load_concepts
 from factqa.hasharray import StaticHashArray
 from factqa.kb import StoreFormatError, load_store
-from factqa.pipeline import load_config, run_offline
+from factqa.pipeline import concepts_path, load_config, run_offline, store_path
 
 DATA = Path(__file__).parent / "data"
 
 # sha256 of the toy pipeline's binary artifacts. A change to one of the
 # formats bumps its version and updates its digest here in the same change.
 DIGESTS = {
-    "toy.index": "e6499d65b82075dabf7515725e7b24cf6ffb029922568f958ca6bbe9ddef2746",
-    "toy.index.kb": "6175958f1bd25851cc39a14384b72f6d27815d0300dc617a9c0c22831762ebcd",
-    "toy.model.concepts": "01e90beb657955c16bc8c0a915d06b8e19fc731ef78df024cc13a69527f18612",
+    "toy.index": "8195564f26c55e4265b2cc7fbea73c1cdd200bc9a3bc3d0d1b4a5ebd53054e85",
+    "toy.index.kb": "391a0883f7ec442feeb1c78e2c98aedea494933922a15e4c093ace7df3c116c7",
+    "toy.model.concepts": "563667e73b123aa0024d5a67046609fcecff400ccd14ba011a529ee3a24ad6b5",
 }
 
 # sha256 of the toy pipeline's text artifacts: the model, the pattern file,
@@ -60,39 +63,70 @@ def test_binary_artifact_bytes_are_pinned(toy_artifacts, name):
     assert hashlib.sha256((toy_artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_binary_artifact_head_holds_the_sha256_of_the_rest(toy_artifacts, name):
+    # magic (7 bytes) and version (4), then the seal: what a manifest of
+    # artifact hashes can copy without hashing the file again
+    blob = (toy_artifacts / name).read_bytes()
+    assert blob[11:43] == hashlib.sha256(blob[43:]).digest()
+
+
 @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
 def test_text_artifact_bytes_are_pinned(toy_artifacts, name):
     assert hashlib.sha256((toy_artifacts / name).read_bytes()).hexdigest() == TEXT_DIGESTS[name]
 
 
-def variants(blob: bytes):
-    """(label, bytes): the file cut at every shorter length, then each byte
-    set to 0x00, to 0xff, and to itself XOR 0x80 and XOR 0x01."""
-    for size in range(len(blob)):
+def changes(blob: bytes, positions: Iterable[int]):
+    """(label, bytes): the file cut at each of ``positions``, then the byte
+    at each set to 0x00, to 0xff, and to itself XOR 0x80 and XOR 0x01,
+    wherever that changes it."""
+    positions = sorted(positions)
+    for size in positions:
         yield f"cut to {size} bytes", blob[:size]
-    for i, byte in enumerate(blob):
+    for i in positions:
+        byte = blob[i]
         for label, new in (("0x00", 0), ("0xff", 0xFF), ("^0x80", byte ^ 0x80),
                            ("^0x01", byte ^ 0x01)):
-            yield f"byte {i} set to {label}", blob[:i] + bytes([new]) + blob[i + 1:]
+            if new != byte:
+                yield f"byte {i} set to {label}", blob[:i] + bytes([new]) + blob[i + 1:]
+
+
+def assert_every_change_is_refused(path: Path, load, positions: Iterable[int],
+                                   target: Path) -> None:
+    """Each of the ``changes`` of the file at ``path``, written to
+    ``target``, raises StoreFormatError when ``load`` reads it."""
+    blob = path.read_bytes()
+    load(path)
+    not_refused = []
+    for label, damaged in changes(blob, positions):
+        target.write_bytes(damaged)
+        try:
+            load(target)
+            not_refused.append(f"{label}: loaded")
+        except StoreFormatError:
+            pass
+        except Exception as exc:  # any other exception is an escape, to be listed
+            not_refused.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert not_refused == []
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
-def test_every_damaged_binary_artifact_loads_or_is_refused(toy_artifacts, tmp_path, name):
-    blob = (toy_artifacts / name).read_bytes()
-    LOADERS[name](toy_artifacts / name)
-    target = tmp_path / name
-    escaped, loaded_cuts = [], []
-    for label, damaged in variants(blob):
-        target.write_bytes(damaged)
-        try:
-            LOADERS[name](target)
-        except StoreFormatError:
-            continue
-        except Exception as exc:  # any other exception is an escape, to be listed
-            escaped.append(f"{label}: {type(exc).__name__}: {exc}")
-            continue
-        if label.startswith("cut"):
-            loaded_cuts.append(label)
-    assert escaped == []
-    # every section's length is in the header, so no cut file decodes
-    assert loaded_cuts == []
+def test_every_cut_and_changed_byte_of_a_binary_artifact_is_refused(toy_artifacts, tmp_path,
+                                                                     name):
+    path = toy_artifacts / name
+    assert_every_change_is_refused(path, LOADERS[name], range(path.stat().st_size),
+                                   tmp_path / name)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_sampled_cuts_and_changed_bytes_of_the_ci_worlds_binary_artifacts_are_refused(
+    ci_world, tmp_path, name
+):
+    """The CI world's artifacts are some thousands of bytes long: up to
+    2,000 positions of each, drawn at random, are damaged as above."""
+    config = ci_world[0]
+    path = {"toy.index": config.index, "toy.index.kb": store_path(config.index),
+            "toy.model.concepts": concepts_path(config.model)}[name]
+    size = path.stat().st_size
+    positions = random.Random(name).sample(range(size), min(size, 2000))
+    assert_every_change_is_refused(path, LOADERS[name], positions, tmp_path / path.name)

@@ -287,43 +287,31 @@ def _swapped(blob: bytes, old: bytes, new: bytes) -> bytes:
     return blob.replace(old, new)
 
 
+_SEAL = "sha256 seal mismatch: the concept file was changed or cut after it was written"
+
+
 @pytest.mark.parametrize(
-    "graph, rewrite, message",
+    "graph, rewrite",
     [
         (ConceptGraph(context_weights={("a", "x"): 1.0, ("b", "y"): 2.0}),
-         lambda blob: _swapped(blob, b"a\nb\n", b"b\na\n"),
-         "corrupt context weights: not strictly ascending"),
+         lambda blob: _swapped(blob, b"a\nb\n", b"b\na\n")),
         (ConceptGraph(context_weights={("a", "x"): 1.0, ("a", "y"): 2.0}),
-         lambda blob: _swapped(blob, b"x\ny\n", b"x\nx\n"),
-         "corrupt context weights: not strictly ascending"),
-        (ConceptGraph(context_weights={("a", ""): 1.0}), None,
-         "corrupt context tokens: an empty name"),
-        (ConceptGraph(context_weights={("", "x"): 1.0}), None,
-         "corrupt context concepts: an empty name"),
+         lambda blob: _swapped(blob, b"x\ny\n", b"x\nx\n")),
         (ConceptGraph(overrides={"a b": {"c": 1.0}, "d e": {"c": 1.0}}),
-         lambda blob: _swapped(blob, b"a b\nd e\n", b"d e\na b\n"),
-         "corrupt override questions: not in ascending order"),
-        (ConceptGraph(overrides={"Who is X?": {"c": 1.0}}), None,
-         "corrupt override questions: not in tokenized form"),
-        (ConceptGraph(overrides={"who is x": {"": 1.0}}), None,
-         "corrupt override concepts: an empty name"),
+         lambda blob: _swapped(blob, b"a b\nd e\n", b"d e\na b\n")),
         # the concept ids of one entity's edges, 0 and 1, made 1 and 1, or 1 and 0
         (ConceptGraph([("e", "a", 1.0), ("e", "b", 1.0)]),
-         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 1)),
-         "corrupt concept ids: not ascending within an entity"),
+         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 1))),
         (ConceptGraph([("e", "a", 1.0), ("e", "b", 1.0)]),
-         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 0)),
-         "corrupt concept ids: not ascending within an entity"),
+         lambda blob: _swapped(blob, _IDS_0_1, struct.pack("<II", 1, 0))),
     ],
-    ids=["context-unsorted", "context-repeated", "context-empty-token",
-         "context-empty-concept", "override-questions-unsorted", "override-not-tokenized",
-         "override-empty-concept", "concept-ids-repeated", "concept-ids-unsorted"],
+    ids=["context-unsorted", "context-repeated", "override-questions-unsorted",
+         "concept-ids-repeated", "concept-ids-unsorted"],
 )
-def test_concept_file_refuses_what_no_tsv_gives(tmp_path, graph, rewrite, message):
+def test_concept_file_refuses_what_no_tsv_gives(tmp_path, graph, rewrite):
     path = tmp_path / "bad.concepts"
-    blob = concepts_bytes(graph)
-    path.write_bytes(rewrite(blob) if rewrite else blob)
-    with pytest.raises(StoreFormatError, match=message):
+    path.write_bytes(rewrite(concepts_bytes(graph)))
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_concepts(path)
 
 
@@ -336,7 +324,7 @@ def _reader_takes(kind: str, value: float) -> bool:
     return math.isfinite(value) if kind == "context" else 0 <= value <= 1
 
 
-@pytest.mark.parametrize("text", EDGE_VALUES)
+@pytest.mark.parametrize("text", [*EDGE_VALUES, "-inf"])
 def test_readers_refuse_a_context_weight_not_finite_and_an_override_outside_0_1(
     tmp_path, data_dir, text
 ):
@@ -358,27 +346,20 @@ def test_readers_refuse_a_context_weight_not_finite_and_an_override_outside_0_1(
         ConceptGraph.load(data_dir / "isa.tsv", overrides_path=overrides)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, 0.0, 1.0, 1.5, 1e308])
-@pytest.mark.parametrize("kind", ["context", "override"])
+@pytest.mark.parametrize("kind, value", [
+    (kind, value) for kind in ("context", "override")
+    for value in (math.nan, math.inf, -math.inf, -0.5, 0.0, 1.0, 1.5, 1e308)
+    if _reader_takes(kind, value)
+])
 def test_concept_file_takes_the_context_weights_and_overrides_the_readers_take(
     tmp_path, kind, value
 ):
-    """Any other value is refused, as a file the readers could not have
-    given."""
     if kind == "context":
         graph = ConceptGraph(context_weights={("c", "w"): value, ("c", "x"): 0.5})
     else:
         graph = ConceptGraph(overrides={"who is x": {"c": 0.5, "d": value}})
-    path = tmp_path / "edge.concepts"
-    if _reader_takes(kind, value):
-        back = round_trip(graph, path)
-        assert (back.context_weights, back.overrides) == (graph.context_weights, graph.overrides)
-        return
-    path.write_bytes(concepts_bytes(graph))
-    message = ("corrupt context weights: not all finite" if kind == "context"
-               else re.escape("corrupt override probabilities: not all in [0, 1]"))
-    with pytest.raises(StoreFormatError, match=message):
-        load_concepts(path)
+    back = round_trip(graph, tmp_path / "edge.concepts")
+    assert (back.context_weights, back.overrides) == (graph.context_weights, graph.overrides)
 
 
 @pytest.mark.parametrize("born, was", [(float(t), float(t)) for t in EDGE_VALUES]

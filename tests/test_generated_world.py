@@ -14,47 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 
-import pytest
-
-from factqa import corpus
 from factqa.hasharray import StaticHashArray
-from factqa.pipeline import OnlineSession, load_config, run_offline
+from factqa.pipeline import OnlineSession
 from test_corpus import assert_corpus_tokenized
 from test_pipeline import assert_duplicate_lines_merge, assert_probe_counts_every_entity_span
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
 RECORDS_SHA256 = "a16fbb335e83766e6fd3ecb1446295d0872e5a37eeb5341b4c4f52a6aa1b5b49"
-
-
-@pytest.fixture(scope="module")
-def ci_world(tmp_path_factory):
-    """The world's config, its simple and its complex questions, trained,
-    and the key runs ``probe_corpus`` read a ``MentionTable`` of in the
-    offline run."""
-    runs = []
-
-    class CountedTable(corpus.MentionTable):
-        def __init__(self, kb, index, keys, **passed):
-            runs.append(keys)
-            super().__init__(kb, index, keys, **passed)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "dont_write_bytecode", True)
-        patch.syspath_prepend(str(BENCH))
-        import world
-
-        generated = world.generate(1, 0.06)
-        simple = world.simple_questions(generated, 1, 4)
-        complex_ = world.complex_questions(generated, 1, 4)
-        config_file = generated.write(tmp_path_factory.mktemp("ci") / "world")
-        config = load_config(config_file)
-        patch.setattr(corpus, "MentionTable", CountedTable)
-        run_offline(config, config_file)
-    return config, simple, complex_, runs
 
 
 def test_answer_records_of_the_ci_world_are_pinned(ci_world):

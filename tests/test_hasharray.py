@@ -135,6 +135,11 @@ def test_buckets_hold_sorted_unique_pairs_whatever_the_entry_order():
 # serialization
 
 
+# the head of an index file: magic, version and seal, the sha256 of the rest
+_HEAD = 7 + 4 + 32
+_SEAL = "sha256 seal mismatch: the index was changed or cut after it was written"
+
+
 def load_blob(tmp_path: Path, blob: bytes) -> StaticHashArray:
     """The index loaded from a file holding ``blob``."""
     path = tmp_path / "blob.index"
@@ -162,15 +167,15 @@ def test_save_load_file(tmp_path):
 def test_truncated_items_section(tmp_path):
     idx = StaticHashArray.build([("alpha", 7), ("beta", 8)])
     blob = idx.to_bytes()
-    with pytest.raises(StoreFormatError, match="truncated items section"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob[:-len(idx.token_filter) - 8])
 
 
 def test_truncated_offsets_section(tmp_path):
     idx = StaticHashArray.build([("alpha", 7)])
-    header_size = 7 + 4 + 8 * 4
+    header_size = _HEAD + 8 * 4
     blob = idx.to_bytes()[: header_size + 4]
-    with pytest.raises(StoreFormatError, match="truncated offsets section"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob)
 
 
@@ -194,7 +199,7 @@ def test_version_1_header_names_the_version(tmp_path):
     # between the version and the counts
     header = struct.pack("<7sIQQQQ", MAGIC, 1, 0x5851F42D4C957F2D, 0x14057B7EF767814F, 1, 1)
     blob = header + bytes(16 + 16)
-    with pytest.raises(StoreFormatError, match="index format version 1, expected 6"):
+    with pytest.raises(StoreFormatError, match="index format version 1, expected 7"):
         load_blob(tmp_path, blob)
 
 
@@ -202,8 +207,8 @@ def test_version_2_header_names_the_version(tmp_path):
     # the layout written before the longest-key field
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQ", MAGIC, 2, idx.bucket_count, len(idx))
-    blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 2, expected 6"):
+    blob = header + idx.to_bytes()[_HEAD + 8 * 4 : -len(idx.token_filter)]
+    with pytest.raises(StoreFormatError, match="index format version 2, expected 7"):
         load_blob(tmp_path, blob)
 
 
@@ -211,8 +216,8 @@ def test_version_3_header_names_the_version(tmp_path):
     # the layout written before the token filter
     idx = StaticHashArray.build([("alpha", 7)])
     header = struct.pack("<7sIQQQ", MAGIC, 3, idx.bucket_count, len(idx), idx.max_words)
-    blob = header + idx.to_bytes()[7 + 4 + 8 * 4 : -len(idx.token_filter)]
-    with pytest.raises(StoreFormatError, match="index format version 3, expected 6"):
+    blob = header + idx.to_bytes()[_HEAD + 8 * 4 : -len(idx.token_filter)]
+    with pytest.raises(StoreFormatError, match="index format version 3, expected 7"):
         load_blob(tmp_path, blob)
 
 
@@ -221,7 +226,7 @@ def test_version_4_header_names_the_version(tmp_path):
     # sections, buckets in insertion order
     blob = bytearray(StaticHashArray.build([("alpha", 7)]).to_bytes())
     struct.pack_into("<I", blob, len(MAGIC), 4)
-    with pytest.raises(StoreFormatError, match="index format version 4, expected 6"):
+    with pytest.raises(StoreFormatError, match="index format version 4, expected 7"):
         load_blob(tmp_path, bytes(blob))
 
 
@@ -230,7 +235,7 @@ def test_version_5_index_is_refused(tmp_path):
     # sections, a filter of one bit per token
     blob = bytearray(StaticHashArray.build([("alpha", 7)]).to_bytes())
     struct.pack_into("<I", blob, len(MAGIC), 5)
-    with pytest.raises(StoreFormatError, match="index format version 5, expected 6"):
+    with pytest.raises(StoreFormatError, match="index format version 5, expected 7"):
         load_blob(tmp_path, bytes(blob))
 
 
@@ -242,14 +247,14 @@ def test_max_words_round_trips(tmp_path):
 
 
 def _with_max_words(blob: bytes, max_words: int) -> bytes:
-    return blob[: 7 + 4 + 8 * 2] + struct.pack("<Q", max_words) + blob[7 + 4 + 8 * 3:]
+    return blob[: _HEAD + 8 * 2] + struct.pack("<Q", max_words) + blob[_HEAD + 8 * 3:]
 
 
 @pytest.mark.parametrize("entries, max_words", [([("alpha", 7)], 0), ([], 1)],
                          ids=["zero-for-keys", "nonzero-for-none"])
 def test_corrupt_max_words_refused(tmp_path, entries, max_words):
     blob = _with_max_words(StaticHashArray.build(entries).to_bytes(), max_words)
-    with pytest.raises(StoreFormatError, match="corrupt header"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob)
 
 
@@ -367,25 +372,25 @@ def test_index_bytes_do_not_depend_on_the_hash_seed():
 
 
 def _with_filter_bytes(blob: bytes, filter_bytes: int) -> bytes:
-    return blob[: 7 + 4 + 8 * 3] + struct.pack("<Q", filter_bytes) + blob[7 + 4 + 8 * 4:]
+    return blob[: _HEAD + 8 * 3] + struct.pack("<Q", filter_bytes) + blob[_HEAD + 8 * 4:]
 
 
 @pytest.mark.parametrize("filter_bytes", [0, 3, 12])
 def test_token_filter_length_not_a_power_of_two_refused(tmp_path, filter_bytes):
     blob = _with_filter_bytes(StaticHashArray.build([("alpha", 7)]).to_bytes(), filter_bytes)
-    with pytest.raises(StoreFormatError, match="corrupt token filter"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob)
 
 
 def test_truncated_token_filter(tmp_path):
     blob = StaticHashArray.build([("alpha beta gamma", 7)]).to_bytes()
-    with pytest.raises(StoreFormatError, match="truncated token filter"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob[:-1])
 
 
 def test_trailing_bytes_refused(tmp_path):
     blob = StaticHashArray.build([("alpha", 7), ("beta", 8)]).to_bytes()
-    with pytest.raises(StoreFormatError, match="trailing bytes after the token filter"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_blob(tmp_path, blob + b"garbage!")
 
 

@@ -365,29 +365,27 @@ def test_store_refuses_a_surface_with_a_line_break():
         store_bytes(KnowledgeBase([("a", "p", "b")]), {"a": "A\nB"})
 
 
+_SEAL = "sha256 seal mismatch: the KB store was changed or cut after it was written"
+
+
 @pytest.mark.parametrize(
-    "rewrite, message",
+    "rewrite",
     [
         # the toy store's node table starts "1961\n1964\n"
-        (lambda blob: blob.replace(b"1961\n1964\n", b"1964\n1961\n", 1),
-         "corrupt node table: not strictly ascending"),
-        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1961\n", 1),
-         "corrupt node table: not strictly ascending"),
-        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1964 ", 1),
-         "corrupt node table: not 10 names"),
-        (lambda blob: blob.replace(b"1961\n1964\n", b"1961\n196\xff\n", 1),
-         "corrupt node table: 'utf-8' codec can't decode"),
-        (lambda blob: blob.replace(b"category\ndob\n", b"dob\ncategory\n", 1),
-         "corrupt predicate table: not strictly ascending"),
+        lambda blob: blob.replace(b"1961\n1964\n", b"1964\n1961\n", 1),
+        lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1961\n", 1),
+        lambda blob: blob.replace(b"1961\n1964\n", b"1961\n1964 ", 1),
+        lambda blob: blob.replace(b"1961\n1964\n", b"1961\n196\xff\n", 1),
+        lambda blob: blob.replace(b"category\ndob\n", b"dob\ncategory\n", 1),
     ],
     ids=["nodes-unsorted", "nodes-repeated", "node-count", "node-utf8", "predicates-unsorted"],
 )
-def test_store_refuses_a_corrupt_name_table(toy_kb, tmp_path, rewrite, message):
+def test_store_refuses_a_corrupt_name_table(toy_kb, tmp_path, rewrite):
     path = tmp_path / "toy.index.kb"
     blob = store_bytes(toy_kb, {})
     path.write_bytes(rewrite(blob))
     assert path.read_bytes() != blob
-    with pytest.raises(StoreFormatError, match=message):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_store(path)
 
 
@@ -398,5 +396,5 @@ def test_store_refuses_repeated_surface_ids(toy_kb, tmp_path):
     first = struct.pack("<I", toy_kb.node_id("BarackObama"))
     second = struct.pack("<I", toy_kb.node_id("Honolulu"))
     path.write_bytes(blob.replace(first + second, first + first, 1))
-    with pytest.raises(StoreFormatError, match="corrupt surface ids: not strictly ascending"):
+    with pytest.raises(StoreFormatError, match=_SEAL):
         load_store(path)
