@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from pathlib import Path
 from typing import Iterable
 
@@ -69,6 +70,35 @@ def test_binary_artifact_head_holds_the_sha256_of_the_rest(toy_artifacts, name):
     # artifact hashes can copy without hashing the file again
     blob = (toy_artifacts / name).read_bytes()
     assert blob[11:43] == hashlib.sha256(blob[43:]).digest()
+
+
+@pytest.mark.parametrize("name, other", [
+    (name, other) for name in sorted(LOADERS) for other in sorted(LOADERS) if other != name
+])
+def test_each_loader_refuses_the_other_binary_artifacts_by_their_magic(toy_artifacts, name,
+                                                                       other):
+    # the KB store and the concept file are both version 2 and each seal
+    # holds over its own file, so only the magic tells them apart
+    with pytest.raises(StoreFormatError, match="bad magic"):
+        LOADERS[name](toy_artifacts / other)
+
+
+@pytest.mark.parametrize("name, previous, message", [
+    ("toy.index", 6, "index format version 6, expected 7"),
+    ("toy.index.kb", 1, "KB store format version 1, expected 2"),
+    ("toy.model.concepts", 1, "concept file format version 1, expected 2"),
+])
+def test_the_unsealed_previous_version_of_each_binary_artifact_is_refused_by_its_version(
+    toy_artifacts, tmp_path, name, previous, message
+):
+    """The previous version of each format is the sealed one without its
+    seal: the version is checked before the seal, so the file is refused by
+    its version, not as changed or cut."""
+    blob = (toy_artifacts / name).read_bytes()
+    path = tmp_path / name
+    path.write_bytes(blob[:7] + struct.pack("<I", previous) + blob[43:])
+    with pytest.raises(StoreFormatError, match=message):
+        LOADERS[name](path)
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
